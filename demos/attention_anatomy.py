@@ -10,7 +10,7 @@ in the right direction. Run with:
 
 import numpy as np
 
-from clta.attention import CltaParams, attend
+from clta.attention import attend_forward
 from clta.synth import SynthConfig, generate
 
 BAR = " .:-=+*#%@"
@@ -38,10 +38,8 @@ def main():
     K = 3
 
     print("-- random detectors: the head has not learned where to look --")
-    params = CltaParams(W_mean=rng.standard_normal((K, cfg.d)) * 1e-3,
-                        W_std=rng.standard_normal((K, cfg.d)),
-                        beta=1e3, Z=Z)
-    trace = attend(seq.features, params)
+    trace, _ = attend_forward(seq.features, rng.standard_normal((K, cfg.d)) * 1e-3,
+                              rng.standard_normal((K, cfg.d)), beta=1e3, Z=Z)
     for k in range(K):
         print(f"head {k}: mu = {trace.mu[k]:.3f}  sigma = {trace.sigma[k]:.3f}  "
               f"weights {sparkline(trace.norm_weights[k])}")
@@ -50,10 +48,9 @@ def main():
     # pointing the mean detector along the cue makes the soft-argmax land on
     # the window; a negative std detector drives the sigmoids toward zero on
     # quiet frames, so the Gaussian tightens
-    params = CltaParams(W_mean=np.tile(cue, (K, 1)) * np.array([[1.0], [2.0], [4.0]]),
-                        W_std=np.tile(-8.0 * cue, (K, 1)),
-                        beta=1e3, Z=Z)
-    trace = attend(seq.features, params)
+    trace, _ = attend_forward(seq.features,
+                              np.tile(cue, (K, 1)) * np.array([[1.0], [2.0], [4.0]]),
+                              np.tile(-8.0 * cue, (K, 1)), beta=1e3, Z=Z)
     for k in range(K):
         print(f"head {k}: mu = {trace.mu[k]:.3f}  sigma = {trace.sigma[k]:.3f}  "
               f"weights {sparkline(trace.norm_weights[k])}")

@@ -19,8 +19,6 @@ from clta.model import Model, ModelConfig
 from clta.synth import SynthConfig, generate
 from clta.trainer import TrainConfig, train
 
-os.environ.setdefault("CLTA_THREADS", "4")
-
 
 def main():
     mode = os.environ.get("MODE", "instance_shifted")

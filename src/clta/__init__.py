@@ -2,20 +2,15 @@
 classification, with baseline attention mechanisms, a from-scratch trainer,
 and an episodic evaluation harness."""
 
-from .attention import (AttentionTrace, CltaParams, FrameSequence, FusionSpec,
-                        attend, fuse, gaussian_weights, learn_mean, learn_std,
-                        soft_argmax)
-from .baselines import (SelfAttentionParams, SldgParams, TsfParams, average_pool,
-                        self_attention, sldg_attention, tsf_attention)
+from .attention import AttentionTrace, FrameSequence, FusionSpec, fuse, soft_argmax
+from .baselines import TsfParams, average_pool
 from .classifiers import (CosineHead, SoftmaxHead, cosine_scores, predict,
                           softmax_logits)
 from .episodes import (EpisodeResult, EpisodeSpec, EvalSummary, retrain_classifier,
                        run_episodes, sample_episode)
 from .model import Model, ModelConfig, descriptor, loss_and_grads
-from .numerics import (GradientBundle, cross_entropy, finite_diff_check, matvec,
-                       sigmoid, softmax_stable)
+from .numerics import cross_entropy, finite_diff_check, sigmoid, softmax_stable
 from .synth import Dataset, SynthConfig, describe, generate
-from .trainer import (AdamState, TrainConfig, adam_step, dropout_apply, lr_at,
-                      train)
+from .trainer import AdamState, TrainConfig, adam_step, lr_at, train
 
 __version__ = "0.1.0"

@@ -5,7 +5,8 @@ normalized frame axis t/Z. The mean comes from a soft-argmax over the dot
 products of frames with a mean-learning row, the standard deviation from
 the sigmoid-summed dot products with a std-learning row. The resulting
 weights aggregate the frames into K video-level summaries, which a fusion
-step combines into one descriptor.
+step combines into one descriptor. The tsf and sldg baselines pool through
+the same Gaussian kernel and differ only in where mu and sigma come from.
 
 Frame indices are 1-based inside all formulas; Z is the dataset-wide max
 sequence length, frozen from the training split.
@@ -53,30 +54,6 @@ class FrameSequence:
 
 
 @dataclass
-class CltaParams:
-    """Mean/std learning matrices plus the fixed scale and length normalizer."""
-
-    W_mean: np.ndarray  # (K, d)
-    W_std: np.ndarray   # (K, d)
-    beta: float
-    Z: int
-
-    def __post_init__(self):
-        self.W_mean = np.asarray(self.W_mean, dtype=np.float64)
-        self.W_std = np.asarray(self.W_std, dtype=np.float64)
-        if self.W_mean.shape != self.W_std.shape or self.W_mean.ndim != 2:
-            raise ShapeError("W_mean and W_std must be (K, d) with equal shapes")
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be > 0, got {self.beta}")
-        if self.Z < 1:
-            raise ConfigError(f"Z must be >= 1, got {self.Z}")
-
-    @property
-    def K(self) -> int:
-        return self.W_mean.shape[0]
-
-
-@dataclass
 class AttentionTrace:
     """Everything the attention step computed, for inspection and CSV dumps."""
 
@@ -116,37 +93,42 @@ def soft_argmax(scores: np.ndarray, beta: float) -> float:
     return float(p @ idx)
 
 
-def learn_mean(F: np.ndarray, w_mean_k: np.ndarray, beta: float, Z: int) -> float:
-    """Length-normalized soft-argmax of per-frame scores; in [1/Z, T/Z]."""
-    F = np.asarray(F, dtype=np.float64)
-    if F.shape[0] > Z:
-        raise ConfigError(f"sequence length {F.shape[0]} exceeds Z={Z}")
-    return soft_argmax(F @ np.asarray(w_mean_k, dtype=np.float64), beta) / Z
+def gaussian_pool_forward(F: np.ndarray, mu: np.ndarray, sigma: np.ndarray, Z: int,
+                          scale: np.ndarray | None = None):
+    """Pool frames F (T, d) through K Gaussians over t/Z, t=1..T.
+
+    Head k weighs frame t by a = exp(max(-((t/Z - mu_k)/sigma_k)^2 / 2,
+    _LOG_FLOOR)), softmaxes scale_k * a (or a) over frames and averages the
+    frames with the result. Returns (v (K, d), cache).
+    """
+    pos = np.arange(1, F.shape[0] + 1, dtype=np.float64) / Z    # (T,)
+    u = (pos[None, :] - mu[:, None]) / sigma[:, None]             # (K, T)
+    g = -0.5 * u * u
+    a = np.exp(np.maximum(g, _LOG_FLOOR))
+    e = softmax_stable(a if scale is None else scale[:, None] * a, axis=1)
+    v = e @ F
+    return v, dict(F=F, pos=pos, u=u, a=a, e=e, clamped=g < _LOG_FLOOR,
+                   mu=mu, sigma=sigma, scale=scale)
 
 
-def learn_std(F: np.ndarray, w_std_k: np.ndarray, Z: int) -> float:
-    """Sum of per-frame sigmoid scores over Z, floored; in [floor, T/Z]."""
-    F = np.asarray(F, dtype=np.float64)
-    s = float(np.sum(sigmoid(F @ np.asarray(w_std_k, dtype=np.float64)))) / Z
-    return max(s, min(_SIGMA_FLOOR, 0.5 * F.shape[0] / Z))
+def gaussian_pool_backward(cache: dict, dv: np.ndarray, need_dF: bool = False):
+    """Backprop through gaussian_pool_forward for upstream dv (K, d).
 
-
-def gaussian_weights(T: int, Z: int, mu: float, sigma: float) -> np.ndarray:
-    """Unnormalized Gaussian weights exp(-((t/Z - mu)/sigma)^2 / 2), t=1..T."""
-    if sigma <= 0:
-        raise NumericError(f"sigma must be > 0, got {sigma}")
-    if T < 1:
-        raise ShapeError(f"T must be >= 1, got {T}")
-    pos = np.arange(1, T + 1, dtype=np.float64) / Z
-    g = -0.5 * ((pos - mu) / sigma) ** 2
-    return np.exp(np.maximum(g, _LOG_FLOOR))
-
-
-def attend(F, params: CltaParams) -> AttentionTrace:
-    """Full attention pass over one video; see attend_forward for internals."""
-    trace, _ = attend_forward(np.asarray(getattr(F, "features", F)), params.W_mean,
-                              params.W_std, params.beta, params.Z)
-    return trace
+    Returns (dmu, dsigma, dscale-or-None, dF-or-None); dF covers only the
+    pooling path, not how mu and sigma were made from F.
+    """
+    F, e, a, u = cache["F"], cache["e"], cache["a"], cache["u"]
+    sigma, scale = cache["sigma"], cache["scale"]
+    de = dv @ F.T                                    # (K, T)
+    dq = softmax_backward(e, de, axis=1)
+    dscale = None if scale is None else (dq * a).sum(axis=1)
+    dg = (dq if scale is None else dq * scale[:, None]) * a
+    dg[cache["clamped"]] = 0.0
+    du = dg * (-u)
+    dmu = (du * (-1.0 / sigma[:, None])).sum(axis=1)     # (K,)
+    dsigma = (du * (-u / sigma[:, None])).sum(axis=1)    # (K,)
+    dF = e.T @ dv if need_dF else None
+    return dmu, dsigma, dscale, dF
 
 
 def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
@@ -165,7 +147,6 @@ def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
     if T > Z:
         raise ConfigError(f"sequence length {T} exceeds Z={Z}")
     idx = np.arange(1, T + 1, dtype=np.float64)
-    pos = idx / Z                                   # (T,)
 
     scores_m = F @ W_mean.T                          # (T, K)
     p = softmax_stable(beta * scores_m, axis=0)      # soft-argmax distribution
@@ -177,17 +158,10 @@ def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
     floor = min(_SIGMA_FLOOR, 0.5 * T / Z)
     sigma = np.maximum(sigma_raw, floor)
 
-    u = (pos[None, :] - mu[:, None]) / sigma[:, None]  # (K, T)
-    g = -0.5 * u * u
-    clamped = g < _LOG_FLOOR
-    a = np.exp(np.maximum(g, _LOG_FLOOR))            # (K, T)
-    e = softmax_stable(a, axis=1)                    # (K, T)
-    v = e @ F                                        # (K, d)
-
-    trace = AttentionTrace(mu=mu, sigma=sigma, raw_weights=a, norm_weights=e, summaries=v)
-    cache = dict(F=F, idx=idx, pos=pos, p=p, sg=sg, u=u, a=a, e=e,
-                 clamped=clamped, mu=mu, sigma=sigma,
-                 sigma_floored=sigma_raw < floor, beta=beta, Z=Z,
+    v, cache = gaussian_pool_forward(F, mu, sigma, Z)
+    trace = AttentionTrace(mu=mu, sigma=sigma, raw_weights=cache["a"],
+                           norm_weights=cache["e"], summaries=v)
+    cache.update(p=p, sg=sg, sigma_floored=sigma_raw < floor, beta=beta, Z=Z,
                  W_mean=W_mean, W_std=W_std)
     return trace, cache
 
@@ -198,19 +172,9 @@ def attend_backward(cache: dict, dv: np.ndarray, need_dF: bool = False):
     dv: (K, d) upstream gradient on the summaries.
     Returns (dW_mean, dW_std, dF-or-None).
     """
-    F, e, a, u = cache["F"], cache["e"], cache["a"], cache["u"]
-    p, sg, pos = cache["p"], cache["sg"], cache["pos"]
-    sigma, beta, Z = cache["sigma"], cache["beta"], cache["Z"]
-
-    de = dv @ F.T                                    # (K, T)
-    dF = e.T @ dv if need_dF else None               # summary path
-
-    da = softmax_backward(e, de, axis=1)
-    dg = da * a
-    dg[cache["clamped"]] = 0.0
-    du = dg * (-u)
-    dmu = (du * (-1.0 / sigma[:, None])).sum(axis=1)     # (K,)
-    dsigma = (du * (-u / sigma[:, None])).sum(axis=1)    # (K,)
+    F, p, sg, pos = cache["F"], cache["p"], cache["sg"], cache["pos"]
+    beta, Z = cache["beta"], cache["Z"]
+    dmu, dsigma, _, dF = gaussian_pool_backward(cache, dv, need_dF)
     dsigma[cache["sigma_floored"]] = 0.0
 
     # mean path: mu = (idx @ p) / Z, p = softmax(beta * F W_mean^T) over frames

@@ -5,8 +5,10 @@ selfattn - one learning matrix, softmaxed per-frame dot products.
 tsf      - shared trainable Gaussians, rescaled only by video length.
 sldg     - length-defined Gaussians with a trainable scale per head.
 
-tsf and sldg weights depend only on (T, parameters): two same-length videos
-always receive identical weights, regardless of contents.
+tsf and sldg pool through the same Gaussian kernel as clta
+(attention.gaussian_pool_forward); their weights depend only on
+(T, parameters): two same-length videos always receive identical weights,
+regardless of contents.
 """
 
 from dataclasses import dataclass
@@ -14,24 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .attention import gaussian_pool_backward, gaussian_pool_forward
 from .numerics import sigmoid, softmax_backward, softmax_stable, softplus
-from .attention import gaussian_weights
-
-
-@dataclass
-class SelfAttentionParams:
-    W: np.ndarray  # (K, d)
 
 
 @dataclass
 class TsfParams:
     centers: np.ndarray  # (K,), mapped through tanh to a fraction of length
     widths: np.ndarray   # (K,), mapped through softplus
-
-
-@dataclass
-class SldgParams:
-    scales: np.ndarray   # (K,)
 
 
 def tsf_init(K: int) -> TsfParams:
@@ -68,50 +60,23 @@ def self_attention_backward(cache, dv, need_dF=False):
     return dW, dF
 
 
-def self_attention(F, params: SelfAttentionParams):
-    """Convenience wrapper returning (fused-average V, norm weights)."""
-    v, cache = self_attention_forward(np.asarray(getattr(F, "features", F)), params.W)
-    return v.mean(axis=0), cache["e"]
-
-
 def tsf_forward(F: np.ndarray, centers: np.ndarray, widths: np.ndarray, Z: int):
     """Shared Gaussian filters, positions/widths rescaled by T/Z."""
     F = np.asarray(F, dtype=np.float64)
-    T = F.shape[0]
-    frac = T / Z
+    frac = F.shape[0] / Z
     th = np.tanh(centers)
     mu = (th + 1.0) / 2.0 * frac           # (K,)
-    sp = softplus(widths)
-    sigma = sp * frac                       # (K,)
-    a = np.stack([gaussian_weights(T, Z, mu[k], sigma[k]) for k in range(len(mu))])
-    e = softmax_stable(a, axis=1)
-    v = e @ F
-    pos = np.arange(1, T + 1, dtype=np.float64) / Z
-    u = (pos[None, :] - mu[:, None]) / sigma[:, None]
-    cache = dict(F=F, e=e, a=a, u=u, mu=mu, sigma=sigma, th=th, widths=widths,
-                 frac=frac)
+    sigma = softplus(widths) * frac         # (K,)
+    v, cache = gaussian_pool_forward(F, mu, sigma, Z)
+    cache.update(th=th, widths=widths, frac=frac)
     return v, cache
 
 
 def tsf_backward(cache, dv, need_dF=False):
-    F, e, a, u, sigma = cache["F"], cache["e"], cache["a"], cache["u"], cache["sigma"]
-    de = dv @ F.T
-    da = softmax_backward(e, de, axis=1)
-    dg = da * a
-    du = dg * (-u)
-    dmu = (du * (-1.0 / sigma[:, None])).sum(axis=1)
-    dsigma = (du * (-u / sigma[:, None])).sum(axis=1)
+    dmu, dsigma, _, dF = gaussian_pool_backward(cache, dv, need_dF)
     dcenters = dmu * (1.0 - cache["th"] ** 2) / 2.0 * cache["frac"]
     dwidths = dsigma * sigmoid(cache["widths"]) * cache["frac"]
-    dF = e.T @ dv if need_dF else None
     return dcenters, dwidths, dF
-
-
-def tsf_attention(F, params: TsfParams, Z: int):
-    """Convenience wrapper returning (fused-average V, norm weights)."""
-    v, cache = tsf_forward(np.asarray(getattr(F, "features", F)),
-                           params.centers, params.widths, Z)
-    return v.mean(axis=0), cache["e"]
 
 
 def sldg_schedule(T: int, K: int, Z: int):
@@ -124,26 +89,10 @@ def sldg_schedule(T: int, K: int, Z: int):
 
 def sldg_forward(F: np.ndarray, scales: np.ndarray, Z: int):
     F = np.asarray(F, dtype=np.float64)
-    T = F.shape[0]
-    K = scales.shape[0]
-    mu, sigma = sldg_schedule(T, K, Z)
-    a = np.stack([gaussian_weights(T, Z, mu[k], sigma[k]) for k in range(K)])
-    q = scales[:, None] * a
-    e = softmax_stable(q, axis=1)
-    v = e @ F
-    return v, dict(F=F, e=e, a=a)
+    mu, sigma = sldg_schedule(F.shape[0], scales.shape[0], Z)
+    return gaussian_pool_forward(F, mu, sigma, Z, scale=scales)
 
 
 def sldg_backward(cache, dv, need_dF=False):
-    F, e, a = cache["F"], cache["e"], cache["a"]
-    de = dv @ F.T
-    dq = softmax_backward(e, de, axis=1)
-    dscales = (dq * a).sum(axis=1)
-    dF = e.T @ dv if need_dF else None
+    _, _, dscales, dF = gaussian_pool_backward(cache, dv, need_dF)
     return dscales, dF
-
-
-def sldg_attention(F, params: SldgParams, Z: int):
-    """Convenience wrapper returning (fused-average V, norm weights)."""
-    v, cache = sldg_forward(np.asarray(getattr(F, "features", F)), params.scales, Z)
-    return v.mean(axis=0), cache["e"]

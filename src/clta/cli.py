@@ -25,19 +25,22 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _build_parser() -> _Parser:
+def _build_parser():
+    """Returns (parser, {subcommand name: its parser})."""
     parser = _Parser(prog="clta", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def common(p):
+    def command(name, help):
+        p = commands[name] = sub.add_parser(name, help=help)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", type=str, default=None,
                        help="key=value file with defaults; flags override")
         p.add_argument("--deterministic-output", action="store_true",
                        help="suppress timestamp comment lines in result CSVs")
+        return p
 
-    p = sub.add_parser("gen", help="generate a synthetic dataset")
-    common(p)
+    p = command("gen", "generate a synthetic dataset")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--mode", choices=["instance_shifted", "fixed_position"],
                    default="instance_shifted")
@@ -69,8 +72,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--batch-size", type=int, default=128)
         p.add_argument("--dropout", type=float, default=0.0)
 
-    p = sub.add_parser("train", help="train an attention model on the base classes")
-    common(p)
+    p = command("train", "train an attention model on the base classes")
     p.add_argument("--data", required=True, help="manifest CSV path")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--log", default=None, help="training log CSV path")
@@ -82,46 +84,37 @@ def _build_parser() -> _Parser:
         p.add_argument("--episodes", type=int, default=600)
         p.add_argument("--head", choices=["same", "softmax", "cosine"], default="same")
 
-    p = sub.add_parser("eval", help="episodic n-way k-shot evaluation")
-    common(p)
+    p = command("eval", "episodic n-way k-shot evaluation")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default=None, help="result CSV path (default stdout only)")
     eval_flags(p)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of the full model")
-    common(p)
+    p = command("gradcheck", "finite-difference check of the full model")
     p.add_argument("--beta", type=float, default=10.0,
                    help="soft-argmax scale for the checked model")
     p.add_argument("--eps", type=float, default=1e-5)
 
-    p = sub.add_parser("ablate", help="sweep one factor and evaluate each setting")
-    common(p)
+    p = command("ablate", "sweep one factor and evaluate each setting")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="sweep result CSV path")
     p.add_argument("--sweep", choices=["k", "beta", "fusion", "classifier"], required=True)
     train_flags(p)
     eval_flags(p)
 
-    p = sub.add_parser("dump-attention", help="per-video attention trace CSVs")
-    common(p)
+    p = command("dump-attention", "per-video attention trace CSVs")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
-    return parser
+    return parser, commands
 
 
-def _apply_config_file(parser, args, argv):
-    """Fill args from a key=value file for flags not given on the CLI."""
-    if not args.config:
-        return
+def _config_defaults(args) -> dict:
+    """Read the --config key=value file into defaults for args.command."""
+    known = vars(args)
+    defaults = {}
     text = Path(args.config).read_text()
-    actions = {}
-    for sp in parser._subparsers._group_actions[0].choices.values():
-        if sp.prog.endswith(args.command):
-            for a in sp._actions:
-                actions[a.dest] = a
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -131,15 +124,14 @@ def _apply_config_file(parser, args, argv):
         key, _, value = line.partition("=")
         dest = key.strip().replace("-", "_")
         value = value.strip()
-        action = actions.get(dest)
-        if action is None or dest in ("config",):
+        if dest not in known or dest in ("command", "config"):
             raise ConfigError(f"{args.config}:{lineno}: unknown key {key.strip()!r}")
-        if any(opt in argv for opt in action.option_strings):
-            continue  # explicit flag wins
-        if isinstance(action, argparse._StoreTrueAction):
-            setattr(args, dest, value.lower() in ("1", "true", "yes"))
-        else:
-            setattr(args, dest, action.type(value) if action.type else value)
+        # argparse converts string defaults with the flag's type; store_true
+        # flags have no type, so their value is converted here
+        if isinstance(known[dest], bool):
+            value = value.lower() in ("1", "true", "yes")
+        defaults[dest] = value
+    return defaults
 
 
 # -- subcommand bodies ----------------------------------------------------------
@@ -355,10 +347,14 @@ _COMMANDS = {
 
 def cli_dispatch(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(parser, args, argv)
+        if args.config:
+            # file values become the subcommand's defaults, so every flag on
+            # the command line (--flag value or --flag=value) still wins
+            commands[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except CltaError as exc:
         sys.stderr.write(f"error: {exc}\n")

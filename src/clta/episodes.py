@@ -2,12 +2,10 @@
 
 The attention model stays frozen; each episode retrains a fresh classifier
 head on the support descriptors and is scored on one query per class.
-Per-episode seeds derive from the master seed, so episodes can run in any
-order (or in parallel) without changing the result.
+Episode i draws everything from SeedSequence([seed, i]), so its result does
+not depend on which other episodes run.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +15,7 @@ from .classifiers import (CosineHead, SoftmaxHead, cosine_logits,
                           cosine_logits_backward, predict, softmax_logits)
 from .errors import ConfigError, SamplingError
 from .model import Model, descriptor
-from .numerics import cross_entropy, cross_entropy_grad, softmax_stable
+from .numerics import cross_entropy_grad, softmax_stable
 from .trainer import AdamState, adam_step
 
 
@@ -187,12 +185,7 @@ def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
         acc = sum(per_class.values()) / spec.n_way
         return EpisodeResult(accuracy=acc, per_class=per_class, episode_seed=i)
 
-    threads = int(os.environ.get("CLTA_THREADS", "0") or 0)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_episode, range(spec.num_episodes)))
-    else:
-        results = [one_episode(i) for i in range(spec.num_episodes)]
+    results = [one_episode(i) for i in range(spec.num_episodes)]
 
     accs = np.array([r.accuracy for r in results])
     mean = float(accs.mean())

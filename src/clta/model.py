@@ -6,7 +6,7 @@ finite-difference checker can treat the model as a black-box loss.
 """
 
 import copy
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -53,6 +53,25 @@ class ModelConfig:
             raise ConfigError(f"need at least one attention head, got {self.num_gaussians}")
         if self.kind == "sldg":
             self.fusion = "soft_weight"
+
+
+def _clta_forward(G, p, cfg):
+    trace, cache = att.attend_forward(G, p["W_mean"], p["W_std"], cfg.beta, cfg.Z)
+    return trace.summaries, cache
+
+
+# kind -> (forward(G, params, cfg) -> (v, cache), backward(cache, dv, need_dG)
+# -> (*dparams, dG), the names of dparams). Kernels are looked up on their
+# module per call, so wrappers installed there (for timing) see the calls.
+_ATTENTION = {
+    "clta": (_clta_forward, lambda *a: att.attend_backward(*a), ("W_mean", "W_std")),
+    "selfattn": (lambda G, p, cfg: bl.self_attention_forward(G, p["W_attn"]),
+                 lambda *a: bl.self_attention_backward(*a), ("W_attn",)),
+    "tsf": (lambda G, p, cfg: bl.tsf_forward(G, p["centers"], p["widths"], cfg.Z),
+            lambda *a: bl.tsf_backward(*a), ("centers", "widths")),
+    "sldg": (lambda G, p, cfg: bl.sldg_forward(G, p["scales"], cfg.Z),
+             lambda *a: bl.sldg_backward(*a), ("scales",)),
+}
 
 
 class Model:
@@ -126,39 +145,15 @@ class Model:
 
     def _attend(self, G: np.ndarray):
         """Run the configured attention over frames G. Returns (v, cache)."""
-        p, cfg = self.params, self.cfg
-        if cfg.kind == "clta":
-            trace, cache = att.attend_forward(G, p["W_mean"], p["W_std"], cfg.beta, cfg.Z)
-            return trace.summaries, cache
-        if cfg.kind == "selfattn":
-            return bl.self_attention_forward(G, p["W_attn"])
-        if cfg.kind == "tsf":
-            return bl.tsf_forward(G, p["centers"], p["widths"], cfg.Z)
-        if cfg.kind == "sldg":
-            return bl.sldg_forward(G, p["scales"], cfg.Z)
-        raise ConfigError(f"model kind {cfg.kind!r} has no attention")
+        forward, _, _ = _ATTENTION[self.cfg.kind]
+        return forward(G, self.params, self.cfg)
 
     def _attend_backward(self, cache, dv, grads, need_dG):
-        cfg = self.cfg
-        if cfg.kind == "clta":
-            dWm, dWs, dG = att.attend_backward(cache, dv, need_dF=need_dG)
-            grads["W_mean"] += dWm
-            grads["W_std"] += dWs
-            return dG
-        if cfg.kind == "selfattn":
-            dW, dG = bl.self_attention_backward(cache, dv, need_dF=need_dG)
-            grads["W_attn"] += dW
-            return dG
-        if cfg.kind == "tsf":
-            dc, dw, dG = bl.tsf_backward(cache, dv, need_dF=need_dG)
-            grads["centers"] += dc
-            grads["widths"] += dw
-            return dG
-        if cfg.kind == "sldg":
-            ds, dG = bl.sldg_backward(cache, dv, need_dF=need_dG)
-            grads["scales"] += ds
-            return dG
-        raise ConfigError(f"model kind {cfg.kind!r} has no attention")
+        _, backward, names = _ATTENTION[self.cfg.kind]
+        *dparams, dG = backward(cache, dv, need_dG)
+        for name, d in zip(names, dparams):
+            grads[name] += d
+        return dG
 
     def _fusion_spec(self) -> att.FusionSpec:
         if self.cfg.kind != "avg" and self.cfg.fusion == "soft_weight":

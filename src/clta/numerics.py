@@ -4,30 +4,9 @@ All math runs in float64. Every primitive here has a matching analytic
 gradient helper so the rest of the model can chain them by hand.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import NumericError, ShapeError
-
-
-@dataclass
-class GradientBundle:
-    """Loss value plus per-parameter gradients keyed by parameter name."""
-
-    loss: float
-    grads: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with an explicit shape check."""
-    M = np.asarray(M, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if M.ndim != 2 or x.ndim != 1:
-        raise ShapeError(f"matvec expects (2d, 1d), got ({M.ndim}d, {x.ndim}d)")
-    if M.shape[1] != x.shape[0]:
-        raise ShapeError(f"matvec: {M.shape} incompatible with ({x.shape[0]},)")
-    return M @ x
 
 
 def softmax_stable(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -129,8 +108,3 @@ def finite_diff_check(loss_fn, params: dict[str, np.ndarray], eps: float = 1e-5)
             err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
             worst = max(worst, err)
     return worst
-
-
-def assert_finite(x: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(x)):
-        raise NumericError(f"non-finite values in {what}")

@@ -78,17 +78,6 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * cfg.decay_factor ** (epoch // cfg.decay_every)
 
 
-def dropout_apply(x: np.ndarray, rate: float, rng: np.random.Generator,
-                  train: bool = True) -> np.ndarray:
-    """Inverted dropout: zero with probability rate, scale survivors."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
-        return x
-    mask = (rng.random(np.shape(x)) >= rate) / (1.0 - rate)
-    return x * mask
-
-
 def evaluate(model: Model, examples) -> tuple[float, float]:
     """Eval-mode mean loss and accuracy over [(F, target), ...]."""
     total, correct = 0.0, 0
@@ -125,7 +114,8 @@ def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
     dropout masks both derive from cfg.seed. Validation accuracy comes from
     val_metric(model) when given (e.g. an episodic probe on held-out
     classes), else from plain accuracy on val_set; the parameters of the
-    best-validation epoch are restored at the end.
+    best-validation epoch, with their batch-norm running stats, are restored
+    at the end.
     """
     if not train_set:
         raise ConfigError("empty training set")
@@ -134,7 +124,7 @@ def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5F]))
     state = AdamState()
     records: list[EpochRecord] = []
-    best_val, best_params = -1.0, None
+    best_val, best = -1.0, None
 
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
@@ -163,11 +153,12 @@ def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
             _, val_acc = evaluate(model, val_set)
         if val_acc is not None and val_acc > best_val:
             best_val = val_acc
-            best_params = {k: v.copy() for k, v in model.params.items()}
+            best = ({k: v.copy() for k, v in model.params.items()},
+                    model.bn_mean.copy(), model.bn_var.copy())
         records.append(EpochRecord(epoch, lr, epoch_loss / max(nb, 1), train_acc, val_acc))
 
-    if best_params is not None:
-        model.params = best_params
+    if best is not None:
+        model.params, model.bn_mean, model.bn_var = best
     elif cfg.epochs > 0:
         log.warning("no validation signal: keeping last-epoch parameters")
     return records

@@ -1,13 +1,11 @@
 """Acceptance suite: one check per criterion, each printing a pass/fail line.
 
 The heavy checks (full trainings and episodic comparisons) share cached
-models and datasets at module scope. Episode evaluation is thread-parallel
-but order-independent, so CLTA_THREADS only affects wall time.
+models and datasets at module scope.
 """
 
 import csv
 import functools
-import os
 
 import numpy as np
 import pytest
@@ -23,8 +21,6 @@ from clta.trainer import TrainConfig, train
 
 from oracle_reference import (ref_attend, ref_cosine_logits, ref_fuse,
                               ref_softmax_logits)
-
-os.environ.setdefault("CLTA_THREADS", "4")
 
 
 def _report(num, desc, ok, detail=""):

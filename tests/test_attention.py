@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from clta.attention import (AttentionTrace, CltaParams, FrameSequence, FusionSpec,
-                            attend, attend_backward, attend_forward, fuse,
-                            fuse_backward, fusion_weights, gaussian_weights,
-                            learn_mean, learn_std, soft_argmax)
+from clta.attention import (AttentionTrace, FrameSequence, FusionSpec,
+                            attend_backward, attend_forward, fuse, fuse_backward,
+                            fusion_weights, gaussian_pool_backward,
+                            gaussian_pool_forward, soft_argmax)
 from clta.errors import ConfigError, NumericError, ShapeError
+
+from oracle_reference import ref_attend
 
 
 def _random_setup(rng, T=None, d=None, K=None):
@@ -45,55 +47,81 @@ def test_soft_argmax_validation():
         soft_argmax(np.array([]), 1.0)
 
 
-def test_learn_mean_and_std_ranges():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        F, Wm, Ws, Z = _random_setup(rng)
-        T = F.shape[0]
-        mu = learn_mean(F, Wm[0], beta=float(rng.uniform(1, 100)), Z=Z)
-        assert 1.0 / Z - 1e-12 <= mu <= T / Z + 1e-12
-        sig = learn_std(F, Ws[0], Z=Z)
-        assert 0.0 < sig <= T / Z + 1e-12
-
-
 def test_learn_std_floor_with_nonnegative_features():
     # a strongly negative detector on nonnegative features drives every
     # sigmoid to exact zero; the floor must keep sigma strictly positive
     F = np.abs(np.random.default_rng(2).normal(1, 0.2, size=(8, 4))) + 1.0
-    w = np.full(4, -500.0)
-    sig = learn_std(F, w, Z=10)
-    assert sig == min(1e-3, 0.5 * 8 / 10)
+    w = np.full((1, 4), -500.0)
+    trace, _ = attend_forward(F, np.zeros((1, 4)), w, 10.0, Z=10)
+    assert trace.sigma[0] == min(1e-3, 0.5 * 8 / 10)
 
 
 def test_gaussian_weights_shape_and_peak():
-    g = gaussian_weights(T=7, Z=10, mu=0.4, sigma=0.1)
-    assert g.shape == (7,)
-    assert np.all(g > 0) and np.all(g <= 1.0)
-    assert int(np.argmax(g)) == 3  # t=4 -> t/Z = 0.4
-    with pytest.raises(NumericError):
-        gaussian_weights(5, 10, 0.3, 0.0)
-    with pytest.raises(ShapeError):
-        gaussian_weights(0, 10, 0.3, 0.1)
+    F = np.random.default_rng(10).normal(size=(7, 3))
+    mu, sigma = np.array([0.4, 0.1]), np.array([0.1, 1e-3])
+    v, cache = gaussian_pool_forward(F, mu, sigma, Z=10)
+    a, e = cache["a"], cache["e"]
+    assert a.shape == e.shape == (2, 7) and v.shape == (2, 3)
+    assert np.all(a > 0) and np.all(a <= 1.0)
+    assert int(np.argmax(a[0])) == 3  # t=4 -> t/Z = 0.4
+    # far from a narrow head the log-weight is clamped, not underflowed
+    assert a[1, 0] == 1.0 and np.all(a[1, 1:] == np.exp(-700.0))
+    assert np.array_equal(cache["clamped"], [[False] * 7, [False] + [True] * 6])
+    assert np.allclose(e.sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(v, e @ F, atol=1e-15)
+    scale = np.array([3.0, -2.0])
+    _, scaled = gaussian_pool_forward(F, mu, sigma, Z=10, scale=scale)
+    q = scale[:, None] * a
+    ref = np.exp(q - q.max(axis=1, keepdims=True))
+    assert np.allclose(scaled["e"], ref / ref.sum(axis=1, keepdims=True), atol=1e-12)
+
+
+@pytest.mark.parametrize("with_scale", [False, True])
+def test_gaussian_pool_backward_finite_difference(with_scale):
+    rng = np.random.default_rng(11)
+    T, d, K, Z = 6, 3, 3, 8
+    F = rng.normal(size=(T, d))
+    mu = rng.uniform(1.0 / Z, T / Z, size=K)
+    sigma = rng.uniform(0.1, 0.5, size=K)
+    scale = rng.normal(size=K) * 2.0 if with_scale else None
+    dv = rng.normal(size=(K, d))
+
+    def loss():
+        v, _ = gaussian_pool_forward(F, mu, sigma, Z, scale=scale)
+        return float((v * dv).sum())
+
+    _, cache = gaussian_pool_forward(F, mu, sigma, Z, scale=scale)
+    dmu, dsigma, dscale, dF = gaussian_pool_backward(cache, dv, need_dF=True)
+    assert (dscale is None) == (scale is None)
+    checked = [(mu, dmu), (sigma, dsigma), (F, dF)]
+    if with_scale:
+        checked.append((scale, dscale))
+    eps = 1e-6
+    for x, dx in checked:
+        for idx in np.ndindex(x.shape):
+            orig = x[idx]
+            x[idx] = orig + eps
+            lp = loss()
+            x[idx] = orig - eps
+            lm = loss()
+            x[idx] = orig
+            assert abs(dx[idx] - (lp - lm) / (2 * eps)) < 1e-6
 
 
 def test_attend_matches_per_head_composition():
+    # the independent per-head reference recomputes every head on its own
     rng = np.random.default_rng(3)
     for _ in range(30):
         F, Wm, Ws, Z = _random_setup(rng)
         beta = float(rng.uniform(1, 50))
-        trace = attend(F, CltaParams(W_mean=Wm, W_std=Ws, beta=beta, Z=Z))
+        trace, _ = attend_forward(F, Wm, Ws, beta, Z)
         assert isinstance(trace, AttentionTrace)
-        for k in range(Wm.shape[0]):
-            mu = learn_mean(F, Wm[k], beta, Z)
-            sig = learn_std(F, Ws[k], Z)
-            a = gaussian_weights(F.shape[0], Z, mu, sig)
-            assert abs(trace.mu[k] - mu) < 1e-12
-            assert abs(trace.sigma[k] - sig) < 1e-12
-            assert np.allclose(trace.raw_weights[k], a, atol=1e-12)
-            e = np.exp(a - a.max())
-            e /= e.sum()
-            assert np.allclose(trace.norm_weights[k], e, atol=1e-12)
-            assert np.allclose(trace.summaries[k], e @ F, atol=1e-12)
+        mu, sig, a, e, v = ref_attend(F.tolist(), Wm.tolist(), Ws.tolist(), beta, Z)
+        assert np.allclose(trace.mu, mu, atol=1e-12)
+        assert np.allclose(trace.sigma, sig, atol=1e-12)
+        assert np.allclose(trace.raw_weights, a, atol=1e-12)
+        assert np.allclose(trace.norm_weights, e, atol=1e-12)
+        assert np.allclose(trace.summaries, v, atol=1e-12)
 
 
 def test_attend_normalization_and_ranges():
@@ -250,9 +278,11 @@ def test_frame_sequence_validation():
 
 
 def test_clta_params_validation():
+    F = np.zeros((4, 3))
+    W = np.zeros((2, 3))
     with pytest.raises(ShapeError):
-        CltaParams(W_mean=np.zeros((2, 3)), W_std=np.zeros((2, 4)), beta=1.0, Z=5)
+        attend_forward(F, W, np.zeros((2, 4)), 1.0, 5)
     with pytest.raises(ConfigError):
-        CltaParams(W_mean=np.zeros((2, 3)), W_std=np.zeros((2, 3)), beta=-1.0, Z=5)
+        attend_forward(F, W, W, -1.0, 5)
     with pytest.raises(ConfigError):
-        CltaParams(W_mean=np.zeros((2, 3)), W_std=np.zeros((2, 3)), beta=1.0, Z=0)
+        attend_forward(F, W, W, 1.0, 0)

@@ -105,12 +105,3 @@ def test_sldg_backward_fd():
     _fd_weight_grad(lambda: bl.sldg_forward(F, scales, Z=10)[0],
                     None, [(scales, ds)], dv)
 
-
-def test_convenience_wrappers_average_the_heads():
-    rng = np.random.default_rng(6)
-    F = rng.normal(size=(5, 4))
-    W = rng.normal(size=(3, 4))
-    V, e = bl.self_attention(F, bl.SelfAttentionParams(W=W))
-    v, _ = bl.self_attention_forward(F, W)
-    assert np.allclose(V, v.mean(axis=0), atol=1e-15)
-    assert e.shape == (3, 5)

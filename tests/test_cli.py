@@ -145,6 +145,19 @@ def test_config_file_defaults_and_flag_precedence(dataset_dir, tmp_path):
     assert rc == 0
     params, meta = io_files.load_checkpoint(ckpt)
     assert meta["model_config"]["hidden"] == 32  # explicit flag beats the file
+    rc = cli_dispatch(["train", "--data", str(dataset_dir / "manifest.csv"),
+                       "--out", str(ckpt), "--config", str(cfg),
+                       "--hidden=32", "--seed", "0"])
+    assert rc == 0
+    params, meta = io_files.load_checkpoint(ckpt)
+    assert meta["model_config"]["hidden"] == 32  # so does its --flag=value form
+    cfg.write_text("epochs=1\nhidden=16\nbatch-norm=true\n")
+    rc = cli_dispatch(["train", "--data", str(dataset_dir / "manifest.csv"),
+                       "--out", str(ckpt), "--config", str(cfg), "--seed", "0"])
+    assert rc == 0
+    params, meta = io_files.load_checkpoint(ckpt)
+    assert meta["model_config"]["hidden"] == 16  # the file fills what flags omit
+    assert meta["model_config"]["batch_norm"] is True
 
 
 def test_config_file_unknown_key(dataset_dir, tmp_path, capsys):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from clta.attention import FrameSequence
+from clta.classifiers import predict, softmax_logits
 from clta.episodes import (EpisodeSpec, retrain_classifier, run_episodes,
                            sample_episode)
 from clta.errors import ConfigError, SamplingError
-from clta.model import Model, ModelConfig
+from clta.model import Model, ModelConfig, descriptor
 
 
 def _novel_set(rng, n_classes=8, per_class=6, d=5, separable=False):
@@ -111,18 +112,24 @@ def test_run_episodes_separable_is_perfect():
     assert len(summary.results) == 20
 
 
-def test_run_episodes_thread_count_does_not_change_results(monkeypatch):
+def test_run_episodes_matches_one_episode_runs():
+    # episode i depends only on SeedSequence([seed, i]), never on the others
     rng = np.random.default_rng(5)
     novel = _novel_set(rng)
     model = _frozen_model(kind="clta")
-    spec = EpisodeSpec(n_way=4, k_shot=1, num_episodes=12, retrain_epochs=10, seed=9)
-    monkeypatch.setenv("CLTA_THREADS", "0")
-    serial = run_episodes(model, novel, spec)
-    monkeypatch.setenv("CLTA_THREADS", "4")
-    parallel = run_episodes(model, novel, spec)
-    assert serial.mean_acc == parallel.mean_acc
-    for a, b in zip(serial.results, parallel.results):
-        assert a.accuracy == b.accuracy and a.per_class == b.per_class
+    spec = EpisodeSpec(n_way=4, k_shot=1, num_episodes=6, retrain_epochs=10, seed=9)
+    summary = run_episodes(model, novel, spec)
+    for i, result in enumerate(summary.results):
+        ep_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, i]))
+        support, query = sample_episode(ep_rng, novel, spec)
+        head, labels = retrain_classifier(model, [novel[j] for j in support], spec,
+                                          ep_rng)
+        per_class = {novel[j].label: predict(softmax_logits(
+            descriptor(model, novel[j].features), head)) == labels.index(novel[j].label)
+            for j in query}
+        assert result.episode_seed == i
+        assert result.per_class == per_class
+        assert result.accuracy == sum(per_class.values()) / spec.n_way
 
 
 def test_run_episodes_deterministic_in_seed():

@@ -102,6 +102,21 @@ def test_dropout_needs_rng_and_changes_output():
     assert not np.allclose(l1, l2)
 
 
+def test_forward_dropout_statistics():
+    cfg = ModelConfig(kind="avg", Z=4, feature_dim=1, hidden=200_000, num_classes=2,
+                      dropout=0.3)
+    model = Model(cfg, np.random.default_rng(0))
+    F = np.ones((3, 1))
+    _, cache = model.forward_video(F, train=True, rng=np.random.default_rng(1))
+    mask = cache["drop_mask"]
+    kept = mask > 0
+    assert abs(kept.mean() - 0.7) < 0.01
+    assert np.allclose(mask[kept], 1.0 / 0.7, atol=1e-12)   # inverted scaling
+    assert abs(mask.mean() - 1.0) < 0.01                    # unbiased
+    _, cache = model.forward_video(F, train=False)
+    assert "drop_mask" not in cache
+
+
 def test_sldg_forces_soft_fusion():
     cfg = ModelConfig(kind="sldg", fusion="average", num_gaussians=2, Z=5,
                       feature_dim=3, dropout=0.0)

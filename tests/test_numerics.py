@@ -5,7 +5,7 @@ import pytest
 
 from clta.errors import NumericError, ShapeError
 from clta.numerics import (cross_entropy, cross_entropy_grad, finite_diff_check,
-                           log_softmax, matvec, relu, sigmoid, sigmoid_grad,
+                           log_softmax, relu, sigmoid, sigmoid_grad,
                            softmax_backward, softmax_stable, softplus)
 
 
@@ -87,16 +87,6 @@ def test_cross_entropy_target_out_of_range():
         cross_entropy(np.zeros(3), 3)
     with pytest.raises(IndexError):
         cross_entropy(np.zeros(3), -1)
-
-
-def test_matvec_and_shape_errors():
-    M = np.arange(6.0).reshape(2, 3)
-    x = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(matvec(M, x), M @ x)
-    with pytest.raises(ShapeError):
-        matvec(M, np.zeros(4))
-    with pytest.raises(ShapeError):
-        matvec(np.zeros(3), x)
 
 
 def test_relu_softplus():

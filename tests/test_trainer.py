@@ -5,8 +5,7 @@ import pytest
 
 from clta.errors import ConfigError, TrainingError
 from clta.model import Model, ModelConfig
-from clta.trainer import (AdamState, TrainConfig, adam_step, dropout_apply,
-                          evaluate, lr_at, train)
+from clta.trainer import AdamState, TrainConfig, adam_step, evaluate, lr_at, train
 
 
 def test_lr_schedule_step_decay():
@@ -57,20 +56,6 @@ def test_adam_converges_on_quadratic():
     assert np.linalg.norm(p["x"]) < 1e-3
 
 
-def test_dropout_apply_statistics():
-    rng = np.random.default_rng(0)
-    x = np.ones(200_000)
-    out = dropout_apply(x, 0.3, rng)
-    kept = out > 0
-    assert abs(kept.mean() - 0.7) < 0.01
-    assert np.allclose(out[kept], 1.0 / 0.7, atol=1e-12)   # inverted scaling
-    assert abs(out.mean() - 1.0) < 0.01                    # unbiased
-    same = dropout_apply(x, 0.3, rng, train=False)
-    assert same is x
-    with pytest.raises(ConfigError):
-        dropout_apply(x, 1.0, rng)
-
-
 def _toy_problem(seed=0, n_classes=3, per_class=8, d=4):
     """Linearly separable: class c lives along coordinate c."""
     rng = np.random.default_rng(seed)
@@ -84,9 +69,10 @@ def _toy_problem(seed=0, n_classes=3, per_class=8, d=4):
     return pairs
 
 
-def _toy_model(seed=0, kind="avg", d=4, n_classes=3):
+def _toy_model(seed=0, kind="avg", d=4, n_classes=3, batch_norm=False):
     cfg = ModelConfig(kind=kind, num_gaussians=2, beta=10.0, Z=8, feature_dim=d,
-                      hidden=8, num_classes=n_classes, dropout=0.0)
+                      hidden=8, num_classes=n_classes, dropout=0.0,
+                      batch_norm=batch_norm)
     return Model(cfg, np.random.default_rng(seed))
 
 
@@ -126,6 +112,22 @@ def test_best_validation_epoch_is_restored():
     assert len(snapshots) == 5
     for k in model.params:
         assert np.array_equal(model.params[k], snapshots[1][k])
+
+
+def test_best_epoch_restores_its_batch_norm_stats():
+    pairs = _toy_problem()
+    model = _toy_model(batch_norm=True)
+    cfg = TrainConfig(lr0=5e-3, epochs=3, batch_size=8, dropout_rate=0.0, seed=0)
+    snapshots = []
+
+    def val_metric(m):
+        snapshots.append((m.bn_mean.copy(), m.bn_var.copy()))
+        return 1.0 if len(snapshots) == 1 else 0.0  # epoch 0 is "best"
+
+    train(model, pairs, cfg, val_metric=val_metric)
+    assert not np.array_equal(snapshots[0][0], snapshots[-1][0])
+    assert np.array_equal(model.bn_mean, snapshots[0][0])
+    assert np.array_equal(model.bn_var, snapshots[0][1])
 
 
 def test_val_set_accuracy_recorded():
