@@ -19,6 +19,15 @@ from .trainer import TrainConfig, train
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        self.flags = {}  # dest -> its Action, to convert --config values
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -110,27 +119,34 @@ def _build_parser():
     return parser, commands
 
 
-def _config_defaults(args) -> dict:
-    """Read the --config key=value file into defaults for args.command."""
-    known = vars(args)
+def _config_defaults(path, flags) -> dict:
+    """Read a --config key=value file into defaults for the flags given."""
     defaults = {}
-    text = Path(args.config).read_text()
+    text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{args.config}:{lineno}: expected key=value, got {line!r}")
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        dest = key.strip().replace("-", "_")
-        value = value.strip()
-        if dest not in known or dest in ("command", "config"):
-            raise ConfigError(f"{args.config}:{lineno}: unknown key {key.strip()!r}")
-        # argparse converts string defaults with the flag's type; store_true
-        # flags have no type, so their value is converted here
-        if isinstance(known[dest], bool):
+        key, value = key.strip(), value.strip()
+        action = flags.get(key.replace("-", "_"))
+        if action is None or action.dest in ("config", "help"):
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        # store_true flags take no value on the command line; here they do
+        if isinstance(action.default, bool):
             value = value.lower() in ("1", "true", "yes")
-        defaults[dest] = value
+        elif action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: invalid {action.type.__name__} "
+                                  f"value {value!r} for key {key!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"{path}:{lineno}: invalid value {value!r} for key {key!r} "
+                              f"(choose from {', '.join(map(str, action.choices))})")
+        defaults[action.dest] = value
     return defaults
 
 
@@ -353,7 +369,8 @@ def cli_dispatch(argv=None) -> int:
         if args.config:
             # file values become the subcommand's defaults, so every flag on
             # the command line (--flag value or --flag=value) still wins
-            commands[args.command].set_defaults(**_config_defaults(args))
+            command = commands[args.command]
+            command.set_defaults(**_config_defaults(args.config, command.flags))
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except CltaError as exc:

@@ -2,8 +2,16 @@
 
 The attention model stays frozen; each episode retrains a fresh classifier
 head on the support descriptors and is scored on one query per class.
-Episode i draws everything from SeedSequence([seed, i]), so its result does
-not depend on which other episodes run.
+
+Sampling is per episode: episode i draws its classes, its support and query,
+and then one permutation per retrain epoch from SeedSequence([seed, i]), in
+that order, so its result does not depend on which other episodes run.
+Fitting is one batched solve: every episode has the same n_way * k_shot
+support size, so the heads of a chunk of episodes are stacked and trained
+together, one minibatch step and one Adam step at a time for all of them.
+The stacked softmax fit gives the same bits as fitting each episode on its
+own; the cosine fit sums its gradient over the examples of a minibatch in
+one matrix product, so its weights may differ in the last bits.
 """
 
 from dataclasses import dataclass, field
@@ -11,12 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import FrameSequence
-from .classifiers import (CosineHead, SoftmaxHead, cosine_logits,
-                          cosine_logits_backward, predict, softmax_logits)
-from .errors import ConfigError, SamplingError
+from .classifiers import CosineHead, SoftmaxHead
+from .errors import ConfigError, DegenerateInputError, SamplingError
 from .model import Model, descriptor
-from .numerics import cross_entropy_grad, softmax_stable
+from .numerics import softmax_stable
 from .trainer import AdamState, adam_step
+
+# Episodes fitted together. Each costs about 90 KB while its chunk is fitted
+# (5-way 5-shot, h=64, 100 retrain epochs); past 64 a chunk is no faster.
+_CHUNK = 64
 
 
 @dataclass
@@ -62,16 +73,18 @@ def _by_class(novel_set: list[FrameSequence]) -> dict[str, list[int]]:
     return groups
 
 
-def sample_episode(rng: np.random.Generator, novel_set: list[FrameSequence],
-                   spec: EpisodeSpec):
-    """Sample disjoint support/query index lists: k per class + 1 query each."""
-    groups = _by_class(novel_set)
+def _eligible(groups: dict[str, list[int]], spec: EpisodeSpec) -> list[str]:
+    """Sorted classes with enough videos for k support plus one query."""
     eligible = sorted(c for c, idxs in groups.items() if len(idxs) >= spec.k_shot + 1)
-    short = sorted(set(groups) - set(eligible))
     if len(eligible) < spec.n_way:
+        short = sorted(set(groups) - set(eligible))
         raise SamplingError(
             f"need {spec.n_way} classes with >= {spec.k_shot + 1} videos, "
             f"only {len(eligible)} eligible (too few videos in: {short})")
+    return eligible
+
+
+def _draw_episode(rng, groups, eligible, spec):
     classes = list(rng.choice(eligible, size=spec.n_way, replace=False))
     support, query = [], []
     for c in classes:
@@ -81,46 +94,80 @@ def sample_episode(rng: np.random.Generator, novel_set: list[FrameSequence],
     return support, query
 
 
-def _train_softmax_head(X: np.ndarray, y: np.ndarray, n_way: int,
-                        spec: EpisodeSpec, rng: np.random.Generator):
-    h = X.shape[1]
-    params = {"W": np.zeros((h, n_way)), "b": np.zeros(n_way)}
-    state = AdamState()
+def sample_episode(rng: np.random.Generator, novel_set: list[FrameSequence],
+                   spec: EpisodeSpec):
+    """Sample disjoint support/query index lists: k per class + 1 query each."""
+    groups = _by_class(novel_set)
+    return _draw_episode(rng, groups, _eligible(groups, spec), spec)
+
+
+def _draw_orders(rng: np.random.Generator, n: int, epochs: int) -> np.ndarray:
+    """(epochs, n): the same draws as one rng.permutation(n) per epoch."""
+    return rng.permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
+
+
+def _check_norms(norms: np.ndarray, what: str) -> None:
+    if np.any(norms == 0.0):
+        raise DegenerateInputError(f"zero-norm {what} in cosine head")
+
+
+def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int,
+               orders: np.ndarray, spec: EpisodeSpec) -> dict[str, np.ndarray]:
+    """Train E heads at once: support X (E, n, h), labels y (E, n), minibatch
+    orders (E, retrain_epochs, n). Returns the stacked head parameters."""
+    E, n, h = X.shape
+    rows = np.arange(E)[:, None]
     onehot = np.eye(n_way)[y]
-    for _ in range(spec.retrain_epochs):
-        order = rng.permutation(len(y))
-        for start in range(0, len(order), spec.retrain_batch):
-            sel = order[start:start + spec.retrain_batch]
-            Xb, hot = X[sel], onehot[sel]
-            logits = Xb @ params["W"] + params["b"]
-            p = softmax_stable(logits, axis=1)
-            dlog = (p - hot) / len(sel)
-            grads = {"W": Xb.T @ dlog, "b": dlog.sum(axis=0)}
-            adam_step(params, grads, state, spec.retrain_lr)
-    return SoftmaxHead(W=params["W"], bias=params["b"])
-
-
-def _train_cosine_head(X: np.ndarray, y: np.ndarray, n_way: int,
-                       spec: EpisodeSpec, rng: np.random.Generator):
-    # prototypes start at the per-class support means
-    protos = np.stack([X[y == c].mean(axis=0) for c in range(n_way)])
-    params = {"proto": protos, "temp": np.array([10.0])}
+    if kind == "softmax":
+        params = {"W": np.zeros((E, h, n_way)), "b": np.zeros((E, n_way))}
+    else:
+        # prototypes start at the per-class support means
+        counts = onehot.sum(axis=1)[..., None]
+        params = {"proto": onehot.transpose(0, 2, 1) @ X / counts,
+                  "temp": np.full((E, 1), 10.0)}
+        nv = np.linalg.norm(X, axis=-1)
+        _check_norms(nv, "descriptor")
+        X = X / nv[..., None]
     state = AdamState()
-    for _ in range(spec.retrain_epochs):
-        order = rng.permutation(len(y))
-        for start in range(0, len(order), spec.retrain_batch):
-            sel = order[start:start + spec.retrain_batch]
-            grads = {"proto": np.zeros_like(params["proto"]),
-                     "temp": np.zeros(1)}
-            head = CosineHead(W_proto=params["proto"], temperature=float(params["temp"][0]))
-            for i in sel:
-                logits = cosine_logits(X[i], head)
-                dlog = cross_entropy_grad(logits, int(y[i])) / len(sel)
-                dW, dtemp, _ = cosine_logits_backward(X[i], head, dlog)
-                grads["proto"] += dW
-                grads["temp"] += dtemp
+    for order in orders.transpose(1, 0, 2):
+        for start in range(0, n, spec.retrain_batch):
+            sel = order[:, start:start + spec.retrain_batch]
+            Xb, hot = X[rows, sel], onehot[rows, sel]
+            if kind == "softmax":
+                logits = Xb @ params["W"] + params["b"][:, None, :]
+                dlog = (softmax_stable(logits, axis=-1) - hot) / sel.shape[1]
+                grads = {"W": Xb.transpose(0, 2, 1) @ dlog, "b": dlog.sum(axis=1)}
+            else:
+                P, temp = params["proto"], params["temp"][:, :, None]
+                nw = np.linalg.norm(P, axis=-1)[:, None, :]
+                _check_norms(nw, "prototype")
+                s = (Xb @ P.transpose(0, 2, 1)) / nw
+                dlog = (softmax_stable(temp * s, axis=-1) - hot) / sel.shape[1]
+                ds = temp * dlog
+                # d s / d w_c = x/(|x||w_c|) - s_c w_c/|w_c|^2, summed over the batch
+                dP = ((ds / nw).transpose(0, 2, 1) @ Xb
+                      - ((ds * s).sum(axis=1) / nw[:, 0] ** 2)[..., None] * P)
+                grads = {"proto": dP, "temp": (dlog * s).sum(axis=(1, 2))[:, None]}
             adam_step(params, grads, state, spec.retrain_lr)
-    return CosineHead(W_proto=params["proto"], temperature=float(params["temp"][0]))
+    return params
+
+
+def _head_logits(kind: str, params: dict[str, np.ndarray], V: np.ndarray) -> np.ndarray:
+    """Logits (E, m, n_way) of m descriptors V (E, m, h) under each head.
+
+    Each row is one matrix-vector product, as classifiers computes it for a
+    single descriptor, so the logits have the same bits as that path.
+    """
+    if kind == "softmax":
+        W = params["W"].transpose(0, 2, 1)
+        return np.matmul(W[:, None], V[..., None])[..., 0] + params["b"][:, None, :]
+    P = params["proto"]
+    nv = np.linalg.norm(V, axis=-1)[..., None]
+    nw = np.linalg.norm(P, axis=-1)[:, None, :]
+    _check_norms(nv, "descriptor")
+    _check_norms(nw, "prototype")
+    scores = np.matmul(P[:, None], V[..., None])[..., 0] / (nw * nv)
+    return params["temp"][:, :, None] * scores
 
 
 def _head_kind(frozen_model: Model, spec: EpisodeSpec) -> str:
@@ -141,51 +188,52 @@ def retrain_classifier(frozen_model: Model, support: list[FrameSequence],
     lab2idx = {c: i for i, c in enumerate(labels)}
     X = np.stack([descriptor(frozen_model, s.features) for s in support])
     y = np.array([lab2idx[s.label] for s in support])
-    head = _fit_head(frozen_model, spec, X, y, len(labels), rng)
+    orders = _draw_orders(rng, len(support), spec.retrain_epochs)
+    kind = _head_kind(frozen_model, spec)
+    p = _fit_heads(kind, X[None], y[None], len(labels), orders[None], spec)
+    if kind == "softmax":
+        head = SoftmaxHead(W=p["W"][0], bias=p["b"][0])
+    else:
+        head = CosineHead(W_proto=p["proto"][0], temperature=float(p["temp"][0, 0]))
     return head, labels
-
-
-def _fit_head(frozen_model, spec, X, y, n_way, rng):
-    if _head_kind(frozen_model, spec) == "softmax":
-        return _train_softmax_head(X, y, n_way, spec, rng)
-    return _train_cosine_head(X, y, n_way, spec, rng)
-
-
-def _head_logits(head, x):
-    if isinstance(head, SoftmaxHead):
-        return softmax_logits(x, head)
-    return cosine_logits(x, head)
 
 
 def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
                  spec: EpisodeSpec) -> EvalSummary:
     """Mean n-way k-shot accuracy over num_episodes with a 95% CI."""
     groups = _by_class(novel_set)
-    for c in groups:
-        for i in groups[c]:
-            if novel_set[i].T > frozen_model.cfg.Z:
-                raise ConfigError(
-                    f"video {novel_set[i].video_id!r} longer than Z={frozen_model.cfg.Z}")
+    for seq in novel_set:
+        if seq.T > frozen_model.cfg.Z:
+            raise ConfigError(f"video {seq.video_id!r} longer than Z={frozen_model.cfg.Z}")
+    eligible = _eligible(groups, spec)
     # descriptors are episode-independent: compute once for the whole set
     desc = np.stack([descriptor(frozen_model, s.features) for s in novel_set])
+    # class codes in sorted label order: a head's class index is the rank of
+    # its code among the episode's query codes (one query per class)
+    code = {c: k for k, c in enumerate(sorted(groups))}
+    codes = np.array([code[s.label] for s in novel_set])
+    kind = _head_kind(frozen_model, spec)
+    n = spec.n_way * spec.k_shot
 
-    def one_episode(i: int) -> EpisodeResult:
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, i]))
-        support, query = sample_episode(rng, novel_set, spec)
-        labels = sorted({novel_set[j].label for j in support})
-        lab2idx = {c: k for k, c in enumerate(labels)}
-        X = desc[support]
-        y = np.array([lab2idx[novel_set[j].label] for j in support])
-        head = _fit_head(frozen_model, spec, X, y, spec.n_way, rng)
-        per_class: dict[str, bool] = {}
-        for j in query:
-            truth = novel_set[j].label
-            got = predict(_head_logits(head, desc[j]))
-            per_class[truth] = got == lab2idx[truth]
-        acc = sum(per_class.values()) / spec.n_way
-        return EpisodeResult(accuracy=acc, per_class=per_class, episode_seed=i)
-
-    results = [one_episode(i) for i in range(spec.num_episodes)]
+    results = []
+    for lo in range(0, spec.num_episodes, _CHUNK):
+        ids = range(lo, min(lo + _CHUNK, spec.num_episodes))
+        support = np.empty((len(ids), n), dtype=np.intp)
+        query = np.empty((len(ids), spec.n_way), dtype=np.intp)
+        orders = np.empty((len(ids), spec.retrain_epochs, n), dtype=np.intp)
+        for e, i in enumerate(ids):
+            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, i]))
+            support[e], query[e] = _draw_episode(rng, groups, eligible, spec)
+            orders[e] = _draw_orders(rng, n, spec.retrain_epochs)
+        qcodes = codes[query][:, None, :]
+        y = (qcodes < codes[support][..., None]).sum(axis=-1)
+        truth = (qcodes < codes[query][..., None]).sum(axis=-1)
+        params = _fit_heads(kind, desc[support], y, spec.n_way, orders, spec)
+        correct = _head_logits(kind, params, desc[query]).argmax(axis=-1) == truth
+        for e, i in enumerate(ids):
+            per_class = {novel_set[j].label: bool(ok) for j, ok in zip(query[e], correct[e])}
+            results.append(EpisodeResult(accuracy=int(correct[e].sum()) / spec.n_way,
+                                         per_class=per_class, episode_seed=i))
 
     accs = np.array([r.accuracy for r in results])
     mean = float(accs.mean())

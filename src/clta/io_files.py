@@ -134,12 +134,17 @@ def load_checkpoint(path):
     params: dict[str, np.ndarray] = {}
     off = 5
     while off < len(raw):
+        # a block header is the name length, the name, then rows and cols
         if off + 4 > len(raw):
             raise FormatError(f"{path}: truncated block header at byte {off}")
         (nlen,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        name = raw[off:off + nlen].decode("utf-8")
-        off += nlen
+        if off + 4 + nlen + 8 > len(raw):
+            raise FormatError(f"{path}: truncated block header at byte {off}")
+        try:
+            name = raw[off + 4:off + 4 + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: parameter name is not UTF-8 at byte {off + 4}") from None
+        off += 4 + nlen
         rows, cols = struct.unpack_from("<II", raw, off)
         off += 8
         count = rows * max(cols, 1)
@@ -152,7 +157,10 @@ def load_checkpoint(path):
     meta_path = Path(str(path) + ".meta.json")
     if not meta_path.exists():
         raise FormatError(f"missing checkpoint metadata {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{meta_path}: bad JSON: {exc}") from None
     return params, meta
 
 

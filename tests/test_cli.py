@@ -168,6 +168,22 @@ def test_config_file_unknown_key(dataset_dir, tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_config_file_bad_value_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# a comment\nseed=abc\n")
+    rc = cli_dispatch(["gradcheck", "--config", str(cfg)])
+    assert rc == 2
+    assert f"{cfg}:2: invalid int value 'abc' for key 'seed'" in capsys.readouterr().err
+    cfg.write_text("eps=small\n")
+    assert cli_dispatch(["gradcheck", "--config", str(cfg)]) == 2
+    assert f"{cfg}:1: invalid float value 'small'" in capsys.readouterr().err
+    cfg.write_text("dim=8\nmode=sideways\n")
+    rc = cli_dispatch(["gen", "--out", str(tmp_path / "ds"), "--config", str(cfg)])
+    assert rc == 2
+    assert f"{cfg}:2: invalid value 'sideways' for key 'mode'" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_dispatch(["no-such-command"])

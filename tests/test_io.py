@@ -1,5 +1,7 @@
 """Unit checks for feature files, manifests, checkpoints, and result CSVs."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -46,8 +48,18 @@ def test_feature_file_error_offsets(tmp_path):
         io_files.read_feature_file(path)
 
 
+def test_feature_file_truncated_at_every_byte(tmp_path):
+    good = tmp_path / "good.fvf"
+    io_files.write_feature_file(good, np.arange(6.0).reshape(3, 2))
+    raw = good.read_bytes()
+    cut = tmp_path / "cut.fvf"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(FormatError):
+            io_files.read_feature_file(cut)
+
+
 def test_feature_file_rejects_nonfinite(tmp_path):
-    import struct
     path = tmp_path / "nan.fvf"
     payload = np.array([[1.0, np.inf]], dtype="<f4").tobytes()
     path.write_bytes(b"FVF1" + struct.pack("<II", 1, 2) + payload)
@@ -127,11 +139,40 @@ def test_checkpoint_errors(tmp_path):
     (tmp_path / "bad.ckpt.meta.json").write_text("{}")
     with pytest.raises(FormatError, match="truncated payload"):
         io_files.load_checkpoint(path)
+    path.write_bytes(b"CLTA\x01" + struct.pack("<I", 1) + b"\xff"
+                     + struct.pack("<II", 1, 0) + bytes(8))
+    with pytest.raises(FormatError, match="not UTF-8 at byte 9"):
+        io_files.load_checkpoint(path)
+    (tmp_path / "good.ckpt.meta.json").write_text("{not json")
+    with pytest.raises(FormatError, match="bad JSON"):
+        io_files.load_checkpoint(good)
     (tmp_path / "good.ckpt.meta.json").unlink()
     with pytest.raises(FormatError, match="missing checkpoint metadata"):
         io_files.load_checkpoint(good)
     with pytest.raises(FormatError, match="unsupported ndim"):
         io_files.save_checkpoint(tmp_path / "x.ckpt", {"W": np.ones((2, 2, 2))}, {})
+
+
+def test_checkpoint_truncated_at_every_byte(tmp_path):
+    good = tmp_path / "good.ckpt"
+    params = {"W": np.ones((2, 3)), "bias": np.arange(3.0)}
+    io_files.save_checkpoint(good, params, {})
+    raw = good.read_bytes()
+    # 5-byte file header, then blocks in name order: W, then bias
+    after_W = 5 + 4 + len("W") + 8 + 8 * 6
+    assert len(raw) == after_W + 4 + len("bias") + 8 + 8 * 3
+    cut = tmp_path / "cut.ckpt"
+    (tmp_path / "cut.ckpt.meta.json").write_text("{}")
+    loaded_at = {}
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        try:
+            loaded_at[n] = sorted(io_files.load_checkpoint(cut)[0])
+        except FormatError:
+            pass
+    # only a cut between two blocks still loads, as the blocks before it:
+    # the format has no block count to tell it from a complete file
+    assert loaded_at == {5: [], after_W: ["W"]}
 
 
 def test_write_csv_timestamp_control(tmp_path):
