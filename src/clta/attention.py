@@ -9,7 +9,10 @@ step combines into one descriptor. The tsf and sldg baselines pool through
 the same Gaussian kernel and differ only in where mu and sigma come from.
 
 Frame indices are 1-based inside all formulas; Z is the dataset-wide max
-sequence length, frozen from the training split.
+sequence length, frozen from the training split. Every kernel takes one
+video (T, d) or a stack (..., T, d) padded to a common T with a frame mask
+(..., T); padded frames get no weight, and each video's length sets its
+sigma floor.
 """
 
 from dataclasses import dataclass
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .numerics import sigmoid, sigmoid_grad, softmax_backward, softmax_stable
+from .numerics import sigmoid, sigmoid_grad, softmax_backward, softmax_stable, sum_outer
 
 # Below this log-weight the Gaussian is clamped to keep weights strictly
 # positive; the gradient is treated as zero in the clamped region.
@@ -57,11 +60,11 @@ class FrameSequence:
 class AttentionTrace:
     """Everything the attention step computed, for inspection and CSV dumps."""
 
-    mu: np.ndarray           # (K,) in [1/Z, T/Z]
-    sigma: np.ndarray        # (K,) in [_SIGMA_FLOOR, T/Z]
-    raw_weights: np.ndarray  # (K, T), entries in (0, 1]
-    norm_weights: np.ndarray  # (K, T), rows sum to 1
-    summaries: np.ndarray    # (K, d)
+    mu: np.ndarray           # (..., K) in [1/Z, T/Z]
+    sigma: np.ndarray        # (..., K) in [_SIGMA_FLOOR, T/Z]
+    raw_weights: np.ndarray  # (..., K, T), entries in (0, 1]
+    norm_weights: np.ndarray  # (..., K, T), rows sum to 1
+    summaries: np.ndarray    # (..., K, d)
 
 
 @dataclass
@@ -93,72 +96,80 @@ def soft_argmax(scores: np.ndarray, beta: float) -> float:
     return float(p @ idx)
 
 
+def frame_mask(F: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """The frame mask (..., T) of frames F (..., T, d); None means all frames."""
+    return np.ones(F.shape[:-1], dtype=bool) if mask is None else mask
+
+
 def gaussian_pool_forward(F: np.ndarray, mu: np.ndarray, sigma: np.ndarray, Z: int,
-                          scale: np.ndarray | None = None):
-    """Pool frames F (T, d) through K Gaussians over t/Z, t=1..T.
+                          scale: np.ndarray | None = None, mask: np.ndarray | None = None):
+    """Pool frames F (..., T, d) through K Gaussians over t/Z, t=1..T.
 
     Head k weighs frame t by a = exp(max(-((t/Z - mu_k)/sigma_k)^2 / 2,
     _LOG_FLOOR)), softmaxes scale_k * a (or a) over frames and averages the
-    frames with the result. Returns (v (K, d), cache).
+    frames with the result; mu, sigma are (..., K). Returns (v (..., K, d), cache).
     """
-    pos = np.arange(1, F.shape[0] + 1, dtype=np.float64) / Z    # (T,)
-    u = (pos[None, :] - mu[:, None]) / sigma[:, None]             # (K, T)
+    pos = np.arange(1, F.shape[-2] + 1, dtype=np.float64) / Z         # (T,)
+    u = (pos - mu[..., None]) / sigma[..., None]                       # (..., K, T)
     g = -0.5 * u * u
     a = np.exp(np.maximum(g, _LOG_FLOOR))
-    e = softmax_stable(a if scale is None else scale[:, None] * a, axis=1)
+    q = a if scale is None else scale[:, None] * a
+    e = softmax_stable(np.where(frame_mask(F, mask)[..., None, :], q, -np.inf), axis=-1)
     v = e @ F
     return v, dict(F=F, pos=pos, u=u, a=a, e=e, clamped=g < _LOG_FLOOR,
                    mu=mu, sigma=sigma, scale=scale)
 
 
 def gaussian_pool_backward(cache: dict, dv: np.ndarray, need_dF: bool = False):
-    """Backprop through gaussian_pool_forward for upstream dv (K, d).
+    """Backprop through gaussian_pool_forward for upstream dv (..., K, d).
 
-    Returns (dmu, dsigma, dscale-or-None, dF-or-None); dF covers only the
-    pooling path, not how mu and sigma were made from F.
+    Returns (dmu, dsigma, dscale-or-None summed over the stack, dF-or-None);
+    dF covers only the pooling path, not how mu and sigma were made from F.
     """
     F, e, a, u = cache["F"], cache["e"], cache["a"], cache["u"]
     sigma, scale = cache["sigma"], cache["scale"]
-    de = dv @ F.T                                    # (K, T)
-    dq = softmax_backward(e, de, axis=1)
-    dscale = None if scale is None else (dq * a).sum(axis=1)
+    de = dv @ np.swapaxes(F, -1, -2)                     # (..., K, T)
+    dq = softmax_backward(e, de, axis=-1)
+    dscale = None if scale is None else (dq * a).sum(axis=-1).reshape(-1, len(scale)).sum(axis=0)
     dg = (dq if scale is None else dq * scale[:, None]) * a
     dg[cache["clamped"]] = 0.0
     du = dg * (-u)
-    dmu = (du * (-1.0 / sigma[:, None])).sum(axis=1)     # (K,)
-    dsigma = (du * (-u / sigma[:, None])).sum(axis=1)    # (K,)
-    dF = e.T @ dv if need_dF else None
+    dmu = (du * (-1.0 / sigma[..., None])).sum(axis=-1)        # (..., K)
+    dsigma = (du * (-u / sigma[..., None])).sum(axis=-1)       # (..., K)
+    dF = np.swapaxes(e, -1, -2) @ dv if need_dF else None
     return dmu, dsigma, dscale, dF
 
 
 def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
-                   beta: float, Z: int):
-    """Vectorized-over-K attention forward. Returns (trace, cache)."""
+                   beta: float, Z: int, mask: np.ndarray | None = None):
+    """Attention forward, vectorized over K and the stack. Returns (trace, cache)."""
     F = np.asarray(F, dtype=np.float64)
-    if F.ndim != 2:
-        raise ShapeError(f"F must be (T, d), got shape {F.shape}")
-    if F.shape[1] != W_mean.shape[1] or F.shape[1] != W_std.shape[1]:
+    if F.ndim < 2:
+        raise ShapeError(f"F must be (..., T, d), got shape {F.shape}")
+    if F.shape[-1] != W_mean.shape[1] or F.shape[-1] != W_std.shape[1]:
         raise ShapeError(
-            f"feature dim {F.shape[1]} does not match matrices "
+            f"feature dim {F.shape[-1]} does not match matrices "
             f"{W_mean.shape} / {W_std.shape}")
     if beta <= 0:
         raise ConfigError(f"beta must be > 0, got {beta}")
-    T = F.shape[0]
+    T = F.shape[-2]
     if T > Z:
         raise ConfigError(f"sequence length {T} exceeds Z={Z}")
     idx = np.arange(1, T + 1, dtype=np.float64)
+    mask = frame_mask(F, mask)
 
-    scores_m = F @ W_mean.T                          # (T, K)
-    p = softmax_stable(beta * scores_m, axis=0)      # soft-argmax distribution
-    mu = (idx @ p) / Z                               # (K,)
+    scores_m = F @ W_mean.T                                   # (..., T, K)
+    # soft-argmax distribution over each video's own frames
+    p = softmax_stable(np.where(mask[..., None], beta * scores_m, -np.inf), axis=-2)
+    mu = (idx @ p) / Z                                        # (..., K)
 
-    scores_s = F @ W_std.T                           # (T, K)
-    sg = sigmoid(scores_s)
-    sigma_raw = sg.sum(axis=0) / Z                   # (K,)
-    floor = min(_SIGMA_FLOOR, 0.5 * T / Z)
+    scores_s = F @ W_std.T                                    # (..., T, K)
+    sg = np.where(mask[..., None], sigmoid(scores_s), 0.0)
+    sigma_raw = sg.sum(axis=-2) / Z                           # (..., K)
+    floor = np.minimum(_SIGMA_FLOOR, 0.5 * mask.sum(axis=-1) / Z)[..., None]
     sigma = np.maximum(sigma_raw, floor)
 
-    v, cache = gaussian_pool_forward(F, mu, sigma, Z)
+    v, cache = gaussian_pool_forward(F, mu, sigma, Z, mask=mask)
     trace = AttentionTrace(mu=mu, sigma=sigma, raw_weights=cache["a"],
                            norm_weights=cache["e"], summaries=v)
     cache.update(p=p, sg=sg, sigma_floored=sigma_raw < floor, beta=beta, Z=Z,
@@ -169,8 +180,8 @@ def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
 def attend_backward(cache: dict, dv: np.ndarray, need_dF: bool = False):
     """Backprop through attend_forward.
 
-    dv: (K, d) upstream gradient on the summaries.
-    Returns (dW_mean, dW_std, dF-or-None).
+    dv: (..., K, d) upstream gradient on the summaries.
+    Returns (dW_mean, dW_std, dF-or-None), summed over the stack.
     """
     F, p, sg, pos = cache["F"], cache["p"], cache["sg"], cache["pos"]
     beta, Z = cache["beta"], cache["Z"]
@@ -178,15 +189,15 @@ def attend_backward(cache: dict, dv: np.ndarray, need_dF: bool = False):
     dsigma[cache["sigma_floored"]] = 0.0
 
     # mean path: mu = (idx @ p) / Z, p = softmax(beta * F W_mean^T) over frames
-    dp = dmu[None, :] * (pos[:, None])                   # idx/Z == pos
-    dsm = beta * softmax_backward(p, dp, axis=0)         # (T, K)
-    dW_mean = dsm.T @ F
+    dp = dmu[..., None, :] * pos[:, None]                # idx/Z == pos
+    dsm = beta * softmax_backward(p, dp, axis=-2)        # (..., T, K)
+    dW_mean = sum_outer(dsm, F)
     if need_dF:
         dF = dF + dsm @ cache["W_mean"]
 
-    # std path: sigma = sum_t sigmoid(F W_std^T) / Z
-    dss = (dsigma[None, :] / Z) * sigmoid_grad(sg)       # (T, K)
-    dW_std = dss.T @ F
+    # std path: sigma = sum_t sigmoid(F W_std^T) / Z; padded frames have sg = 0
+    dss = (dsigma[..., None, :] / Z) * sigmoid_grad(sg)  # (..., T, K)
+    dW_std = sum_outer(dss, F)
     if need_dF:
         dF = dF + dss @ cache["W_std"]
 
@@ -203,17 +214,17 @@ def fusion_weights(spec: FusionSpec, K: int) -> np.ndarray:
 
 def fuse(trace: AttentionTrace, spec: FusionSpec) -> np.ndarray:
     """Combine the K summaries into one descriptor V."""
-    s = fusion_weights(spec, trace.summaries.shape[0])
+    s = fusion_weights(spec, trace.summaries.shape[-2])
     return s @ trace.summaries
 
 
 def fuse_backward(v: np.ndarray, spec: FusionSpec, dV: np.ndarray):
-    """Returns (dv, d_soft_logits-or-None) for the fusion step."""
-    K = v.shape[0]
+    """Returns (dv, d_soft_logits-or-None summed over the stack) for fusion."""
+    K = v.shape[-2]
     s = fusion_weights(spec, K)
-    dv = s[:, None] * dV[None, :]
+    dv = s[:, None] * dV[..., None, :]
     dlogits = None
     if spec.mode == "soft_weight":
-        ds = v @ dV
-        dlogits = softmax_backward(s, ds)
+        ds = (v @ dV[..., None])[..., 0]
+        dlogits = softmax_backward(s, ds).reshape(-1, K).sum(axis=0)
     return dv, dlogits

@@ -1,4 +1,5 @@
-"""Softmax (linear) and cosine-similarity classification heads."""
+"""Softmax (linear) and cosine-similarity classification heads, for one
+descriptor (h,) or rows (..., n, h); the backward passes take rows."""
 
 from dataclasses import dataclass
 
@@ -9,59 +10,73 @@ from .errors import DegenerateInputError, ShapeError
 
 @dataclass
 class SoftmaxHead:
-    W: np.ndarray      # (h, c)
-    bias: np.ndarray   # (c,)
+    W: np.ndarray      # (..., h, c)
+    bias: np.ndarray   # (c,), or (..., 1, c) for stacked heads
 
 
 @dataclass
 class CosineHead:
-    W_proto: np.ndarray  # (c, h), row i is the prototype of class i
-    temperature: float = 10.0
+    W_proto: np.ndarray  # (..., c, h), row i is the prototype of class i
+    temperature: float | np.ndarray = 10.0   # scalar, (1,) or (..., 1, 1)
 
 
 def softmax_logits(V: np.ndarray, head: SoftmaxHead) -> np.ndarray:
     V = np.asarray(V, dtype=np.float64)
-    if head.W.shape[0] != V.shape[0] or head.W.shape[1] != head.bias.shape[0]:
+    if head.W.shape[-2] != V.shape[-1] or head.W.shape[-1] != head.bias.shape[-1]:
         raise ShapeError(f"head shapes {head.W.shape}/{head.bias.shape} vs input {V.shape}")
-    return head.W.T @ V + head.bias
+    return V @ head.W + head.bias
 
 
-def softmax_logits_backward(V, head: SoftmaxHead, dlogits):
-    dW = np.outer(V, dlogits)
-    dbias = dlogits.copy()
-    dV = head.W @ dlogits
+def softmax_logits_backward(V, head: SoftmaxHead, dlogits, need_dV: bool = True):
+    """Returns (dW, dbias, dV-or-None) for rows V (..., n, h), summed over the rows."""
+    dW = np.swapaxes(V, -1, -2) @ dlogits
+    dbias = dlogits.sum(axis=-2).reshape(head.bias.shape)
+    dV = dlogits @ np.swapaxes(head.W, -1, -2) if need_dV else None
     return dW, dbias, dV
+
+
+def _cosine(V: np.ndarray, head: CosineHead):
+    """(scores, |V|, unit prototypes w, |W_proto|) for descriptors V; norms keep dims."""
+    nv, nw = (np.sqrt(np.einsum("...i,...i->...", X, X))[..., None] for X in (V, head.W_proto))
+    for n, what in ((nv, "descriptor"), (nw, "prototype")):
+        if (n == 0.0).any():
+            raise DegenerateInputError(f"zero-norm {what} in cosine head")
+    w = head.W_proto / nw
+    return (V @ np.swapaxes(w, -1, -2)) / nv, nv, w, nw
 
 
 def cosine_scores(V: np.ndarray, head: CosineHead) -> np.ndarray:
     """Cosine similarities in [-1, 1]; scale by temperature for logits."""
-    V = np.asarray(V, dtype=np.float64)
-    nv = np.linalg.norm(V)
-    nw = np.linalg.norm(head.W_proto, axis=1)
-    if nv == 0.0:
-        raise DegenerateInputError("zero-norm descriptor in cosine head")
-    if np.any(nw == 0.0):
-        raise DegenerateInputError("zero-norm prototype in cosine head")
-    return (head.W_proto @ V) / (nw * nv)
+    return _cosine(np.asarray(V, dtype=np.float64), head)[0]
 
 
 def cosine_logits(V: np.ndarray, head: CosineHead) -> np.ndarray:
     return head.temperature * cosine_scores(V, head)
 
 
-def cosine_logits_backward(V, head: CosineHead, dlogits):
-    """Returns (dW_proto, dtemperature, dV)."""
+def cosine_logits_backward(V, head: CosineHead, dlogits, need_dV: bool = True):
+    """Returns (dW_proto, dtemperature, dV-or-None) for rows V (..., n, h)."""
     V = np.asarray(V, dtype=np.float64)
-    nv = np.linalg.norm(V)
-    nw = np.linalg.norm(head.W_proto, axis=1)
-    s = (head.W_proto @ V) / (nw * nv)
+    s, nv, w, nw = _cosine(V, head)                     # s: (..., n, c)
     ds = head.temperature * dlogits
-    dtemp = float(dlogits @ s)
-    # d s_i / d w_i = V/(|V||w_i|) - s_i w_i/|w_i|^2
-    dW = (ds / nw)[:, None] * (V[None, :] / nv) - (ds * s / nw**2)[:, None] * head.W_proto
-    # d s_i / d V = w_i/(|V||w_i|) - s_i V/|V|^2
-    dV = (ds / nw) @ head.W_proto / nv - (ds @ s) * V / nv**2
+    dss = ds * s
+    dtemp = (dlogits * s).sum(axis=(-2, -1)).reshape(np.shape(head.temperature))
+    # d s_nc / d w_c = (V_n / |V_n| - s_nc w_c) / |w_c|, summed over the rows n
+    dW = (np.swapaxes(ds / nv, -1, -2) @ V - dss.sum(axis=-2)[..., None] * w) / nw
+    # d s_nc / d V_n = (w_c - s_nc V_n / |V_n|) / |V_n|
+    dV = (ds @ w - dss.sum(axis=-1, keepdims=True) * V / nv) / nv if need_dV else None
     return dW, dtemp, dV
+
+
+def head_logits(V: np.ndarray, head) -> np.ndarray:
+    """Logits of a softmax or a cosine head."""
+    return (softmax_logits if isinstance(head, SoftmaxHead) else cosine_logits)(V, head)
+
+
+def head_logits_backward(V, head, dlogits, need_dV: bool = True):
+    """(gradient of each head parameter in field order..., dV-or-None) of either head."""
+    backward = softmax_logits_backward if isinstance(head, SoftmaxHead) else cosine_logits_backward
+    return backward(V, head, dlogits, need_dV)
 
 
 def predict(logits: np.ndarray) -> int:

@@ -331,9 +331,9 @@ def _cmd_dump_attention(args) -> int:
             for t in range(1, T + 1):
                 rows.append([0, t, f"{t / model.cfg.Z:.10g}", 1.0, f"{1.0 / T:.10g}", "", ""])
         else:
-            acache = cache["attn"]
-            e = acache["e"]
-            a = acache["a"]
+            acache = cache["attn"]   # a stack of one video
+            e = acache["e"][0]
+            a = acache["a"][0]
             mu = acache.get("mu")
             sigma = acache.get("sigma")
             K = e.shape[0]
@@ -342,8 +342,8 @@ def _cmd_dump_attention(args) -> int:
                     rows.append([
                         k, t, f"{t / model.cfg.Z:.10g}",
                         f"{a[k, t - 1]:.10g}", f"{e[k, t - 1]:.10g}",
-                        "" if mu is None else f"{mu[k]:.10g}",
-                        "" if sigma is None else f"{sigma[k]:.10g}"])
+                        "" if mu is None else f"{mu[0, k]:.10g}",
+                        "" if sigma is None else f"{sigma[0, k]:.10g}"])
         io_files.write_csv(out / f"{seq.video_id}.csv",
                            ["k", "t", "t_over_Z", "a", "e", "mu_k", "sigma_k"],
                            rows, deterministic=args.deterministic_output)
@@ -364,14 +364,21 @@ _COMMANDS = {
 def cli_dispatch(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _build_parser()
+    # a flag the --config file supplies is not required on the command line,
+    # so the first parse, which finds the file, requires none
+    required = [a for p in commands.values() for a in p.flags.values() if a.required]
+    for action in required:
+        action.required = False
     args = parser.parse_args(argv)
     try:
+        command = commands[args.command]
         if args.config:
             # file values become the subcommand's defaults, so every flag on
             # the command line (--flag value or --flag=value) still wins
-            command = commands[args.command]
             command.set_defaults(**_config_defaults(args.config, command.flags))
-            args = parser.parse_args(argv)
+        for action in required:
+            action.required = command.get_default(action.dest) is None
+        args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except CltaError as exc:
         sys.stderr.write(f"error: {exc}\n")

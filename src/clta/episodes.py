@@ -8,10 +8,11 @@ and then one permutation per retrain epoch from SeedSequence([seed, i]), in
 that order, so its result does not depend on which other episodes run.
 Fitting is one batched solve: every episode has the same n_way * k_shot
 support size, so the heads of a chunk of episodes are stacked and trained
-together, one minibatch step and one Adam step at a time for all of them.
-The stacked softmax fit gives the same bits as fitting each episode on its
-own; the cosine fit sums its gradient over the examples of a minibatch in
-one matrix product, so its weights may differ in the last bits.
+together through the heads in classifiers, one minibatch step and one Adam
+step at a time for all of them. The stacked softmax fit gives the same bits
+as fitting each episode on its own; the cosine fit sums its gradient over
+the examples of a minibatch in one matrix product, so its weights may
+differ in the last bits.
 """
 
 from dataclasses import dataclass, field
@@ -19,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import FrameSequence
-from .classifiers import CosineHead, SoftmaxHead
-from .errors import ConfigError, DegenerateInputError, SamplingError
-from .model import Model, descriptor
-from .numerics import softmax_stable
+from .classifiers import CosineHead, SoftmaxHead, head_logits, head_logits_backward
+from .errors import ConfigError, SamplingError
+from .model import Model, _padded_chunks, descriptor
+from .numerics import cross_entropy_grad
 from .trainer import AdamState, adam_step
 
 # Episodes fitted together. Each costs about 90 KB while its chunk is fitted
@@ -106,68 +107,29 @@ def _draw_orders(rng: np.random.Generator, n: int, epochs: int) -> np.ndarray:
     return rng.permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
 
 
-def _check_norms(norms: np.ndarray, what: str) -> None:
-    if np.any(norms == 0.0):
-        raise DegenerateInputError(f"zero-norm {what} in cosine head")
-
-
 def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int,
-               orders: np.ndarray, spec: EpisodeSpec) -> dict[str, np.ndarray]:
+               orders: np.ndarray, spec: EpisodeSpec):
     """Train E heads at once: support X (E, n, h), labels y (E, n), minibatch
-    orders (E, retrain_epochs, n). Returns the stacked head parameters."""
+    orders (E, retrain_epochs, n). Returns one head with stacked parameters."""
     E, n, h = X.shape
     rows = np.arange(E)[:, None]
-    onehot = np.eye(n_way)[y]
     if kind == "softmax":
-        params = {"W": np.zeros((E, h, n_way)), "b": np.zeros((E, n_way))}
+        head = SoftmaxHead(W=np.zeros((E, h, n_way)), bias=np.zeros((E, 1, n_way)))
     else:
         # prototypes start at the per-class support means
-        counts = onehot.sum(axis=1)[..., None]
-        params = {"proto": onehot.transpose(0, 2, 1) @ X / counts,
-                  "temp": np.full((E, 1), 10.0)}
-        nv = np.linalg.norm(X, axis=-1)
-        _check_norms(nv, "descriptor")
-        X = X / nv[..., None]
+        onehot = np.eye(n_way)[y]
+        head = CosineHead(W_proto=np.swapaxes(onehot, 1, 2) @ X / onehot.sum(axis=1)[..., None],
+                          temperature=np.full((E, 1, 1), 10.0))
+    params = vars(head)   # adam_step updates the head's arrays in place
     state = AdamState()
     for order in orders.transpose(1, 0, 2):
         for start in range(0, n, spec.retrain_batch):
             sel = order[:, start:start + spec.retrain_batch]
-            Xb, hot = X[rows, sel], onehot[rows, sel]
-            if kind == "softmax":
-                logits = Xb @ params["W"] + params["b"][:, None, :]
-                dlog = (softmax_stable(logits, axis=-1) - hot) / sel.shape[1]
-                grads = {"W": Xb.transpose(0, 2, 1) @ dlog, "b": dlog.sum(axis=1)}
-            else:
-                P, temp = params["proto"], params["temp"][:, :, None]
-                nw = np.linalg.norm(P, axis=-1)[:, None, :]
-                _check_norms(nw, "prototype")
-                s = (Xb @ P.transpose(0, 2, 1)) / nw
-                dlog = (softmax_stable(temp * s, axis=-1) - hot) / sel.shape[1]
-                ds = temp * dlog
-                # d s / d w_c = x/(|x||w_c|) - s_c w_c/|w_c|^2, summed over the batch
-                dP = ((ds / nw).transpose(0, 2, 1) @ Xb
-                      - ((ds * s).sum(axis=1) / nw[:, 0] ** 2)[..., None] * P)
-                grads = {"proto": dP, "temp": (dlog * s).sum(axis=(1, 2))[:, None]}
-            adam_step(params, grads, state, spec.retrain_lr)
-    return params
-
-
-def _head_logits(kind: str, params: dict[str, np.ndarray], V: np.ndarray) -> np.ndarray:
-    """Logits (E, m, n_way) of m descriptors V (E, m, h) under each head.
-
-    Each row is one matrix-vector product, as classifiers computes it for a
-    single descriptor, so the logits have the same bits as that path.
-    """
-    if kind == "softmax":
-        W = params["W"].transpose(0, 2, 1)
-        return np.matmul(W[:, None], V[..., None])[..., 0] + params["b"][:, None, :]
-    P = params["proto"]
-    nv = np.linalg.norm(V, axis=-1)[..., None]
-    nw = np.linalg.norm(P, axis=-1)[:, None, :]
-    _check_norms(nv, "descriptor")
-    _check_norms(nw, "prototype")
-    scores = np.matmul(P[:, None], V[..., None])[..., 0] / (nw * nv)
-    return params["temp"][:, :, None] * scores
+            Xb, yb = X[rows, sel], y[rows, sel]
+            dlog = cross_entropy_grad(head_logits(Xb, head), yb) / sel.shape[1]
+            *grads, _ = head_logits_backward(Xb, head, dlog, need_dV=False)
+            adam_step(params, dict(zip(params, grads)), state, spec.retrain_lr)
+    return head
 
 
 def _head_kind(frozen_model: Model, spec: EpisodeSpec) -> str:
@@ -190,12 +152,10 @@ def retrain_classifier(frozen_model: Model, support: list[FrameSequence],
     y = np.array([lab2idx[s.label] for s in support])
     orders = _draw_orders(rng, len(support), spec.retrain_epochs)
     kind = _head_kind(frozen_model, spec)
-    p = _fit_heads(kind, X[None], y[None], len(labels), orders[None], spec)
+    head = _fit_heads(kind, X[None], y[None], len(labels), orders[None], spec)
     if kind == "softmax":
-        head = SoftmaxHead(W=p["W"][0], bias=p["b"][0])
-    else:
-        head = CosineHead(W_proto=p["proto"][0], temperature=float(p["temp"][0, 0]))
-    return head, labels
+        return SoftmaxHead(W=head.W[0], bias=head.bias[0, 0]), labels
+    return CosineHead(W_proto=head.W_proto[0], temperature=float(head.temperature[0, 0, 0])), labels
 
 
 def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
@@ -207,7 +167,8 @@ def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
             raise ConfigError(f"video {seq.video_id!r} longer than Z={frozen_model.cfg.Z}")
     eligible = _eligible(groups, spec)
     # descriptors are episode-independent: compute once for the whole set
-    desc = np.stack([descriptor(frozen_model, s.features) for s in novel_set])
+    desc = np.concatenate([frozen_model.forward_video(F, mask=mask)[1]["y"] for F, mask, _
+                           in _padded_chunks([(s.features, s.label) for s in novel_set])])
     # class codes in sorted label order: a head's class index is the rank of
     # its code among the episode's query codes (one query per class)
     code = {c: k for k, c in enumerate(sorted(groups))}
@@ -228,8 +189,8 @@ def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
         qcodes = codes[query][:, None, :]
         y = (qcodes < codes[support][..., None]).sum(axis=-1)
         truth = (qcodes < codes[query][..., None]).sum(axis=-1)
-        params = _fit_heads(kind, desc[support], y, spec.n_way, orders, spec)
-        correct = _head_logits(kind, params, desc[query]).argmax(axis=-1) == truth
+        head = _fit_heads(kind, desc[support], y, spec.n_way, orders, spec)
+        correct = head_logits(desc[query], head).argmax(axis=-1) == truth
         for e, i in enumerate(ids):
             per_class = {novel_set[j].label: bool(ok) for j, ok in zip(query[e], correct[e])}
             results.append(EpisodeResult(accuracy=int(correct[e].sum()) / spec.n_way,

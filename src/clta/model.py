@@ -1,8 +1,10 @@
 """Full model assembly: attention + fusion + projection head + classifier.
 
-Forward and backward are hand-chained per video. The backward returns a
-gradient for every registered parameter, so the optimizer and the
-finite-difference checker can treat the model as a black-box loss.
+Forward and backward are hand-chained over a stack of videos padded to one
+length with a frame mask (one video is a stack of one), and the backward
+sums a gradient for every registered parameter over the stack, so the
+optimizer and the finite-difference checker can treat the model as a
+black-box loss.
 """
 
 import copy
@@ -14,7 +16,7 @@ from . import attention as att
 from . import baselines as bl
 from . import classifiers as cls
 from .errors import ConfigError, ShapeError, TrainingError
-from .numerics import cross_entropy, cross_entropy_grad, relu
+from .numerics import cross_entropy, cross_entropy_grad, relu, sum_outer
 
 MODEL_KINDS = ("clta", "avg", "selfattn", "tsf", "sldg")
 _BN_EPS = 1e-5
@@ -55,27 +57,27 @@ class ModelConfig:
             self.fusion = "soft_weight"
 
 
-def _clta_forward(G, p, cfg):
-    trace, cache = att.attend_forward(G, p["W_mean"], p["W_std"], cfg.beta, cfg.Z)
+def _clta_forward(G, p, cfg, mask):
+    trace, cache = att.attend_forward(G, p["W_mean"], p["W_std"], cfg.beta, cfg.Z, mask)
     return trace.summaries, cache
 
 
-# kind -> (forward(G, params, cfg) -> (v, cache), backward(cache, dv, need_dG)
-# -> (*dparams, dG), the names of dparams). Kernels are looked up on their
-# module per call, so wrappers installed there (for timing) see the calls.
+# kind -> (forward(G, params, cfg, mask) -> (v, cache), backward(cache, dv,
+# need_dG) -> (*dparams, dG), the names of dparams). Kernels are looked up on
+# their module per call, so wrappers installed there (for timing) see the calls.
 _ATTENTION = {
     "clta": (_clta_forward, lambda *a: att.attend_backward(*a), ("W_mean", "W_std")),
-    "selfattn": (lambda G, p, cfg: bl.self_attention_forward(G, p["W_attn"]),
+    "selfattn": (lambda G, p, cfg, mask: bl.self_attention_forward(G, p["W_attn"], mask),
                  lambda *a: bl.self_attention_backward(*a), ("W_attn",)),
-    "tsf": (lambda G, p, cfg: bl.tsf_forward(G, p["centers"], p["widths"], cfg.Z),
+    "tsf": (lambda G, p, cfg, mask: bl.tsf_forward(G, p["centers"], p["widths"], cfg.Z, mask),
             lambda *a: bl.tsf_backward(*a), ("centers", "widths")),
-    "sldg": (lambda G, p, cfg: bl.sldg_forward(G, p["scales"], cfg.Z),
+    "sldg": (lambda G, p, cfg, mask: bl.sldg_forward(G, p["scales"], cfg.Z, mask),
              lambda *a: bl.sldg_backward(*a), ("scales",)),
 }
 
 
 class Model:
-    """Parameter container plus per-video forward/backward."""
+    """Parameter container plus forward/backward over a stack of videos."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -141,56 +143,54 @@ class Model:
         m.params = {k: np.asarray(params[k], dtype=np.float64) for k in m.params}
         return m
 
-    # -- attention dispatch --------------------------------------------------
-
-    def _attend(self, G: np.ndarray):
-        """Run the configured attention over frames G. Returns (v, cache)."""
-        forward, _, _ = _ATTENTION[self.cfg.kind]
-        return forward(G, self.params, self.cfg)
-
-    def _attend_backward(self, cache, dv, grads, need_dG):
-        _, backward, names = _ATTENTION[self.cfg.kind]
-        *dparams, dG = backward(cache, dv, need_dG)
-        for name, d in zip(names, dparams):
-            grads[name] += d
-        return dG
+    # -- fusion and classifier head -------------------------------------------
 
     def _fusion_spec(self) -> att.FusionSpec:
         if self.cfg.kind != "avg" and self.cfg.fusion == "soft_weight":
             return att.FusionSpec(mode="soft_weight", soft_logits=self.params["soft_logits"])
         return att.FusionSpec(mode="average")
 
+    def _head(self):
+        """The classifier head over the params, and their names in field order."""
+        p = self.params
+        if self.cfg.classifier == "softmax":
+            return cls.SoftmaxHead(W=p["cls_W"], bias=p["cls_b"]), ("cls_W", "cls_b")
+        return (cls.CosineHead(W_proto=p["cls_proto"], temperature=p["cls_temp"]),
+                ("cls_proto", "cls_temp"))
+
     # -- forward / backward ---------------------------------------------------
 
     def forward_video(self, F: np.ndarray, train: bool = False,
-                      rng: np.random.Generator | None = None):
-        """Compute class logits for one (T, d) feature matrix.
+                      rng: np.random.Generator | None = None,
+                      mask: np.ndarray | None = None):
+        """Compute class logits (c,) for one (T, d) feature matrix, or (B, c)
+        for a stack (B, T, d) zero-padded to T with a frame mask (B, T).
 
         Returns (logits, cache); pass the cache to backward_video.
         """
-        F = np.asarray(F, dtype=np.float64)
+        one = np.ndim(F) == 2
+        F = np.asarray(F, dtype=np.float64).reshape((-1,) + np.shape(F)[-2:])
+        mask = att.frame_mask(F, mask)
         p, cfg = self.params, self.cfg
-        cache: dict = {"F": F, "train": train}
+        cache: dict = {"F": F, "mask": mask, "train": train}
 
         if cfg.projection_stage == "pre":
-            x0 = F @ p["proj_W"].T + p["proj_b"]      # (T, h)
+            x0 = F @ p["proj_W"].T + p["proj_b"]      # (B, T, h)
             G = relu(x0)
             cache["pre_x0"] = x0
         else:
             G = F
 
         if cfg.kind == "avg":
-            V = bl.average_pool(G)
-            cache["T"] = G.shape[0]
+            V = bl.average_pool(G, mask)
         else:
-            v, acache = self._attend(G)
-            spec = self._fusion_spec()
-            V = att.fusion_weights(spec, v.shape[0]) @ v
+            v, acache = _ATTENTION[cfg.kind][0](G, p, cfg, mask)
+            V = att.fusion_weights(self._fusion_spec(), v.shape[-2]) @ v
             cache["v"] = v
             cache["attn"] = acache
 
         if cfg.projection_stage == "post":
-            x0 = p["proj_W"] @ V + p["proj_b"]
+            x0 = V @ p["proj_W"].T + p["proj_b"]      # (B, h)
             r = relu(x0)
             cache["post_x0"] = x0
             cache["V_in"] = V
@@ -199,98 +199,108 @@ class Model:
 
         if cfg.batch_norm:
             if train:
-                self.bn_mean = _BN_MOMENTUM * self.bn_mean + (1 - _BN_MOMENTUM) * r
-                self.bn_var = _BN_MOMENTUM * self.bn_var + (1 - _BN_MOMENTUM) * (r - self.bn_mean) ** 2
-            denom = np.sqrt(self.bn_var + _BN_EPS)
-            rhat = (r - self.bn_mean) / denom
+                # running stats move one video at a time; each is normalized by its own update
+                mean, var = np.empty_like(r), np.empty_like(r)
+                for i, row in enumerate(r):
+                    self.bn_mean = _BN_MOMENTUM * self.bn_mean + (1 - _BN_MOMENTUM) * row
+                    self.bn_var = _BN_MOMENTUM * self.bn_var + (1 - _BN_MOMENTUM) * (row - self.bn_mean) ** 2
+                    mean[i], var[i] = self.bn_mean, self.bn_var
+            else:
+                mean, var = self.bn_mean, self.bn_var
+            denom = np.sqrt(var + _BN_EPS)
+            rhat = (r - mean) / denom
             y1 = p["bn_gamma"] * rhat + p["bn_beta"]
             cache["bn_rhat"] = rhat
             cache["bn_denom"] = denom
         else:
             y1 = r
 
+        y = y1
         if train and cfg.dropout > 0.0:
             if rng is None:
                 raise ConfigError("training-mode forward with dropout needs an rng")
-            mask = (rng.random(y1.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
-            y = y1 * mask
-            cache["drop_mask"] = mask
-        else:
-            y = y1
+            cache["drop_mask"] = (rng.random(y1.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+            y = y1 * cache["drop_mask"]
 
         cache["y"] = y
-        if cfg.classifier == "softmax":
-            head = cls.SoftmaxHead(W=p["cls_W"], bias=p["cls_b"])
-            logits = cls.softmax_logits(y, head)
-        else:
-            head = cls.CosineHead(W_proto=p["cls_proto"], temperature=float(p["cls_temp"][0]))
-            logits = cls.cosine_logits(y, head)
-        return logits, cache
+        logits = cls.head_logits(y, self._head()[0])
+        return (logits[0] if one else logits), cache
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def backward_video(self, cache: dict, dlogits: np.ndarray,
                        grads: dict[str, np.ndarray] | None = None):
-        """Accumulate parameter gradients for one video into grads."""
+        """Accumulate parameter gradients, summed over the cached stack, into grads."""
         p, cfg = self.params, self.cfg
         if grads is None:
             grads = self.zero_grads()
         y = cache["y"]
+        dlogits = np.reshape(dlogits, (len(y), -1))
 
-        if cfg.classifier == "softmax":
-            head = cls.SoftmaxHead(W=p["cls_W"], bias=p["cls_b"])
-            dW, db, dy = cls.softmax_logits_backward(y, head, dlogits)
-            grads["cls_W"] += dW
-            grads["cls_b"] += db
-        else:
-            head = cls.CosineHead(W_proto=p["cls_proto"], temperature=float(p["cls_temp"][0]))
-            dW, dtemp, dy = cls.cosine_logits_backward(y, head, dlogits)
-            grads["cls_proto"] += dW
-            grads["cls_temp"] += np.array([dtemp])
+        head, names = self._head()
+        *dhead, dy = cls.head_logits_backward(y, head, dlogits)
+        for name, d in zip(names, dhead):
+            grads[name] += d
 
-        if "drop_mask" in cache:
-            dy1 = dy * cache["drop_mask"]
-        else:
-            dy1 = dy
-
+        dy1 = dy * cache.get("drop_mask", 1.0)
         if cfg.batch_norm:
-            grads["bn_gamma"] += dy1 * cache["bn_rhat"]
-            grads["bn_beta"] += dy1
+            grads["bn_gamma"] += (dy1 * cache["bn_rhat"]).sum(axis=0)
+            grads["bn_beta"] += dy1.sum(axis=0)
             dr = dy1 * p["bn_gamma"] / cache["bn_denom"]
         else:
             dr = dy1
 
         if cfg.projection_stage == "post":
             dx0 = dr * (cache["post_x0"] > 0)
-            grads["proj_W"] += np.outer(dx0, cache["V_in"])
-            grads["proj_b"] += dx0
-            dV = p["proj_W"].T @ dx0
+            grads["proj_W"] += dx0.T @ cache["V_in"]
+            grads["proj_b"] += dx0.sum(axis=0)
+            dV = dx0 @ p["proj_W"]
         else:
             dV = dr
 
         need_dG = cfg.projection_stage == "pre"
         if cfg.kind == "avg":
-            dG = np.tile(dV / cache["T"], (cache["T"], 1)) if need_dG else None
+            if need_dG:
+                mask = cache["mask"]
+                dG = mask[..., None] * (dV / mask.sum(axis=1, keepdims=True))[:, None, :]
         else:
-            v = cache["v"]
-            spec = self._fusion_spec()
-            dv, dsl = att.fuse_backward(v, spec, dV)
+            dv, dsl = att.fuse_backward(cache["v"], self._fusion_spec(), dV)
             if dsl is not None:
                 grads["soft_logits"] += dsl
-            dG = self._attend_backward(cache["attn"], dv, grads, need_dG)
+            _, backward, names = _ATTENTION[cfg.kind]
+            *dparams, dG = backward(cache["attn"], dv, need_dG)
+            for name, d in zip(names, dparams):
+                grads[name] += d
 
         if need_dG:
-            dx0 = dG * (cache["pre_x0"] > 0)        # (T, h)
-            grads["proj_W"] += dx0.T @ cache["F"]
-            grads["proj_b"] += dx0.sum(axis=0)
+            dx0 = dG * (cache["pre_x0"] > 0)        # (B, T, h)
+            grads["proj_W"] += sum_outer(dx0, cache["F"])
+            grads["proj_b"] += dx0.sum(axis=(0, 1))
         return grads
+
+
+# Videos padded into one forward pass. 64 ran train epochs 5-8% faster but
+# raised peak memory by up to 5.3% over one video a pass; 32, by at most 1.8%.
+_CHUNK = 32
+
+
+def _padded_chunks(pairs):
+    """Yield (F (B, T, d), mask (B, T), targets (B,)) for consecutive chunks of
+    up to _CHUNK (F, target) pairs, each zero-padded to its longest video."""
+    for lo in range(0, len(pairs), _CHUNK):
+        videos, targets = zip(*pairs[lo:lo + _CHUNK])
+        lens = np.array([len(F) for F in videos])
+        mask = np.arange(lens.max()) < lens[:, None]
+        F = np.zeros(mask.shape + videos[0].shape[-1:])
+        F[mask] = np.concatenate(videos)
+        yield F, mask, np.array(targets)
 
 
 def descriptor(model: Model, F: np.ndarray) -> np.ndarray:
     """Eval-mode classifier input for one video (frozen attention + head)."""
     _, cache = model.forward_video(F, train=False)
-    return cache["y"]
+    return cache["y"][0]
 
 
 def loss_and_grads(model: Model, batch, train: bool = False,
@@ -300,11 +310,11 @@ def loss_and_grads(model: Model, batch, train: bool = False,
         raise ConfigError("empty batch")
     grads = model.zero_grads()
     total = 0.0
-    for F, target in batch:
-        logits, cache = model.forward_video(F, train=train, rng=rng)
-        loss = cross_entropy(logits, target)
-        if not np.isfinite(loss):
+    for F, mask, y in _padded_chunks(batch):
+        logits, cache = model.forward_video(F, train=train, rng=rng, mask=mask)
+        loss = cross_entropy(logits, y)
+        if not np.all(np.isfinite(loss)):
             raise TrainingError("non-finite loss during batch evaluation")
-        total += loss
-        model.backward_video(cache, cross_entropy_grad(logits, target) / len(batch), grads)
+        total += loss.sum()
+        model.backward_video(cache, cross_entropy_grad(logits, y) / len(batch), grads)
     return total / len(batch), grads

@@ -26,9 +26,10 @@ def softmax_backward(p: np.ndarray, dp: np.ndarray, axis: int = -1) -> np.ndarra
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis."""
     x = np.asarray(x, dtype=np.float64)
-    z = x - np.max(x)
-    return z - np.log(np.exp(z).sum())
+    z = x - np.max(x, axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def sigmoid(x):
@@ -47,21 +48,26 @@ def sigmoid_grad(s):
     return s * (1.0 - s)
 
 
-def cross_entropy(logits: np.ndarray, target: int) -> float:
-    """Negative log softmax probability of the target class."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size == 0:
-        raise ShapeError("cross_entropy expects a nonempty vector of logits")
-    if not 0 <= target < logits.size:
-        raise IndexError(f"target {target} out of range for {logits.size} classes")
-    return float(-log_softmax(logits)[target])
+def cross_entropy(logits: np.ndarray, target):
+    """Negative log softmax probability of the target class, per row of
+    logits (..., c) with targets (...); a float for one row."""
+    logits, t = np.asarray(logits, dtype=np.float64), np.asarray(target)
+    if logits.ndim < 1 or logits.shape[-1] == 0:
+        raise ShapeError("cross_entropy expects nonempty rows of logits")
+    if np.any((t < 0) | (t >= logits.shape[-1])):
+        raise IndexError(f"target {target} out of range for {logits.shape[-1]} classes")
+    loss = -np.take_along_axis(log_softmax(logits), t[..., None], axis=-1)[..., 0]
+    return float(loss) if loss.ndim == 0 else loss
 
 
-def cross_entropy_grad(logits: np.ndarray, target: int) -> np.ndarray:
-    """d loss / d logits = softmax(logits) - onehot(target)."""
-    g = softmax_stable(np.asarray(logits, dtype=np.float64))
-    g[target] -= 1.0
-    return g
+def cross_entropy_grad(logits: np.ndarray, target) -> np.ndarray:
+    """d loss / d logits = softmax(logits) - onehot(target), per row."""
+    return softmax_stable(logits) - np.eye(np.shape(logits)[-1])[target]
+
+
+def sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over rows r of outer(a[r], b[r]) for stacks a (..., p), b (..., q)."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Base-class training: Adam, step-decay schedule, inverted dropout.
 
-Variable-length sequences are grouped by exact length inside each batch;
-gradients are accumulated across the groups before a single Adam step, so
-no padding semantics are ever needed.
+Minibatches of variable-length sequences go through the model in zero-padded
+chunks with a frame mask, which gives the loss and gradients of the videos
+run one at a time, up to float summation order.
 """
 
 import logging
@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-from .classifiers import predict
-from .model import Model, loss_and_grads
+from .model import Model, _padded_chunks, loss_and_grads
 from .numerics import cross_entropy
 
 log = logging.getLogger(__name__)
@@ -81,20 +80,12 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 def evaluate(model: Model, examples) -> tuple[float, float]:
     """Eval-mode mean loss and accuracy over [(F, target), ...]."""
     total, correct = 0.0, 0
-    for F, target in examples:
-        logits, _ = model.forward_video(F, train=False)
-        total += cross_entropy(logits, target)
-        correct += predict(logits) == target
-    n = len(examples)
-    return total / n, correct / n
-
-
-def _length_groups(batch):
-    groups: dict[int, list] = {}
-    for F, y in batch:
-        groups.setdefault(F.shape[0], []).append((F, y))
-    # fixed iteration order keeps gradient accumulation deterministic
-    return [groups[t] for t in sorted(groups)]
+    for F, mask, y in _padded_chunks(examples):
+        # index the result so this chunk's cache is freed before the next one
+        logits = model.forward_video(F, mask=mask)[0]
+        total += cross_entropy(logits, y).sum()
+        correct += int((logits.argmax(axis=-1) == y).sum())
+    return total / len(examples), correct / len(examples)
 
 
 @dataclass
@@ -119,7 +110,9 @@ def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
     """
     if not train_set:
         raise ConfigError("empty training set")
-    model.cfg.dropout = cfg.dropout_rate
+    if model.cfg.dropout != cfg.dropout_rate:
+        raise ConfigError(f"model dropout {model.cfg.dropout} differs from "
+                          f"dropout_rate {cfg.dropout_rate}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD0]))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5F]))
     state = AdamState()
@@ -132,16 +125,7 @@ def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
         epoch_loss, nb = 0.0, 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[start:start + cfg.batch_size]]
-            grads = model.zero_grads()
-            batch_loss = 0.0
-            for group in _length_groups(batch):
-                gl, gg = loss_and_grads(model, group, train=True, rng=rng)
-                w = len(group) / len(batch)
-                batch_loss += gl * w
-                for k in grads:
-                    grads[k] += gg[k] * w
-            if not np.isfinite(batch_loss):
-                raise TrainingError(f"loss diverged at epoch {epoch}")
+            batch_loss, grads = loss_and_grads(model, batch, train=True, rng=rng)
             adam_step(model.params, grads, state, lr)
             epoch_loss += batch_loss
             nb += 1

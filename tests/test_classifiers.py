@@ -20,23 +20,30 @@ def test_softmax_logits_linear():
         softmax_logits(np.zeros(5), SoftmaxHead(W=W, bias=b))
 
 
-def test_softmax_backward_fd():
-    rng = np.random.default_rng(1)
-    W = rng.normal(size=(4, 3))
-    b = rng.normal(size=3)
-    V = rng.normal(size=4)
-    dlog = rng.normal(size=3)
-    dW, db, dV = softmax_logits_backward(V, SoftmaxHead(W=W, bias=b), dlog)
-    eps = 1e-6
-    for arr, grad in ((W, dW), (b, db), (V, dV)):
+def _fd_check(loss, analytic, arrays, tol=1e-7, eps=1e-6):
+    """Central differences of loss() over every entry of each array."""
+    for arr, grad in zip(arrays, analytic):
+        assert np.shape(grad) == arr.shape
         for idx in np.ndindex(arr.shape):
             orig = arr[idx]
             arr[idx] = orig + eps
-            lp = softmax_logits(V, SoftmaxHead(W=W, bias=b)) @ dlog
+            lp = loss()
             arr[idx] = orig - eps
-            lm = softmax_logits(V, SoftmaxHead(W=W, bias=b)) @ dlog
+            lm = loss()
             arr[idx] = orig
-            assert abs(grad[idx] - (lp - lm) / (2 * eps)) < 1e-7
+            assert abs(np.asarray(grad)[idx] - (lp - lm) / (2 * eps)) < tol
+
+
+def test_softmax_backward_fd():
+    # rows of descriptors share one head: its gradients sum over the rows
+    rng = np.random.default_rng(1)
+    W = rng.normal(size=(4, 3))
+    b = rng.normal(size=3)
+    V = rng.normal(size=(5, 4))
+    dlog = rng.normal(size=(5, 3))
+    grads = softmax_logits_backward(V, SoftmaxHead(W=W, bias=b), dlog)
+    _fd_check(lambda: float((softmax_logits(V, SoftmaxHead(W=W, bias=b)) * dlog).sum()),
+              grads, (W, b, V))
 
 
 def test_cosine_scores_range_and_scale_invariance():
@@ -70,33 +77,34 @@ def test_cosine_degenerate_inputs():
 def test_cosine_backward_fd():
     rng = np.random.default_rng(4)
     protos = rng.normal(size=(3, 4))
-    V = rng.normal(size=4)
-    temp = 7.0
-    dlog = rng.normal(size=3)
-    dW, dtemp, dV = cosine_logits_backward(V, CosineHead(protos, temp), dlog)
-    eps = 1e-6
+    V = rng.normal(size=(5, 4))
+    temp = np.array([7.0])
+    dlog = rng.normal(size=(5, 3))
+    grads = cosine_logits_backward(V, CosineHead(protos, temp), dlog)
+    _fd_check(lambda: float((cosine_logits(V, CosineHead(protos, temp)) * dlog).sum()),
+              grads, (protos, temp, V))
 
-    def loss(protos_, V_, temp_):
-        return float(cosine_logits(V_, CosineHead(protos_, temp_)) @ dlog)
 
-    for idx in np.ndindex(protos.shape):
-        orig = protos[idx]
-        protos[idx] = orig + eps
-        lp = loss(protos, V, temp)
-        protos[idx] = orig - eps
-        lm = loss(protos, V, temp)
-        protos[idx] = orig
-        assert abs(dW[idx] - (lp - lm) / (2 * eps)) < 1e-7
-    for i in range(4):
-        orig = V[i]
-        V[i] = orig + eps
-        lp = loss(protos, V, temp)
-        V[i] = orig - eps
-        lm = loss(protos, V, temp)
-        V[i] = orig
-        assert abs(dV[i] - (lp - lm) / (2 * eps)) < 1e-7
-    num = (loss(protos, V, temp + eps) - loss(protos, V, temp - eps)) / (2 * eps)
-    assert abs(dtemp - num) < 1e-7
+@pytest.mark.parametrize("kind", ["softmax", "cosine"])
+def test_stacked_heads_backward_fd(kind):
+    # E heads with stacked parameters, each scoring its own rows
+    rng = np.random.default_rng(5)
+    E, n, h, c = 3, 4, 5, 2
+    V = rng.normal(size=(E, n, h))
+    dlog = rng.normal(size=(E, n, c))
+    if kind == "softmax":
+        params = (rng.normal(size=(E, h, c)), rng.normal(size=(E, 1, c)))
+        make, logits, backward = SoftmaxHead, softmax_logits, softmax_logits_backward
+    else:
+        params = (rng.normal(size=(E, c, h)), rng.uniform(5, 10, size=(E, 1, 1)))
+        make, logits, backward = CosineHead, cosine_logits, cosine_logits_backward
+    grads = backward(V, make(*params), dlog)
+    _fd_check(lambda: float((logits(V, make(*params)) * dlog).sum()), grads, (*params, V))
+    # each head's gradients come from its own rows only
+    for e in range(E):
+        one = backward(V[e], make(*(p[e] for p in params)), dlog[e])
+        for got, want in zip(grads, one):
+            assert np.allclose(got[e], want, rtol=0, atol=1e-12)
 
 
 def test_predict_argmax_and_ties():

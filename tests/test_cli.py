@@ -160,6 +160,22 @@ def test_config_file_defaults_and_flag_precedence(dataset_dir, tmp_path):
     assert meta["model_config"]["batch_norm"] is True
 
 
+def test_config_file_supplies_required_flags(dataset_dir, tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"data={dataset_dir / 'manifest.csv'}\nout={tmp_path / 'unused.ckpt'}\n"
+                   "epochs=1\n")
+    rc = cli_dispatch(["train", "--config", str(cfg), "--out", str(ckpt), "--seed", "0"])
+    assert rc == 0
+    assert ckpt.exists() and not (tmp_path / "unused.ckpt").exists()  # the flag wins
+    # a required flag that neither the file nor the line gives is still a usage error
+    cfg.write_text("epochs=1\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch(["train", "--config", str(cfg), "--out", str(ckpt)])
+    assert exc.value.code == 1
+    assert "required: --data" in capsys.readouterr().err
+
+
 def test_config_file_unknown_key(dataset_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate=1\n")

@@ -5,7 +5,7 @@ import pytest
 
 from clta import episodes
 from clta.attention import FrameSequence
-from clta.classifiers import CosineHead, cosine_logits, predict, softmax_logits
+from clta.classifiers import CosineHead, SoftmaxHead, cosine_logits, predict, softmax_logits
 from clta.episodes import (EpisodeSpec, retrain_classifier, run_episodes,
                            sample_episode)
 from clta.errors import ConfigError, SamplingError
@@ -221,14 +221,17 @@ def test_stacked_fit_matches_a_plain_fit(head, retrain_batch):
     spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, retrain_epochs=epochs,
                        retrain_batch=retrain_batch, retrain_lr=0.01)
     stacked = episodes._fit_heads(head, X, y, n_way, orders, spec)
+    assert isinstance(stacked, SoftmaxHead if head == "softmax" else CosineHead)
     reference = _reference_softmax_fit if head == "softmax" else _reference_cosine_fit
     for e in range(E):
         want = reference(X[e], y[e], n_way, orders[e], retrain_batch, 0.01)
-        for k in want:
+        # each stacked parameter carries a broadcast axis for the rows
+        for got, k in zip(vars(stacked).values(), want):
+            got = got[e].reshape(want[k].shape)
             if head == "softmax":
-                assert stacked[k][e].tobytes() == want[k].tobytes()
+                assert got.tobytes() == want[k].tobytes()
             else:
-                assert np.allclose(stacked[k][e], want[k], rtol=0, atol=1e-12)
+                assert np.allclose(got, want[k], rtol=0, atol=1e-12)
 
 
 def test_retrain_classifier_is_bit_identical_to_a_plain_fit():

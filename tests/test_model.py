@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from clta.errors import ConfigError, ShapeError
+from clta import model as model_mod
 from clta.model import MODEL_KINDS, Model, ModelConfig, descriptor, loss_and_grads
 from clta.numerics import finite_diff_check
 
 
 def _small_cfg(kind, classifier="softmax", fusion="average", stage="post",
-               batch_norm=False):
+               batch_norm=False, Z=7):
     return ModelConfig(kind=kind, classifier=classifier, fusion=fusion,
-                       num_gaussians=2, beta=10.0, Z=7, feature_dim=3, hidden=5,
+                       num_gaussians=2, beta=10.0, Z=Z, feature_dim=3, hidden=5,
                        num_classes=3, projection_stage=stage, dropout=0.0,
                        batch_norm=batch_norm)
 
@@ -69,6 +70,68 @@ def test_gradients_with_batch_norm():
         return loss_and_grads(model, batch, train=False)
 
     assert finite_diff_check(loss_fn, model.params) < 1e-6
+
+
+# T=1 with a large Z: a one-frame video's sigma floor (0.5 T/Z) is below the
+# longer video's, so a floor taken from the padded length would show
+@pytest.mark.parametrize("T,Z", [(3, 7), (1, 2000)])
+@pytest.mark.parametrize("kind,classifier,fusion,stage", GRID)
+def test_padded_row_equals_the_video_run_alone(kind, classifier, fusion, stage, T, Z):
+    rng = np.random.default_rng(zlib.crc32(f"{kind}/{classifier}/{stage}/{T}".encode()))
+    model = Model(_small_cfg(kind, classifier, fusion, stage, Z=Z), rng)
+    _randomize_head(model, rng)
+    short, longer = rng.standard_normal((T, 3)), rng.standard_normal((6, 3))
+    (F, mask, _), = model_mod._padded_chunks([(short, 0), (longer, 1)])
+    assert F.shape == (2, 6, 3) and mask.sum(axis=1).tolist() == [T, 6]
+    logits, cache = model.forward_video(F, mask=mask)
+    alone, alone_cache = model.forward_video(short)
+    assert logits.shape == (2, 3) and alone.shape == (3,)
+    assert np.allclose(logits[0], alone, rtol=0, atol=1e-12)
+    assert np.allclose(cache["y"][0], descriptor(model, short), rtol=0, atol=1e-12)
+    for key in ("mu", "sigma"):
+        if key in alone_cache.get("attn", {}):
+            assert np.allclose(cache["attn"][key][0], alone_cache["attn"][key][0],
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,classifier,fusion,stage", GRID)
+def test_loss_and_grads_match_one_video_at_a_time(kind, classifier, fusion, stage):
+    # more videos than one padded chunk holds; the reference is the
+    # one-video-per-call loop that loss_and_grads used to run
+    rng = np.random.default_rng(zlib.crc32(f"chunks/{kind}/{classifier}/{stage}".encode()))
+    model = Model(_small_cfg(kind, classifier, fusion, stage), rng)
+    _randomize_head(model, rng)
+    # a positive bias keeps every descriptor off zero, which the cosine head rejects
+    model.params["proj_b"] = rng.uniform(2.0, 3.0, size=5)
+    batch = [(rng.standard_normal((int(rng.integers(1, 8)), 3)), int(rng.integers(0, 3)))
+             for _ in range(model_mod._CHUNK + 1)]
+    loss, grads = loss_and_grads(model, batch)
+    singles = [loss_and_grads(model, [pair]) for pair in batch]
+    assert abs(loss - np.mean([s[0] for s in singles])) < 1e-12
+    for k in grads:
+        want = np.mean([s[1][k] for s in singles], axis=0)
+        assert np.allclose(grads[k], want, rtol=0, atol=1e-12), k
+
+
+def test_training_mode_matches_one_video_at_a_time():
+    # batch norm moves its running stats one video at a time, and the
+    # dropout masks are drawn row by row, in the order of the videos
+    rng = np.random.default_rng(12)
+    model = Model(_small_cfg("clta", batch_norm=True), rng)
+    model.cfg.dropout = 0.3
+    _randomize_head(model, rng)
+    ref = model.clone()
+    batch = [(rng.standard_normal((int(rng.integers(1, 8)), 3)), int(rng.integers(0, 3)))
+             for _ in range(model_mod._CHUNK + 1)]
+    loss, grads = loss_and_grads(model, batch, train=True, rng=np.random.default_rng(5))
+    ref_rng = np.random.default_rng(5)
+    singles = [loss_and_grads(ref, [pair], train=True, rng=ref_rng) for pair in batch]
+    assert abs(loss - np.mean([s[0] for s in singles])) < 1e-12
+    for k in grads:
+        assert np.allclose(grads[k], np.mean([s[1][k] for s in singles], axis=0),
+                           rtol=0, atol=1e-12), k
+    assert np.allclose(model.bn_mean, ref.bn_mean, rtol=0, atol=1e-12)
+    assert np.allclose(model.bn_var, ref.bn_var, rtol=0, atol=1e-12)
 
 
 def test_forward_logit_shapes():

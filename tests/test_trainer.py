@@ -69,9 +69,9 @@ def _toy_problem(seed=0, n_classes=3, per_class=8, d=4):
     return pairs
 
 
-def _toy_model(seed=0, kind="avg", d=4, n_classes=3, batch_norm=False):
+def _toy_model(seed=0, kind="avg", d=4, n_classes=3, batch_norm=False, dropout=0.0):
     cfg = ModelConfig(kind=kind, num_gaussians=2, beta=10.0, Z=8, feature_dim=d,
-                      hidden=8, num_classes=n_classes, dropout=0.0,
+                      hidden=8, num_classes=n_classes, dropout=dropout,
                       batch_norm=batch_norm)
     return Model(cfg, np.random.default_rng(seed))
 
@@ -91,7 +91,7 @@ def test_training_is_deterministic_in_the_seed():
     cfg = TrainConfig(lr0=5e-3, epochs=4, batch_size=8, dropout_rate=0.5, seed=7)
     models = []
     for _ in range(2):
-        model = _toy_model()
+        model = _toy_model(dropout=0.5)
         train(model, _toy_problem(), cfg)
         models.append(model)
     for k in models[0].params:
@@ -143,8 +143,16 @@ def test_empty_training_set_raises():
         train(_toy_model(), [], TrainConfig())
 
 
-def test_variable_lengths_train_without_padding():
-    # mixed lengths inside one batch exercise the length-group accumulation
+def test_dropout_settings_must_agree():
+    # the model's dropout is what training uses and what its config records
+    model = _toy_model(dropout=0.2)
+    with pytest.raises(ConfigError, match="dropout"):
+        train(model, _toy_problem(), TrainConfig())
+    assert model.cfg.dropout == 0.2
+
+
+def test_mixed_length_batches_train_in_padded_chunks():
+    # one batch of mixed lengths goes through the model zero-padded, masked
     pairs = _toy_problem(per_class=4)
     assert len({F.shape[0] for F, _ in pairs}) > 1
     model = _toy_model(kind="clta")
