@@ -3,7 +3,7 @@ classification, with baseline attention mechanisms, a from-scratch trainer,
 and an episodic evaluation harness."""
 
 from .attention import AttentionTrace, FrameSequence, FusionSpec, fuse, soft_argmax
-from .baselines import TsfParams, average_pool
+from .baselines import average_pool
 from .classifiers import (CosineHead, SoftmaxHead, cosine_scores, predict,
                           softmax_logits)
 from .episodes import (EpisodeResult, EpisodeSpec, EvalSummary, retrain_classifier,

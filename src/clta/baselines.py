@@ -12,8 +12,6 @@ regardless of contents. Each takes frames and a mask as the attention
 kernels do.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
@@ -21,17 +19,12 @@ from .attention import frame_mask, gaussian_pool_backward, gaussian_pool_forward
 from .numerics import sigmoid, softmax_backward, softmax_stable, softplus, sum_outer
 
 
-@dataclass
-class TsfParams:
-    centers: np.ndarray  # (K,), mapped through tanh to a fraction of length
-    widths: np.ndarray   # (K,), mapped through softplus
-
-
-def tsf_init(K: int) -> TsfParams:
+def tsf_init(K: int) -> dict[str, np.ndarray]:
+    """Initial tsf parameters: "centers" (K,), mapped through tanh to a
+    fraction of the length, and "widths" (K,), mapped through softplus."""
     # evenly spaced seeds in [-1, 1]; widths so the effective std ~ 1/(2K)
     centers = np.linspace(-1.0, 1.0, K) if K > 1 else np.zeros(1)
-    w0 = np.log(np.expm1(1.0 / (2 * K)))
-    return TsfParams(centers=centers, widths=np.full(K, w0))
+    return {"centers": centers, "widths": np.full(K, np.log(np.expm1(1.0 / (2 * K))))}
 
 
 def average_pool(F: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ShapeError
+from .errors import ShapeError
 
 
 @dataclass
@@ -36,11 +36,10 @@ def softmax_logits_backward(V, head: SoftmaxHead, dlogits, need_dV: bool = True)
 
 
 def _cosine(V: np.ndarray, head: CosineHead):
-    """(scores, |V|, unit prototypes w, |W_proto|) for descriptors V; norms keep dims."""
+    """(scores, |V|, unit prototypes w, |W_proto|) for descriptors V; norms keep dims.
+    A zero norm counts as 1: a zero descriptor or prototype scores 0, with finite gradients."""
     nv, nw = (np.sqrt(np.einsum("...i,...i->...", X, X))[..., None] for X in (V, head.W_proto))
-    for n, what in ((nv, "descriptor"), (nw, "prototype")):
-        if (n == 0.0).any():
-            raise DegenerateInputError(f"zero-norm {what} in cosine head")
+    nv, nw = (np.where(n == 0.0, 1.0, n) for n in (nv, nw))
     w = head.W_proto / nw
     return (V @ np.swapaxes(w, -1, -2)) / nv, nv, w, nw
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from . import io_files, synth
 from .episodes import EpisodeSpec, run_episodes
-from .errors import CltaError, ConfigError
-from .model import Model, ModelConfig, loss_and_grads
+from .errors import CltaError, ConfigError, FormatError
+from .model import MODEL_KINDS, Model, ModelConfig, _padded_chunks, loss_and_grads
 from .numerics import finite_diff_check
 from .trainer import TrainConfig, train
 
@@ -65,8 +65,7 @@ def _build_parser():
     p.add_argument("--noise", type=float, default=0.12)
 
     def train_flags(p):
-        p.add_argument("--model", choices=["clta", "avg", "selfattn", "tsf", "sldg"],
-                       default="clta")
+        p.add_argument("--model", choices=MODEL_KINDS, default="clta")
         p.add_argument("--classifier", choices=["softmax", "cosine"], default="softmax")
         p.add_argument("--fusion", choices=["average", "soft"], default="average")
         p.add_argument("--k-gaussians", type=int, default=6)
@@ -239,9 +238,18 @@ def _load_model(checkpoint) -> Model:
     if not Path(checkpoint).exists():
         raise ConfigError(f"checkpoint not found: {checkpoint}")
     params, meta = io_files.load_checkpoint(checkpoint)
+    if not isinstance(meta, dict) or "model_config" not in meta:
+        raise FormatError(f"{checkpoint}: metadata has no model_config")
     model = Model.from_config(meta["model_config"], params)
-    model.bn_mean = np.asarray(meta.get("bn_mean", model.bn_mean))
-    model.bn_var = np.asarray(meta.get("bn_var", model.bn_var))
+    # clta train records both running stats; a batch-norm model cannot do without them
+    for name in ("bn_mean", "bn_var"):
+        if name in meta or model.cfg.batch_norm:
+            stats = meta.get(name)
+            if not (isinstance(stats, list) and len(stats) == model.cfg.hidden
+                    and all(isinstance(x, (int, float)) for x in stats)):
+                raise FormatError(f"{checkpoint}: metadata needs {name} as "
+                                  f"{model.cfg.hidden} numbers")
+            setattr(model, name, np.asarray(stats, dtype=np.float64))
     return model
 
 
@@ -323,30 +331,19 @@ def _cmd_dump_attention(args) -> int:
     seqs = io_files.load_split(args.data, args.split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for seq in seqs:
-        _, cache = model.forward_video(seq.features, train=False)
-        rows = []
-        T = seq.T
-        if model.cfg.kind == "avg":
-            for t in range(1, T + 1):
-                rows.append([0, t, f"{t / model.cfg.Z:.10g}", 1.0, f"{1.0 / T:.10g}", "", ""])
-        else:
-            acache = cache["attn"]   # a stack of one video
-            e = acache["e"][0]
-            a = acache["a"][0]
-            mu = acache.get("mu")
-            sigma = acache.get("sigma")
-            K = e.shape[0]
-            for k in range(K):
-                for t in range(1, T + 1):
-                    rows.append([
-                        k, t, f"{t / model.cfg.Z:.10g}",
-                        f"{a[k, t - 1]:.10g}", f"{e[k, t - 1]:.10g}",
-                        "" if mu is None else f"{mu[0, k]:.10g}",
-                        "" if sigma is None else f"{sigma[0, k]:.10g}"])
-        io_files.write_csv(out / f"{seq.video_id}.csv",
-                           ["k", "t", "t_over_Z", "a", "e", "mu_k", "sigma_k"],
-                           rows, deterministic=args.deterministic_output)
+    for F, mask, video_ids in _padded_chunks([(s.features, s.video_id) for s in seqs]):
+        acache = model.forward_video(F, mask=mask)[1]["attn"]
+        # every kind records weights e (B, K, T); avg has no raw weights a, mu or sigma
+        e, a, mu, sigma = (acache.get(key) for key in ("e", "a", "mu", "sigma"))
+        for b, (video_id, T) in enumerate(zip(video_ids, mask.sum(axis=1))):
+            rows = [[k, t, f"{t / model.cfg.Z:.10g}",
+                     1.0 if a is None else f"{a[b, k, t - 1]:.10g}", f"{e[b, k, t - 1]:.10g}",
+                     "" if mu is None else f"{mu[b, k]:.10g}",
+                     "" if sigma is None else f"{sigma[b, k]:.10g}"]
+                    for k in range(e.shape[-2]) for t in range(1, T + 1)]
+            io_files.write_csv(out / f"{video_id}.csv",
+                               ["k", "t", "t_over_Z", "a", "e", "mu_k", "sigma_k"],
+                               rows, deterministic=args.deterministic_output)
     print(f"wrote {len(seqs)} attention traces to {out}")
     return 0
 

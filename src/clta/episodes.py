@@ -132,6 +132,12 @@ def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int,
     return head
 
 
+def _descriptors(frozen_model: Model, videos: list[FrameSequence]) -> np.ndarray:
+    """Eval-mode descriptors (n, h) of the videos, one padded chunk at a time."""
+    return np.concatenate([descriptor(frozen_model, F, mask) for F, mask, _
+                           in _padded_chunks([(s.features, s.label) for s in videos])])
+
+
 def _head_kind(frozen_model: Model, spec: EpisodeSpec) -> str:
     return frozen_model.cfg.classifier if spec.head == "same" else spec.head
 
@@ -148,7 +154,7 @@ def retrain_classifier(frozen_model: Model, support: list[FrameSequence],
         rng = np.random.default_rng(spec.seed)
     labels = sorted({s.label for s in support})
     lab2idx = {c: i for i, c in enumerate(labels)}
-    X = np.stack([descriptor(frozen_model, s.features) for s in support])
+    X = _descriptors(frozen_model, support)
     y = np.array([lab2idx[s.label] for s in support])
     orders = _draw_orders(rng, len(support), spec.retrain_epochs)
     kind = _head_kind(frozen_model, spec)
@@ -166,9 +172,7 @@ def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
         if seq.T > frozen_model.cfg.Z:
             raise ConfigError(f"video {seq.video_id!r} longer than Z={frozen_model.cfg.Z}")
     eligible = _eligible(groups, spec)
-    # descriptors are episode-independent: compute once for the whole set
-    desc = np.concatenate([frozen_model.forward_video(F, mask=mask)[1]["y"] for F, mask, _
-                           in _padded_chunks([(s.features, s.label) for s in novel_set])])
+    desc = _descriptors(frozen_model, novel_set)   # episode-independent: once for all
     # class codes in sorted label order: a head's class index is the rank of
     # its code among the episode's query codes (one query per class)
     code = {c: k for k, c in enumerate(sorted(groups))}

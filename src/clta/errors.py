@@ -27,7 +27,3 @@ class TrainingError(CltaError, RuntimeError):
 
 class SamplingError(CltaError, ValueError):
     """An episode cannot be sampled from the given data."""
-
-
-class DegenerateInputError(CltaError, ValueError):
-    """Input is degenerate for the requested operation (e.g. zero norm)."""

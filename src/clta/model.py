@@ -7,7 +7,6 @@ optimizer and the finite-difference checker can treat the model as a
 black-box loss.
 """
 
-import copy
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -18,16 +17,60 @@ from . import classifiers as cls
 from .errors import ConfigError, ShapeError, TrainingError
 from .numerics import cross_entropy, cross_entropy_grad, relu, sum_outer
 
-MODEL_KINDS = ("clta", "avg", "selfattn", "tsf", "sldg")
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.99
+
+
+def _clta_init(rng, K, attn_dim, cfg):
+    # keep beta * scores in the soft regime at init, otherwise the soft-argmax
+    # saturates to an exact one-hot and W_mean gets no gradient; norms grow
+    # during training, annealing it toward argmax
+    return {"W_mean": rng.standard_normal((K, attn_dim)) / (cfg.beta * np.sqrt(attn_dim)),
+            "W_std": rng.standard_normal((K, attn_dim)) / np.sqrt(attn_dim)}
+
+
+def _clta_forward(G, p, cfg, mask):
+    trace, cache = att.attend_forward(G, p["W_mean"], p["W_std"], cfg.beta, cfg.Z, mask)
+    return trace.summaries, cache
+
+
+def _avg_forward(G, p, cfg, mask):
+    # one summary, with every frame of a video weighted 1/T; fusing one summary is exact
+    e = mask[..., None, :] / mask.sum(axis=-1)[..., None, None]
+    return bl.average_pool(G, mask)[..., None, :], {"mask": mask, "e": e}
+
+
+def _avg_backward(cache, dv, need_dG):
+    mask = cache["mask"]
+    return (mask[..., None] * (dv / mask.sum(axis=-1)[..., None, None]) if need_dG else None,)
+
+
+# kind -> (init(rng, K, attn_dim, cfg) -> params, forward(G, params, cfg, mask)
+# -> (summaries v (..., K, d), one for avg, cache), backward(cache, dv, need_dG)
+# -> (*dparams, dG-or-None), the names of dparams). Kernels are looked up on
+# their module per call, so wrappers installed there (for timing) see the calls.
+_KINDS = {
+    "clta": (_clta_init, _clta_forward, lambda *a: att.attend_backward(*a), ("W_mean", "W_std")),
+    "avg": (lambda rng, K, attn_dim, cfg: {}, _avg_forward, _avg_backward, ()),
+    "selfattn": (lambda rng, K, attn_dim, cfg:
+                 {"W_attn": rng.standard_normal((K, attn_dim)) / np.sqrt(attn_dim)},
+                 lambda G, p, cfg, mask: bl.self_attention_forward(G, p["W_attn"], mask),
+                 lambda *a: bl.self_attention_backward(*a), ("W_attn",)),
+    "tsf": (lambda rng, K, attn_dim, cfg: bl.tsf_init(K),
+            lambda G, p, cfg, mask: bl.tsf_forward(G, p["centers"], p["widths"], cfg.Z, mask),
+            lambda *a: bl.tsf_backward(*a), ("centers", "widths")),
+    "sldg": (lambda rng, K, attn_dim, cfg: {"scales": np.ones(K)},
+             lambda G, p, cfg, mask: bl.sldg_forward(G, p["scales"], cfg.Z, mask),
+             lambda *a: bl.sldg_backward(*a), ("scales",)),
+}
+MODEL_KINDS = tuple(_KINDS)
 
 
 @dataclass
 class ModelConfig:
     kind: str = "clta"
     classifier: str = "softmax"        # softmax | cosine
-    fusion: str = "average"            # average | soft_weight (sldg forces soft)
+    fusion: str = "average"            # average | soft_weight (sldg forces soft, avg average)
     num_gaussians: int = 6
     beta: float = 1e3
     Z: int = 1
@@ -53,27 +96,8 @@ class ModelConfig:
             raise ConfigError(f"beta must be > 0, got {self.beta}")
         if self.num_gaussians < 1:
             raise ConfigError(f"need at least one attention head, got {self.num_gaussians}")
-        if self.kind == "sldg":
-            self.fusion = "soft_weight"
-
-
-def _clta_forward(G, p, cfg, mask):
-    trace, cache = att.attend_forward(G, p["W_mean"], p["W_std"], cfg.beta, cfg.Z, mask)
-    return trace.summaries, cache
-
-
-# kind -> (forward(G, params, cfg, mask) -> (v, cache), backward(cache, dv,
-# need_dG) -> (*dparams, dG), the names of dparams). Kernels are looked up on
-# their module per call, so wrappers installed there (for timing) see the calls.
-_ATTENTION = {
-    "clta": (_clta_forward, lambda *a: att.attend_backward(*a), ("W_mean", "W_std")),
-    "selfattn": (lambda G, p, cfg, mask: bl.self_attention_forward(G, p["W_attn"], mask),
-                 lambda *a: bl.self_attention_backward(*a), ("W_attn",)),
-    "tsf": (lambda G, p, cfg, mask: bl.tsf_forward(G, p["centers"], p["widths"], cfg.Z, mask),
-            lambda *a: bl.tsf_backward(*a), ("centers", "widths")),
-    "sldg": (lambda G, p, cfg, mask: bl.sldg_forward(G, p["scales"], cfg.Z, mask),
-             lambda *a: bl.sldg_backward(*a), ("scales",)),
-}
+        # sldg always weighs its heads; avg has one summary, nothing to weigh
+        self.fusion = {"sldg": "soft_weight", "avg": "average"}.get(self.kind, self.fusion)
 
 
 class Model:
@@ -86,21 +110,8 @@ class Model:
         p: dict[str, np.ndarray] = {}
         p["proj_W"] = rng.standard_normal((h, d)) / np.sqrt(d)
         p["proj_b"] = np.zeros(h)
-        if cfg.kind == "clta":
-            # keep beta * scores in the soft regime at init, otherwise the
-            # soft-argmax saturates to an exact one-hot and W_mean gets no
-            # gradient; norms grow during training, annealing it toward argmax
-            p["W_mean"] = rng.standard_normal((K, attn_dim)) / (cfg.beta * np.sqrt(attn_dim))
-            p["W_std"] = rng.standard_normal((K, attn_dim)) / np.sqrt(attn_dim)
-        elif cfg.kind == "selfattn":
-            p["W_attn"] = rng.standard_normal((K, attn_dim)) / np.sqrt(attn_dim)
-        elif cfg.kind == "tsf":
-            init = bl.tsf_init(K)
-            p["centers"] = init.centers.copy()
-            p["widths"] = init.widths.copy()
-        elif cfg.kind == "sldg":
-            p["scales"] = np.ones(K)
-        if cfg.kind != "avg" and cfg.fusion == "soft_weight":
+        p.update(_KINDS[cfg.kind][0](rng, K, attn_dim, cfg))
+        if cfg.fusion == "soft_weight":
             p["soft_logits"] = np.zeros(K)
         if cfg.batch_norm:
             p["bn_gamma"] = np.ones(h)
@@ -118,20 +129,15 @@ class Model:
 
     # -- persistence helpers -------------------------------------------------
 
-    def clone(self) -> "Model":
-        m = Model.__new__(Model)
-        m.cfg = copy.deepcopy(self.cfg)
-        m.params = {k: v.copy() for k, v in self.params.items()}
-        m.bn_mean = self.bn_mean.copy()
-        m.bn_var = self.bn_var.copy()
-        return m
-
     def config_dict(self) -> dict:
         return asdict(self.cfg)
 
     @staticmethod
     def from_config(cfg_dict: dict, params: dict[str, np.ndarray]) -> "Model":
-        cfg = ModelConfig(**cfg_dict)
+        try:
+            cfg = ModelConfig(**cfg_dict)
+        except TypeError as exc:
+            raise ConfigError(f"bad checkpoint model config: {exc}") from None
         m = Model(cfg, np.random.default_rng(0))
         for k in m.params:
             if k not in params:
@@ -146,7 +152,7 @@ class Model:
     # -- fusion and classifier head -------------------------------------------
 
     def _fusion_spec(self) -> att.FusionSpec:
-        if self.cfg.kind != "avg" and self.cfg.fusion == "soft_weight":
+        if self.cfg.fusion == "soft_weight":
             return att.FusionSpec(mode="soft_weight", soft_logits=self.params["soft_logits"])
         return att.FusionSpec(mode="average")
 
@@ -181,13 +187,9 @@ class Model:
         else:
             G = F
 
-        if cfg.kind == "avg":
-            V = bl.average_pool(G, mask)
-        else:
-            v, acache = _ATTENTION[cfg.kind][0](G, p, cfg, mask)
-            V = att.fusion_weights(self._fusion_spec(), v.shape[-2]) @ v
-            cache["v"] = v
-            cache["attn"] = acache
+        v, cache["attn"] = _KINDS[cfg.kind][1](G, p, cfg, mask)
+        V = att.fusion_weights(self._fusion_spec(), v.shape[-2]) @ v
+        cache["v"] = v
 
         if cfg.projection_stage == "post":
             x0 = V @ p["proj_W"].T + p["proj_b"]      # (B, h)
@@ -259,21 +261,14 @@ class Model:
         else:
             dV = dr
 
-        need_dG = cfg.projection_stage == "pre"
-        if cfg.kind == "avg":
-            if need_dG:
-                mask = cache["mask"]
-                dG = mask[..., None] * (dV / mask.sum(axis=1, keepdims=True))[:, None, :]
-        else:
-            dv, dsl = att.fuse_backward(cache["v"], self._fusion_spec(), dV)
-            if dsl is not None:
-                grads["soft_logits"] += dsl
-            _, backward, names = _ATTENTION[cfg.kind]
-            *dparams, dG = backward(cache["attn"], dv, need_dG)
-            for name, d in zip(names, dparams):
-                grads[name] += d
+        dv, dsl = att.fuse_backward(cache["v"], self._fusion_spec(), dV)
+        if dsl is not None:
+            grads["soft_logits"] += dsl
+        *dparams, dG = _KINDS[cfg.kind][2](cache["attn"], dv, cfg.projection_stage == "pre")
+        for name, d in zip(_KINDS[cfg.kind][3], dparams):
+            grads[name] += d
 
-        if need_dG:
+        if dG is not None:
             dx0 = dG * (cache["pre_x0"] > 0)        # (B, T, h)
             grads["proj_W"] += sum_outer(dx0, cache["F"])
             grads["proj_b"] += dx0.sum(axis=(0, 1))
@@ -297,10 +292,11 @@ def _padded_chunks(pairs):
         yield F, mask, np.array(targets)
 
 
-def descriptor(model: Model, F: np.ndarray) -> np.ndarray:
-    """Eval-mode classifier input for one video (frozen attention + head)."""
-    _, cache = model.forward_video(F, train=False)
-    return cache["y"][0]
+def descriptor(model: Model, F: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Eval-mode classifier input (frozen attention + head): (h,) for one (T, d)
+    video, (B, h) for a stack (B, T, d) zero-padded with a frame mask (B, T)."""
+    y = model.forward_video(F, train=False, mask=mask)[1]["y"]
+    return y[0] if np.ndim(F) == 2 else y
 
 
 def loss_and_grads(model: Model, batch, train: bool = False,

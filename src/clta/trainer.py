@@ -97,16 +97,15 @@ class EpochRecord:
     val_acc: float | None
 
 
-def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
-          val_metric=None) -> list[EpochRecord]:
+def train(model: Model, train_set, cfg: TrainConfig, val_metric=None) -> list[EpochRecord]:
     """Minimize cross-entropy on (F, target) pairs; returns per-epoch log.
 
     Deterministic for a fixed (seed, config, data): shuffle order and
-    dropout masks both derive from cfg.seed. Validation accuracy comes from
-    val_metric(model) when given (e.g. an episodic probe on held-out
-    classes), else from plain accuracy on val_set; the parameters of the
-    best-validation epoch, with their batch-norm running stats, are restored
-    at the end.
+    dropout masks both derive from cfg.seed. When given, val_metric(model)
+    scores every epoch (e.g. an episodic probe on held-out classes, or
+    evaluate() accuracy on held-out videos), and the parameters of the best
+    epoch, with their batch-norm running stats, are restored at the end;
+    without it the last epoch's parameters are kept.
     """
     if not train_set:
         raise ConfigError("empty training set")
@@ -130,11 +129,7 @@ def train(model: Model, train_set, cfg: TrainConfig, val_set=None,
             epoch_loss += batch_loss
             nb += 1
         _, train_acc = evaluate(model, train_set)
-        val_acc = None
-        if val_metric is not None:
-            val_acc = val_metric(model)
-        elif val_set:
-            _, val_acc = evaluate(model, val_set)
+        val_acc = None if val_metric is None else val_metric(model)
         if val_acc is not None and val_acc > best_val:
             best_val = val_acc
             best = ({k: v.copy() for k, v in model.params.items()},

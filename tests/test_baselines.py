@@ -33,8 +33,8 @@ def test_tsf_and_sldg_weights_are_content_blind():
     F1 = rng.normal(size=(9, 4))
     F2 = rng.normal(size=(9, 4)) * 3.0 + 1.0
     init = bl.tsf_init(4)
-    _, ca = bl.tsf_forward(F1, init.centers, init.widths, Z=12)
-    _, cb = bl.tsf_forward(F2, init.centers, init.widths, Z=12)
+    _, ca = bl.tsf_forward(F1, init["centers"], init["widths"], Z=12)
+    _, cb = bl.tsf_forward(F2, init["centers"], init["widths"], Z=12)
     assert np.allclose(ca["e"], cb["e"], atol=1e-15)
     scales = rng.normal(size=4)
     _, sa = bl.sldg_forward(F1, scales, Z=12)
@@ -45,8 +45,8 @@ def test_tsf_and_sldg_weights_are_content_blind():
 def test_tsf_length_rescaling():
     # the filters track the fraction of the video, not absolute frames
     init = bl.tsf_init(3)
-    _, c_short = bl.tsf_forward(np.zeros((6, 2)), init.centers, init.widths, Z=12)
-    _, c_long = bl.tsf_forward(np.zeros((12, 2)), init.centers, init.widths, Z=12)
+    _, c_short = bl.tsf_forward(np.zeros((6, 2)), init["centers"], init["widths"], Z=12)
+    _, c_long = bl.tsf_forward(np.zeros((12, 2)), init["centers"], init["widths"], Z=12)
     assert np.allclose(c_short["mu"] / (6 / 12), c_long["mu"] / (12 / 12), atol=1e-12)
     assert np.allclose(c_short["sigma"] / (6 / 12), c_long["sigma"], atol=1e-12)
 
@@ -87,7 +87,7 @@ def test_tsf_backward_fd():
     rng = np.random.default_rng(4)
     F = rng.normal(size=(6, 3))
     init = bl.tsf_init(3)
-    centers, widths = init.centers.copy(), init.widths.copy()
+    centers, widths = init["centers"], init["widths"]
     dv = rng.normal(size=(3, 3))
     _, cache = bl.tsf_forward(F, centers, widths, Z=9)
     dc, dw, dF = bl.tsf_backward(cache, dv, need_dF=True)

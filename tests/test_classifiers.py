@@ -6,7 +6,7 @@ import pytest
 from clta.classifiers import (CosineHead, SoftmaxHead, cosine_logits,
                               cosine_logits_backward, cosine_scores, predict,
                               softmax_logits, softmax_logits_backward)
-from clta.errors import DegenerateInputError, ShapeError
+from clta.errors import ShapeError
 
 
 def test_softmax_logits_linear():
@@ -67,11 +67,15 @@ def test_cosine_self_similarity_is_maximal():
 
 
 def test_cosine_degenerate_inputs():
+    # the ReLU projection can produce an all-zero descriptor
     head = CosineHead(W_proto=np.ones((2, 3)))
-    with pytest.raises(DegenerateInputError):
-        cosine_scores(np.zeros(3), head)
-    with pytest.raises(DegenerateInputError):
-        cosine_scores(np.ones(3), CosineHead(W_proto=np.zeros((2, 3))))
+    assert np.array_equal(cosine_scores(np.zeros(3), head), np.zeros(2))
+    protos = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
+    assert np.allclose(cosine_scores(np.ones(3), CosineHead(W_proto=protos)),
+                       [0.0, 5.0 / (3.0 * np.sqrt(3.0))], rtol=0, atol=1e-15)
+    V = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5]])
+    for g in cosine_logits_backward(V, CosineHead(protos, np.array([7.0])), np.ones((2, 2))):
+        assert np.all(np.isfinite(g))
 
 
 def test_cosine_backward_fd():
@@ -83,6 +87,12 @@ def test_cosine_backward_fd():
     grads = cosine_logits_backward(V, CosineHead(protos, temp), dlog)
     _fd_check(lambda: float((cosine_logits(V, CosineHead(protos, temp)) * dlog).sum()),
               grads, (protos, temp, V))
+    # a zero row scores 0 whatever the head, so it adds nothing to the head's
+    # gradients; the cosine has no gradient in V there, so dV is not checked
+    V[2] = 0.0
+    grads = cosine_logits_backward(V, CosineHead(protos, temp), dlog)
+    _fd_check(lambda: float((cosine_logits(V, CosineHead(protos, temp)) * dlog).sum()),
+              grads[:2], (protos, temp))
 
 
 @pytest.mark.parametrize("kind", ["softmax", "cosine"])

@@ -1,13 +1,14 @@
 """End-to-end checks of the command-line surface on a small dataset."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from clta import io_files
-from clta.cli import cli_dispatch, gradcheck_batch
-from clta.model import Model
+from clta.cli import _load_model, cli_dispatch, gradcheck_batch
+from clta.model import MODEL_KINDS, Model, ModelConfig
 
 
 @pytest.fixture(scope="module")
@@ -102,24 +103,66 @@ def test_gradcheck_batch_is_seed_deterministic():
 
 
 def test_dump_attention_traces(dataset_dir, checkpoint, tmp_path):
-    out = tmp_path / "traces"
-    rc = cli_dispatch(["dump-attention", "--data", str(dataset_dir / "manifest.csv"),
-                       "--checkpoint", str(checkpoint), "--out", str(out),
-                       "--split", "test", "--deterministic-output"])
-    assert rc == 0
-    files = sorted(out.glob("*.csv"))
-    assert len(files) == 2 * 6  # test split videos
-    with open(files[0]) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["k", "t", "t_over_Z", "a", "e", "mu_k", "sigma_k"]
-    body = rows[1:]
-    K = len({r[0] for r in body})
-    T = len({r[1] for r in body})
-    assert len(body) == K * T
-    # normalized weights of each head sum to one
-    for k in {r[0] for r in body}:
-        total = sum(float(r[4]) for r in body if r[0] == k)
-        assert abs(total - 1.0) < 1e-9
+    manifest = str(dataset_dir / "manifest.csv")
+    seqs = io_files.load_split(manifest, "test")
+    assert len(seqs) == 2 * 6
+    for kind in MODEL_KINDS:
+        ckpt = checkpoint if kind == "clta" else tmp_path / f"{kind}.ckpt"
+        if kind != "clta":
+            assert cli_dispatch(["train", "--data", manifest, "--out", str(ckpt),
+                                 "--model", kind, "--epochs", "1", "--seed", "0"]) == 0
+        out = tmp_path / f"traces-{kind}"
+        rc = cli_dispatch(["dump-attention", "--data", manifest,
+                           "--checkpoint", str(ckpt), "--out", str(out),
+                           "--split", "test", "--deterministic-output"])
+        assert rc == 0
+        assert len(list(out.glob("*.csv"))) == len(seqs)
+        model = _load_model(ckpt)
+        for seq in seqs:
+            with open(out / f"{seq.video_id}.csv") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["k", "t", "t_over_Z", "a", "e", "mu_k", "sigma_k"]
+            body = rows[1:]
+            K = len({r[0] for r in body})
+            assert K == (1 if kind == "avg" else model.cfg.num_gaussians), kind
+            assert [int(r[1]) for r in body] == list(range(1, seq.T + 1)) * K
+            # normalized weights of each head sum to one
+            for k in {r[0] for r in body}:
+                total = sum(float(r[4]) for r in body if r[0] == k)
+                assert abs(total - 1.0) < 1e-9
+            # the video's rows of its padded chunk match the video run alone
+            attn = model.forward_video(seq.features)[1]["attn"]
+            for r in body:
+                k, t = int(r[0]), int(r[1])
+                assert r[4] == f"{attn['e'][0, k, t - 1]:.10g}", kind
+                for col, key in ((5, "mu"), (6, "sigma")):
+                    assert r[col] == (f"{attn[key][0, k]:.10g}" if key in attn else ""), kind
+
+
+def _eval_exit_code(dataset_dir, ckpt):
+    return cli_dispatch(["eval", "--data", str(dataset_dir / "manifest.csv"),
+                         "--checkpoint", str(ckpt), "--n-way", "2", "--episodes", "2"])
+
+
+def test_checkpoint_metadata_is_checked(dataset_dir, tmp_path, capsys):
+    cfg = ModelConfig(Z=40, feature_dim=24, hidden=16, num_classes=8, batch_norm=True)
+    model = Model(cfg, np.random.default_rng(0))
+    good = dict(model_config=model.config_dict(), labels=[f"c{i}" for i in range(8)],
+                bn_mean=[0.5] * 16, bn_var=[2.0] * 16)
+    ckpt = tmp_path / "m.ckpt"
+    io_files.save_checkpoint(ckpt, model.params, good)
+    assert _eval_exit_code(dataset_dir, ckpt) == 0
+    assert np.array_equal(_load_model(ckpt).bn_var, np.full(16, 2.0))
+    meta = ckpt.parent / (ckpt.name + ".meta.json")
+    bad = [({}, "model_config"),
+           (dict(good, model_config=dict(good["model_config"], colour="red")), "colour"),
+           (dict(good, bn_mean=[0.5] * 15), "bn_mean"),
+           ({k: v for k, v in good.items() if k != "bn_var"}, "bn_var")]
+    for broken, named in bad:
+        meta.write_text(json.dumps(broken))
+        capsys.readouterr()
+        assert _eval_exit_code(dataset_dir, ckpt) == 2, named
+        assert named in capsys.readouterr().err
 
 
 def test_ablate_fusion_sweep(dataset_dir, tmp_path, capsys):

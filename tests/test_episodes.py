@@ -244,7 +244,7 @@ def test_retrain_classifier_is_bit_identical_to_a_plain_fit():
     head, labels = retrain_classifier(model, support, spec, np.random.default_rng(3))
     plain = np.random.default_rng(3)
     orders = [plain.permutation(len(support)) for _ in range(spec.retrain_epochs)]
-    X = np.stack([descriptor(model, s.features) for s in support])
+    X = episodes._descriptors(model, support)
     y = np.array([labels.index(s.label) for s in support])
     want = _reference_softmax_fit(X, y, 3, orders, 4, spec.retrain_lr)
     assert head.W.tobytes() == want["W"].tobytes()

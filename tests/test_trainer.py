@@ -134,7 +134,7 @@ def test_val_set_accuracy_recorded():
     pairs = _toy_problem()
     model = _toy_model()
     cfg = TrainConfig(lr0=5e-3, epochs=3, batch_size=8, dropout_rate=0.0, seed=0)
-    records = train(model, pairs, cfg, val_set=pairs[:6])
+    records = train(model, pairs, cfg, val_metric=lambda m: evaluate(m, pairs[:6])[1])
     assert all(r.val_acc is not None for r in records)
 
 
