@@ -53,10 +53,11 @@ def cosine_logits(V: np.ndarray, head: CosineHead) -> np.ndarray:
     return head.temperature * cosine_scores(V, head)
 
 
-def cosine_logits_backward(V, head: CosineHead, dlogits, need_dV: bool = True):
-    """Returns (dW_proto, dtemperature, dV-or-None) for rows V (..., n, h)."""
+def cosine_logits_backward(V, head: CosineHead, dlogits, need_dV: bool = True, cos=None):
+    """Returns (dW_proto, dtemperature, dV-or-None) for rows V (..., n, h);
+    cos is the forward's (scores, |V|, w, |W_proto|), recomputed when None."""
     V = np.asarray(V, dtype=np.float64)
-    s, nv, w, nw = _cosine(V, head)                     # s: (..., n, c)
+    s, nv, w, nw = _cosine(V, head) if cos is None else cos   # s: (..., n, c)
     ds = head.temperature * dlogits
     dss = ds * s
     dtemp = (dlogits * s).sum(axis=(-2, -1)).reshape(np.shape(head.temperature))
@@ -67,15 +68,20 @@ def cosine_logits_backward(V, head: CosineHead, dlogits, need_dV: bool = True):
     return dW, dtemp, dV
 
 
-def head_logits(V: np.ndarray, head) -> np.ndarray:
-    """Logits of a softmax or a cosine head."""
-    return (softmax_logits if isinstance(head, SoftmaxHead) else cosine_logits)(V, head)
+def head_forward(V: np.ndarray, head):
+    """(logits, cos) of either head: cos is _cosine's values, or None for softmax."""
+    if isinstance(head, SoftmaxHead):
+        return softmax_logits(V, head), None
+    cos = _cosine(np.asarray(V, dtype=np.float64), head)
+    return head.temperature * cos[0], cos
 
 
-def head_logits_backward(V, head, dlogits, need_dV: bool = True):
-    """(gradient of each head parameter in field order..., dV-or-None) of either head."""
-    backward = softmax_logits_backward if isinstance(head, SoftmaxHead) else cosine_logits_backward
-    return backward(V, head, dlogits, need_dV)
+def head_logits_backward(V, head, dlogits, need_dV: bool = True, cos=None):
+    """(gradient of each head parameter in field order..., dV-or-None) of either
+    head; cos is head_forward's, which spares a cosine head a second pass."""
+    if isinstance(head, SoftmaxHead):
+        return softmax_logits_backward(V, head, dlogits, need_dV)
+    return cosine_logits_backward(V, head, dlogits, need_dV, cos)
 
 
 def predict(logits: np.ndarray) -> int:

@@ -1,7 +1,9 @@
 """Episodic n-way k-shot evaluation on novel classes.
 
 The attention model stays frozen; each episode retrains a fresh classifier
-head on the support descriptors and is scored on one query per class.
+head on the support descriptors and is scored on one query per class. The
+descriptors come from padded chunks in stable length order, up to float
+summation order the same as those of the videos run one at a time.
 
 Sampling is per episode: episode i draws its classes, its support and query,
 and then one permutation per retrain epoch from SeedSequence([seed, i]), in
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import FrameSequence
-from .classifiers import CosineHead, SoftmaxHead, head_logits, head_logits_backward
+from .classifiers import CosineHead, SoftmaxHead, head_forward, head_logits_backward
 from .errors import ConfigError, SamplingError
 from .model import Model, _padded_chunks, descriptor
 from .numerics import cross_entropy_grad
@@ -126,16 +128,20 @@ def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int,
         for start in range(0, n, spec.retrain_batch):
             sel = order[:, start:start + spec.retrain_batch]
             Xb, yb = X[rows, sel], y[rows, sel]
-            dlog = cross_entropy_grad(head_logits(Xb, head), yb) / sel.shape[1]
-            *grads, _ = head_logits_backward(Xb, head, dlog, need_dV=False)
+            logits, cos = head_forward(Xb, head)
+            dlog = cross_entropy_grad(logits, yb) / sel.shape[1]
+            *grads, _ = head_logits_backward(Xb, head, dlog, need_dV=False, cos=cos)
             adam_step(params, dict(zip(params, grads)), state, spec.retrain_lr)
     return head
 
 
 def _descriptors(frozen_model: Model, videos: list[FrameSequence]) -> np.ndarray:
-    """Eval-mode descriptors (n, h) of the videos, one padded chunk at a time."""
-    return np.concatenate([descriptor(frozen_model, F, mask) for F, mask, _
-                           in _padded_chunks([(s.features, s.label) for s in videos])])
+    """Eval-mode descriptors (n, h) of the videos, in their order, computed one
+    padded chunk at a time in stable length order."""
+    out = np.empty((len(videos), frozen_model.cfg.hidden))
+    for F, mask, rows in _padded_chunks([(s.features, i) for i, s in enumerate(videos)]):
+        out[rows] = descriptor(frozen_model, F, mask)
+    return out
 
 
 def _head_kind(frozen_model: Model, spec: EpisodeSpec) -> str:
@@ -194,7 +200,7 @@ def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
         y = (qcodes < codes[support][..., None]).sum(axis=-1)
         truth = (qcodes < codes[query][..., None]).sum(axis=-1)
         head = _fit_heads(kind, desc[support], y, spec.n_way, orders, spec)
-        correct = head_logits(desc[query], head).argmax(axis=-1) == truth
+        correct = head_forward(desc[query], head)[0].argmax(axis=-1) == truth
         for e, i in enumerate(ids):
             per_class = {novel_set[j].label: bool(ok) for j, ok in zip(query[e], correct[e])}
             results.append(EpisodeResult(accuracy=int(correct[e].sum()) / spec.n_way,

@@ -33,14 +33,12 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x):
-    """Logistic function, branch-stable for large |x|."""
+    """Logistic function, stable for large |x|: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) below, in one pass with e = e^-|x|, which never overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out if out.ndim else float(out)
+    e = np.exp(np.minimum(x, -x))   # -|x|, but a nan keeps its sign bit
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return out if np.ndim(out) else float(out)
 
 
 def sigmoid_grad(s):

@@ -1,8 +1,9 @@
 """Base-class training: Adam, step-decay schedule, inverted dropout.
 
 Minibatches of variable-length sequences go through the model in zero-padded
-chunks with a frame mask, which gives the loss and gradients of the videos
-run one at a time, up to float summation order.
+chunks with a frame mask, taken in stable length order within a minibatch, which
+gives the loss, gradients, batch-norm stats and dropout masks of the videos run
+one at a time in that order, up to float summation order.
 """
 
 import logging
@@ -78,7 +79,8 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 
 def evaluate(model: Model, examples) -> tuple[float, float]:
-    """Eval-mode mean loss and accuracy over [(F, target), ...]."""
+    """Eval-mode mean loss and accuracy over [(F, target), ...], summed over
+    padded chunks of the whole set in stable length order."""
     total, correct = 0.0, 0
     for F, mask, y in _padded_chunks(examples):
         # index the result so this chunk's cache is freed before the next one

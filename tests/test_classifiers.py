@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from clta.classifiers import (CosineHead, SoftmaxHead, cosine_logits,
-                              cosine_logits_backward, cosine_scores, predict,
-                              softmax_logits, softmax_logits_backward)
+                              cosine_logits_backward, cosine_scores, head_forward,
+                              head_logits_backward, predict, softmax_logits,
+                              softmax_logits_backward)
 from clta.errors import ShapeError
 
 
@@ -115,6 +116,25 @@ def test_stacked_heads_backward_fd(kind):
         one = backward(V[e], make(*(p[e] for p in params)), dlog[e])
         for got, want in zip(grads, one):
             assert np.allclose(got[e], want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_cosine_backward_given_the_forward_values_is_bit_identical(lead):
+    # one head over rows (n, h), and E stacked heads over (E, n, h)
+    rng = np.random.default_rng(6)
+    n, h, c = 4, 5, 3
+    V = rng.normal(size=lead + (n, h))
+    V[..., 0, :] = 0.0   # a zero descriptor takes the norm-of-zero branch
+    head = CosineHead(rng.normal(size=lead + (c, h)),
+                      rng.uniform(5, 10, size=lead + (1, 1)) if lead else np.array([7.0]))
+    dlog = rng.normal(size=lead + (n, c))
+    logits, cos = head_forward(V, head)
+    assert np.array_equal(logits, cosine_logits(V, head))
+    for need_dV in (True, False):
+        reused = head_logits_backward(V, head, dlog, need_dV, cos=cos)
+        recomputed = cosine_logits_backward(V, head, dlog, need_dV)
+        for got, want in zip(reused, recomputed):
+            assert (got is None and want is None) or np.array_equal(got, want)
 
 
 def test_predict_argmax_and_ties():

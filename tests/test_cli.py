@@ -139,6 +139,20 @@ def test_dump_attention_traces(dataset_dir, checkpoint, tmp_path):
                     assert r[col] == (f"{attn[key][0, k]:.10g}" if key in attn else ""), kind
 
 
+def test_dump_attention_rejects_videos_longer_than_Z(dataset_dir, tmp_path, capsys):
+    model = Model(ModelConfig(kind="tsf", Z=5, feature_dim=24, hidden=16, num_classes=8),
+                  np.random.default_rng(0))
+    ckpt = tmp_path / "short.ckpt"
+    io_files.save_checkpoint(ckpt, model.params, dict(model_config=model.config_dict(),
+                                                      labels=[f"c{i}" for i in range(8)]))
+    capsys.readouterr()
+    rc = cli_dispatch(["dump-attention", "--data", str(dataset_dir / "manifest.csv"),
+                       "--checkpoint", str(ckpt), "--out", str(tmp_path / "traces"),
+                       "--split", "test"])
+    assert rc == 2
+    assert "exceeds Z=5" in capsys.readouterr().err
+
+
 def _eval_exit_code(dataset_dir, ckpt):
     return cli_dispatch(["eval", "--data", str(dataset_dir / "manifest.csv"),
                          "--checkpoint", str(ckpt), "--n-way", "2", "--episodes", "2"])

@@ -113,9 +113,39 @@ def test_loss_and_grads_match_one_video_at_a_time(kind, classifier, fusion, stag
         assert np.allclose(grads[k], want, rtol=0, atol=1e-12), k
 
 
+def test_padded_chunks_take_every_pair_once_in_stable_length_order():
+    rng = np.random.default_rng(14)
+    lens = rng.integers(1, 9, size=2 * model_mod._CHUNK + 5)   # many ties
+    pairs = [(rng.standard_normal((T, 3)), i) for i, T in enumerate(lens)]
+    chunks = list(model_mod._padded_chunks(pairs))
+    taken = np.concatenate([ids for _, _, ids in chunks])
+    assert taken.tolist() == sorted(range(len(pairs)), key=lambda i: lens[i])
+    for F, mask, ids in chunks:
+        assert 0 < len(ids) <= model_mod._CHUNK
+        assert F.shape == (len(ids), lens[ids].max(), 3)
+        assert mask.sum(axis=1).tolist() == lens[ids].tolist()
+        assert np.array_equal(mask, np.arange(F.shape[1]) < lens[ids, None])
+        assert not np.any(F[~mask])
+        for row, i in zip(F, ids):
+            assert np.array_equal(row[:lens[i]], pairs[i][0])
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_forward_rejects_videos_longer_than_Z(kind):
+    rng = np.random.default_rng(15)
+    model = Model(_small_cfg(kind, Z=4), rng)
+    model.forward_video(rng.standard_normal((4, 3)))
+    with pytest.raises(ConfigError, match="exceeds Z=4"):
+        model.forward_video(rng.standard_normal((5, 3)))
+    with pytest.raises(ConfigError, match="exceeds Z=4"):
+        loss_and_grads(model, [(rng.standard_normal((2, 3)), 0),
+                               (rng.standard_normal((5, 3)), 1)])
+
+
 def test_training_mode_matches_one_video_at_a_time():
     # batch norm moves its running stats one video at a time, and the
-    # dropout masks are drawn row by row, in the order of the videos
+    # dropout masks are drawn row by row, in the order the chunks take the
+    # videos: stable length order
     rng = np.random.default_rng(12)
     model = Model(_small_cfg("clta", batch_norm=True), rng)
     model.cfg.dropout = 0.3
@@ -125,7 +155,8 @@ def test_training_mode_matches_one_video_at_a_time():
              for _ in range(model_mod._CHUNK + 1)]
     loss, grads = loss_and_grads(model, batch, train=True, rng=np.random.default_rng(5))
     ref_rng = np.random.default_rng(5)
-    singles = [loss_and_grads(ref, [pair], train=True, rng=ref_rng) for pair in batch]
+    singles = [loss_and_grads(ref, [pair], train=True, rng=ref_rng)
+               for pair in sorted(batch, key=lambda p: len(p[0]))]
     assert abs(loss - np.mean([s[0] for s in singles])) < 1e-12
     for k in grads:
         assert np.allclose(grads[k], np.mean([s[1][k] for s in singles], axis=0),

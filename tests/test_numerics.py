@@ -1,5 +1,7 @@
 """Unit checks for the scalar/vector primitives and the gradient checker."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,37 @@ def test_sigmoid_extremes_and_symmetry():
     rng = np.random.default_rng(2)
     x = rng.normal(0, 4, size=100)
     assert np.allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
+
+
+def _two_branch_sigmoid(x):
+    # 1 / (1 + e^-x) on x >= 0 and e^x / (1 + e^x) elsewhere, each branch
+    # computed on its own masked entries
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_the_two_branch_formula_bit_for_bit():
+    # nan and -nan differ in their sign bit, which the result keeps
+    special = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0, np.nan, -np.nan]
+    rng = np.random.default_rng(6)
+    x = rng.permutation(np.concatenate([special * 4, rng.normal(0, 10, size=968)]))
+    want = _two_branch_sigmoid(x).view(np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(x)
+        stacked = sigmoid(x.reshape(8, 21, 6))
+        scalars = [sigmoid(np.float64(v)) for v in special] + [sigmoid(-3.5)]
+    assert np.array_equal(got.view(np.uint64), want)
+    assert np.array_equal(stacked.reshape(-1).view(np.uint64), want)
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(np.array(scalars[:-1]).view(np.uint64),
+                          _two_branch_sigmoid(special).view(np.uint64))
+    assert scalars[-1] == _two_branch_sigmoid([-3.5])[0]
 
 
 def test_sigmoid_grad_matches_finite_difference():
