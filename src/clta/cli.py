@@ -309,12 +309,12 @@ _SWEEPS = {
 def _cmd_ablate(args) -> int:
     train_seqs, val_seqs, test_seqs = _load_splits(args.data)
     attr, values = _SWEEPS[args.sweep]
+    spec = EpisodeSpec(n_way=args.n_way, k_shot=args.k_shot,
+                       num_episodes=args.episodes, seed=args.seed, head=args.head)
     rows = []
     for value in values:
         setattr(args, attr, value)
         model, _, _ = _train_model(args, train_seqs, val_seqs)
-        spec = EpisodeSpec(n_way=args.n_way, k_shot=args.k_shot,
-                           num_episodes=args.episodes, seed=args.seed, head=args.head)
         summary = run_episodes(model, test_seqs, spec)
         rows.append([args.sweep, value, args.n_way, args.k_shot, args.episodes,
                      f"{summary.mean_acc:.6f}", f"{summary.ci95:.6f}", args.seed])

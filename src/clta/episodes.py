@@ -7,14 +7,16 @@ summation order the same as those of the videos run one at a time.
 
 Sampling is per episode: episode i draws its classes, its support and query,
 and then one permutation per retrain epoch from SeedSequence([seed, i]), in
-that order, so its result does not depend on which other episodes run.
+that order, so its result does not depend on which other episodes run. The
+permutations are drawn only when an epoch holds more than one minibatch
+(n_way * k_shot > retrain_batch); otherwise each epoch is one full-batch step.
 Fitting is one batched solve: every episode has the same n_way * k_shot
 support size, so the heads of a chunk of episodes are stacked and trained
 together through the heads in classifiers, one minibatch step and one Adam
-step at a time for all of them. The stacked softmax fit gives the same bits
-as fitting each episode on its own; the cosine fit sums its gradient over
-the examples of a minibatch in one matrix product, so its weights may
-differ in the last bits.
+step on one flat parameter buffer at a time for all of them. The stacked
+softmax fit gives the same bits as fitting each episode on its own; the
+cosine fit sums its gradient over the examples of a minibatch in one matrix
+product, so its weights may differ in the last bits.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +27,7 @@ from .attention import FrameSequence
 from .classifiers import CosineHead, SoftmaxHead, head_forward, head_logits_backward
 from .errors import ConfigError, SamplingError
 from .model import Model, _padded_chunks, descriptor
-from .numerics import cross_entropy_grad
+from .numerics import softmax_stable
 from .trainer import AdamState, adam_step
 
 # Episodes fitted together. Each costs about 90 KB while its chunk is fitted
@@ -51,6 +53,10 @@ class EpisodeSpec:
             raise ConfigError(f"k_shot must be >= 1, got {self.k_shot}")
         if self.head not in ("same", "softmax", "cosine"):
             raise ConfigError(f"unknown episode head {self.head!r}")
+        if min(self.num_episodes, self.retrain_batch) < 1 or self.retrain_epochs < 0:
+            raise ConfigError("num_episodes and retrain_batch must be >= 1, retrain_epochs >= 0")
+        if not self.retrain_lr > 0:
+            raise ConfigError(f"retrain_lr must be > 0, got {self.retrain_lr}")
 
 
 @dataclass
@@ -110,28 +116,34 @@ def _draw_orders(rng: np.random.Generator, n: int, epochs: int) -> np.ndarray:
 
 
 def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int,
-               orders: np.ndarray, spec: EpisodeSpec):
+               orders: np.ndarray | None, spec: EpisodeSpec):
     """Train E heads at once: support X (E, n, h), labels y (E, n), minibatch
-    orders (E, retrain_epochs, n). Returns one head with stacked parameters."""
+    orders (E, retrain_epochs, n), or None for one step per epoch on all of X
+    in row order. Returns one head whose stacked parameters view one buffer."""
     E, n, h = X.shape
-    rows = np.arange(E)[:, None]
+    onehot = np.eye(n_way)[y]
     if kind == "softmax":
-        head = SoftmaxHead(W=np.zeros((E, h, n_way)), bias=np.zeros((E, 1, n_way)))
+        init = SoftmaxHead(W=np.zeros((E, h, n_way)), bias=np.zeros((E, 1, n_way)))
     else:
         # prototypes start at the per-class support means
-        onehot = np.eye(n_way)[y]
-        head = CosineHead(W_proto=np.swapaxes(onehot, 1, 2) @ X / onehot.sum(axis=1)[..., None],
+        init = CosineHead(W_proto=np.swapaxes(onehot, 1, 2) @ X / onehot.sum(axis=1)[..., None],
                           temperature=np.full((E, 1, 1), 10.0))
-    params = vars(head)   # adam_step updates the head's arrays in place
+    fields = vars(init).values()
+    theta = np.concatenate([p.ravel() for p in fields])   # adam_step updates it in place
+    parts = np.split(theta, np.cumsum([p.size for p in fields])[:-1])
+    head = type(init)(*(part.reshape(p.shape) for part, p in zip(parts, fields)))
+    batches = [(X, onehot)] * spec.retrain_epochs
+    if orders is not None:
+        rows, cuts = np.arange(E)[:, None], range(spec.retrain_batch, n, spec.retrain_batch)
+        batches = ((X[rows, sel], onehot[rows, sel]) for order in orders.transpose(1, 0, 2)
+                   for sel in np.split(order, cuts, axis=1))
     state = AdamState()
-    for order in orders.transpose(1, 0, 2):
-        for start in range(0, n, spec.retrain_batch):
-            sel = order[:, start:start + spec.retrain_batch]
-            Xb, yb = X[rows, sel], y[rows, sel]
-            logits, cos = head_forward(Xb, head)
-            dlog = cross_entropy_grad(logits, yb) / sel.shape[1]
-            *grads, _ = head_logits_backward(Xb, head, dlog, need_dV=False, cos=cos)
-            adam_step(params, dict(zip(params, grads)), state, spec.retrain_lr)
+    for Xb, hot in batches:
+        logits, cos = head_forward(Xb, head)
+        dlog = (softmax_stable(logits) - hot) / Xb.shape[1]
+        *grads, _ = head_logits_backward(Xb, head, dlog, need_dV=False, cos=cos)
+        adam_step({"head": theta}, {"head": np.concatenate([g.ravel() for g in grads])},
+                  state, spec.retrain_lr)
     return head
 
 
@@ -153,6 +165,8 @@ def retrain_classifier(frozen_model: Model, support: list[FrameSequence],
     """Train a fresh n-way head on support descriptors; attention untouched.
 
     Returns (head, label_order) where label_order maps head index -> label.
+    Draws spec.retrain_epochs permutations from rng (default: seeded with
+    spec.seed) if len(support) > spec.retrain_batch, and nothing otherwise.
     """
     if not support:
         raise ConfigError("empty support set")
@@ -162,9 +176,11 @@ def retrain_classifier(frozen_model: Model, support: list[FrameSequence],
     lab2idx = {c: i for i, c in enumerate(labels)}
     X = _descriptors(frozen_model, support)
     y = np.array([lab2idx[s.label] for s in support])
-    orders = _draw_orders(rng, len(support), spec.retrain_epochs)
+    orders = None
+    if len(support) > spec.retrain_batch:
+        orders = _draw_orders(rng, len(support), spec.retrain_epochs)[None]
     kind = _head_kind(frozen_model, spec)
-    head = _fit_heads(kind, X[None], y[None], len(labels), orders[None], spec)
+    head = _fit_heads(kind, X[None], y[None], len(labels), orders, spec)
     if kind == "softmax":
         return SoftmaxHead(W=head.W[0], bias=head.bias[0, 0]), labels
     return CosineHead(W_proto=head.W_proto[0], temperature=float(head.temperature[0, 0, 0])), labels
@@ -191,11 +207,13 @@ def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
         ids = range(lo, min(lo + _CHUNK, spec.num_episodes))
         support = np.empty((len(ids), n), dtype=np.intp)
         query = np.empty((len(ids), spec.n_way), dtype=np.intp)
-        orders = np.empty((len(ids), spec.retrain_epochs, n), dtype=np.intp)
+        orders = (np.empty((len(ids), spec.retrain_epochs, n), dtype=np.intp)
+                  if n > spec.retrain_batch else None)
         for e, i in enumerate(ids):
             rng = np.random.default_rng(np.random.SeedSequence([spec.seed, i]))
             support[e], query[e] = _draw_episode(rng, groups, eligible, spec)
-            orders[e] = _draw_orders(rng, n, spec.retrain_epochs)
+            if orders is not None:
+                orders[e] = _draw_orders(rng, n, spec.retrain_epochs)
         qcodes = codes[query][:, None, :]
         y = (qcodes < codes[support][..., None]).sum(axis=-1)
         truth = (qcodes < codes[query][..., None]).sum(axis=-1)

@@ -10,12 +10,13 @@ from .errors import NumericError, ShapeError
 
 
 def softmax_stable(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax with max-subtraction; safe for entries up to ~1e308."""
+    """Softmax with max-subtraction; safe for entries up to ~1e308. The (exact) max
+    runs over the leading axis of a copy, as numpy reduces a short axis slowly."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ShapeError("softmax of empty input")
-    z = x - np.max(x, axis=axis, keepdims=True)
-    ez = np.exp(z)
+    top = np.ascontiguousarray(np.moveaxis(x, axis, 0)).max(axis=0)
+    ez = np.exp(x - np.expand_dims(top, axis))
     return ez / ez.sum(axis=axis, keepdims=True)
 
 

@@ -51,24 +51,28 @@ class TrainConfig:
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place, in the textbook formula's operation order."""
     if lr <= 0:
         raise ConfigError(f"lr must be > 0, got {lr}")
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1, bc2 = 1.0 - state.beta1 ** state.step, 1.0 - state.beta2 ** state.step
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        mhat = state.m[name] / bc1
-        vhat = state.v[name] / bc2
-        p -= lr * mhat / (np.sqrt(vhat) + state.eps)
+            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
+        m *= state.beta1
+        m += (1 - state.beta1) * g
+        v *= state.beta2
+        v += (1 - state.beta2) * g * g
+        step = m / bc1
+        step *= lr
+        den = np.sqrt(v / bc2)
+        den += state.eps
+        step /= den
+        p -= step
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:

@@ -158,6 +158,19 @@ def _eval_exit_code(dataset_dir, ckpt):
                          "--checkpoint", str(ckpt), "--n-way", "2", "--episodes", "2"])
 
 
+def test_eval_and_ablate_reject_episode_counts_below_one(dataset_dir, checkpoint, tmp_path, capsys):
+    # before, eval printed mean_acc nan after numpy warnings and exited 0
+    rc = cli_dispatch(["eval", "--data", str(dataset_dir / "manifest.csv"),
+                       "--checkpoint", str(checkpoint), "--n-way", "2", "--episodes", "0"])
+    assert rc == 2
+    assert "num_episodes" in capsys.readouterr().err
+    rc = cli_dispatch(["ablate", "--data", str(dataset_dir / "manifest.csv"),
+                       "--out", str(tmp_path / "sweep.csv"), "--sweep", "fusion",
+                       "--epochs", "1", "--n-way", "2", "--episodes", "-2"])
+    assert rc == 2
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_checkpoint_metadata_is_checked(dataset_dir, tmp_path, capsys):
     cfg = ModelConfig(Z=40, feature_dim=24, hidden=16, num_classes=8, batch_norm=True)
     model = Model(cfg, np.random.default_rng(0))

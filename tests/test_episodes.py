@@ -41,6 +41,13 @@ def test_spec_validation():
         EpisodeSpec(k_shot=0)
     with pytest.raises(ConfigError):
         EpisodeSpec(head="nope")
+    # counts that would give nan accuracy or a raw numpy/range error
+    for bad in (dict(num_episodes=0), dict(num_episodes=-2), dict(retrain_epochs=-1),
+                dict(retrain_batch=0), dict(retrain_lr=0.0), dict(retrain_lr=-1e-3),
+                dict(retrain_lr=float("nan"))):
+        with pytest.raises(ConfigError):
+            EpisodeSpec(**bad)
+    EpisodeSpec(num_episodes=1, retrain_epochs=0, retrain_batch=1, retrain_lr=1e-9)
 
 
 def test_sample_episode_structure():
@@ -211,7 +218,13 @@ def _reference_cosine_fit(X, y, n_way, orders, batch, lr):
 @pytest.mark.parametrize("retrain_batch", [64, 6])
 def test_stacked_fit_matches_a_plain_fit(head, retrain_batch):
     # softmax: bit for bit; cosine sums each minibatch in a matrix product,
-    # so its weights may move by float64 rounding: 1e-12 is ~4500 ulps at 1
+    # so its weights may move by float64 rounding: 1e-12 is ~4500 ulps at 1.
+    # When the 20 support rows fit one minibatch (64), the fit takes no
+    # orders and steps on the rows in row order: the plain fit with identity
+    # orders, and with shuffled orders up to float summation order. There
+    # the softmax bias gradient is exactly 0 at the zero start, and Adam
+    # scales its rounding (~20 ulps of 0.0375, 1.7e-16) by lr / eps: up to
+    # 1.7e-10 a step, 2e-9 over 12 epochs; the cosine fit has no such zero
     rng = np.random.default_rng(10)
     E, n_way, k_shot, h, epochs = 5, 4, 5, 16, 12
     X = rng.normal(size=(E, n_way * k_shot, h))
@@ -220,11 +233,14 @@ def test_stacked_fit_matches_a_plain_fit(head, retrain_batch):
                        for _ in range(E)])
     spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, retrain_epochs=epochs,
                        retrain_batch=retrain_batch, retrain_lr=0.01)
-    stacked = episodes._fit_heads(head, X, y, n_way, orders, spec)
+    full = n_way * k_shot <= retrain_batch
+    stacked = episodes._fit_heads(head, X, y, n_way, None if full else orders, spec)
     assert isinstance(stacked, SoftmaxHead if head == "softmax" else CosineHead)
     reference = _reference_softmax_fit if head == "softmax" else _reference_cosine_fit
+    identity = np.tile(np.arange(n_way * k_shot), (epochs, 1))
     for e in range(E):
-        want = reference(X[e], y[e], n_way, orders[e], retrain_batch, 0.01)
+        want = reference(X[e], y[e], n_way, identity if full else orders[e], retrain_batch, 0.01)
+        shuffled = reference(X[e], y[e], n_way, orders[e], retrain_batch, 0.01)
         # each stacked parameter carries a broadcast axis for the rows
         for got, k in zip(vars(stacked).values(), want):
             got = got[e].reshape(want[k].shape)
@@ -232,6 +248,8 @@ def test_stacked_fit_matches_a_plain_fit(head, retrain_batch):
                 assert got.tobytes() == want[k].tobytes()
             else:
                 assert np.allclose(got, want[k], rtol=0, atol=1e-12)
+            assert np.allclose(got, shuffled[k], rtol=0,
+                               atol=2e-9 if head == "softmax" else 1e-12)
 
 
 def test_retrain_classifier_is_bit_identical_to_a_plain_fit():

@@ -78,6 +78,29 @@ def test_sigmoid_equals_the_two_branch_formula_bit_for_bit():
     assert scalars[-1] == _two_branch_sigmoid([-3.5])[0]
 
 
+def _plain_softmax(x, axis):
+    z = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return z / z.sum(axis=axis, keepdims=True)
+
+
+def test_softmax_equals_the_plain_max_formula_bit_for_bit():
+    # the shapes of its callers: stacked episode heads (E, n, c) over the
+    # classes, attention scores (B, T, K) over frames and (B, K, T) over
+    # frames, with -inf at masked frames, and one vector
+    rng = np.random.default_rng(7)
+    cases = [(rng.normal(0, 3, size=(40, 25, 5)), -1), (rng.normal(0, 3, size=7), -1)]
+    for shape, axis in (((6, 13, 4), -2), ((6, 4, 13), -1)):
+        x = rng.normal(0, 30, size=shape)
+        lengths = rng.integers(1, 14, size=6)
+        frames = np.moveaxis(x, axis, -1)   # a view: (6, 4, 13) either way
+        frames[...] = np.where(np.arange(13) >= lengths[:, None, None], -np.inf, frames)
+        cases.append((x, axis))
+    for x, axis in cases:
+        assert np.array_equal(softmax_stable(x, axis=axis).view(np.uint64),
+                              _plain_softmax(x, axis).view(np.uint64))
+    assert np.isinf(cases[2][0]).any() and np.isinf(cases[3][0]).any()
+
+
 def test_sigmoid_grad_matches_finite_difference():
     rng = np.random.default_rng(3)
     x = rng.normal(0, 2, size=50)

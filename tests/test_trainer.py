@@ -42,6 +42,32 @@ def test_adam_step_matches_hand_computation():
     assert state.step == 1
 
 
+def test_adam_step_equals_the_out_of_place_formula_bit_for_bit():
+    # the moments and the update are made in place with the operations, in
+    # the order, of the textbook formula; the gradients are left as they were
+    rng = np.random.default_rng(4)
+    shapes = {"W": (3, 16, 5), "b": (3, 1, 5)}
+    p = {k: rng.normal(size=s) for k, s in shapes.items()}
+    want = {k: v.copy() for k, v in p.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    state = AdamState()
+    for step in range(1, 6):
+        g = {k: rng.normal(size=s) * 10.0 ** -step for k, s in shapes.items()}
+        kept = {k: x.copy() for k, x in g.items()}
+        adam_step(p, g, state, lr=0.01)
+        for k in shapes:
+            m[k] = 0.9 * m[k] + (1 - 0.9) * g[k]
+            v[k] = 0.999 * v[k] + (1 - 0.999) * g[k] * g[k]
+            want[k] -= (0.01 * (m[k] / (1 - 0.9 ** step))
+                        / (np.sqrt(v[k] / (1 - 0.999 ** step)) + 1e-8))
+            assert g[k].tobytes() == kept[k].tobytes()
+            assert p[k].tobytes() == want[k].tobytes()
+            assert state.m[k].tobytes() == m[k].tobytes()
+            assert state.v[k].tobytes() == v[k].tobytes()
+    assert state.step == 5
+
+
 def test_adam_rejects_nonfinite_gradients():
     p = {"x": np.zeros(2)}
     with pytest.raises(TrainingError):
