@@ -32,7 +32,7 @@ def main():
     records = train(model, [(s.features, lab2idx[s.label]) for s in train_seqs],
                     TrainConfig(lr0=2e-3, decay_every=50, epochs=30,
                                 batch_size=128, dropout_rate=0.0, seed=11))
-    print(f"  base training accuracy after {len(records)} epochs: "
+    print(f"  base training accuracy during the last of {len(records)} epochs: "
           f"{records[-1].train_acc:.3f}\n")
 
     novel = ds.split("test")

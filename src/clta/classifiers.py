@@ -30,7 +30,9 @@ def softmax_logits(V: np.ndarray, head: SoftmaxHead) -> np.ndarray:
 def softmax_logits_backward(V, head: SoftmaxHead, dlogits, need_dV: bool = True):
     """Returns (dW, dbias, dV-or-None) for rows V (..., n, h), summed over the rows."""
     dW = np.swapaxes(V, -1, -2) @ dlogits
-    dbias = dlogits.sum(axis=-2).reshape(head.bias.shape)
+    # numpy adds a row axis that is not last in sequence, and a leading one of a
+    # contiguous copy fastest, in the same sequence: the same bits in less time
+    dbias = np.ascontiguousarray(np.moveaxis(dlogits, -2, 0)).sum(axis=0).reshape(head.bias.shape)
     dV = dlogits @ np.swapaxes(head.W, -1, -2) if need_dV else None
     return dW, dbias, dV
 

@@ -83,7 +83,10 @@ def _build_parser():
     p = command("train", "train an attention model on the base classes")
     p.add_argument("--data", required=True, help="manifest CSV path")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--log", default=None, help="training log CSV path")
+    p.add_argument("--log", default=None,
+                   help="training log CSV path; train_acc is the accuracy of each "
+                        "epoch's own training-mode gradient pass, not an eval-mode pass "
+                        "at the end of the epoch")
     train_flags(p)
 
     def eval_flags(p):

@@ -94,12 +94,14 @@ def _eligible(groups: dict[str, list[int]], spec: EpisodeSpec) -> list[str]:
 
 
 def _draw_episode(rng, groups, eligible, spec):
-    classes = list(rng.choice(eligible, size=spec.n_way, replace=False))
+    # rng.choice(len(x)) draws the positions that rng.choice(x) picks, from the
+    # same stream, without converting x to an array on every call
     support, query = [], []
-    for c in classes:
-        picked = rng.choice(groups[c], size=spec.k_shot + 1, replace=False)
-        support.extend(int(i) for i in picked[:-1])
-        query.append(int(picked[-1]))
+    for c in rng.choice(len(eligible), size=spec.n_way, replace=False):
+        members = groups[eligible[c]]
+        picked = rng.choice(len(members), size=spec.k_shot + 1, replace=False)
+        support.extend(members[i] for i in picked[:-1])
+        query.append(members[picked[-1]])
     return support, query
 
 

@@ -303,17 +303,22 @@ def descriptor(model: Model, F: np.ndarray, mask: np.ndarray | None = None) -> n
 
 
 def loss_and_grads(model: Model, batch, train: bool = False,
-                   rng: np.random.Generator | None = None):
-    """Mean cross-entropy and mean gradients over [(F, target), ...]."""
+                   rng: np.random.Generator | None = None, with_correct: bool = False):
+    """Mean cross-entropy and mean gradients over [(F, target), ...]; with
+    with_correct, also the number of videos whose logits in this same pass
+    put their target first: (loss, grads, correct)."""
     if not batch:
         raise ConfigError("empty batch")
     grads = model.zero_grads()
-    total = 0.0
+    total, correct = 0.0, 0
     for F, mask, y in _padded_chunks(batch):
         logits, cache = model.forward_video(F, train=train, rng=rng, mask=mask)
         loss = cross_entropy(logits, y)
         if not np.all(np.isfinite(loss)):
             raise TrainingError("non-finite loss during batch evaluation")
         total += loss.sum()
+        correct += int((logits.argmax(axis=-1) == y).sum())
         model.backward_video(cache, cross_entropy_grad(logits, y) / len(batch), grads)
+    if with_correct:
+        return total / len(batch), grads, correct
     return total / len(batch), grads

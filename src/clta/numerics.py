@@ -10,14 +10,25 @@ from .errors import NumericError, ShapeError
 
 
 def softmax_stable(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax with max-subtraction; safe for entries up to ~1e308. The (exact) max
-    runs over the leading axis of a copy, as numpy reduces a short axis slowly."""
+    """Softmax with max-subtraction; safe for entries up to ~1e308.
+
+    numpy reduces a short axis slowly, so the (exact) max runs over the leading
+    axis of a contiguous copy with the softmax axis moved first, and so does
+    the rest unless that axis is last and at least 8 long: numpy sums a short
+    last axis, or any other, in sequence as it does a leading one (same bits),
+    but a last axis of 8 or more pairwise."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ShapeError("softmax of empty input")
-    top = np.ascontiguousarray(np.moveaxis(x, axis, 0)).max(axis=0)
-    ez = np.exp(x - np.expand_dims(top, axis))
-    return ez / ez.sum(axis=axis, keepdims=True)
+    ez = np.ascontiguousarray(np.moveaxis(x, axis, 0))   # may be x itself
+    top = ez.max(axis=0)
+    if axis % x.ndim == x.ndim - 1 and x.shape[-1] >= 8:
+        ez = np.exp(x - top[..., None])
+        return ez / ez.sum(axis=-1, keepdims=True)
+    ez = ez - top           # a new array, so the rest can work in place
+    np.exp(ez, out=ez)
+    ez /= ez.sum(axis=0)
+    return np.ascontiguousarray(np.moveaxis(ez, 0, axis))
 
 
 def softmax_backward(p: np.ndarray, dp: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -4,6 +4,12 @@ Minibatches of variable-length sequences go through the model in zero-padded
 chunks with a frame mask, taken in stable length order within a minibatch, which
 gives the loss, gradients, batch-norm stats and dropout masks of the videos run
 one at a time in that order, up to float summation order.
+
+Each training video goes through the model once per epoch. The logged train
+accuracy comes from the logits of that gradient pass, whose losses the logged
+train loss averages: training mode (dropout, batch-norm updates), at the
+parameters of the step that saw the video. evaluate(model, train_set) gives
+the eval-mode accuracy at the end of an epoch.
 """
 
 import logging
@@ -83,8 +89,10 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 
 def evaluate(model: Model, examples) -> tuple[float, float]:
-    """Eval-mode mean loss and accuracy over [(F, target), ...], summed over
-    padded chunks of the whole set in stable length order."""
+    """Eval-mode mean loss and accuracy over [(F, target), ...] at the current
+    parameters, summed over padded chunks of the whole set in stable length order."""
+    if not examples:
+        raise ConfigError("empty evaluation set")
     total, correct = 0.0, 0
     for F, mask, y in _padded_chunks(examples):
         # index the result so this chunk's cache is freed before the next one
@@ -96,6 +104,9 @@ def evaluate(model: Model, examples) -> tuple[float, float]:
 
 @dataclass
 class EpochRecord:
+    """One epoch's log. train_loss is the mean over minibatches of their mean
+    loss, and train_acc the share of training videos whose logits put their
+    target first, both from the gradient pass's own training-mode forward."""
     epoch: int
     lr: float
     train_loss: float
@@ -107,8 +118,11 @@ def train(model: Model, train_set, cfg: TrainConfig, val_metric=None) -> list[Ep
     """Minimize cross-entropy on (F, target) pairs; returns per-epoch log.
 
     Deterministic for a fixed (seed, config, data): shuffle order and
-    dropout masks both derive from cfg.seed. When given, val_metric(model)
-    scores every epoch (e.g. an episodic probe on held-out classes, or
+    dropout masks both derive from cfg.seed. Each epoch runs every training
+    video through the model once, in the gradient pass, and logs its loss and
+    accuracy from that pass (see EpochRecord); evaluate(model, train_set)[1]
+    after an epoch gives the eval-mode accuracy at its final parameters.
+    When given, val_metric(model) scores every epoch (e.g. an episodic probe on held-out classes, or
     evaluate() accuracy on held-out videos), and the parameters of the best
     epoch, with their batch-norm running stats, are restored at the end;
     without it the last epoch's parameters are kept.
@@ -127,14 +141,16 @@ def train(model: Model, train_set, cfg: TrainConfig, val_metric=None) -> list[Ep
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
         order = shuffle_rng.permutation(len(train_set))
-        epoch_loss, nb = 0.0, 0
+        epoch_loss, nb, correct = 0.0, 0, 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[start:start + cfg.batch_size]]
-            batch_loss, grads = loss_and_grads(model, batch, train=True, rng=rng)
+            batch_loss, grads, batch_correct = loss_and_grads(
+                model, batch, train=True, rng=rng, with_correct=True)
             adam_step(model.params, grads, state, lr)
             epoch_loss += batch_loss
+            correct += batch_correct
             nb += 1
-        _, train_acc = evaluate(model, train_set)
+        train_acc = correct / len(train_set)
         val_acc = None if val_metric is None else val_metric(model)
         if val_acc is not None and val_acc > best_val:
             best_val = val_acc

@@ -118,6 +118,18 @@ def test_stacked_heads_backward_fd(kind):
             assert np.allclose(got[e], want, rtol=0, atol=1e-12)
 
 
+def test_softmax_bias_gradient_is_the_plain_row_sum_bit_for_bit():
+    # one head over (n, c) and stacked heads over (E, n, c), n on both sides of 8
+    rng = np.random.default_rng(8)
+    for lead in ((), (40,)):
+        for n in range(1, 41):
+            V, dlog = rng.normal(size=lead + (n, 6)), rng.normal(0, 3, size=lead + (n, 5))
+            head = SoftmaxHead(W=np.zeros(lead + (6, 5)), bias=np.zeros(lead + (1,) * bool(lead) + (5,)))
+            dbias = softmax_logits_backward(V, head, dlog, need_dV=False)[1]
+            assert np.array_equal(dbias.view(np.uint64),
+                                  dlog.sum(axis=-2).reshape(head.bias.shape).view(np.uint64))
+
+
 @pytest.mark.parametrize("lead", [(), (3,)])
 def test_cosine_backward_given_the_forward_values_is_bit_identical(lead):
     # one head over rows (n, h), and E stacked heads over (E, n, h)

@@ -66,6 +66,34 @@ def test_sample_episode_structure():
             assert s_labels.count(c) == 2
 
 
+def _draws_on_the_lists(rng, novel, spec):
+    # rng.choice on the sorted eligible labels, then on each class's index list
+    groups = {}
+    for i, s in enumerate(novel):
+        groups.setdefault(s.label, []).append(i)
+    eligible = sorted(c for c, idxs in groups.items() if len(idxs) >= spec.k_shot + 1)
+    support, query = [], []
+    for c in rng.choice(eligible, size=spec.n_way, replace=False):
+        picked = rng.choice(groups[c], size=spec.k_shot + 1, replace=False)
+        support += [int(i) for i in picked[:-1]]
+        query.append(int(picked[-1]))
+    return support, query
+
+
+@pytest.mark.parametrize("k_shot", [1, 5])
+def test_sample_episode_draws_what_choice_on_the_lists_draws(k_shot):
+    # uneven classes, some too small for k_shot 5, so positions and indices differ
+    novel = [s for s in _novel_set(np.random.default_rng(3), n_classes=9, per_class=8)
+             if int(s.video_id.split("_v")[1]) < 4 + int(s.label[1:]) % 5]
+    spec = EpisodeSpec(n_way=5, k_shot=k_shot)
+    for seed in range(12):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_episode(rng, novel, spec)
+        assert got == _draws_on_the_lists(ref_rng, novel, spec)
+        assert all(type(i) is int for i in got[0] + got[1])
+        assert rng.random() == ref_rng.random()   # the streams stay in step
+
+
 def test_sample_episode_too_few_classes():
     rng = np.random.default_rng(1)
     novel = _novel_set(rng, n_classes=3)

@@ -95,9 +95,24 @@ def test_softmax_equals_the_plain_max_formula_bit_for_bit():
         frames = np.moveaxis(x, axis, -1)   # a view: (6, 4, 13) either way
         frames[...] = np.where(np.arange(13) >= lengths[:, None, None], -np.inf, frames)
         cases.append((x, axis))
+    # every axis length from 1 to 40 on every axis of a 3-d stack, on both
+    # sides of the short-axis switch at 8, each row masked with -inf past a
+    # drawn length of at least one entry
+    for n in range(1, 41):
+        for axis in range(3):
+            shape = [3, 4, 3]
+            shape[axis] = n
+            x = rng.normal(0, 30, size=shape)
+            rows = np.moveaxis(x, axis, -1)   # a view with the softmax axis last
+            lengths = rng.integers(1, n + 1, size=rows.shape[:-1])
+            rows[...] = np.where(np.arange(n) >= lengths[..., None], -np.inf, rows)
+            cases += [(x, axis), (x, axis - 3)]
     for x, axis in cases:
-        assert np.array_equal(softmax_stable(x, axis=axis).view(np.uint64),
-                              _plain_softmax(x, axis).view(np.uint64))
+        kept = x.copy()
+        got = softmax_stable(x, axis=axis)
+        assert got.flags.c_contiguous   # downstream sums see the layout they saw before
+        assert np.array_equal(x.view(np.uint64), kept.view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), _plain_softmax(x, axis).view(np.uint64))
     assert np.isinf(cases[2][0]).any() and np.isinf(cases[3][0]).any()
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from clta import trainer as trainer_mod
 from clta.errors import ConfigError, TrainingError
 from clta.model import Model, ModelConfig
 from clta.trainer import AdamState, TrainConfig, adam_step, evaluate, lr_at, train
@@ -185,3 +186,45 @@ def test_mixed_length_batches_train_in_padded_chunks():
     records = train(model, pairs, TrainConfig(lr0=5e-3, epochs=3, batch_size=12,
                                               dropout_rate=0.0, seed=1))
     assert np.isfinite(records[-1].train_loss)
+
+
+def test_evaluate_on_an_empty_set_raises():
+    with pytest.raises(ConfigError, match="empty"):
+        evaluate(_toy_model(), [])
+
+
+def test_train_runs_no_separate_evaluation_pass(monkeypatch):
+    # train_acc comes from the gradient pass; evaluate() is never called
+    def no_evaluate(*args, **kwargs):
+        raise AssertionError("train() called evaluate()")
+
+    monkeypatch.setattr(trainer_mod, "evaluate", no_evaluate)
+    records = train(_toy_model(), _toy_problem(),
+                    TrainConfig(lr0=5e-3, epochs=3, batch_size=8, dropout_rate=0.0, seed=0),
+                    val_metric=lambda m: 0.5)
+    assert len(records) == 3 and all(0.0 <= r.train_acc <= 1.0 for r in records)
+
+
+@pytest.mark.parametrize("kind,dropout,batch_norm", [("avg", 0.0, False), ("clta", 0.0, False),
+                                                     ("avg", 0.3, False), ("clta", 0.3, True),
+                                                     ("avg", 0.0, True)])
+def test_train_acc_is_the_accuracy_of_the_training_mode_logits(monkeypatch, kind, dropout,
+                                                               batch_norm):
+    pairs = _toy_problem()
+    target = {F.tobytes(): c for F, c in pairs}
+    seen = []   # (correct, train) per video, in forward order
+    forward = Model.forward_video
+
+    def recording_forward(self, F, train=False, rng=None, mask=None):
+        logits, cache = forward(self, F, train=train, rng=rng, mask=mask)
+        for row, m, pred in zip(F, mask, logits.argmax(axis=-1)):
+            seen.append((pred == target[row[m].tobytes()], train))
+        return logits, cache
+
+    monkeypatch.setattr(Model, "forward_video", recording_forward)
+    cfg = TrainConfig(lr0=5e-3, epochs=6, batch_size=8, dropout_rate=dropout, seed=2)
+    records = train(_toy_model(kind=kind, dropout=dropout, batch_norm=batch_norm), pairs, cfg)
+    assert len(seen) == cfg.epochs * len(pairs) and all(t for _, t in seen)
+    per_epoch = np.array([ok for ok, _ in seen]).reshape(cfg.epochs, len(pairs))
+    assert [r.train_acc for r in records] == list(per_epoch.mean(axis=1))
+    assert any(0.0 < r.train_acc < 1.0 for r in records)
