@@ -1,5 +1,8 @@
 """Softmax (linear) and cosine-similarity classification heads, for one
-descriptor (h,) or rows (..., n, h); the backward passes take rows."""
+descriptor (h,) or rows (..., n, h); the backward passes take rows.
+
+The head forwards and backwards take optional out= arrays, which receive the
+logits or the parameter gradients instead of new arrays, with the same bits."""
 
 from dataclasses import dataclass
 
@@ -20,28 +23,41 @@ class CosineHead:
     temperature: float | np.ndarray = 10.0   # scalar, (1,) or (..., 1, 1)
 
 
-def softmax_logits(V: np.ndarray, head: SoftmaxHead) -> np.ndarray:
+def softmax_logits(V: np.ndarray, head: SoftmaxHead, out=None) -> np.ndarray:
     V = np.asarray(V, dtype=np.float64)
     if head.W.shape[-2] != V.shape[-1] or head.W.shape[-1] != head.bias.shape[-1]:
         raise ShapeError(f"head shapes {head.W.shape}/{head.bias.shape} vs input {V.shape}")
-    return V @ head.W + head.bias
+    logits = np.matmul(V, head.W, out=out)
+    logits += head.bias
+    return logits
 
 
-def softmax_logits_backward(V, head: SoftmaxHead, dlogits, need_dV: bool = True):
-    """Returns (dW, dbias, dV-or-None) for rows V (..., n, h), summed over the rows."""
-    dW = np.swapaxes(V, -1, -2) @ dlogits
+def softmax_logits_backward(V, head: SoftmaxHead, dlogits, need_dV: bool = True, out=None):
+    """Returns (dW, dbias, dV-or-None) for rows V (..., n, h), summed over the rows;
+    out, when given, is (dW, dbias) to write them to."""
+    dW, dbias = (None, None) if out is None else out
+    dW = np.matmul(np.swapaxes(V, -1, -2), dlogits, out=dW)
     # numpy adds a row axis that is not last in sequence, and a leading one of a
     # contiguous copy fastest, in the same sequence: the same bits in less time
-    dbias = np.ascontiguousarray(np.moveaxis(dlogits, -2, 0)).sum(axis=0).reshape(head.bias.shape)
+    nd = dlogits.ndim
+    rows = np.ascontiguousarray(dlogits.transpose(nd - 2, *range(nd - 2), nd - 1))
+    dbias = rows.sum(axis=0, out=None if dbias is None else dbias.reshape(rows.shape[1:]))
     dV = dlogits @ np.swapaxes(head.W, -1, -2) if need_dV else None
-    return dW, dbias, dV
+    return dW, dbias.reshape(head.bias.shape), dV
 
 
-def _cosine(V: np.ndarray, head: CosineHead):
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """|X| over the last axis, keeping it; a zero norm counts as 1."""
+    n = np.sqrt(np.einsum("...i,...i->...", X, X))[..., None]
+    return np.where(n == 0.0, 1.0, n)
+
+
+def _cosine(V: np.ndarray, head: CosineHead, nv=None):
     """(scores, |V|, unit prototypes w, |W_proto|) for descriptors V; norms keep dims.
-    A zero norm counts as 1: a zero descriptor or prototype scores 0, with finite gradients."""
-    nv, nw = (np.sqrt(np.einsum("...i,...i->...", X, X))[..., None] for X in (V, head.W_proto))
-    nv, nw = (np.where(n == 0.0, 1.0, n) for n in (nv, nw))
+    nv is row_norms(V), computed when None. A zero norm counts as 1: a zero
+    descriptor or prototype scores 0, with finite gradients."""
+    nv = row_norms(V) if nv is None else nv
+    nw = row_norms(head.W_proto)
     w = head.W_proto / nw
     return (V @ np.swapaxes(w, -1, -2)) / nv, nv, w, nw
 
@@ -55,35 +71,43 @@ def cosine_logits(V: np.ndarray, head: CosineHead) -> np.ndarray:
     return head.temperature * cosine_scores(V, head)
 
 
-def cosine_logits_backward(V, head: CosineHead, dlogits, need_dV: bool = True, cos=None):
+def cosine_logits_backward(V, head: CosineHead, dlogits, need_dV: bool = True, cos=None,
+                           out=None):
     """Returns (dW_proto, dtemperature, dV-or-None) for rows V (..., n, h);
-    cos is the forward's (scores, |V|, w, |W_proto|), recomputed when None."""
+    cos is the forward's (scores, |V|, w, |W_proto|), recomputed when None, and
+    out, when given, is (dW_proto, dtemperature) to write the first two to."""
     V = np.asarray(V, dtype=np.float64)
     s, nv, w, nw = _cosine(V, head) if cos is None else cos   # s: (..., n, c)
+    dW, dtemp = (None, None) if out is None else out
     ds = head.temperature * dlogits
     dss = ds * s
-    dtemp = (dlogits * s).sum(axis=(-2, -1)).reshape(np.shape(head.temperature))
+    dtemp = (dlogits * s).sum(axis=(-2, -1),
+                              out=None if dtemp is None else dtemp.reshape(s.shape[:-2]))
+    dtemp = dtemp.reshape(np.shape(head.temperature))
     # d s_nc / d w_c = (V_n / |V_n| - s_nc w_c) / |w_c|, summed over the rows n
-    dW = (np.swapaxes(ds / nv, -1, -2) @ V - dss.sum(axis=-2)[..., None] * w) / nw
+    dW = np.divide(np.swapaxes(ds / nv, -1, -2) @ V - dss.sum(axis=-2)[..., None] * w, nw,
+                   out=dW)
     # d s_nc / d V_n = (w_c - s_nc V_n / |V_n|) / |V_n|
     dV = (ds @ w - dss.sum(axis=-1, keepdims=True) * V / nv) / nv if need_dV else None
     return dW, dtemp, dV
 
 
-def head_forward(V: np.ndarray, head):
-    """(logits, cos) of either head: cos is _cosine's values, or None for softmax."""
+def head_forward(V: np.ndarray, head, out=None, nv=None):
+    """(logits, cos) of either head: cos is _cosine's values, or None for softmax.
+    nv is a cosine head's row_norms(V), computed when None."""
     if isinstance(head, SoftmaxHead):
-        return softmax_logits(V, head), None
-    cos = _cosine(np.asarray(V, dtype=np.float64), head)
-    return head.temperature * cos[0], cos
+        return softmax_logits(V, head, out), None
+    cos = _cosine(np.asarray(V, dtype=np.float64), head, nv)
+    return np.multiply(head.temperature, cos[0], out=out), cos
 
 
-def head_logits_backward(V, head, dlogits, need_dV: bool = True, cos=None):
+def head_logits_backward(V, head, dlogits, need_dV: bool = True, cos=None, out=None):
     """(gradient of each head parameter in field order..., dV-or-None) of either
-    head; cos is head_forward's, which spares a cosine head a second pass."""
+    head; cos is head_forward's, which spares a cosine head a second pass, and
+    out, when given, holds one array per parameter to write its gradient to."""
     if isinstance(head, SoftmaxHead):
-        return softmax_logits_backward(V, head, dlogits, need_dV)
-    return cosine_logits_backward(V, head, dlogits, need_dV, cos)
+        return softmax_logits_backward(V, head, dlogits, need_dV, out)
+    return cosine_logits_backward(V, head, dlogits, need_dV, cos, out)
 
 
 def predict(logits: np.ndarray) -> int:

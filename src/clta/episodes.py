@@ -10,13 +10,23 @@ and then one permutation per retrain epoch from SeedSequence([seed, i]), in
 that order, so its result does not depend on which other episodes run. The
 permutations are drawn only when an epoch holds more than one minibatch
 (n_way * k_shot > retrain_batch); otherwise each epoch is one full-batch step.
+
+The draws do not depend on the model, so they are planned once per (labels
+of the set in order, spec fields they read) and kept in a small memo: the
+per-epoch val probe of training draws its episodes on its first call only.
+A plan holds each episode's support, query and head targets, and its
+generator state after those draws; the permutations, one (retrain_epochs, n)
+array per episode, are drawn again from that state on every call rather than
+kept. The length check, the descriptors, the fit and the scoring run on
+every call.
+
 Fitting is one batched solve: every episode has the same n_way * k_shot
 support size, so the heads of a chunk of episodes are stacked and trained
 together through the heads in classifiers, one minibatch step and one Adam
-step on one flat parameter buffer at a time for all of them. The stacked
-softmax fit gives the same bits as fitting each episode on its own; the
-cosine fit sums its gradient over the examples of a minibatch in one matrix
-product, so its weights may differ in the last bits.
+step on one flat parameter buffer at a time for all of them, in buffers made
+once per fit. The stacked softmax fit gives the same bits as fitting each
+episode on its own; the cosine fit sums its gradient over the examples of a
+minibatch in one matrix product, so its weights may differ in the last bits.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import FrameSequence
-from .classifiers import CosineHead, SoftmaxHead, head_forward, head_logits_backward
+from .classifiers import (CosineHead, SoftmaxHead, head_forward, head_logits_backward,
+                          row_norms)
 from .errors import ConfigError, SamplingError
 from .model import Model, _padded_chunks, descriptor
 from .numerics import softmax_stable
@@ -77,7 +88,7 @@ def _by_class(novel_set: list[FrameSequence]) -> dict[str, list[int]]:
     groups: dict[str, list[int]] = {}
     for i, seq in enumerate(novel_set):
         if seq.label is None:
-            raise SamplingError(f"unlabelled video {seq.video_id!r} in novel set")
+            raise SamplingError(f"unlabelled video {seq.video_id!r}")
         groups.setdefault(seq.label, []).append(i)
     return groups
 
@@ -117,11 +128,44 @@ def _draw_orders(rng: np.random.Generator, n: int, epochs: int) -> np.ndarray:
     return rng.permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
 
 
+def _flat(head):
+    """(buffer, a head of the same type whose fields view it, in field order)."""
+    fields = vars(head).values()
+    buf = np.concatenate([p.ravel() for p in fields])
+    parts = np.split(buf, np.cumsum([p.size for p in fields])[:-1])
+    return buf, type(head)(*(part.reshape(p.shape) for part, p in zip(parts, fields)))
+
+
+def _gathered(rows, orders: np.ndarray, batch: int):
+    """The rows of each minibatch, of every array (E, n, ...) in rows, one
+    retrain epoch after another: each is gathered into the buffers kept for
+    its row count, which the next minibatch of that count overwrites."""
+    E, _, n = orders.shape
+    flat = [a.reshape(E * n, -1) for a in rows]
+    first = np.arange(0, E * n, n)[:, None]   # episode e's rows start at e * n
+    bufs = {}
+    for order in orders.transpose(1, 0, 2):
+        for lo in range(0, n, batch):
+            sel = (order[:, lo:lo + batch] + first).ravel()
+            b = len(sel) // E
+            if b not in bufs:
+                bufs[b] = [np.empty((E, b) + a.shape[2:]) for a in rows]
+            for a, buf in zip(flat, bufs[b]):
+                # the indices are in range; "clip" writes straight to out, "raise" buffers
+                np.take(a, sel, axis=0, out=buf.reshape(E * b, -1), mode="clip")
+            yield bufs[b]
+
+
 def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int,
                orders: np.ndarray | None, spec: EpisodeSpec):
     """Train E heads at once: support X (E, n, h), labels y (E, n), minibatch
     orders (E, retrain_epochs, n), or None for one step per epoch on all of X
-    in row order. Returns one head whose stacked parameters view one buffer."""
+    in row order. Returns one head whose stacked parameters view one buffer.
+
+    Every step writes into buffers made once per fit: the logits and the
+    softmax's class-first copy (one pair per minibatch row count), and one
+    flat gradient buffer whose per-field views the head's backward fills;
+    the cosine head's |X| is taken once, since the support rows never change."""
     E, n, h = X.shape
     onehot = np.eye(n_way)[y]
     if kind == "softmax":
@@ -130,22 +174,25 @@ def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int,
         # prototypes start at the per-class support means
         init = CosineHead(W_proto=np.swapaxes(onehot, 1, 2) @ X / onehot.sum(axis=1)[..., None],
                           temperature=np.full((E, 1, 1), 10.0))
-    fields = vars(init).values()
-    theta = np.concatenate([p.ravel() for p in fields])   # adam_step updates it in place
-    parts = np.split(theta, np.cumsum([p.size for p in fields])[:-1])
-    head = type(init)(*(part.reshape(p.shape) for part, p in zip(parts, fields)))
-    batches = [(X, onehot)] * spec.retrain_epochs
+    theta, head = _flat(init)   # adam_step updates theta in place
+    grad, dhead = _flat(init)
+    rows = (X, onehot) if kind == "softmax" else (X, onehot, row_norms(X))
+    batches = [rows] * spec.retrain_epochs
     if orders is not None:
-        rows, cuts = np.arange(E)[:, None], range(spec.retrain_batch, n, spec.retrain_batch)
-        batches = ((X[rows, sel], onehot[rows, sel]) for order in orders.transpose(1, 0, 2)
-                   for sel in np.split(order, cuts, axis=1))
-    state = AdamState()
-    for Xb, hot in batches:
-        logits, cos = head_forward(Xb, head)
-        dlog = (softmax_stable(logits) - hot) / Xb.shape[1]
-        *grads, _ = head_logits_backward(Xb, head, dlog, need_dV=False, cos=cos)
-        adam_step({"head": theta}, {"head": np.concatenate([g.ravel() for g in grads])},
-                  state, spec.retrain_lr)
+        batches = _gathered(rows, orders, spec.retrain_batch)
+    params, grads, state = {"head": theta}, {"head": grad}, AdamState()
+    out, bufs = tuple(vars(dhead).values()), {}
+    for Xb, hot, *nv in batches:
+        b = Xb.shape[1]
+        if b not in bufs:
+            bufs[b] = np.empty((E, b, n_way)), np.empty((n_way, E, b))
+        logits, work = bufs[b]
+        logits, cos = head_forward(Xb, head, out=logits, nv=nv[0] if nv else None)
+        dlog = softmax_stable(logits, out=logits, work=work)
+        dlog -= hot
+        dlog /= b
+        head_logits_backward(Xb, head, dlog, need_dV=False, cos=cos, out=out)
+        adam_step(params, grads, state, spec.retrain_lr)
     return head
 
 
@@ -162,6 +209,13 @@ def _head_kind(frozen_model: Model, spec: EpisodeSpec) -> str:
     return frozen_model.cfg.classifier if spec.head == "same" else spec.head
 
 
+def _check_lengths(frozen_model: Model, videos: list[FrameSequence]) -> None:
+    """ConfigError naming the first video longer than the model's Z."""
+    for seq in videos:
+        if seq.T > frozen_model.cfg.Z:
+            raise ConfigError(f"video {seq.video_id!r} longer than Z={frozen_model.cfg.Z}")
+
+
 def retrain_classifier(frozen_model: Model, support: list[FrameSequence],
                        spec: EpisodeSpec, rng: np.random.Generator | None = None):
     """Train a fresh n-way head on support descriptors; attention untouched.
@@ -169,12 +223,18 @@ def retrain_classifier(frozen_model: Model, support: list[FrameSequence],
     Returns (head, label_order) where label_order maps head index -> label.
     Draws spec.retrain_epochs permutations from rng (default: seeded with
     spec.seed) if len(support) > spec.retrain_batch, and nothing otherwise.
+    Every support video needs a label, and they need at least two classes.
     """
     if not support:
         raise ConfigError("empty support set")
+    _check_lengths(frozen_model, support)
+    groups = _by_class(support)
+    if len(groups) < 2:
+        raise SamplingError(f"support set has one class, {next(iter(groups))!r}; "
+                            f"a head needs at least 2")
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    labels = sorted({s.label for s in support})
+    labels = sorted(groups)
     lab2idx = {c: i for i, c in enumerate(labels)}
     X = _descriptors(frozen_model, support)
     y = np.array([lab2idx[s.label] for s in support])
@@ -188,43 +248,98 @@ def retrain_classifier(frozen_model: Model, support: list[FrameSequence],
     return CosineHead(W_proto=head.W_proto[0], temperature=float(head.temperature[0, 0, 0])), labels
 
 
-def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
-                 spec: EpisodeSpec) -> EvalSummary:
-    """Mean n-way k-shot accuracy over num_episodes with a 95% CI."""
+@dataclass(frozen=True)
+class _Chunk:
+    """The draws of up to _CHUNK consecutive episodes; no model enters them."""
+    ids: range
+    support: np.ndarray    # (E, n_way * k_shot) novel-set indices
+    query: np.ndarray      # (E, n_way) novel-set indices, one per class
+    y: np.ndarray          # (E, n_way * k_shot) head class of each support video
+    truth: np.ndarray      # (E, n_way) head class of each query
+    labels: tuple          # each episode's query labels
+    states: tuple | None   # each episode's generator state after its draws,
+                           # kept when its fit draws minibatch orders from there
+
+
+# Plans of the latest (label sequence, spec fields) keys, oldest first. The
+# per-epoch val probe calls with the same set and spec every epoch; the bound
+# keeps calls over many seeds or sets from pinning memory.
+_PLANS: dict[tuple, tuple[_Chunk, ...]] = {}
+_PLAN_SLOTS = 4
+
+
+def _make_plan(novel_set: list[FrameSequence], spec: EpisodeSpec) -> tuple[_Chunk, ...]:
     groups = _by_class(novel_set)
-    for seq in novel_set:
-        if seq.T > frozen_model.cfg.Z:
-            raise ConfigError(f"video {seq.video_id!r} longer than Z={frozen_model.cfg.Z}")
     eligible = _eligible(groups, spec)
-    desc = _descriptors(frozen_model, novel_set)   # episode-independent: once for all
     # class codes in sorted label order: a head's class index is the rank of
     # its code among the episode's query codes (one query per class)
     code = {c: k for k, c in enumerate(sorted(groups))}
     codes = np.array([code[s.label] for s in novel_set])
-    kind = _head_kind(frozen_model, spec)
     n = spec.n_way * spec.k_shot
-
-    results = []
+    minibatched = n > spec.retrain_batch
+    chunks = []
     for lo in range(0, spec.num_episodes, _CHUNK):
         ids = range(lo, min(lo + _CHUNK, spec.num_episodes))
         support = np.empty((len(ids), n), dtype=np.intp)
         query = np.empty((len(ids), spec.n_way), dtype=np.intp)
-        orders = (np.empty((len(ids), spec.retrain_epochs, n), dtype=np.intp)
-                  if n > spec.retrain_batch else None)
+        states = []
         for e, i in enumerate(ids):
             rng = np.random.default_rng(np.random.SeedSequence([spec.seed, i]))
             support[e], query[e] = _draw_episode(rng, groups, eligible, spec)
-            if orders is not None:
-                orders[e] = _draw_orders(rng, n, spec.retrain_epochs)
+            if minibatched:
+                states.append(rng.bit_generator.state)
         qcodes = codes[query][:, None, :]
         y = (qcodes < codes[support][..., None]).sum(axis=-1)
         truth = (qcodes < codes[query][..., None]).sum(axis=-1)
-        head = _fit_heads(kind, desc[support], y, spec.n_way, orders, spec)
-        correct = head_forward(desc[query], head)[0].argmax(axis=-1) == truth
-        for e, i in enumerate(ids):
-            per_class = {novel_set[j].label: bool(ok) for j, ok in zip(query[e], correct[e])}
-            results.append(EpisodeResult(accuracy=int(correct[e].sum()) / spec.n_way,
-                                         per_class=per_class, episode_seed=i))
+        for a in (support, query, y, truth):
+            a.flags.writeable = False
+        labels = tuple(tuple(novel_set[j].label for j in q) for q in query.tolist())
+        chunks.append(_Chunk(ids, support, query, y, truth, labels,
+                             tuple(states) if minibatched else None))
+    return tuple(chunks)
+
+
+def _plan(novel_set: list[FrameSequence], spec: EpisodeSpec) -> tuple[_Chunk, ...]:
+    """The episodes' draws: a pure function of the labels in set order and the
+    spec fields they read, made on a key's first call and then reused."""
+    key = (tuple(s.label for s in novel_set), spec.n_way, spec.k_shot,
+           spec.num_episodes, spec.seed, spec.retrain_batch)
+    plan = _PLANS.pop(key, None)
+    if plan is None:
+        plan = _make_plan(novel_set, spec)
+    _PLANS[key] = plan
+    if len(_PLANS) > _PLAN_SLOTS:
+        del _PLANS[next(iter(_PLANS))]
+    return plan
+
+
+def _orders(chunk: _Chunk, spec: EpisodeSpec) -> np.ndarray:
+    """(E, retrain_epochs, n) minibatch orders, each episode's drawn from its
+    stored state: the draws that would follow its sampling on its own stream."""
+    n = spec.n_way * spec.k_shot
+    orders = np.empty((len(chunk.ids), spec.retrain_epochs, n), dtype=np.intp)
+    rng = np.random.default_rng(0)   # its state is replaced before every draw
+    for e, state in enumerate(chunk.states):
+        rng.bit_generator.state = state
+        orders[e] = _draw_orders(rng, n, spec.retrain_epochs)
+    return orders
+
+
+def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
+                 spec: EpisodeSpec) -> EvalSummary:
+    """Mean n-way k-shot accuracy over num_episodes with a 95% CI."""
+    _check_lengths(frozen_model, novel_set)
+    plan = _plan(novel_set, spec)
+    desc = _descriptors(frozen_model, novel_set)   # episode-independent: once for all
+    kind = _head_kind(frozen_model, spec)
+    results = []
+    for chunk in plan:
+        orders = None if chunk.states is None else _orders(chunk, spec)
+        head = _fit_heads(kind, desc[chunk.support], chunk.y, spec.n_way, orders, spec)
+        correct = head_forward(desc[chunk.query], head)[0].argmax(axis=-1) == chunk.truth
+        for i, labels, ok in zip(chunk.ids, chunk.labels, correct.tolist()):
+            results.append(EpisodeResult(accuracy=sum(ok) / spec.n_way,
+                                         per_class=dict(zip(labels, ok)), episode_seed=i))
 
     accs = np.array([r.accuracy for r in results])
     mean = float(accs.mean())

@@ -26,12 +26,17 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class AdamState:
+    """Adam's moments m and v per parameter name, and its step count.
+
+    work holds two scratch arrays per parameter, shaped like it, which every
+    step overwrites with its intermediate terms, so a step allocates nothing."""
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    work: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 @dataclass
@@ -64,18 +69,22 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     bc1, bc2 = 1.0 - state.beta1 ** state.step, 1.0 - state.beta2 ** state.step
     for name, p in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         if name not in state.m:
             state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
+        if name not in state.work:
+            state.work[name] = np.empty_like(p), np.empty_like(p)
         m, v = state.m[name], state.v[name]
+        step, den = state.work[name]
         m *= state.beta1
-        m += (1 - state.beta1) * g
+        m += np.multiply(1 - state.beta1, g, out=step)
         v *= state.beta2
-        v += (1 - state.beta2) * g * g
-        step = m / bc1
+        np.multiply(1 - state.beta2, g, out=step)
+        v += np.multiply(step, g, out=step)
+        np.divide(m, bc1, out=step)
         step *= lr
-        den = np.sqrt(v / bc2)
+        np.sqrt(np.divide(v, bc2, out=den), out=den)
         den += state.eps
         step /= den
         p -= step

@@ -5,7 +5,7 @@ import pytest
 
 from clta.classifiers import (CosineHead, SoftmaxHead, cosine_logits,
                               cosine_logits_backward, cosine_scores, head_forward,
-                              head_logits_backward, predict, softmax_logits,
+                              head_logits_backward, predict, row_norms, softmax_logits,
                               softmax_logits_backward)
 from clta.errors import ShapeError
 
@@ -147,6 +147,32 @@ def test_cosine_backward_given_the_forward_values_is_bit_identical(lead):
         recomputed = cosine_logits_backward(V, head, dlog, need_dV)
         for got, want in zip(reused, recomputed):
             assert (got is None and want is None) or np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["softmax", "cosine"])
+def test_heads_write_into_given_arrays_with_the_same_bits(kind):
+    # stacked heads as the episode fit steps them: out= arrays for the logits
+    # and each gradient, and a cosine head's |V| computed beforehand
+    rng = np.random.default_rng(12)
+    E, n, h, c = 4, 6, 5, 3
+    V = rng.normal(size=(E, n, h))
+    V[:, 0] = 0.0
+    if kind == "softmax":
+        head = SoftmaxHead(rng.normal(size=(E, h, c)), rng.normal(size=(E, 1, c)))
+    else:
+        head = CosineHead(rng.normal(size=(E, c, h)), rng.uniform(5, 10, size=(E, 1, 1)))
+    dlog = rng.normal(size=(E, n, c))
+    logits, cos = head_forward(V, head)
+    want = head_logits_backward(V, head, dlog, need_dV=False, cos=cos)
+    out = np.empty((E, n, c))
+    got, cos = head_forward(V, head, out=out, nv=None if cos is None else row_norms(V))
+    assert got is out and np.array_equal(got.view(np.uint64), logits.view(np.uint64))
+    grads = tuple(np.full_like(p, np.nan) for p in vars(head).values())
+    res = head_logits_backward(V, head, dlog, need_dV=False, cos=cos, out=grads)
+    assert res[-1] is None
+    for r, g, w in zip(res, grads, want):
+        assert np.shares_memory(r, g)
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 def test_predict_argmax_and_ties():

@@ -8,7 +8,7 @@ from clta.attention import FrameSequence
 from clta.classifiers import CosineHead, SoftmaxHead, cosine_logits, predict, softmax_logits
 from clta.episodes import (EpisodeSpec, retrain_classifier, run_episodes,
                            sample_episode)
-from clta.errors import ConfigError, SamplingError
+from clta.errors import ConfigError, SamplingError, TrainingError
 from clta.model import Model, ModelConfig, descriptor
 
 
@@ -127,6 +127,35 @@ def test_retrain_leaves_attention_untouched():
 def test_retrain_empty_support():
     with pytest.raises(ConfigError):
         retrain_classifier(_frozen_model(), [], EpisodeSpec())
+
+
+def test_retrain_classifier_rejects_unlabelled_support_videos():
+    novel = _novel_set(np.random.default_rng(12), n_classes=3)
+    model = _frozen_model()
+    spec = EpisodeSpec(n_way=2, retrain_epochs=2)
+
+    def unlabelled(name):
+        return FrameSequence(features=np.ones((3, 5)), label=None, video_id=name)
+
+    with pytest.raises(SamplingError, match="'nolabel'"):
+        retrain_classifier(model, [novel[0], unlabelled("nolabel"), novel[6]], spec)
+    with pytest.raises(SamplingError, match="'u0'"):
+        retrain_classifier(model, [unlabelled(f"u{i}") for i in range(3)], spec)
+
+
+def test_retrain_classifier_rejects_a_one_class_support_set():
+    novel = _novel_set(np.random.default_rng(12), n_classes=3)
+    support = [s for s in novel if s.label == "c1"]
+    with pytest.raises(SamplingError, match="'c1'"):
+        retrain_classifier(_frozen_model(), support, EpisodeSpec(n_way=2, retrain_epochs=2))
+
+
+def test_retrain_classifier_names_an_overlong_video():
+    novel = _novel_set(np.random.default_rng(12), n_classes=3)
+    support = [novel[0], novel[6],
+               FrameSequence(features=np.ones((25, 5)), label="c1", video_id="too_long")]
+    with pytest.raises(ConfigError, match="'too_long'"):
+        retrain_classifier(_frozen_model(), support, EpisodeSpec(n_way=2, retrain_epochs=2))
 
 
 def test_run_episodes_rejects_overlong_videos():
@@ -280,6 +309,25 @@ def test_stacked_fit_matches_a_plain_fit(head, retrain_batch):
                                atol=2e-9 if head == "softmax" else 1e-12)
 
 
+@pytest.mark.parametrize("head", ["softmax", "cosine"])
+@pytest.mark.parametrize("retrain_batch", [64, 4])
+def test_fit_heads_raises_on_a_non_finite_descriptor(head, retrain_batch):
+    # the per-step gradient check, through the buffers of a whole fit
+    rng = np.random.default_rng(13)
+    E, n_way, k_shot, h, epochs = 3, 3, 3, 8, 4
+    X = rng.normal(size=(E, n_way * k_shot, h))
+    X[1, 5, 2] = np.nan
+    y = np.stack([rng.permutation(np.repeat(np.arange(n_way), k_shot)) for _ in range(E)])
+    orders = None
+    if n_way * k_shot > retrain_batch:
+        orders = np.stack([[rng.permutation(n_way * k_shot) for _ in range(epochs)]
+                           for _ in range(E)])
+    spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, retrain_epochs=epochs,
+                       retrain_batch=retrain_batch)
+    with pytest.raises(TrainingError):
+        episodes._fit_heads(head, X, y, n_way, orders, spec)
+
+
 def test_retrain_classifier_is_bit_identical_to_a_plain_fit():
     # the permutations come from the caller's rng, one per retrain epoch
     rng = np.random.default_rng(11)
@@ -318,3 +366,116 @@ def test_episode_head_override():
     spec = EpisodeSpec(n_way=5, retrain_epochs=3, head="cosine")
     head, _ = retrain_classifier(model, support, spec)
     assert type(head).__name__ == "CosineHead"
+
+
+@pytest.fixture
+def plans():
+    """The episode-plan memo, empty before and after the test."""
+    episodes._PLANS.clear()
+    yield episodes._PLANS
+    episodes._PLANS.clear()
+
+
+def _fresh(model, novel, spec):
+    """run_episodes from an empty plan memo."""
+    episodes._PLANS.clear()
+    return run_episodes(model, novel, spec)
+
+
+@pytest.mark.parametrize("head", ["softmax", "cosine"])
+def test_a_memo_hit_gives_the_results_of_the_first_call(plans, head):
+    novel = _novel_set(np.random.default_rng(14))
+    model = _frozen_model(kind="clta")
+    spec = EpisodeSpec(n_way=4, k_shot=2, num_episodes=episodes._CHUNK + 3,
+                       retrain_epochs=4, seed=2, head=head)
+    first = run_episodes(model, novel, spec)
+    assert len(plans) == 1
+    second = run_episodes(model, novel, spec)
+    assert len(plans) == 1
+    assert second == first
+
+
+def test_memo_hits_with_minibatches_match_one_episode_runs(plans):
+    # 4-way 5-shot in batches of 6: the fit draws its orders on every call
+    novel = _novel_set(np.random.default_rng(15))
+    model = _frozen_model(kind="clta")
+    for head in ("softmax", "cosine"):
+        spec = EpisodeSpec(n_way=4, k_shot=5, num_episodes=5, retrain_epochs=6,
+                           retrain_batch=6, seed=3, head=head)
+        for _ in range(3):
+            summary = run_episodes(model, novel, spec)
+            for i, result in enumerate(summary.results):
+                assert result.per_class == _episode_by_hand(model, novel, spec, i)
+    assert len(plans) == 1   # the head is not part of the draws
+
+
+def test_a_set_with_the_same_labels_scores_its_own_descriptors(plans):
+    rng = np.random.default_rng(16)
+    noisy = _novel_set(rng, n_classes=5)
+    separable = _novel_set(rng, n_classes=5, separable=True)
+    assert [s.label for s in noisy] == [s.label for s in separable]
+    model = _frozen_model()
+    spec = EpisodeSpec(n_way=5, k_shot=1, num_episodes=12, retrain_epochs=5,
+                       seed=1, head="cosine")
+    on_noise = run_episodes(model, noisy, spec)
+    hit = run_episodes(model, separable, spec)
+    assert len(plans) == 1
+    assert hit.mean_acc == 1.0 > on_noise.mean_acc
+    assert hit == _fresh(model, separable, spec)
+
+
+def test_a_changed_seed_or_k_shot_never_reuses_a_plan(plans):
+    novel = _novel_set(np.random.default_rng(17))
+    model = _frozen_model()
+    spec = EpisodeSpec(n_way=4, k_shot=1, num_episodes=8, retrain_epochs=3, seed=5)
+    base = run_episodes(model, novel, spec)
+    for change in (dict(seed=6), dict(k_shot=2)):
+        other = EpisodeSpec(**{**vars(spec), **change})
+        got = run_episodes(model, novel, other)
+        assert got == _fresh(model, novel, other)
+        assert [r.per_class for r in got.results] != [r.per_class for r in base.results]
+        assert run_episodes(model, novel, spec) == base
+    # the memo keys on the field values, so a spec changed in place is a miss too
+    run_episodes(model, novel, spec)
+    spec.seed = 6
+    assert run_episodes(model, novel, spec) == _fresh(model, novel, spec)
+
+
+def test_the_memo_is_bounded(plans):
+    novel = _novel_set(np.random.default_rng(18))
+    model = _frozen_model()
+    for seed in range(episodes._PLAN_SLOTS + 3):
+        run_episodes(model, novel, EpisodeSpec(n_way=4, num_episodes=2, retrain_epochs=1,
+                                               seed=seed))
+        assert len(plans) == min(seed + 1, episodes._PLAN_SLOTS)
+
+
+def _plan_arrays(plans):
+    return [a for plan in plans.values() for chunk in plan for a in vars(chunk).values()
+            if isinstance(a, np.ndarray)]
+
+
+def test_cached_plan_arrays_are_read_only(plans):
+    novel = _novel_set(np.random.default_rng(19))
+    run_episodes(_frozen_model(), novel, EpisodeSpec(n_way=4, k_shot=2, num_episodes=3,
+                                                     retrain_epochs=2, seed=1))
+    arrays = _plan_arrays(plans)
+    assert len(arrays) == 4
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_the_memo_holds_no_minibatch_orders(plans):
+    # 37 retrain epochs of 4-way 5-shot in batches of 6: orders are drawn,
+    # from each episode's stored generator state, but never kept
+    novel = _novel_set(np.random.default_rng(20))
+    spec = EpisodeSpec(n_way=4, k_shot=5, num_episodes=3, retrain_epochs=37,
+                       retrain_batch=6, seed=2)
+    run_episodes(_frozen_model(), novel, spec)
+    [plan] = plans.values()
+    assert all(len(chunk.states) == len(chunk.ids) for chunk in plan)
+    for a in _plan_arrays(plans):
+        assert spec.retrain_epochs not in a.shape
+        assert a.size <= spec.num_episodes * spec.n_way * spec.k_shot
