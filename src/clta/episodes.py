@@ -12,7 +12,7 @@ permutations are drawn only when an epoch holds more than one minibatch
 (n_way * k_shot > retrain_batch); otherwise each epoch is one full-batch step.
 
 The draws do not depend on the model, so they are planned once per (labels
-of the set in order, spec fields they read) and kept in a small memo: the
+of the set in order, spec fields they read) and the latest plan is kept: the
 per-epoch val probe of training draws its episodes on its first call only.
 A plan holds each episode's support, query and head targets, and its
 generator state after those draws; the permutations, one (retrain_epochs, n)
@@ -162,9 +162,9 @@ def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int,
     orders (E, retrain_epochs, n), or None for one step per epoch on all of X
     in row order. Returns one head whose stacked parameters view one buffer.
 
-    Every step writes into buffers made once per fit: the logits and the
-    softmax's class-first copy (one pair per minibatch row count), and one
-    flat gradient buffer whose per-field views the head's backward fills;
+    Every step writes into buffers made once per fit: the logits (one per
+    minibatch row count), which the softmax and its gradient overwrite, and
+    one flat gradient buffer whose per-field views the head's backward fills;
     the cosine head's |X| is taken once, since the support rows never change."""
     E, n, h = X.shape
     onehot = np.eye(n_way)[y]
@@ -185,10 +185,9 @@ def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int,
     for Xb, hot, *nv in batches:
         b = Xb.shape[1]
         if b not in bufs:
-            bufs[b] = np.empty((E, b, n_way)), np.empty((n_way, E, b))
-        logits, work = bufs[b]
-        logits, cos = head_forward(Xb, head, out=logits, nv=nv[0] if nv else None)
-        dlog = softmax_stable(logits, out=logits, work=work)
+            bufs[b] = np.empty((E, b, n_way))
+        logits, cos = head_forward(Xb, head, out=bufs[b], nv=nv[0] if nv else None)
+        dlog = softmax_stable(logits, out=logits)
         dlog -= hot
         dlog /= b
         head_logits_backward(Xb, head, dlog, need_dV=False, cos=cos, out=out)
@@ -261,11 +260,10 @@ class _Chunk:
                            # kept when its fit draws minibatch orders from there
 
 
-# Plans of the latest (label sequence, spec fields) keys, oldest first. The
-# per-epoch val probe calls with the same set and spec every epoch; the bound
-# keeps calls over many seeds or sets from pinning memory.
+# The plan of the latest (label sequence, spec fields) key. The per-epoch val
+# probe calls with the same set and spec every epoch; a call with another key
+# replaces it, so calls over many seeds or sets pin one plan at most.
 _PLANS: dict[tuple, tuple[_Chunk, ...]] = {}
-_PLAN_SLOTS = 4
 
 
 def _make_plan(novel_set: list[FrameSequence], spec: EpisodeSpec) -> tuple[_Chunk, ...]:
@@ -304,12 +302,10 @@ def _plan(novel_set: list[FrameSequence], spec: EpisodeSpec) -> tuple[_Chunk, ..
     spec fields they read, made on a key's first call and then reused."""
     key = (tuple(s.label for s in novel_set), spec.n_way, spec.k_shot,
            spec.num_episodes, spec.seed, spec.retrain_batch)
-    plan = _PLANS.pop(key, None)
+    plan = _PLANS.get(key)
     if plan is None:
-        plan = _make_plan(novel_set, spec)
-    _PLANS[key] = plan
-    if len(_PLANS) > _PLAN_SLOTS:
-        del _PLANS[next(iter(_PLANS))]
+        _PLANS.clear()   # before the new plan is made, so two are never held
+        plan = _PLANS[key] = _make_plan(novel_set, spec)
     return plan
 
 

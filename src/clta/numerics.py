@@ -5,13 +5,11 @@ gradient helper so the rest of the model can chain them by hand.
 """
 
 import numpy as np
-from numpy.lib.array_utils import normalize_axis_index
 
 from .errors import NumericError, ShapeError
 
 
-def softmax_stable(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None,
-                   work: np.ndarray | None = None) -> np.ndarray:
+def softmax_stable(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax with max-subtraction; safe for entries up to ~1e308.
 
     numpy reduces a short axis slowly, so the (exact) max runs over the leading
@@ -20,24 +18,20 @@ def softmax_stable(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None,
     last axis, or any other, in sequence as it does a leading one (same bits),
     but a last axis of 8 or more pairwise.
 
-    out, when given, receives the result and may be x itself; work, when
-    given, is a C-contiguous float64 array of x's shape with the softmax axis
-    first, which holds that copy instead of a new array."""
+    out, when given, receives the result and may be x itself."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ShapeError("softmax of empty input")
-    axis = normalize_axis_index(axis, x.ndim)
+    if not -x.ndim <= axis < x.ndim:
+        raise ShapeError(f"axis {axis} out of range for a {x.ndim}-d input")
+    axis %= x.ndim
     first = (axis, *range(axis), *range(axis + 1, x.ndim))   # np.moveaxis(x, axis, 0)
-    if work is None:
-        ez = np.ascontiguousarray(x.transpose(first))   # may be x itself
-    else:
-        ez = work
-        np.copyto(ez, x.transpose(first))
+    ez = np.ascontiguousarray(x.transpose(first))   # may be x itself
     top = ez.max(axis=0)
     if axis == x.ndim - 1 and x.shape[-1] >= 8:
         ez = np.exp(x - top[..., None])
         return np.divide(ez, ez.sum(axis=-1, keepdims=True), out=out)
-    ez = np.subtract(ez, top, out=work)   # x is left alone, so the rest can work in place
+    ez = ez - top           # a new array, so the rest can work in place
     np.exp(ez, out=ez)
     ez /= ez.sum(axis=0)
     back = ez.transpose(*range(1, axis + 1), 0, *range(axis + 1, x.ndim))

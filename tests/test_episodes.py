@@ -441,13 +441,18 @@ def test_a_changed_seed_or_k_shot_never_reuses_a_plan(plans):
     assert run_episodes(model, novel, spec) == _fresh(model, novel, spec)
 
 
-def test_the_memo_is_bounded(plans):
+def test_the_memo_keeps_only_the_latest_plan(plans):
     novel = _novel_set(np.random.default_rng(18))
     model = _frozen_model()
-    for seed in range(episodes._PLAN_SLOTS + 3):
-        run_episodes(model, novel, EpisodeSpec(n_way=4, num_episodes=2, retrain_epochs=1,
-                                               seed=seed))
-        assert len(plans) == min(seed + 1, episodes._PLAN_SLOTS)
+    last = None
+    for seed in (0, 1, 2, 1):
+        spec = EpisodeSpec(n_way=4, num_episodes=2, retrain_epochs=1, seed=seed)
+        run_episodes(model, novel, spec)
+        [plan] = plans.values()
+        assert plan is not last   # a new key replaces the plan held
+        run_episodes(model, novel, spec)
+        assert len(plans) == 1 and next(iter(plans.values())) is plan
+        last = plan
 
 
 def _plan_arrays(plans):

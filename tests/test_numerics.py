@@ -117,20 +117,25 @@ def test_softmax_equals_the_plain_max_formula_bit_for_bit():
 
 
 def test_softmax_into_given_buffers_is_bit_identical():
-    # out= (also x itself) and a class-first work array change where the
-    # values land, not their bits, on both sides of the short-axis switch
+    # out= (also x itself) changes where the values land, not their bits, on
+    # both sides of the short-axis switch
     rng = np.random.default_rng(9)
     for shape in ((24, 5, 5), (40, 25, 5), (3, 4, 9), (7,), (10,), (2, 3)):
         for axis in range(-len(shape), len(shape)):
             x = rng.normal(0, 30, size=shape)
             want = softmax_stable(x, axis=axis)
-            work = np.empty((shape[axis],) + tuple(np.delete(shape, axis)))
             out = np.empty(shape)
-            assert softmax_stable(x, axis=axis, out=out, work=work) is out
+            assert softmax_stable(x, axis=axis, out=out) is out
             assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
             kept = x.copy()
             assert softmax_stable(kept, axis=axis, out=kept) is kept
             assert np.array_equal(kept.view(np.uint64), want.view(np.uint64))
+
+
+def test_softmax_rejects_an_axis_out_of_range():
+    for shape, axis in (((3, 4), 2), ((3, 4), -3), ((5,), 1)):
+        with pytest.raises(ShapeError):
+            softmax_stable(np.zeros(shape), axis=axis)
 
 
 def test_sigmoid_grad_matches_finite_difference():
