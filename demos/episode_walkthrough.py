@@ -50,7 +50,7 @@ def main():
     print()
 
     print("step 4: retrain only the classifier head on the support videos")
-    head, label_order = retrain_classifier(model, support, spec, rng)
+    head, label_order = retrain_classifier(model, support, spec)
     print(f"  head classes: {label_order}")
     print("  (the attention parameters are frozen; a unit test checks they")
     print("   come back bit-identical)\n")

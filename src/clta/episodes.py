@@ -5,28 +5,24 @@ head on the support descriptors and is scored on one query per class. The
 descriptors come from padded chunks in stable length order, up to float
 summation order the same as those of the videos run one at a time.
 
-Sampling is per episode: episode i draws its classes, its support and query,
-and then one permutation per retrain epoch from SeedSequence([seed, i]), in
-that order, so its result does not depend on which other episodes run. The
-permutations are drawn only when an epoch holds more than one minibatch
-(n_way * k_shot > retrain_batch); otherwise each epoch is one full-batch step.
+Sampling is per episode: episode i draws its classes, then its support and
+query, from SeedSequence([seed, i]), so its result does not depend on which
+other episodes run. The fit draws nothing: each retrain epoch is one
+full-batch step on all support rows in row order.
 
 The draws do not depend on the model, so they are planned once per (labels
 of the set in order, spec fields they read) and the latest plan is kept: the
 per-epoch val probe of training draws its episodes on its first call only.
-A plan holds each episode's support, query and head targets, and its
-generator state after those draws; the permutations, one (retrain_epochs, n)
-array per episode, are drawn again from that state on every call rather than
-kept. The length check, the descriptors, the fit and the scoring run on
-every call.
+A plan holds each episode's support, query and head targets. The length
+check, the descriptors, the fit and the scoring run on every call.
 
 Fitting is one batched solve: every episode has the same n_way * k_shot
 support size, so the heads of a chunk of episodes are stacked and trained
-together through the heads in classifiers, one minibatch step and one Adam
+together through the heads in classifiers, one full-batch step and one Adam
 step on one flat parameter buffer at a time for all of them, in buffers made
 once per fit. The stacked softmax fit gives the same bits as fitting each
-episode on its own; the cosine fit sums its gradient over the examples of a
-minibatch in one matrix product, so its weights may differ in the last bits.
+episode on its own; the cosine fit sums its gradient over the support rows
+in one matrix product, so its weights may differ in the last bits.
 """
 
 from dataclasses import dataclass, field
@@ -52,7 +48,6 @@ class EpisodeSpec:
     k_shot: int = 1
     num_episodes: int = 600   # desk-scale default; paper-scale is 10000
     retrain_epochs: int = 100
-    retrain_batch: int = 64
     retrain_lr: float = 0.001
     seed: int = 0
     head: str = "same"        # same | softmax | cosine
@@ -64,8 +59,8 @@ class EpisodeSpec:
             raise ConfigError(f"k_shot must be >= 1, got {self.k_shot}")
         if self.head not in ("same", "softmax", "cosine"):
             raise ConfigError(f"unknown episode head {self.head!r}")
-        if min(self.num_episodes, self.retrain_batch) < 1 or self.retrain_epochs < 0:
-            raise ConfigError("num_episodes and retrain_batch must be >= 1, retrain_epochs >= 0")
+        if self.num_episodes < 1 or self.retrain_epochs < 0:
+            raise ConfigError("num_episodes must be >= 1, retrain_epochs >= 0")
         if not self.retrain_lr > 0:
             raise ConfigError(f"retrain_lr must be > 0, got {self.retrain_lr}")
 
@@ -123,11 +118,6 @@ def sample_episode(rng: np.random.Generator, novel_set: list[FrameSequence],
     return _draw_episode(rng, groups, _eligible(groups, spec), spec)
 
 
-def _draw_orders(rng: np.random.Generator, n: int, epochs: int) -> np.ndarray:
-    """(epochs, n): the same draws as one rng.permutation(n) per epoch."""
-    return rng.permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
-
-
 def _flat(head):
     """(buffer, a head of the same type whose fields view it, in field order)."""
     fields = vars(head).values()
@@ -136,36 +126,15 @@ def _flat(head):
     return buf, type(head)(*(part.reshape(p.shape) for part, p in zip(parts, fields)))
 
 
-def _gathered(rows, orders: np.ndarray, batch: int):
-    """The rows of each minibatch, of every array (E, n, ...) in rows, one
-    retrain epoch after another: each is gathered into the buffers kept for
-    its row count, which the next minibatch of that count overwrites."""
-    E, _, n = orders.shape
-    flat = [a.reshape(E * n, -1) for a in rows]
-    first = np.arange(0, E * n, n)[:, None]   # episode e's rows start at e * n
-    bufs = {}
-    for order in orders.transpose(1, 0, 2):
-        for lo in range(0, n, batch):
-            sel = (order[:, lo:lo + batch] + first).ravel()
-            b = len(sel) // E
-            if b not in bufs:
-                bufs[b] = [np.empty((E, b) + a.shape[2:]) for a in rows]
-            for a, buf in zip(flat, bufs[b]):
-                # the indices are in range; "clip" writes straight to out, "raise" buffers
-                np.take(a, sel, axis=0, out=buf.reshape(E * b, -1), mode="clip")
-            yield bufs[b]
+def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int, spec: EpisodeSpec):
+    """Train E heads at once on support X (E, n, h) with labels y (E, n): each
+    retrain epoch is one full-batch step on all n rows in row order. Returns
+    one head whose stacked parameters view one buffer.
 
-
-def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int,
-               orders: np.ndarray | None, spec: EpisodeSpec):
-    """Train E heads at once: support X (E, n, h), labels y (E, n), minibatch
-    orders (E, retrain_epochs, n), or None for one step per epoch on all of X
-    in row order. Returns one head whose stacked parameters view one buffer.
-
-    Every step writes into buffers made once per fit: the logits (one per
-    minibatch row count), which the softmax and its gradient overwrite, and
-    one flat gradient buffer whose per-field views the head's backward fills;
-    the cosine head's |X| is taken once, since the support rows never change."""
+    Every step writes into buffers made once per fit: the logits, which the
+    softmax and its gradient overwrite, and one flat gradient buffer whose
+    per-field views the head's backward fills; the cosine head's |X| is taken
+    once, since the support rows never change."""
     E, n, h = X.shape
     onehot = np.eye(n_way)[y]
     if kind == "softmax":
@@ -176,21 +145,15 @@ def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int,
                           temperature=np.full((E, 1, 1), 10.0))
     theta, head = _flat(init)   # adam_step updates theta in place
     grad, dhead = _flat(init)
-    rows = (X, onehot) if kind == "softmax" else (X, onehot, row_norms(X))
-    batches = [rows] * spec.retrain_epochs
-    if orders is not None:
-        batches = _gathered(rows, orders, spec.retrain_batch)
+    nv = row_norms(X) if kind == "cosine" else None
     params, grads, state = {"head": theta}, {"head": grad}, AdamState()
-    out, bufs = tuple(vars(dhead).values()), {}
-    for Xb, hot, *nv in batches:
-        b = Xb.shape[1]
-        if b not in bufs:
-            bufs[b] = np.empty((E, b, n_way))
-        logits, cos = head_forward(Xb, head, out=bufs[b], nv=nv[0] if nv else None)
+    out, buf = tuple(vars(dhead).values()), np.empty((E, n, n_way))
+    for _ in range(spec.retrain_epochs):
+        logits, cos = head_forward(X, head, out=buf, nv=nv)
         dlog = softmax_stable(logits, out=logits)
-        dlog -= hot
-        dlog /= b
-        head_logits_backward(Xb, head, dlog, need_dV=False, cos=cos, out=out)
+        dlog -= onehot
+        dlog /= n
+        head_logits_backward(X, head, dlog, need_dV=False, cos=cos, out=out)
         adam_step(params, grads, state, spec.retrain_lr)
     return head
 
@@ -216,32 +179,28 @@ def _check_lengths(frozen_model: Model, videos: list[FrameSequence]) -> None:
 
 
 def retrain_classifier(frozen_model: Model, support: list[FrameSequence],
-                       spec: EpisodeSpec, rng: np.random.Generator | None = None):
+                       spec: EpisodeSpec):
     """Train a fresh n-way head on support descriptors; attention untouched.
 
     Returns (head, label_order) where label_order maps head index -> label.
-    Draws spec.retrain_epochs permutations from rng (default: seeded with
-    spec.seed) if len(support) > spec.retrain_batch, and nothing otherwise.
-    Every support video needs a label, and they need at least two classes.
+    Every support video needs a label, and the support needs spec.n_way
+    classes with spec.k_shot videos each. Each retrain epoch is one
+    full-batch step on the support rows in their order; nothing is drawn.
     """
     if not support:
         raise ConfigError("empty support set")
     _check_lengths(frozen_model, support)
     groups = _by_class(support)
-    if len(groups) < 2:
-        raise SamplingError(f"support set has one class, {next(iter(groups))!r}; "
-                            f"a head needs at least 2")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    counts = {c: len(idxs) for c, idxs in groups.items()}
+    if len(groups) != spec.n_way or set(counts.values()) != {spec.k_shot}:
+        raise SamplingError(f"support set has {len(groups)} classes, videos per class {counts}; "
+                            f"spec needs n_way={spec.n_way} classes of k_shot={spec.k_shot}")
     labels = sorted(groups)
     lab2idx = {c: i for i, c in enumerate(labels)}
     X = _descriptors(frozen_model, support)
     y = np.array([lab2idx[s.label] for s in support])
-    orders = None
-    if len(support) > spec.retrain_batch:
-        orders = _draw_orders(rng, len(support), spec.retrain_epochs)[None]
     kind = _head_kind(frozen_model, spec)
-    head = _fit_heads(kind, X[None], y[None], len(labels), orders, spec)
+    head = _fit_heads(kind, X[None], y[None], len(labels), spec)
     if kind == "softmax":
         return SoftmaxHead(W=head.W[0], bias=head.bias[0, 0]), labels
     return CosineHead(W_proto=head.W_proto[0], temperature=float(head.temperature[0, 0, 0])), labels
@@ -256,8 +215,6 @@ class _Chunk:
     y: np.ndarray          # (E, n_way * k_shot) head class of each support video
     truth: np.ndarray      # (E, n_way) head class of each query
     labels: tuple          # each episode's query labels
-    states: tuple | None   # each episode's generator state after its draws,
-                           # kept when its fit draws minibatch orders from there
 
 
 # The plan of the latest (label sequence, spec fields) key. The per-epoch val
@@ -274,26 +231,21 @@ def _make_plan(novel_set: list[FrameSequence], spec: EpisodeSpec) -> tuple[_Chun
     code = {c: k for k, c in enumerate(sorted(groups))}
     codes = np.array([code[s.label] for s in novel_set])
     n = spec.n_way * spec.k_shot
-    minibatched = n > spec.retrain_batch
     chunks = []
     for lo in range(0, spec.num_episodes, _CHUNK):
         ids = range(lo, min(lo + _CHUNK, spec.num_episodes))
         support = np.empty((len(ids), n), dtype=np.intp)
         query = np.empty((len(ids), spec.n_way), dtype=np.intp)
-        states = []
         for e, i in enumerate(ids):
             rng = np.random.default_rng(np.random.SeedSequence([spec.seed, i]))
             support[e], query[e] = _draw_episode(rng, groups, eligible, spec)
-            if minibatched:
-                states.append(rng.bit_generator.state)
         qcodes = codes[query][:, None, :]
         y = (qcodes < codes[support][..., None]).sum(axis=-1)
         truth = (qcodes < codes[query][..., None]).sum(axis=-1)
         for a in (support, query, y, truth):
             a.flags.writeable = False
         labels = tuple(tuple(novel_set[j].label for j in q) for q in query.tolist())
-        chunks.append(_Chunk(ids, support, query, y, truth, labels,
-                             tuple(states) if minibatched else None))
+        chunks.append(_Chunk(ids, support, query, y, truth, labels))
     return tuple(chunks)
 
 
@@ -301,24 +253,12 @@ def _plan(novel_set: list[FrameSequence], spec: EpisodeSpec) -> tuple[_Chunk, ..
     """The episodes' draws: a pure function of the labels in set order and the
     spec fields they read, made on a key's first call and then reused."""
     key = (tuple(s.label for s in novel_set), spec.n_way, spec.k_shot,
-           spec.num_episodes, spec.seed, spec.retrain_batch)
+           spec.num_episodes, spec.seed)
     plan = _PLANS.get(key)
     if plan is None:
         _PLANS.clear()   # before the new plan is made, so two are never held
         plan = _PLANS[key] = _make_plan(novel_set, spec)
     return plan
-
-
-def _orders(chunk: _Chunk, spec: EpisodeSpec) -> np.ndarray:
-    """(E, retrain_epochs, n) minibatch orders, each episode's drawn from its
-    stored state: the draws that would follow its sampling on its own stream."""
-    n = spec.n_way * spec.k_shot
-    orders = np.empty((len(chunk.ids), spec.retrain_epochs, n), dtype=np.intp)
-    rng = np.random.default_rng(0)   # its state is replaced before every draw
-    for e, state in enumerate(chunk.states):
-        rng.bit_generator.state = state
-        orders[e] = _draw_orders(rng, n, spec.retrain_epochs)
-    return orders
 
 
 def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
@@ -330,8 +270,7 @@ def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
     kind = _head_kind(frozen_model, spec)
     results = []
     for chunk in plan:
-        orders = None if chunk.states is None else _orders(chunk, spec)
-        head = _fit_heads(kind, desc[chunk.support], chunk.y, spec.n_way, orders, spec)
+        head = _fit_heads(kind, desc[chunk.support], chunk.y, spec.n_way, spec)
         correct = head_forward(desc[chunk.query], head)[0].argmax(axis=-1) == chunk.truth
         for i, labels, ok in zip(chunk.ids, chunk.labels, correct.tolist()):
             results.append(EpisodeResult(accuracy=sum(ok) / spec.n_way,

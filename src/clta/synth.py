@@ -57,6 +57,10 @@ class SynthConfig:
             raise ConfigError(f"t_max {self.t_max} < t_min {self.t_min}")
         if self.num_classes < 3:
             raise ConfigError("need at least 3 classes (one per split)")
+        if self.d < 1:
+            raise ConfigError(f"feature dimension d must be >= 1, got {self.d}")
+        if not self.noise_std >= 0:
+            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
         n_train, n_val, n_test = self.split_counts()
         if min(n_train, n_val, n_test) < 0 or n_train + n_val + n_test != self.num_classes:
             raise ConfigError("split fractions do not partition the classes")

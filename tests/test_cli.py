@@ -279,6 +279,15 @@ def test_usage_errors_exit_1(capsys):
     assert exc.value.code == 1
 
 
+def test_gen_rejects_bad_sizes_exit_2(tmp_path, capsys):
+    # a bad size is a usage error with a message, not a numpy traceback
+    for flag, value in (("--dim", "-3"), ("--noise", "-1")):
+        rc = cli_dispatch(["gen", "--out", str(tmp_path / "d"), flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "d").exists()
+
+
 def test_missing_data_file_exit_2(tmp_path, capsys):
     rc = cli_dispatch(["eval", "--data", str(tmp_path / "none.csv"),
                        "--checkpoint", str(tmp_path / "none.ckpt")])

@@ -43,11 +43,10 @@ def test_spec_validation():
         EpisodeSpec(head="nope")
     # counts that would give nan accuracy or a raw numpy/range error
     for bad in (dict(num_episodes=0), dict(num_episodes=-2), dict(retrain_epochs=-1),
-                dict(retrain_batch=0), dict(retrain_lr=0.0), dict(retrain_lr=-1e-3),
-                dict(retrain_lr=float("nan"))):
+                dict(retrain_lr=0.0), dict(retrain_lr=-1e-3), dict(retrain_lr=float("nan"))):
         with pytest.raises(ConfigError):
             EpisodeSpec(**bad)
-    EpisodeSpec(num_episodes=1, retrain_epochs=0, retrain_batch=1, retrain_lr=1e-9)
+    EpisodeSpec(num_episodes=1, retrain_epochs=0, retrain_lr=1e-9)
 
 
 def test_sample_episode_structure():
@@ -150,6 +149,21 @@ def test_retrain_classifier_rejects_a_one_class_support_set():
         retrain_classifier(_frozen_model(), support, EpisodeSpec(n_way=2, retrain_epochs=2))
 
 
+def test_retrain_classifier_checks_the_support_against_the_spec():
+    # a lone fit takes the episode shape run_episodes fits: n_way classes of k_shot
+    novel = _novel_set(np.random.default_rng(12), n_classes=3)
+    support = [s for s in novel if s.video_id.endswith(("_v0", "_v1"))]
+    model = _frozen_model()
+    with pytest.raises(SamplingError, match="3 classes.*n_way=5 classes of k_shot=1"):
+        retrain_classifier(model, support, EpisodeSpec(n_way=5, k_shot=1, retrain_epochs=2))
+    # the right class count, with one class a video short
+    with pytest.raises(SamplingError, match="'c2': 1.*n_way=3 classes of k_shot=2"):
+        retrain_classifier(model, support[:-1], EpisodeSpec(n_way=3, k_shot=2, retrain_epochs=2))
+    head, labels = retrain_classifier(model, support, EpisodeSpec(n_way=3, k_shot=2,
+                                                                  retrain_epochs=2))
+    assert labels == ["c0", "c1", "c2"] and head.W.shape == (8, 3)
+
+
 def test_retrain_classifier_names_an_overlong_video():
     novel = _novel_set(np.random.default_rng(12), n_classes=3)
     support = [novel[0], novel[6],
@@ -181,7 +195,7 @@ def _episode_by_hand(model, novel, spec, i):
     """Episode i sampled and fitted on its own, as one retrain_classifier call."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, i]))
     support, query = sample_episode(rng, novel, spec)
-    head, labels = retrain_classifier(model, [novel[j] for j in support], spec, rng)
+    head, labels = retrain_classifier(model, [novel[j] for j in support], spec)
     logits = cosine_logits if isinstance(head, CosineHead) else softmax_logits
     return {novel[j].label: predict(logits(descriptor(model, novel[j].features), head))
             == labels.index(novel[j].label) for j in query}
@@ -189,17 +203,18 @@ def _episode_by_hand(model, novel, spec, i):
 
 def test_run_episodes_matches_one_episode_runs():
     # episode i depends only on SeedSequence([seed, i]), never on the others;
-    # 4-way 5-shot in batches of 6 takes three full minibatches and one of 2
+    # 5-way 13-shot fits 65 support rows in each full-batch step
     rng = np.random.default_rng(5)
     novel = _novel_set(rng)
+    large = _novel_set(rng, n_classes=6, per_class=14)
     model = _frozen_model(kind="clta")
     for head in ("softmax", "cosine"):
-        for k_shot, retrain_batch in ((1, 64), (5, 64), (5, 6)):
-            spec = EpisodeSpec(n_way=4, k_shot=k_shot, num_episodes=6, retrain_epochs=10,
-                               retrain_batch=retrain_batch, seed=9, head=head)
-            summary = run_episodes(model, novel, spec)
+        for n_way, k_shot, videos in ((4, 1, novel), (4, 5, novel), (5, 13, large)):
+            spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, num_episodes=6, retrain_epochs=10,
+                               seed=9, head=head)
+            summary = run_episodes(model, videos, spec)
             for i, result in enumerate(summary.results):
-                per_class = _episode_by_hand(model, novel, spec, i)
+                per_class = _episode_by_hand(model, videos, spec, i)
                 assert result.episode_seed == i
                 assert result.per_class == per_class
                 assert result.accuracy == sum(per_class.values()) / spec.n_way
@@ -218,49 +233,46 @@ def test_run_episodes_spanning_chunks_match_one_episode_runs(head):
         assert result.per_class == _episode_by_hand(model, novel, spec, i)
 
 
-def _reference_fit(grad_fn, params, orders, batch, lr):
-    """Minibatch Adam in plain numpy; grad_fn(params, sel) gives the grads."""
+def _reference_fit(grad_fn, params, epochs, lr):
+    """Full-batch Adam in plain numpy, one step per epoch; grad_fn(params)
+    gives the grads over all rows."""
     moments = {k: (np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
-    step = 0
-    for order in orders:
-        for start in range(0, len(order), batch):
-            grads = grad_fn(params, order[start:start + batch])
-            step += 1
-            for k, p in params.items():
-                m, v = moments[k]
-                m[...] = 0.9 * m + (1 - 0.9) * grads[k]
-                v[...] = 0.999 * v + (1 - 0.999) * grads[k] * grads[k]
-                p -= lr * (m / (1 - 0.9 ** step)) / (np.sqrt(v / (1 - 0.999 ** step)) + 1e-8)
+    for step in range(1, epochs + 1):
+        grads = grad_fn(params)
+        for k, p in params.items():
+            m, v = moments[k]
+            m[...] = 0.9 * m + (1 - 0.9) * grads[k]
+            v[...] = 0.999 * v + (1 - 0.999) * grads[k] * grads[k]
+            p -= lr * (m / (1 - 0.9 ** step)) / (np.sqrt(v / (1 - 0.999 ** step)) + 1e-8)
     return params
 
 
-def _reference_softmax_fit(X, y, n_way, orders, batch, lr):
+def _reference_softmax_fit(X, y, n_way, epochs, lr):
     """The episode softmax head, fitted in plain numpy."""
     onehot = np.eye(n_way)[y]
 
-    def grads(params, sel):
-        Xb, hot = X[sel], onehot[sel]
-        z = Xb @ params["W"] + params["b"]
+    def grads(params):
+        z = X @ params["W"] + params["b"]
         z = np.exp(z - z.max(axis=1, keepdims=True))
-        d = (z / z.sum(axis=1, keepdims=True) - hot) / len(sel)
-        return {"W": Xb.T @ d, "b": d.sum(axis=0)}
+        d = (z / z.sum(axis=1, keepdims=True) - onehot) / len(X)
+        return {"W": X.T @ d, "b": d.sum(axis=0)}
 
     params = {"W": np.zeros((X.shape[1], n_way)), "b": np.zeros(n_way)}
-    return _reference_fit(grads, params, orders, batch, lr)
+    return _reference_fit(grads, params, epochs, lr)
 
 
-def _reference_cosine_fit(X, y, n_way, orders, batch, lr):
+def _reference_cosine_fit(X, y, n_way, epochs, lr):
     """The episode cosine head, fitted one example at a time in plain numpy."""
-    def grads(params, sel):
+    def grads(params):
         P, t = params["proto"], params["temp"][0]
         gP, gt = np.zeros_like(P), 0.0
-        for i in sel:
+        for i in range(len(X)):
             nv, nw = np.linalg.norm(X[i]), np.linalg.norm(P, axis=1)
             s = P @ X[i] / (nw * nv)
             z = np.exp(t * s - np.max(t * s))
             d = z / z.sum()
             d[y[i]] -= 1.0
-            d /= len(sel)
+            d /= len(X)
             gP += ((t * d / nw)[:, None] * X[i] / nv
                    - (t * d * s / nw ** 2)[:, None] * P)
             gt += d @ s
@@ -268,36 +280,25 @@ def _reference_cosine_fit(X, y, n_way, orders, batch, lr):
 
     params = {"proto": np.stack([X[y == c].mean(axis=0) for c in range(n_way)]),
               "temp": np.array([10.0])}
-    return _reference_fit(grads, params, orders, batch, lr)
+    return _reference_fit(grads, params, epochs, lr)
 
 
 @pytest.mark.parametrize("head", ["softmax", "cosine"])
-@pytest.mark.parametrize("retrain_batch", [64, 6])
-def test_stacked_fit_matches_a_plain_fit(head, retrain_batch):
-    # softmax: bit for bit; cosine sums each minibatch in a matrix product,
-    # so its weights may move by float64 rounding: 1e-12 is ~4500 ulps at 1.
-    # When the 20 support rows fit one minibatch (64), the fit takes no
-    # orders and steps on the rows in row order: the plain fit with identity
-    # orders, and with shuffled orders up to float summation order. There
-    # the softmax bias gradient is exactly 0 at the zero start, and Adam
-    # scales its rounding (~20 ulps of 0.0375, 1.7e-16) by lr / eps: up to
-    # 1.7e-10 a step, 2e-9 over 12 epochs; the cosine fit has no such zero
+@pytest.mark.parametrize("n_way,k_shot", [(4, 5), (5, 13)])
+def test_stacked_fit_matches_a_plain_fit(head, n_way, k_shot):
+    # softmax: bit for bit; cosine sums the rows in a matrix product, so its
+    # weights may move by float64 rounding: 1e-12 is ~4500 ulps at 1.
+    # 5-way 13-shot steps on all 65 support rows at once, as 4-way 5-shot on 20
     rng = np.random.default_rng(10)
-    E, n_way, k_shot, h, epochs = 5, 4, 5, 16, 12
+    E, h, epochs = 5, 16, 12
     X = rng.normal(size=(E, n_way * k_shot, h))
     y = np.stack([rng.permutation(np.repeat(np.arange(n_way), k_shot)) for _ in range(E)])
-    orders = np.stack([[rng.permutation(n_way * k_shot) for _ in range(epochs)]
-                       for _ in range(E)])
-    spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, retrain_epochs=epochs,
-                       retrain_batch=retrain_batch, retrain_lr=0.01)
-    full = n_way * k_shot <= retrain_batch
-    stacked = episodes._fit_heads(head, X, y, n_way, None if full else orders, spec)
+    spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, retrain_epochs=epochs, retrain_lr=0.01)
+    stacked = episodes._fit_heads(head, X, y, n_way, spec)
     assert isinstance(stacked, SoftmaxHead if head == "softmax" else CosineHead)
     reference = _reference_softmax_fit if head == "softmax" else _reference_cosine_fit
-    identity = np.tile(np.arange(n_way * k_shot), (epochs, 1))
     for e in range(E):
-        want = reference(X[e], y[e], n_way, identity if full else orders[e], retrain_batch, 0.01)
-        shuffled = reference(X[e], y[e], n_way, orders[e], retrain_batch, 0.01)
+        want = reference(X[e], y[e], n_way, epochs, 0.01)
         # each stacked parameter carries a broadcast axis for the rows
         for got, k in zip(vars(stacked).values(), want):
             got = got[e].reshape(want[k].shape)
@@ -305,42 +306,31 @@ def test_stacked_fit_matches_a_plain_fit(head, retrain_batch):
                 assert got.tobytes() == want[k].tobytes()
             else:
                 assert np.allclose(got, want[k], rtol=0, atol=1e-12)
-            assert np.allclose(got, shuffled[k], rtol=0,
-                               atol=2e-9 if head == "softmax" else 1e-12)
 
 
 @pytest.mark.parametrize("head", ["softmax", "cosine"])
-@pytest.mark.parametrize("retrain_batch", [64, 4])
-def test_fit_heads_raises_on_a_non_finite_descriptor(head, retrain_batch):
+def test_fit_heads_raises_on_a_non_finite_descriptor(head):
     # the per-step gradient check, through the buffers of a whole fit
     rng = np.random.default_rng(13)
     E, n_way, k_shot, h, epochs = 3, 3, 3, 8, 4
     X = rng.normal(size=(E, n_way * k_shot, h))
     X[1, 5, 2] = np.nan
     y = np.stack([rng.permutation(np.repeat(np.arange(n_way), k_shot)) for _ in range(E)])
-    orders = None
-    if n_way * k_shot > retrain_batch:
-        orders = np.stack([[rng.permutation(n_way * k_shot) for _ in range(epochs)]
-                           for _ in range(E)])
-    spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, retrain_epochs=epochs,
-                       retrain_batch=retrain_batch)
+    spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, retrain_epochs=epochs)
     with pytest.raises(TrainingError):
-        episodes._fit_heads(head, X, y, n_way, orders, spec)
+        episodes._fit_heads(head, X, y, n_way, spec)
 
 
 def test_retrain_classifier_is_bit_identical_to_a_plain_fit():
-    # the permutations come from the caller's rng, one per retrain epoch
-    rng = np.random.default_rng(11)
-    novel = _novel_set(rng)
+    # 5-way 13-shot: 65 support rows, one full-batch step per retrain epoch
+    novel = _novel_set(np.random.default_rng(11), n_classes=5, per_class=14)
     model = _frozen_model(kind="clta")
-    support = [s for s in novel if s.label in ("c1", "c2", "c3")][:15]
-    spec = EpisodeSpec(n_way=3, retrain_epochs=7, retrain_batch=4)
-    head, labels = retrain_classifier(model, support, spec, np.random.default_rng(3))
-    plain = np.random.default_rng(3)
-    orders = [plain.permutation(len(support)) for _ in range(spec.retrain_epochs)]
+    support = [s for s in novel if not s.video_id.endswith("_v13")]
+    spec = EpisodeSpec(n_way=5, k_shot=13, retrain_epochs=7)
+    head, labels = retrain_classifier(model, support, spec)
     X = episodes._descriptors(model, support)
     y = np.array([labels.index(s.label) for s in support])
-    want = _reference_softmax_fit(X, y, 3, orders, 4, spec.retrain_lr)
+    want = _reference_softmax_fit(X, y, 5, spec.retrain_epochs, spec.retrain_lr)
     assert head.W.tobytes() == want["W"].tobytes()
     assert head.bias.tobytes() == want["b"].tobytes()
 
@@ -384,29 +374,19 @@ def _fresh(model, novel, spec):
 
 @pytest.mark.parametrize("head", ["softmax", "cosine"])
 def test_a_memo_hit_gives_the_results_of_the_first_call(plans, head):
-    novel = _novel_set(np.random.default_rng(14))
+    rng = np.random.default_rng(14)
     model = _frozen_model(kind="clta")
-    spec = EpisodeSpec(n_way=4, k_shot=2, num_episodes=episodes._CHUNK + 3,
-                       retrain_epochs=4, seed=2, head=head)
-    first = run_episodes(model, novel, spec)
-    assert len(plans) == 1
-    second = run_episodes(model, novel, spec)
-    assert len(plans) == 1
-    assert second == first
-
-
-def test_memo_hits_with_minibatches_match_one_episode_runs(plans):
-    # 4-way 5-shot in batches of 6: the fit draws its orders on every call
-    novel = _novel_set(np.random.default_rng(15))
-    model = _frozen_model(kind="clta")
-    for head in ("softmax", "cosine"):
-        spec = EpisodeSpec(n_way=4, k_shot=5, num_episodes=5, retrain_epochs=6,
-                           retrain_batch=6, seed=3, head=head)
-        for _ in range(3):
-            summary = run_episodes(model, novel, spec)
-            for i, result in enumerate(summary.results):
-                assert result.per_class == _episode_by_hand(model, novel, spec, i)
-    assert len(plans) == 1   # the head is not part of the draws
+    # episodes spanning two chunks, and 5-way 13-shot on 65 support rows
+    for novel, n_way, k_shot, num_episodes in (
+            (_novel_set(rng), 4, 2, episodes._CHUNK + 3),
+            (_novel_set(rng, n_classes=6, per_class=14), 5, 13, 4)):
+        spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, num_episodes=num_episodes,
+                           retrain_epochs=4, seed=2, head=head)
+        first = run_episodes(model, novel, spec)
+        assert len(plans) == 1
+        second = run_episodes(model, novel, spec)
+        assert len(plans) == 1
+        assert second == first
 
 
 def test_a_set_with_the_same_labels_scores_its_own_descriptors(plans):
@@ -470,17 +450,3 @@ def test_cached_plan_arrays_are_read_only(plans):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0
-
-
-def test_the_memo_holds_no_minibatch_orders(plans):
-    # 37 retrain epochs of 4-way 5-shot in batches of 6: orders are drawn,
-    # from each episode's stored generator state, but never kept
-    novel = _novel_set(np.random.default_rng(20))
-    spec = EpisodeSpec(n_way=4, k_shot=5, num_episodes=3, retrain_epochs=37,
-                       retrain_batch=6, seed=2)
-    run_episodes(_frozen_model(), novel, spec)
-    [plan] = plans.values()
-    assert all(len(chunk.states) == len(chunk.ids) for chunk in plan)
-    for a in _plan_arrays(plans):
-        assert spec.retrain_epochs not in a.shape
-        assert a.size <= spec.num_episodes * spec.n_way * spec.k_shot

@@ -25,6 +25,13 @@ def test_config_validation():
         SynthConfig(num_classes=2)
 
 
+def test_config_rejects_bad_sizes():
+    for bad in (dict(d=0), dict(d=-3), dict(noise_std=-1.0), dict(noise_std=float("nan"))):
+        with pytest.raises(ConfigError):
+            SynthConfig(**bad)
+    SynthConfig(d=1, noise_std=0.0)
+
+
 def test_generation_is_deterministic():
     a = generate(_small_cfg())
     b = generate(_small_cfg())
