@@ -309,12 +309,15 @@ def test_stacked_fit_matches_a_plain_fit(head, n_way, k_shot):
 
 
 @pytest.mark.parametrize("head", ["softmax", "cosine"])
-def test_fit_heads_raises_on_a_non_finite_descriptor(head):
-    # the per-step gradient check, through the buffers of a whole fit
+@pytest.mark.parametrize("rows", [64, 4])
+def test_fit_heads_raises_on_a_non_finite_descriptor(head, rows):
+    # the per-step gradient check, through the buffers of a whole fit; the
+    # nan sits in the last support row of one episode, on 1-shot and 16-shot
     rng = np.random.default_rng(13)
-    E, n_way, k_shot, h, epochs = 3, 3, 3, 8, 4
-    X = rng.normal(size=(E, n_way * k_shot, h))
-    X[1, 5, 2] = np.nan
+    E, n_way, h, epochs = 3, 4, 8, 4
+    k_shot = rows // n_way
+    X = rng.normal(size=(E, rows, h))
+    X[1, rows - 1, 2] = np.nan
     y = np.stack([rng.permutation(np.repeat(np.arange(n_way), k_shot)) for _ in range(E)])
     spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, retrain_epochs=epochs)
     with pytest.raises(TrainingError):
