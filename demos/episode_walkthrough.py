@@ -9,8 +9,7 @@ head on k labelled videos per class, then score one query per class.
 
 import numpy as np
 
-from clta.classifiers import predict
-from clta.episodes import EpisodeSpec, retrain_classifier, sample_episode
+from clta.episodes import EpisodeSpec, retrain_classifier
 from clta.model import Model, ModelConfig, descriptor
 from clta.synth import SynthConfig, generate
 from clta.trainer import TrainConfig, train
@@ -41,9 +40,15 @@ def main():
           f"{novel_classes}\n")
 
     spec = EpisodeSpec(n_way=2, k_shot=3, seed=7)
-    rng = np.random.default_rng(7)
-    support_idx, query_idx = sample_episode(rng, novel, spec)
-    support = [novel[i] for i in support_idx]
+    # as the harness draws episode i from SeedSequence([seed, i]): n classes,
+    # then k support videos and one query from each
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0]))
+    support, queries = [], []
+    for c in rng.choice(novel_classes, size=spec.n_way, replace=False):
+        members = [s for s in novel if s.label == c]
+        *shots, query = rng.choice(len(members), size=spec.k_shot + 1, replace=False)
+        support += [members[i] for i in shots]
+        queries.append(members[query])
     print(f"step 3: sample an episode: {spec.n_way}-way {spec.k_shot}-shot")
     for s in support:
         print(f"  support: {s.video_id} (T = {s.T})")
@@ -57,14 +62,13 @@ def main():
 
     print("step 5: classify the query videos")
     correct = 0
-    for i in query_idx:
-        seq = novel[i]
+    for seq in queries:
         logits = head.W.T @ descriptor(model, seq.features) + head.bias
-        got = label_order[predict(logits)]
+        got = label_order[np.argmax(logits)]
         mark = "ok" if got == seq.label else "WRONG"
         correct += got == seq.label
         print(f"  query {seq.video_id}: predicted {got} ({mark})")
-    print(f"\nepisode accuracy: {correct}/{len(query_idx)}")
+    print(f"\nepisode accuracy: {correct}/{len(queries)}")
     print("The harness repeats this hundreds of times with per-episode seeds")
     print("and reports the mean accuracy with a 95% confidence interval.")
 

@@ -108,11 +108,3 @@ def head_logits_backward(V, head, dlogits, need_dV: bool = True, cos=None, out=N
     if isinstance(head, SoftmaxHead):
         return softmax_logits_backward(V, head, dlogits, need_dV, out)
     return cosine_logits_backward(V, head, dlogits, need_dV, cos, out)
-
-
-def predict(logits: np.ndarray) -> int:
-    """Argmax class; ties broken toward the lowest index."""
-    logits = np.asarray(logits)
-    if logits.size == 0:
-        raise ShapeError("predict on empty logits")
-    return int(np.argmax(logits))

@@ -124,7 +124,10 @@ def _build_parser():
 def _config_defaults(path, flags) -> dict:
     """Read a --config key=value file into defaults for the flags given."""
     defaults = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):

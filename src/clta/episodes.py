@@ -40,6 +40,8 @@ from .trainer import AdamState, adam_step
 # Episodes fitted together. Each costs about 90 KB while its chunk is fitted
 # (5-way 5-shot, h=64, 100 retrain epochs); past 64 a chunk is no faster.
 _CHUNK = 64
+# Adam's learning rate for every episode head fit.
+RETRAIN_LR = 1e-3
 
 
 @dataclass
@@ -48,7 +50,6 @@ class EpisodeSpec:
     k_shot: int = 1
     num_episodes: int = 600   # desk-scale default; paper-scale is 10000
     retrain_epochs: int = 100
-    retrain_lr: float = 0.001
     seed: int = 0
     head: str = "same"        # same | softmax | cosine
 
@@ -61,8 +62,6 @@ class EpisodeSpec:
             raise ConfigError(f"unknown episode head {self.head!r}")
         if self.num_episodes < 1 or self.retrain_epochs < 0:
             raise ConfigError("num_episodes must be >= 1, retrain_epochs >= 0")
-        if not self.retrain_lr > 0:
-            raise ConfigError(f"retrain_lr must be > 0, got {self.retrain_lr}")
 
 
 @dataclass
@@ -90,6 +89,8 @@ def _by_class(novel_set: list[FrameSequence]) -> dict[str, list[int]]:
 
 def _eligible(groups: dict[str, list[int]], spec: EpisodeSpec) -> list[str]:
     """Sorted classes with enough videos for k support plus one query."""
+    if len(groups) < spec.n_way:
+        raise SamplingError(f"need {spec.n_way} classes, the set has only {len(groups)}")
     eligible = sorted(c for c, idxs in groups.items() if len(idxs) >= spec.k_shot + 1)
     if len(eligible) < spec.n_way:
         short = sorted(set(groups) - set(eligible))
@@ -109,13 +110,6 @@ def _draw_episode(rng, groups, eligible, spec):
         support.extend(members[i] for i in picked[:-1])
         query.append(members[picked[-1]])
     return support, query
-
-
-def sample_episode(rng: np.random.Generator, novel_set: list[FrameSequence],
-                   spec: EpisodeSpec):
-    """Sample disjoint support/query index lists: k per class + 1 query each."""
-    groups = _by_class(novel_set)
-    return _draw_episode(rng, groups, _eligible(groups, spec), spec)
 
 
 def _flat(head):
@@ -154,7 +148,7 @@ def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int, spec: Episod
         dlog -= onehot
         dlog /= n
         head_logits_backward(X, head, dlog, need_dV=False, cos=cos, out=out)
-        adam_step(params, grads, state, spec.retrain_lr)
+        adam_step(params, grads, state, RETRAIN_LR)
     return head
 
 

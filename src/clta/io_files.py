@@ -64,8 +64,9 @@ def write_manifest(path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def read_manifest(path, check_files: bool = True) -> list[dict]:
-    """Parse and validate a manifest; paths are relative to the manifest."""
+def read_manifest(path) -> list[dict]:
+    """Parse and validate a manifest; paths are relative to the manifest, and
+    every feature file they name must exist."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -82,7 +83,7 @@ def read_manifest(path, check_files: bool = True) -> list[dict]:
         if row["split"] not in ("train", "val", "test"):
             raise FormatError(f"{path}: unknown split {row['split']!r} for {vid!r}")
         split_labels.setdefault(row["split"], set()).add(row["label"])
-        if check_files and not (path.parent / row["path"]).exists():
+        if not (path.parent / row["path"]).exists():
             raise FormatError(f"{path}: missing feature file {row['path']!r}")
     names = sorted(split_labels)
     for i, a in enumerate(names):

@@ -23,6 +23,11 @@ from .numerics import cross_entropy
 
 log = logging.getLogger(__name__)
 
+# The learning rate is multiplied by this every decay_every epochs.
+DECAY_FACTOR = 0.5
+# Adam's moment decay rates and denominator guard.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -33,9 +38,6 @@ class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     work: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
@@ -43,7 +45,6 @@ class AdamState:
 class TrainConfig:
     lr0: float = 1e-3
     decay_every: int = 5
-    decay_factor: float = 0.5
     batch_size: int = 128
     epochs: int = 20
     dropout_rate: float = 0.9
@@ -54,8 +55,6 @@ class TrainConfig:
             raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if not 0.0 < self.decay_factor <= 1.0:
-            raise ConfigError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
         if self.decay_every < 1 or self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("decay_every/batch_size must be >= 1, epochs >= 0")
 
@@ -66,7 +65,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     if lr <= 0:
         raise ConfigError(f"lr must be > 0, got {lr}")
     state.step += 1
-    bc1, bc2 = 1.0 - state.beta1 ** state.step, 1.0 - state.beta2 ** state.step
+    bc1, bc2 = 1.0 - _BETA1 ** state.step, 1.0 - _BETA2 ** state.step
     for name, p in params.items():
         g = grads[name]
         if not np.isfinite(g).all():
@@ -77,24 +76,25 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             state.work[name] = np.empty_like(p), np.empty_like(p)
         m, v = state.m[name], state.v[name]
         step, den = state.work[name]
-        m *= state.beta1
-        m += np.multiply(1 - state.beta1, g, out=step)
-        v *= state.beta2
-        np.multiply(1 - state.beta2, g, out=step)
+        m *= _BETA1
+        m += np.multiply(1 - _BETA1, g, out=step)
+        v *= _BETA2
+        np.multiply(1 - _BETA2, g, out=step)
         v += np.multiply(step, g, out=step)
         np.divide(m, bc1, out=step)
         step *= lr
         np.sqrt(np.divide(v, bc2, out=den), out=den)
-        den += state.eps
+        den += _EPS
         step /= den
         p -= step
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
-    """Step decay: lr0 * decay_factor ** floor(epoch / decay_every)."""
+    """Step decay, halving every decay_every epochs:
+    lr0 * DECAY_FACTOR ** floor(epoch / decay_every)."""
     if epoch < 0:
         raise ConfigError(f"epoch must be >= 0, got {epoch}")
-    return cfg.lr0 * cfg.decay_factor ** (epoch // cfg.decay_every)
+    return cfg.lr0 * DECAY_FACTOR ** (epoch // cfg.decay_every)
 
 
 def evaluate(model: Model, examples) -> tuple[float, float]:
@@ -113,8 +113,8 @@ def evaluate(model: Model, examples) -> tuple[float, float]:
 
 @dataclass
 class EpochRecord:
-    """One epoch's log. train_loss is the mean over minibatches of their mean
-    loss, and train_acc the share of training videos whose logits put their
+    """One epoch's log. train_loss is the mean loss over the training videos,
+    each counted once, and train_acc the share of them whose logits put their
     target first, both from the gradient pass's own training-mode forward."""
     epoch: int
     lr: float
@@ -150,22 +150,21 @@ def train(model: Model, train_set, cfg: TrainConfig, val_metric=None) -> list[Ep
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
         order = shuffle_rng.permutation(len(train_set))
-        epoch_loss, nb, correct = 0.0, 0, 0
+        epoch_loss, correct = 0.0, 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[start:start + cfg.batch_size]]
             batch_loss, grads, batch_correct = loss_and_grads(
                 model, batch, train=True, rng=rng, with_correct=True)
             adam_step(model.params, grads, state, lr)
-            epoch_loss += batch_loss
+            epoch_loss += batch_loss * len(batch)
             correct += batch_correct
-            nb += 1
-        train_acc = correct / len(train_set)
         val_acc = None if val_metric is None else val_metric(model)
         if val_acc is not None and val_acc > best_val:
             best_val = val_acc
             best = ({k: v.copy() for k, v in model.params.items()},
                     model.bn_mean.copy(), model.bn_var.copy())
-        records.append(EpochRecord(epoch, lr, epoch_loss / max(nb, 1), train_acc, val_acc))
+        records.append(EpochRecord(epoch, lr, epoch_loss / len(train_set),
+                                   correct / len(train_set), val_acc))
 
     if best is not None:
         model.params, model.bn_mean, model.bn_var = best

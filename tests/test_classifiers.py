@@ -5,7 +5,7 @@ import pytest
 
 from clta.classifiers import (CosineHead, SoftmaxHead, cosine_logits,
                               cosine_logits_backward, cosine_scores, head_forward,
-                              head_logits_backward, predict, row_norms, softmax_logits,
+                              head_logits_backward, row_norms, softmax_logits,
                               softmax_logits_backward)
 from clta.errors import ShapeError
 
@@ -173,10 +173,3 @@ def test_heads_write_into_given_arrays_with_the_same_bits(kind):
     for r, g, w in zip(res, grads, want):
         assert np.shares_memory(r, g)
         assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
-
-
-def test_predict_argmax_and_ties():
-    assert predict(np.array([0.1, 0.9, 0.3])) == 1
-    assert predict(np.array([0.5, 0.5])) == 0  # tie toward the lowest index
-    with pytest.raises(ShapeError):
-        predict(np.array([]))

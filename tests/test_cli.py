@@ -270,6 +270,13 @@ def test_config_file_bad_value_names_file_and_line(tmp_path, capsys):
     assert not (tmp_path / "ds").exists()
 
 
+def test_config_file_that_is_not_utf8_names_file_and_byte(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"seed=1\n# caf\xe9\n")
+    assert cli_dispatch(["gradcheck", "--config", str(cfg)]) == 2
+    assert f"{cfg}: not UTF-8 text at byte 12" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_dispatch(["no-such-command"])

@@ -5,9 +5,8 @@ import pytest
 
 from clta import episodes
 from clta.attention import FrameSequence
-from clta.classifiers import CosineHead, SoftmaxHead, cosine_logits, predict, softmax_logits
-from clta.episodes import (EpisodeSpec, retrain_classifier, run_episodes,
-                           sample_episode)
+from clta.classifiers import CosineHead, SoftmaxHead, cosine_logits, softmax_logits
+from clta.episodes import RETRAIN_LR, EpisodeSpec, retrain_classifier, run_episodes
 from clta.errors import ConfigError, SamplingError, TrainingError
 from clta.model import Model, ModelConfig, descriptor
 
@@ -42,25 +41,31 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         EpisodeSpec(head="nope")
     # counts that would give nan accuracy or a raw numpy/range error
-    for bad in (dict(num_episodes=0), dict(num_episodes=-2), dict(retrain_epochs=-1),
-                dict(retrain_lr=0.0), dict(retrain_lr=-1e-3), dict(retrain_lr=float("nan"))):
+    for bad in (dict(num_episodes=0), dict(num_episodes=-2), dict(retrain_epochs=-1)):
         with pytest.raises(ConfigError):
             EpisodeSpec(**bad)
-    EpisodeSpec(num_episodes=1, retrain_epochs=0, retrain_lr=1e-9)
+    EpisodeSpec(num_episodes=1, retrain_epochs=0)
+
+
+def _drawn(novel, spec):
+    """(support, query) novel-set indices of each episode, from the plan that
+    run_episodes makes for the set and fits and scores the episodes by."""
+    return [(s.tolist(), q.tolist()) for chunk in episodes._make_plan(novel, spec)
+            for s, q in zip(chunk.support, chunk.query)]
 
 
 def test_sample_episode_structure():
     rng = np.random.default_rng(0)
     novel = _novel_set(rng)
-    spec = EpisodeSpec(n_way=4, k_shot=2)
-    for trial in range(50):
-        support, query = sample_episode(np.random.default_rng(trial), novel, spec)
+    spec = EpisodeSpec(n_way=4, k_shot=2, num_episodes=50, retrain_epochs=0)
+    summary = run_episodes(_frozen_model(), novel, spec)
+    for (support, query), result in zip(_drawn(novel, spec), summary.results, strict=True):
         assert len(support) == 4 * 2 and len(query) == 4
         assert not set(support) & set(query)  # disjoint
         s_labels = [novel[i].label for i in support]
         q_labels = [novel[i].label for i in query]
         assert len(set(q_labels)) == 4
-        assert set(s_labels) == set(q_labels)
+        assert set(s_labels) == set(q_labels) == set(result.per_class)
         for c in set(s_labels):
             assert s_labels.count(c) == 2
 
@@ -84,30 +89,28 @@ def test_sample_episode_draws_what_choice_on_the_lists_draws(k_shot):
     # uneven classes, some too small for k_shot 5, so positions and indices differ
     novel = [s for s in _novel_set(np.random.default_rng(3), n_classes=9, per_class=8)
              if int(s.video_id.split("_v")[1]) < 4 + int(s.label[1:]) % 5]
-    spec = EpisodeSpec(n_way=5, k_shot=k_shot)
-    for seed in range(12):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_episode(rng, novel, spec)
-        assert got == _draws_on_the_lists(ref_rng, novel, spec)
-        assert all(type(i) is int for i in got[0] + got[1])
-        assert rng.random() == ref_rng.random()   # the streams stay in step
+    spec = EpisodeSpec(n_way=5, k_shot=k_shot, num_episodes=12, seed=3)
+    for i, got in enumerate(_drawn(novel, spec)):
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, i]))
+        assert got == _draws_on_the_lists(rng, novel, spec)
 
 
 def test_sample_episode_too_few_classes():
     rng = np.random.default_rng(1)
+    model = _frozen_model()
     novel = _novel_set(rng, n_classes=3)
-    with pytest.raises(SamplingError):
-        sample_episode(rng, novel, EpisodeSpec(n_way=5, k_shot=1))
+    with pytest.raises(SamplingError, match="need 5 classes, the set has only 3"):
+        run_episodes(model, novel, EpisodeSpec(n_way=5, k_shot=1, num_episodes=2))
     # enough classes but not enough videos per class for k+1
     thin = _novel_set(rng, n_classes=6, per_class=2)
-    with pytest.raises(SamplingError):
-        sample_episode(rng, thin, EpisodeSpec(n_way=5, k_shot=2))
+    with pytest.raises(SamplingError, match=r"5 classes with >= 3 videos, only 0 eligible"):
+        run_episodes(model, thin, EpisodeSpec(n_way=5, k_shot=2, num_episodes=2))
 
 
 def test_unlabelled_video_rejected():
     seq = FrameSequence(features=np.ones((3, 5)), label=None, video_id="x")
-    with pytest.raises(SamplingError):
-        sample_episode(np.random.default_rng(0), [seq], EpisodeSpec())
+    with pytest.raises(SamplingError, match="'x'"):
+        run_episodes(_frozen_model(), [seq], EpisodeSpec())
 
 
 def test_retrain_leaves_attention_untouched():
@@ -192,12 +195,13 @@ def test_run_episodes_separable_is_perfect():
 
 
 def _episode_by_hand(model, novel, spec, i):
-    """Episode i sampled and fitted on its own, as one retrain_classifier call."""
+    """Episode i drawn with rng.choice on the lists and fitted on its own, as
+    one retrain_classifier call."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, i]))
-    support, query = sample_episode(rng, novel, spec)
+    support, query = _draws_on_the_lists(rng, novel, spec)
     head, labels = retrain_classifier(model, [novel[j] for j in support], spec)
     logits = cosine_logits if isinstance(head, CosineHead) else softmax_logits
-    return {novel[j].label: predict(logits(descriptor(model, novel[j].features), head))
+    return {novel[j].label: np.argmax(logits(descriptor(model, novel[j].features), head))
             == labels.index(novel[j].label) for j in query}
 
 
@@ -293,12 +297,12 @@ def test_stacked_fit_matches_a_plain_fit(head, n_way, k_shot):
     E, h, epochs = 5, 16, 12
     X = rng.normal(size=(E, n_way * k_shot, h))
     y = np.stack([rng.permutation(np.repeat(np.arange(n_way), k_shot)) for _ in range(E)])
-    spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, retrain_epochs=epochs, retrain_lr=0.01)
+    spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, retrain_epochs=epochs)
     stacked = episodes._fit_heads(head, X, y, n_way, spec)
     assert isinstance(stacked, SoftmaxHead if head == "softmax" else CosineHead)
     reference = _reference_softmax_fit if head == "softmax" else _reference_cosine_fit
     for e in range(E):
-        want = reference(X[e], y[e], n_way, epochs, 0.01)
+        want = reference(X[e], y[e], n_way, epochs, RETRAIN_LR)
         # each stacked parameter carries a broadcast axis for the rows
         for got, k in zip(vars(stacked).values(), want):
             got = got[e].reshape(want[k].shape)
@@ -333,7 +337,7 @@ def test_retrain_classifier_is_bit_identical_to_a_plain_fit():
     head, labels = retrain_classifier(model, support, spec)
     X = episodes._descriptors(model, support)
     y = np.array([labels.index(s.label) for s in support])
-    want = _reference_softmax_fit(X, y, 5, spec.retrain_epochs, spec.retrain_lr)
+    want = _reference_softmax_fit(X, y, 5, spec.retrain_epochs, RETRAIN_LR)
     assert head.W.tobytes() == want["W"].tobytes()
     assert head.bias.tobytes() == want["b"].tobytes()
 

@@ -89,10 +89,13 @@ def test_manifest_roundtrip(tmp_path):
 
 def test_manifest_validation_errors(tmp_path):
     mpath = tmp_path / "manifest.csv"
+    # empty feature files: read_manifest checks that they exist, not what they hold
+    for name in ("a.fvf", "b.fvf"):
+        (tmp_path / name).touch()
 
-    def write_and_read(rows, check_files=False):
+    def write_and_read(rows):
         io_files.write_manifest(mpath, rows)
-        return io_files.read_manifest(mpath, check_files=check_files)
+        return io_files.read_manifest(mpath)
 
     with pytest.raises(FormatError, match="duplicate video_id"):
         write_and_read([dict(video_id="a", label="c0", split="train", path="a.fvf"),
@@ -103,8 +106,7 @@ def test_manifest_validation_errors(tmp_path):
         write_and_read([dict(video_id="a", label="c0", split="train", path="a.fvf"),
                         dict(video_id="b", label="c0", split="test", path="b.fvf")])
     with pytest.raises(FormatError, match="missing feature file"):
-        write_and_read([dict(video_id="a", label="c0", split="train", path="a.fvf")],
-                       check_files=True)
+        write_and_read([dict(video_id="a", label="c0", split="train", path="z.fvf")])
     mpath.write_text("foo,bar\n1,2\n")
     with pytest.raises(FormatError, match="bad manifest header"):
         io_files.read_manifest(mpath)

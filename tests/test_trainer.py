@@ -10,7 +10,7 @@ from clta.trainer import AdamState, TrainConfig, adam_step, evaluate, lr_at, tra
 
 
 def test_lr_schedule_step_decay():
-    cfg = TrainConfig(lr0=1e-3, decay_every=5, decay_factor=0.5)
+    cfg = TrainConfig(lr0=1e-3, decay_every=5)
     assert lr_at(0, cfg) == 1e-3
     assert lr_at(4, cfg) == 1e-3
     assert lr_at(5, cfg) == 5e-4
@@ -25,8 +25,6 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(dropout_rate=1.0)
     with pytest.raises(ConfigError):
-        TrainConfig(decay_factor=0.0)
-    with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
 
 
@@ -38,7 +36,7 @@ def test_adam_step_matches_hand_computation():
     adam_step(p, g, state, lr=0.1)
     mhat = g["x"]                   # m/(1-b1) after one step
     vhat = g["x"] ** 2              # v/(1-b2)
-    expected = np.array([1.0, -2.0]) - 0.1 * mhat / (np.sqrt(vhat) + state.eps)
+    expected = np.array([1.0, -2.0]) - 0.1 * mhat / (np.sqrt(vhat) + 1e-8)
     assert np.allclose(p["x"], expected, atol=1e-12)
     assert state.step == 1
 
@@ -203,6 +201,28 @@ def test_train_runs_no_separate_evaluation_pass(monkeypatch):
                     TrainConfig(lr0=5e-3, epochs=3, batch_size=8, dropout_rate=0.0, seed=0),
                     val_metric=lambda m: 0.5)
     assert len(records) == 3 and all(0.0 <= r.train_acc <= 1.0 for r in records)
+
+
+def test_train_loss_is_the_per_video_mean_loss(monkeypatch):
+    # 24 videos in batches of 10, 10 and 4: each video counts once, so the
+    # short last batch weighs 4/24 of the epoch, not 1/3
+    pairs = _toy_problem()
+    seen = []   # (mean loss, videos) per call, in call order
+    loss_and_grads = trainer_mod.loss_and_grads
+
+    def recording(model, batch, **kwargs):
+        out = loss_and_grads(model, batch, **kwargs)
+        seen.append((out[0], len(batch)))
+        return out
+
+    monkeypatch.setattr(trainer_mod, "loss_and_grads", recording)
+    cfg = TrainConfig(lr0=5e-3, epochs=3, batch_size=10, dropout_rate=0.0, seed=0)
+    records = train(_toy_model(), pairs, cfg)
+    assert [n for _, n in seen] == [10, 10, 4] * cfg.epochs
+    for e, record in enumerate(records):
+        batches = seen[3 * e:3 * e + 3]
+        assert record.train_loss == sum(loss * n for loss, n in batches) / len(pairs)
+        assert record.train_loss != np.mean([loss for loss, _ in batches])
 
 
 @pytest.mark.parametrize("kind,dropout,batch_norm", [("avg", 0.0, False), ("clta", 0.0, False),
