@@ -121,6 +121,9 @@ def _build_parser():
     return parser, commands
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _config_defaults(path, flags) -> dict:
     """Read a --config key=value file into defaults for the flags given."""
     defaults = {}
@@ -141,7 +144,10 @@ def _config_defaults(path, flags) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         # store_true flags take no value on the command line; here they do
         if isinstance(action.default, bool):
-            value = value.lower() in ("1", "true", "yes")
+            if value.lower() not in _BOOLEANS:
+                raise ConfigError(f"{path}:{lineno}: invalid boolean value {value!r} for key "
+                                  f"{key!r} (use 1, true, yes, 0, false or no)")
+            value = _BOOLEANS[value.lower()]
         elif action.type is not None:
             try:
                 value = action.type(value)
@@ -174,10 +180,11 @@ def _cmd_gen(args) -> int:
         rows.append(dict(video_id=seq.video_id, label=seq.label,
                          split=dataset.split_of[seq.video_id], path=rel))
     io_files.write_manifest(out / "manifest.csv", rows)
-    summary = synth.describe(dataset)
-    for name, s in summary.splits.items():
-        print(f"{name}: {s.num_classes} classes, {s.num_videos} videos, max T {s.max_length}")
-    print(f"Z = {summary.Z}")
+    for name in synth.SPLITS:
+        seqs = dataset.split(name)
+        print(f"{name}: {len({s.label for s in seqs})} classes, {len(seqs)} videos, "
+              f"max T {max((s.T for s in seqs), default=0)}")
+    print(f"Z = {max(s.T for s in dataset.split('train'))}")
     return 0
 
 

@@ -10,11 +10,12 @@ query, from SeedSequence([seed, i]), so its result does not depend on which
 other episodes run. The fit draws nothing: each retrain epoch is one
 full-batch step on all support rows in row order.
 
-The draws do not depend on the model, so they are planned once per (labels
-of the set in order, spec fields they read) and the latest plan is kept: the
-per-epoch val probe of training draws its episodes on its first call only.
-A plan holds each episode's support, query and head targets. The length
-check, the descriptors, the fit and the scoring run on every call.
+The draws do not depend on the model: they are a plan made from the set's
+labels in order and the spec, which is frozen so that it can key a one-slot
+cache of the latest plan. The per-epoch val probe of training therefore
+draws its episodes on its first call only. A plan holds each episode's
+support, query and head targets. The length check, the descriptors, the fit
+and the scoring run on every call.
 
 Fitting is one batched solve: every episode has the same n_way * k_shot
 support size, so the heads of a chunk of episodes are stacked and trained
@@ -25,6 +26,7 @@ episode on its own; the cosine fit sums its gradient over the support rows
 in one matrix product, so its weights may differ in the last bits.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +46,7 @@ _CHUNK = 64
 RETRAIN_LR = 1e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeSpec:
     n_way: int = 5
     k_shot: int = 1
@@ -78,12 +80,18 @@ class EvalSummary:
     results: list[EpisodeResult] = field(default_factory=list)
 
 
-def _by_class(novel_set: list[FrameSequence]) -> dict[str, list[int]]:
+def _labels(videos: list[FrameSequence]) -> tuple[str, ...]:
+    """The videos' labels in order; a SamplingError names the first unlabelled one."""
+    labels = tuple(seq.label for seq in videos)
+    if None in labels:
+        raise SamplingError(f"unlabelled video {videos[labels.index(None)].video_id!r}")
+    return labels
+
+
+def _by_class(labels: tuple[str, ...]) -> dict[str, list[int]]:
     groups: dict[str, list[int]] = {}
-    for i, seq in enumerate(novel_set):
-        if seq.label is None:
-            raise SamplingError(f"unlabelled video {seq.video_id!r}")
-        groups.setdefault(seq.label, []).append(i)
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
     return groups
 
 
@@ -184,7 +192,8 @@ def retrain_classifier(frozen_model: Model, support: list[FrameSequence],
     if not support:
         raise ConfigError("empty support set")
     _check_lengths(frozen_model, support)
-    groups = _by_class(support)
+    support_labels = _labels(support)
+    groups = _by_class(support_labels)
     counts = {c: len(idxs) for c, idxs in groups.items()}
     if len(groups) != spec.n_way or set(counts.values()) != {spec.k_shot}:
         raise SamplingError(f"support set has {len(groups)} classes, videos per class {counts}; "
@@ -192,7 +201,7 @@ def retrain_classifier(frozen_model: Model, support: list[FrameSequence],
     labels = sorted(groups)
     lab2idx = {c: i for i, c in enumerate(labels)}
     X = _descriptors(frozen_model, support)
-    y = np.array([lab2idx[s.label] for s in support])
+    y = np.array([lab2idx[c] for c in support_labels])
     kind = _head_kind(frozen_model, spec)
     head = _fit_heads(kind, X[None], y[None], len(labels), spec)
     if kind == "softmax":
@@ -211,19 +220,18 @@ class _Chunk:
     labels: tuple          # each episode's query labels
 
 
-# The plan of the latest (label sequence, spec fields) key. The per-epoch val
-# probe calls with the same set and spec every epoch; a call with another key
-# replaces it, so calls over many seeds or sets pin one plan at most.
-_PLANS: dict[tuple, tuple[_Chunk, ...]] = {}
-
-
-def _make_plan(novel_set: list[FrameSequence], spec: EpisodeSpec) -> tuple[_Chunk, ...]:
-    groups = _by_class(novel_set)
+# The latest plan only: the per-epoch val probe calls with the same set and
+# spec every epoch, and calls over many seeds or sets pin one plan at most.
+@functools.lru_cache(maxsize=1)
+def _make_plan(labels: tuple[str, ...], spec: EpisodeSpec) -> tuple[_Chunk, ...]:
+    """The episodes' draws: a pure function of the set's labels in order and
+    the spec."""
+    groups = _by_class(labels)
     eligible = _eligible(groups, spec)
     # class codes in sorted label order: a head's class index is the rank of
     # its code among the episode's query codes (one query per class)
     code = {c: k for k, c in enumerate(sorted(groups))}
-    codes = np.array([code[s.label] for s in novel_set])
+    codes = np.array([code[c] for c in labels])
     n = spec.n_way * spec.k_shot
     chunks = []
     for lo in range(0, spec.num_episodes, _CHUNK):
@@ -238,28 +246,16 @@ def _make_plan(novel_set: list[FrameSequence], spec: EpisodeSpec) -> tuple[_Chun
         truth = (qcodes < codes[query][..., None]).sum(axis=-1)
         for a in (support, query, y, truth):
             a.flags.writeable = False
-        labels = tuple(tuple(novel_set[j].label for j in q) for q in query.tolist())
-        chunks.append(_Chunk(ids, support, query, y, truth, labels))
+        query_labels = tuple(tuple(labels[j] for j in q) for q in query.tolist())
+        chunks.append(_Chunk(ids, support, query, y, truth, query_labels))
     return tuple(chunks)
-
-
-def _plan(novel_set: list[FrameSequence], spec: EpisodeSpec) -> tuple[_Chunk, ...]:
-    """The episodes' draws: a pure function of the labels in set order and the
-    spec fields they read, made on a key's first call and then reused."""
-    key = (tuple(s.label for s in novel_set), spec.n_way, spec.k_shot,
-           spec.num_episodes, spec.seed)
-    plan = _PLANS.get(key)
-    if plan is None:
-        _PLANS.clear()   # before the new plan is made, so two are never held
-        plan = _PLANS[key] = _make_plan(novel_set, spec)
-    return plan
 
 
 def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
                  spec: EpisodeSpec) -> EvalSummary:
     """Mean n-way k-shot accuracy over num_episodes with a 95% CI."""
     _check_lengths(frozen_model, novel_set)
-    plan = _plan(novel_set, spec)
+    plan = _make_plan(_labels(novel_set), spec)
     desc = _descriptors(frozen_model, novel_set)   # episode-independent: once for all
     kind = _head_kind(frozen_model, spec)
     results = []

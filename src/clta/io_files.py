@@ -6,6 +6,7 @@ payloads are float32 on disk; everything is promoted to float64 on read.
 
 import csv
 import datetime
+import io
 import json
 import struct
 from pathlib import Path
@@ -65,26 +66,45 @@ def write_manifest(path, rows: list[dict]) -> None:
 
 
 def read_manifest(path) -> list[dict]:
-    """Parse and validate a manifest; paths are relative to the manifest, and
-    every feature file they name must exist."""
+    """Parse and validate a UTF-8 manifest. Each row has exactly the four
+    MANIFEST_FIELDS, with a non-empty video_id, label and path; blank lines
+    are skipped. Paths are relative to the manifest and must name files."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != MANIFEST_FIELDS:
-            raise FormatError(f"{path}: bad manifest header {reader.fieldnames}")
-        rows = list(reader)
-    seen = set()
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
+    base = path.parent
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, seen = [], set()
     split_labels: dict[str, set] = {}
-    for row in rows:
-        vid = row["video_id"]
-        if vid in seen:
-            raise FormatError(f"{path}: duplicate video_id {vid!r}")
-        seen.add(vid)
-        if row["split"] not in ("train", "val", "test"):
-            raise FormatError(f"{path}: unknown split {row['split']!r} for {vid!r}")
-        split_labels.setdefault(row["split"], set()).add(row["label"])
-        if not (path.parent / row["path"]).exists():
-            raise FormatError(f"{path}: missing feature file {row['path']!r}")
+    try:
+        header = next(reader, None)
+        if header != MANIFEST_FIELDS:
+            raise FormatError(f"{path}: bad manifest header {header}")
+        for fields in reader:
+            if not fields:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(fields) != len(MANIFEST_FIELDS):
+                raise FormatError(f"{where}: {len(fields)} fields, expected "
+                                  f"{len(MANIFEST_FIELDS)}")
+            row = dict(zip(MANIFEST_FIELDS, fields))
+            for key in ("video_id", "label", "path"):
+                if not row[key]:
+                    raise FormatError(f"{where}: empty {key}")
+            vid = row["video_id"]
+            if vid in seen:
+                raise FormatError(f"{where}: duplicate video_id {vid!r}")
+            seen.add(vid)
+            if row["split"] not in ("train", "val", "test"):
+                raise FormatError(f"{where}: unknown split {row['split']!r} for {vid!r}")
+            split_labels.setdefault(row["split"], set()).add(row["label"])
+            if not (base / row["path"]).is_file():
+                raise FormatError(f"{where}: missing feature file {row['path']!r}")
+            rows.append(row)
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     names = sorted(split_labels)
     for i, a in enumerate(names):
         for b in names[i + 1:]:

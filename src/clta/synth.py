@@ -16,15 +16,12 @@ filters break down.
 Splits partition the classes disjointly (meta-learning discipline).
 """
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import FrameSequence
 from .errors import ConfigError
-
-log = logging.getLogger(__name__)
 
 SPLITS = ("train", "val", "test")
 
@@ -57,6 +54,8 @@ class SynthConfig:
             raise ConfigError(f"t_max {self.t_max} < t_min {self.t_min}")
         if self.num_classes < 3:
             raise ConfigError("need at least 3 classes (one per split)")
+        if self.videos_per_class < 1:
+            raise ConfigError(f"need at least 1 video per class, got {self.videos_per_class}")
         if self.d < 1:
             raise ConfigError(f"feature dimension d must be >= 1, got {self.d}")
         if not self.noise_std >= 0:
@@ -76,7 +75,6 @@ class Dataset:
     sequences: list[FrameSequence]
     split_of: dict[str, str]          # video_id -> train/val/test
     prototypes: np.ndarray            # (num_classes, d)
-    config: SynthConfig
 
     def split(self, name: str) -> list[FrameSequence]:
         return [s for s in self.sequences if self.split_of[s.video_id] == name]
@@ -157,39 +155,4 @@ def generate(cfg: SynthConfig) -> Dataset:
             vid = f"{label}_v{v:03d}"
             sequences.append(FrameSequence(features=F, label=label, video_id=vid))
             split_of[vid] = class_split[c]
-    return Dataset(sequences=sequences, split_of=split_of, prototypes=protos, config=cfg)
-
-
-@dataclass
-class SplitSummary:
-    num_classes: int
-    num_videos: int
-    max_length: int
-
-
-@dataclass
-class DatasetSummary:
-    splits: dict[str, SplitSummary] = field(default_factory=dict)
-    length_histogram: dict[int, int] = field(default_factory=dict)
-    Z: int = 0
-
-
-def describe(dataset: Dataset) -> DatasetSummary:
-    """Per-split counts plus the max training length Z the model will freeze."""
-    if not dataset.sequences:
-        raise ConfigError("empty dataset")
-    summary = DatasetSummary()
-    for name in SPLITS:
-        seqs = dataset.split(name)
-        if not seqs:
-            log.warning("split %r is empty", name)
-            summary.splits[name] = SplitSummary(0, 0, 0)
-            continue
-        summary.splits[name] = SplitSummary(
-            num_classes=len({s.label for s in seqs}),
-            num_videos=len(seqs),
-            max_length=max(s.T for s in seqs))
-    for s in dataset.sequences:
-        summary.length_histogram[s.T] = summary.length_histogram.get(s.T, 0) + 1
-    summary.Z = summary.splits["train"].max_length
-    return summary
+    return Dataset(sequences=sequences, split_of=split_of, prototypes=protos)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from clta import io_files
-from clta.cli import _load_model, cli_dispatch, gradcheck_batch
+from clta.cli import (_build_parser, _config_defaults, _load_model, cli_dispatch,
+                      gradcheck_batch)
 from clta.model import MODEL_KINDS, Model, ModelConfig
 
 
@@ -47,6 +48,14 @@ def test_gen_prints_summary(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "train:" in out and "Z = " in out
+    # an empty split still gets its line
+    rc = cli_dispatch(["gen", "--out", str(tmp_path / "d3"), "--classes", "3",
+                       "--videos-per-class", "2", "--seed", "0"])
+    assert rc == 0
+    assert capsys.readouterr().out == ("train: 2 classes, 4 videos, max T 40\n"
+                                       "val: 0 classes, 0 videos, max T 0\n"
+                                       "test: 1 classes, 2 videos, max T 20\n"
+                                       "Z = 40\n")
 
 
 def test_train_writes_checkpoint_and_log(checkpoint):
@@ -270,6 +279,21 @@ def test_config_file_bad_value_names_file_and_line(tmp_path, capsys):
     assert not (tmp_path / "ds").exists()
 
 
+def test_config_file_boolean_values(tmp_path, capsys):
+    flags = _build_parser()[1]["train"].flags
+    cfg = tmp_path / "flags.cfg"
+    for value, expected in (("no", False), ("FALSE", False), ("0", False),
+                            ("Yes", True), ("true", True), ("1", True)):
+        cfg.write_text(f"batch-norm={value}\n")
+        assert _config_defaults(cfg, flags) == {"batch_norm": expected}
+    # a value that is neither is an error, not a silent False
+    cfg.write_text("batch-norm=on\n")
+    rc = cli_dispatch(["train", "--data", "unused.csv", "--out", str(tmp_path / "m.ckpt"),
+                       "--config", str(cfg)])
+    assert rc == 2
+    assert f"{cfg}:1: invalid boolean value 'on' for key 'batch-norm'" in capsys.readouterr().err
+
+
 def test_config_file_that_is_not_utf8_names_file_and_byte(tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes(b"seed=1\n# caf\xe9\n")
@@ -288,11 +312,38 @@ def test_usage_errors_exit_1(capsys):
 
 def test_gen_rejects_bad_sizes_exit_2(tmp_path, capsys):
     # a bad size is a usage error with a message, not a numpy traceback
-    for flag, value in (("--dim", "-3"), ("--noise", "-1")):
+    for flag, value in (("--dim", "-3"), ("--noise", "-1"), ("--videos-per-class", "0")):
         rc = cli_dispatch(["gen", "--out", str(tmp_path / "d"), flag, value])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("not UTF-8", "not UTF-8 at byte"),
+    ("short row", "line 2: 3 fields, expected 4"),
+    ("extra field", "line 2: 5 fields, expected 4"),
+    ("empty label", "line 2: empty label"),
+    ("directory path", "line 2: missing feature file"),
+    ("csv error", "line 2: field larger than field limit"),
+])
+def test_bad_manifest_exits_2(dataset_dir, tmp_path, capsys, defect, message):
+    header, first, *rest = (dataset_dir / "manifest.csv").read_text().splitlines()
+    vid, label, split, path = first.split(",")
+    path = dataset_dir / path   # absolute, so the manifest can live elsewhere
+    first = {"not UTF-8": f"{vid},{label}\xe9,{split},{path}",   # latin-1 below
+             "short row": f"{vid},{label},{split}",
+             "extra field": f"{vid},{label},{split},{path},x",
+             "empty label": f"{vid},,{split},{path}",
+             "directory path": f"{vid},{label},{split},{path.parent}",
+             "csv error": f"{vid},{label},{split},{'x' * 200_000}"}[defect]
+    manifest = tmp_path / "bad.csv"
+    manifest.write_bytes("\n".join([header, first, *rest, ""]).encode("latin-1"))
+    ckpt = tmp_path / "m.ckpt"
+    rc = cli_dispatch(["train", "--data", str(manifest), "--out", str(ckpt), "--epochs", "1"])
+    assert rc == 2
+    assert f"error: {manifest}: {message}" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_missing_data_file_exit_2(tmp_path, capsys):

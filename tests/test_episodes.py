@@ -1,5 +1,7 @@
 """Unit checks for episodic sampling and the retrain-per-episode harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,8 @@ def test_spec_validation():
 def _drawn(novel, spec):
     """(support, query) novel-set indices of each episode, from the plan that
     run_episodes makes for the set and fits and scores the episodes by."""
-    return [(s.tolist(), q.tolist()) for chunk in episodes._make_plan(novel, spec)
+    return [(s.tolist(), q.tolist())
+            for chunk in episodes._make_plan(tuple(x.label for x in novel), spec)
             for s, q in zip(chunk.support, chunk.query)]
 
 
@@ -367,15 +370,15 @@ def test_episode_head_override():
 
 @pytest.fixture
 def plans():
-    """The episode-plan memo, empty before and after the test."""
-    episodes._PLANS.clear()
-    yield episodes._PLANS
-    episodes._PLANS.clear()
+    """The episode-plan cache, empty before and after the test."""
+    episodes._make_plan.cache_clear()
+    yield episodes._make_plan
+    episodes._make_plan.cache_clear()
 
 
 def _fresh(model, novel, spec):
-    """run_episodes from an empty plan memo."""
-    episodes._PLANS.clear()
+    """run_episodes from an empty plan cache."""
+    episodes._make_plan.cache_clear()
     return run_episodes(model, novel, spec)
 
 
@@ -390,9 +393,9 @@ def test_a_memo_hit_gives_the_results_of_the_first_call(plans, head):
         spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, num_episodes=num_episodes,
                            retrain_epochs=4, seed=2, head=head)
         first = run_episodes(model, novel, spec)
-        assert len(plans) == 1
+        misses = plans.cache_info().misses
         second = run_episodes(model, novel, spec)
-        assert len(plans) == 1
+        assert plans.cache_info().misses == misses and plans.cache_info().currsize == 1
         assert second == first
 
 
@@ -406,7 +409,7 @@ def test_a_set_with_the_same_labels_scores_its_own_descriptors(plans):
                        seed=1, head="cosine")
     on_noise = run_episodes(model, noisy, spec)
     hit = run_episodes(model, separable, spec)
-    assert len(plans) == 1
+    assert plans.cache_info()[:2] == (1, 1)   # (hits, misses)
     assert hit.mean_acc == 1.0 > on_noise.mean_acc
     assert hit == _fresh(model, separable, spec)
 
@@ -417,41 +420,47 @@ def test_a_changed_seed_or_k_shot_never_reuses_a_plan(plans):
     spec = EpisodeSpec(n_way=4, k_shot=1, num_episodes=8, retrain_epochs=3, seed=5)
     base = run_episodes(model, novel, spec)
     for change in (dict(seed=6), dict(k_shot=2)):
-        other = EpisodeSpec(**{**vars(spec), **change})
+        other = dataclasses.replace(spec, **change)
+        misses = plans.cache_info().misses
         got = run_episodes(model, novel, other)
+        assert plans.cache_info().misses == misses + 1
         assert got == _fresh(model, novel, other)
         assert [r.per_class for r in got.results] != [r.per_class for r in base.results]
         assert run_episodes(model, novel, spec) == base
-    # the memo keys on the field values, so a spec changed in place is a miss too
-    run_episodes(model, novel, spec)
-    spec.seed = 6
-    assert run_episodes(model, novel, spec) == _fresh(model, novel, spec)
+    # the cache keys on the spec's field values, and a spec cannot change in place
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.seed = 6
+    assert spec.seed == 5
 
 
 def test_the_memo_keeps_only_the_latest_plan(plans):
     novel = _novel_set(np.random.default_rng(18))
     model = _frozen_model()
+    labels = tuple(s.label for s in novel)
     last = None
     for seed in (0, 1, 2, 1):
         spec = EpisodeSpec(n_way=4, num_episodes=2, retrain_epochs=1, seed=seed)
+        misses = plans.cache_info().misses
         run_episodes(model, novel, spec)
-        [plan] = plans.values()
-        assert plan is not last   # a new key replaces the plan held
+        assert plans.cache_info().misses == misses + 1   # a new key replaces the plan held
+        plan = plans(labels, spec)
+        assert plan is not last
         run_episodes(model, novel, spec)
-        assert len(plans) == 1 and next(iter(plans.values())) is plan
+        assert plans.cache_info().misses == misses + 1 and plans.cache_info().currsize == 1
+        assert plans(labels, spec) is plan
         last = plan
 
 
-def _plan_arrays(plans):
-    return [a for plan in plans.values() for chunk in plan for a in vars(chunk).values()
-            if isinstance(a, np.ndarray)]
+def _plan_arrays(plan):
+    return [a for chunk in plan for a in vars(chunk).values() if isinstance(a, np.ndarray)]
 
 
 def test_cached_plan_arrays_are_read_only(plans):
     novel = _novel_set(np.random.default_rng(19))
-    run_episodes(_frozen_model(), novel, EpisodeSpec(n_way=4, k_shot=2, num_episodes=3,
-                                                     retrain_epochs=2, seed=1))
-    arrays = _plan_arrays(plans)
+    spec = EpisodeSpec(n_way=4, k_shot=2, num_episodes=3, retrain_epochs=2, seed=1)
+    run_episodes(_frozen_model(), novel, spec)
+    arrays = _plan_arrays(plans(tuple(s.label for s in novel), spec))
+    assert plans.cache_info()[:2] == (1, 1)   # the plan run_episodes made
     assert len(arrays) == 4
     for a in arrays:
         assert not a.flags.writeable

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from clta import io_files
-from clta.errors import FormatError
+from clta.errors import CltaError, FormatError
 
 
 def test_feature_file_roundtrip(tmp_path):
@@ -110,6 +110,67 @@ def test_manifest_validation_errors(tmp_path):
     mpath.write_text("foo,bar\n1,2\n")
     with pytest.raises(FormatError, match="bad manifest header"):
         io_files.read_manifest(mpath)
+
+
+def _manifest_with(tmp_path, *lines):
+    """A manifest of the header and the given rows; a.fvf, b.fvf and the
+    directory features/ exist."""
+    (tmp_path / "features").mkdir()
+    for name in ("a.fvf", "b.fvf"):
+        io_files.write_feature_file(tmp_path / name, np.ones((3, 2)))
+    mpath = tmp_path / "manifest.csv"
+    mpath.write_bytes(b"video_id,label,split,path\n" + b"".join(l + b"\n" for l in lines))
+    return mpath
+
+
+@pytest.mark.parametrize("row, message", [
+    (b"a,caf\xe9,train,a.fvf", "not UTF-8 at byte 46"),
+    (b"a,c0,train", "line 3: 3 fields, expected 4"),
+    (b"a,c0,train,a.fvf,extra", "line 3: 5 fields, expected 4"),
+    (b",c0,train,a.fvf", "line 3: empty video_id"),
+    (b"a,,train,a.fvf", "line 3: empty label"),
+    (b"a,c0,train,", "line 3: empty path"),
+    (b"a,c0,train,.", "line 3: missing feature file '.'"),
+    (b"a,c0,train,features/", "line 3: missing feature file 'features/'"),
+    (b"a,c0,train," + b"x" * 200_000, "line 3: field larger than field limit"),
+], ids=["not-utf8", "short", "extra", "no-id", "no-label", "no-path", "dot", "dir", "csv-error"])
+def test_manifest_defects_name_the_line_or_byte(tmp_path, row, message):
+    # line 2 is a good row and a blank line is skipped, so the bad row is line 3
+    mpath = _manifest_with(tmp_path, b"b,c1,val,b.fvf", row, b"")
+    with pytest.raises(FormatError, match=f"{mpath}: {message}"):
+        io_files.read_manifest(mpath)
+
+
+def _variants(raw):
+    """Every truncation of raw, then every single-byte flip by 0x01 and 0x80."""
+    yield from (raw[:n] for n in range(len(raw)))
+    for i in range(len(raw)):
+        for bit in (0x01, 0x80):
+            yield raw[:i] + bytes([raw[i] ^ bit]) + raw[i + 1:]
+
+
+@pytest.mark.parametrize("target", ["manifest.csv", "features/b1.fvf"])
+def test_every_cut_or_flipped_manifest_or_feature_byte_loads_or_is_a_clta_error(tmp_path,
+                                                                              target):
+    rows = [dict(video_id=f"{c}{v}", label=f"class{c}", split=split, path=f"features/{c}{v}.fvf")
+            for c, split in (("a", "train"), ("b", "val"), ("c", "test")) for v in range(2)]
+    (tmp_path / "features").mkdir()
+    for k, r in enumerate(rows):
+        io_files.write_feature_file(tmp_path / r["path"], np.full((2, 2), k + 1.0))
+    mpath = tmp_path / "manifest.csv"
+    io_files.write_manifest(mpath, rows)
+    path = tmp_path / target
+    raw = path.read_bytes()
+    outcomes = set()
+    for variant in _variants(raw):
+        path.write_bytes(variant)
+        try:
+            for split in ("train", "val", "test"):
+                io_files.load_split(mpath, split)
+            outcomes.add("loaded")
+        except CltaError:
+            outcomes.add("rejected")
+    assert outcomes == {"loaded", "rejected"}
 
 
 def test_checkpoint_roundtrip(tmp_path):

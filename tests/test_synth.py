@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clta.errors import ConfigError
-from clta.synth import Dataset, SynthConfig, describe, generate
+from clta.synth import SynthConfig, generate
 
 
 def _small_cfg(**kw):
@@ -23,6 +23,9 @@ def test_config_validation():
         SynthConfig(t_min=12, t_max=10)
     with pytest.raises(ConfigError):
         SynthConfig(num_classes=2)
+    for videos in (0, -1):
+        with pytest.raises(ConfigError, match="video per class"):
+            SynthConfig(videos_per_class=videos)
 
 
 def test_config_rejects_bad_sizes():
@@ -56,9 +59,9 @@ def test_counts_lengths_and_nonnegativity():
 def test_max_length_is_pinned_into_the_training_split():
     cfg = _small_cfg()
     ds = generate(cfg)
-    summary = describe(ds)
-    assert summary.Z == cfg.t_max
-    assert summary.splits["train"].max_length == cfg.t_max
+    lengths = {name: [s.T for s in ds.split(name)] for name in ("train", "val", "test")}
+    assert max(lengths["train"]) == cfg.t_max
+    assert max(max(T) for T in lengths.values()) == cfg.t_max
 
 
 def test_splits_partition_classes_disjointly():
@@ -135,12 +138,9 @@ def test_window_carries_the_class_prototype():
     assert hits / len(ds.sequences) > 0.95
 
 
-def test_describe_reports_per_split_counts():
+def test_splits_hold_their_classes_and_videos():
     ds = generate(_small_cfg())
-    summary = describe(ds)
-    assert summary.splits["train"].num_videos == 5 * 6
-    assert summary.splits["val"].num_classes == 2
-    assert sum(summary.length_histogram.values()) == len(ds.sequences)
-    with pytest.raises(ConfigError):
-        describe(Dataset(sequences=[], split_of={}, prototypes=np.zeros((1, 1)),
-                         config=_small_cfg()))
+    counts = {name: (len({s.label for s in ds.split(name)}), len(ds.split(name)))
+              for name in ("train", "val", "test")}
+    assert counts == {"train": (5, 5 * 6), "val": (2, 2 * 6), "test": (2, 2 * 6)}
+    assert sum(n for _, n in counts.values()) == len(ds.sequences)
