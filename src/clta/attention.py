@@ -44,7 +44,7 @@ class FrameSequence:
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[0] < 1 or self.features.shape[1] < 1:
             raise ShapeError(f"features must be (T>=1, d>=1), got {self.features.shape}")
-        if not np.all(np.isfinite(self.features)):
+        if not np.isfinite(self.features).all():
             raise NumericError(f"non-finite features in video {self.video_id!r}")
 
     @property

@@ -189,9 +189,8 @@ def _cmd_gen(args) -> int:
 
 
 def _load_splits(manifest):
-    return (io_files.load_split(manifest, "train"),
-            io_files.load_split(manifest, "val"),
-            io_files.load_split(manifest, "test"))
+    rows = io_files.read_manifest(manifest)
+    return tuple(io_files._read_split(manifest, rows, name) for name in synth.SPLITS)
 
 
 def _train_model(args, train_seqs, val_seqs):
@@ -390,10 +389,7 @@ def cli_dispatch(argv=None) -> int:
             action.required = command.get_default(action.dest) is None
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except CltaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (CltaError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

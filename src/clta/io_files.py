@@ -7,14 +7,16 @@ payloads are float32 on disk; everything is promoted to float64 on read.
 import csv
 import datetime
 import io
+import itertools
 import json
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .attention import FrameSequence
-from .errors import FormatError
+from .errors import FormatError, NumericError
 
 FEATURE_MAGIC = b"FVF1"
 CHECKPOINT_MAGIC = b"CLTA"
@@ -28,16 +30,15 @@ def write_feature_file(path, features: np.ndarray) -> None:
     features = np.asarray(features)
     if features.ndim != 2:
         raise FormatError(f"features must be 2-d, got shape {features.shape}")
-    T, d = features.shape
     payload = np.ascontiguousarray(features, dtype="<f4").tobytes()
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", T, d))
-        fh.write(payload)
+        fh.write(FEATURE_MAGIC + struct.pack("<II", *features.shape) + payload)
 
 
 def read_feature_file(path, video_id: str = "", label: str | None = None) -> FrameSequence:
-    raw = Path(path).read_bytes()
+    """Checks header and length here; FrameSequence checks finiteness, once."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) < 12:
         raise FormatError(f"{path}: truncated header at byte {len(raw)} (need 12)")
     if raw[:4] != FEATURE_MAGIC:
@@ -50,10 +51,11 @@ def read_feature_file(path, video_id: str = "", label: str | None = None) -> Fra
         raise FormatError(
             f"{path}: payload truncated at byte {len(raw)} (expected {expected})")
     data = np.frombuffer(raw, dtype="<f4", offset=12).astype(np.float64).reshape(T, d)
-    bad = np.flatnonzero(~np.isfinite(data.reshape(-1)))
-    if bad.size:
-        raise FormatError(f"{path}: non-finite value at byte {12 + 4 * int(bad[0])}")
-    return FrameSequence(features=data, label=label, video_id=video_id or Path(path).stem)
+    try:
+        return FrameSequence(features=data, label=label, video_id=video_id or Path(path).stem)
+    except NumericError:
+        bad = int(np.flatnonzero(~np.isfinite(data))[0])
+        raise FormatError(f"{path}: non-finite value at byte {12 + 4 * bad}") from None
 
 
 # -- manifests -----------------------------------------------------------------
@@ -68,16 +70,22 @@ def write_manifest(path, rows: list[dict]) -> None:
 def read_manifest(path) -> list[dict]:
     """Parse and validate a UTF-8 manifest. Each row has exactly the four
     MANIFEST_FIELDS, with a non-empty video_id, label and path; blank lines
-    are skipped. Paths are relative to the manifest and must name files."""
+    are skipped. Paths are relative to the manifest and must name files:
+    each is stat-ed here, and its contents are checked by read_feature_file
+    when its split loads."""
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
-    base = path.parent
+    base = os.path.dirname(path)
     reader = csv.reader(io.StringIO(text, newline=""))
     rows, seen = [], set()
     split_labels: dict[str, set] = {}
+
+    def fail(message):
+        raise FormatError(f"{path}: line {reader.line_num}: {message}") from None
+
     try:
         header = next(reader, None)
         if header != MANIFEST_FIELDS:
@@ -85,40 +93,37 @@ def read_manifest(path) -> list[dict]:
         for fields in reader:
             if not fields:
                 continue
-            where = f"{path}: line {reader.line_num}"
             if len(fields) != len(MANIFEST_FIELDS):
-                raise FormatError(f"{where}: {len(fields)} fields, expected "
-                                  f"{len(MANIFEST_FIELDS)}")
+                fail(f"{len(fields)} fields, expected {len(MANIFEST_FIELDS)}")
             row = dict(zip(MANIFEST_FIELDS, fields))
-            for key in ("video_id", "label", "path"):
-                if not row[key]:
-                    raise FormatError(f"{where}: empty {key}")
-            vid = row["video_id"]
+            vid, label, split, rel = fields
+            if not (vid and label and rel):
+                fail(f"empty {next(k for k in ('video_id', 'label', 'path') if not row[k])}")
             if vid in seen:
-                raise FormatError(f"{where}: duplicate video_id {vid!r}")
+                fail(f"duplicate video_id {vid!r}")
             seen.add(vid)
-            if row["split"] not in ("train", "val", "test"):
-                raise FormatError(f"{where}: unknown split {row['split']!r} for {vid!r}")
-            split_labels.setdefault(row["split"], set()).add(row["label"])
-            if not (base / row["path"]).is_file():
-                raise FormatError(f"{where}: missing feature file {row['path']!r}")
+            if split not in ("train", "val", "test"):
+                fail(f"unknown split {split!r} for {vid!r}")
+            split_labels.setdefault(split, set()).add(label)
+            if not os.path.isfile(os.path.join(base, rel)):
+                fail(f"missing feature file {rel!r}")
             rows.append(row)
     except csv.Error as exc:
-        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    names = sorted(split_labels)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            leaked = split_labels[a] & split_labels[b]
-            if leaked:
-                raise FormatError(
-                    f"{path}: labels shared between splits {a}/{b}: {sorted(leaked)}")
+        fail(exc)
+    for a, b in itertools.combinations(sorted(split_labels), 2):
+        if leaked := split_labels[a] & split_labels[b]:
+            raise FormatError(f"{path}: labels shared between splits {a}/{b}: {sorted(leaked)}")
     return rows
 
 
 def load_split(manifest_path, split: str) -> list[FrameSequence]:
-    base = Path(manifest_path).parent
-    rows = read_manifest(manifest_path)
-    return [read_feature_file(base / r["path"], video_id=r["video_id"], label=r["label"])
+    """read_manifest checks the rows, read_feature_file each file's bytes."""
+    return _read_split(manifest_path, read_manifest(manifest_path), split)
+
+
+def _read_split(manifest_path, rows, split):
+    base = os.path.dirname(Path(manifest_path))
+    return [read_feature_file(os.path.join(base, r["path"]), r["video_id"], r["label"])
             for r in rows if r["split"] == split]
 
 
@@ -127,26 +132,20 @@ def load_split(manifest_path, split: str) -> list[FrameSequence]:
 def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict) -> None:
     """Named float64 parameter blocks plus a JSON metadata sidecar."""
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(bytes([CHECKPOINT_VERSION]))
+        fh.write(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]))
         for name in sorted(params):
             arr = np.asarray(params[name], dtype=np.float64)
-            if arr.ndim == 1:
-                rows, cols = arr.shape[0], 0
-            elif arr.ndim == 2:
-                rows, cols = arr.shape
-            else:
+            if arr.ndim not in (1, 2):
                 raise FormatError(f"parameter {name!r} has unsupported ndim {arr.ndim}")
+            rows, cols = arr.shape if arr.ndim == 2 else (arr.size, 0)
             nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<II", rows, cols))
+            fh.write(struct.pack(f"<I{len(nb)}sII", len(nb), nb, rows, cols))
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
 
 
 def load_checkpoint(path):
-    """Returns (params, meta)."""
+    """Returns (params, meta): finite parameter blocks and a UTF-8 JSON sidecar."""
     raw = Path(path).read_bytes()
     if len(raw) < 5 or raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic at byte 0")
@@ -173,13 +172,18 @@ def load_checkpoint(path):
         if off + nbytes > len(raw):
             raise FormatError(f"{path}: truncated payload for {name!r} at byte {off}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).astype(np.float64)
+        if not np.isfinite(arr).all():
+            bad = off + 8 * int(np.flatnonzero(~np.isfinite(arr))[0])
+            raise FormatError(f"{path}: non-finite value in parameter {name!r} at byte {bad}")
         params[name] = arr if cols == 0 else arr.reshape(rows, cols)
         off += nbytes
     meta_path = Path(str(path) + ".meta.json")
     if not meta_path.exists():
         raise FormatError(f"missing checkpoint metadata {meta_path}")
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(meta_path.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{meta_path}: not UTF-8 at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{meta_path}: bad JSON: {exc}") from None
     return params, meta

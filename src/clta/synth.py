@@ -116,9 +116,6 @@ def generate(cfg: SynthConfig) -> Dataset:
     cue = np.full(cfg.d, 1.0 / np.sqrt(cfg.d))
     n_train, n_val, _ = cfg.split_counts()
 
-    class_split = {}
-    for c in range(cfg.num_classes):
-        class_split[c] = "train" if c < n_train else ("val" if c < n_train + n_val else "test")
     # fixed_position plants every window at one dataset-level fraction so that
     # a filter bank shared across classes can align to it; per-class fractions
     # would leave nothing for shared filters to lock onto once the per-filter
@@ -127,8 +124,11 @@ def generate(cfg: SynthConfig) -> Dataset:
 
     sequences: list[FrameSequence] = []
     split_of: dict[str, str] = {}
+    distractor = cfg.distractor_amp * cue
     for c in range(cfg.num_classes):
         label = f"class{c:03d}"
+        split = "train" if c < n_train else ("val" if c < n_train + n_val else "test")
+        planted = cfg.signal_amp * protos[c] + cfg.cue_amp * cue
         for v in range(cfg.videos_per_class):
             T = int(rng.integers(cfg.t_min, cfg.t_max + 1))
             # pin the dataset max length into the training split so Z covers
@@ -145,14 +145,13 @@ def generate(cfg: SynthConfig) -> Dataset:
             # position estimates get dragged toward them, hard ones do not
             hit = rng.random(T) < cfg.distractor_rate
             hit[start:start + cfg.window_len] = False
-            F[hit] += cfg.distractor_amp * cue
-            F[start:start + cfg.window_len] += (cfg.signal_amp * protos[c]
-                                               + cfg.cue_amp * cue)
+            np.add(F, distractor, out=F, where=hit[:, None])
+            F[start:start + cfg.window_len] += planted
             # features model post-activation backbone outputs, so they are
             # nonnegative; this is what lets the attention width detector
             # push frame scores negative and sharpen the Gaussians
-            F = np.maximum(F, 0.0)
+            np.maximum(F, 0.0, out=F)
             vid = f"{label}_v{v:03d}"
             sequences.append(FrameSequence(features=F, label=label, video_id=vid))
-            split_of[vid] = class_split[c]
+            split_of[vid] = split
     return Dataset(sequences=sequences, split_of=split_of, prototypes=protos)

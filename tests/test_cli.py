@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from clta import io_files
+from clta import cli, io_files, synth
 from clta.cli import (_build_parser, _config_defaults, _load_model, cli_dispatch,
                       gradcheck_batch)
 from clta.model import MODEL_KINDS, Model, ModelConfig
@@ -199,6 +199,73 @@ def test_checkpoint_metadata_is_checked(dataset_dir, tmp_path, capsys):
         capsys.readouterr()
         assert _eval_exit_code(dataset_dir, ckpt) == 2, named
         assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--epochs", "2", "--log", "{out}/log.csv", "--out", "{out}/m.ckpt"],
+    ["ablate", "--sweep", "fusion", "--epochs", "1", "--n-way", "2", "--episodes", "4",
+     "--out", "{out}/sweep.csv"],
+], ids=["train", "ablate"])
+def test_one_manifest_read_per_command(dataset_dir, tmp_path, monkeypatch, capsys, argv):
+    calls = []
+    read_manifest = io_files.read_manifest
+    monkeypatch.setattr(io_files, "read_manifest",
+                        lambda path: calls.append(path) or read_manifest(path))
+
+    def run(out):
+        out.mkdir()
+        args = [a.format(out=out) for a in argv]
+        rc = cli_dispatch([*args, "--data", str(dataset_dir / "manifest.csv"), "--seed", "0",
+                           "--deterministic-output"])
+        assert rc == 0
+        return capsys.readouterr().out.replace(str(out), ""), {
+            f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    once = run(tmp_path / "once")
+    assert len(calls) == 1
+    # the same command with one load_split per split, as before
+    monkeypatch.setattr(cli, "_load_splits", lambda manifest: tuple(
+        io_files.load_split(manifest, name) for name in synth.SPLITS))
+    per_split = run(tmp_path / "per-split")
+    assert len(calls) == 1 + 3
+    assert once == per_split
+
+
+@pytest.fixture
+def broken_checkpoint(checkpoint, tmp_path):
+    """A copy of the trained checkpoint and its sidecar, for breaking."""
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(checkpoint.read_bytes())
+    meta = tmp_path / "m.ckpt.meta.json"
+    meta.write_bytes((checkpoint.parent / "model.ckpt.meta.json").read_bytes())
+    return ckpt, meta
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-attention"])
+def test_checkpoint_with_non_finite_parameter_exits_2(dataset_dir, broken_checkpoint,
+                                                      tmp_path, capsys, command):
+    ckpt, _ = broken_checkpoint
+    params, _ = io_files.load_checkpoint(ckpt)
+    raw = bytearray(ckpt.read_bytes())
+    # the last block is proj_b (blocks are in name order); NaN its last value
+    assert sorted(params)[-1] == "proj_b"
+    raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    ckpt.write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    episodes = ["--n-way", "2", "--episodes", "2"] if command == "eval" else []
+    rc = cli_dispatch([command, "--data", str(dataset_dir / "manifest.csv"),
+                       "--checkpoint", str(ckpt), "--out", str(out), *episodes])
+    assert rc == 2
+    assert (f"error: {ckpt}: non-finite value in parameter 'proj_b' at byte {len(raw) - 8}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_checkpoint_sidecar_that_is_not_utf8_exits_2(dataset_dir, broken_checkpoint, capsys):
+    ckpt, meta = broken_checkpoint
+    meta.write_bytes(b'{"labels": ["caf\xe9"]}')
+    assert _eval_exit_code(dataset_dir, ckpt) == 2
+    assert f"error: {meta}: not UTF-8 at byte 16" in capsys.readouterr().err
 
 
 def test_ablate_fusion_sweep(dataset_dir, tmp_path, capsys):

@@ -133,12 +133,32 @@ def _manifest_with(tmp_path, *lines):
     (b"a,c0,train,.", "line 3: missing feature file '.'"),
     (b"a,c0,train,features/", "line 3: missing feature file 'features/'"),
     (b"a,c0,train," + b"x" * 200_000, "line 3: field larger than field limit"),
-], ids=["not-utf8", "short", "extra", "no-id", "no-label", "no-path", "dot", "dir", "csv-error"])
+    (b"a,c0,train," + b"x" * 300, "line 3: missing feature file 'xxx"),
+], ids=["not-utf8", "short", "extra", "no-id", "no-label", "no-path", "dot", "dir", "csv-error",
+        "name-too-long"])
 def test_manifest_defects_name_the_line_or_byte(tmp_path, row, message):
     # line 2 is a good row and a blank line is skipped, so the bad row is line 3
     mpath = _manifest_with(tmp_path, b"b,c1,val,b.fvf", row, b"")
     with pytest.raises(FormatError, match=f"{mpath}: {message}"):
         io_files.read_manifest(mpath)
+
+
+def test_manifest_row_naming_a_dangling_symlink_names_its_line(tmp_path):
+    (tmp_path / "gone.fvf").symlink_to(tmp_path / "nowhere.fvf")
+    mpath = _manifest_with(tmp_path, b"b,c1,val,b.fvf", b"", b"a,c0,train,gone.fvf")
+    with pytest.raises(FormatError, match=f"{mpath}: line 4: missing feature file 'gone.fvf'"):
+        io_files.read_manifest(mpath)
+
+
+def test_manifest_row_with_an_absolute_path_loads(tmp_path):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    io_files.write_feature_file(elsewhere / "x.fvf", np.full((2, 3), 0.5))
+    mpath = _manifest_with(tmp_path, b"b,c1,val,b.fvf",
+                           b"x,c0,train," + str(elsewhere / "x.fvf").encode())
+    [seq] = io_files.load_split(mpath, "train")
+    assert seq.video_id == "x" and seq.label == "c0"
+    assert np.array_equal(seq.features, np.full((2, 3), 0.5))
 
 
 def _variants(raw):
@@ -214,6 +234,33 @@ def test_checkpoint_errors(tmp_path):
         io_files.load_checkpoint(good)
     with pytest.raises(FormatError, match="unsupported ndim"):
         io_files.save_checkpoint(tmp_path / "x.ckpt", {"W": np.ones((2, 2, 2))}, {})
+
+
+def test_checkpoint_v1_bytes_load_bit_identically(tmp_path):
+    values = np.array([[1.5, -0.0], [np.pi, 1e-300]])
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(b"CLTA\x01" + struct.pack("<I", 1) + b"W" + struct.pack("<II", 2, 2)
+                     + values.astype("<f8").tobytes()
+                     + struct.pack("<I", 1) + b"b" + struct.pack("<II", 1, 0)
+                     + np.array([-2.25]).astype("<f8").tobytes())
+    (tmp_path / "v1.ckpt.meta.json").write_bytes(b'{"labels": ["a"]}')
+    params, meta = io_files.load_checkpoint(path)
+    assert params["W"].tobytes() == values.tobytes()
+    assert params["b"].tobytes() == np.array([-2.25]).tobytes()
+    assert meta == {"labels": ["a"]}
+
+
+def test_checkpoint_boundary_defects_name_the_block_or_byte(tmp_path):
+    path = tmp_path / "m.ckpt"
+    io_files.save_checkpoint(path, {"W": np.ones((2, 2)), "b": np.array([1.0, np.inf])}, {})
+    # header 5, block W 4 + 1 + 8 + 32, block b 4 + 1 + 8, then b's second value
+    with pytest.raises(FormatError, match=f"{path}: non-finite value in parameter 'b' at byte 71"):
+        io_files.load_checkpoint(path)
+    io_files.save_checkpoint(path, {"W": np.ones((2, 2))}, {})
+    meta = tmp_path / "m.ckpt.meta.json"
+    meta.write_bytes(b'{"x": "\xff"}')
+    with pytest.raises(FormatError, match=f"{meta}: not UTF-8 at byte 7"):
+        io_files.load_checkpoint(path)
 
 
 def test_checkpoint_truncated_at_every_byte(tmp_path):

@@ -1,5 +1,7 @@
 """Unit checks for the synthetic planted-signal generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,31 @@ def test_splits_hold_their_classes_and_videos():
               for name in ("train", "val", "test")}
     assert counts == {"train": (5, 5 * 6), "val": (2, 2 * 6), "test": (2, 2 * 6)}
     assert sum(n for _, n in counts.values()) == len(ds.sequences)
+
+
+# sha256 of generate(SynthConfig(seed=1, mode=mode)): the float64 feature bytes,
+# then the ids, the labels and "id,split" lines, each newline-terminated
+_DIGESTS = {
+    "instance_shifted": dict(
+        features="51bf37bd0e066eb49c608ebdc538fc9554e9a0f4d7d1ffc261b9d814235f8f2d",
+        ids="eccba5aa46bed1d43f78ce7f02047646f1b9a9f6f20bd03a7970f15245bae79c",
+        labels="d0ed91cfd85cb2e5c3cfe10037a0e4ba242eef99de6d66a0cd6ad1ab32cd3df1",
+        splits="99bf01d770504af74950506f6b296203bb8d4a6a7ce50c595ebcd0a13eee5211"),
+    "fixed_position": dict(
+        features="6133e9abe618dcc999607cdc9e0115f2450795b10e8bf8033535f220d326ed1c",
+        ids="eccba5aa46bed1d43f78ce7f02047646f1b9a9f6f20bd03a7970f15245bae79c",
+        labels="d0ed91cfd85cb2e5c3cfe10037a0e4ba242eef99de6d66a0cd6ad1ab32cd3df1",
+        splits="99bf01d770504af74950506f6b296203bb8d4a6a7ce50c595ebcd0a13eee5211"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_DIGESTS))
+def test_generated_bytes_are_pinned(mode):
+    ds = generate(SynthConfig(seed=1, mode=mode))
+    parts = dict(
+        features=b"".join(s.features.tobytes() for s in ds.sequences),
+        ids=b"".join(f"{s.video_id}\n".encode() for s in ds.sequences),
+        labels=b"".join(f"{s.label}\n".encode() for s in ds.sequences),
+        splits=b"".join(f"{s.video_id},{ds.split_of[s.video_id]}\n".encode()
+                        for s in ds.sequences))
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in parts.items()} == _DIGESTS[mode]
