@@ -7,10 +7,12 @@ head on k labelled videos per class, then score one query per class.
     python3 demos/episode_walkthrough.py
 """
 
+import dataclasses
+
 import numpy as np
 
-from clta.episodes import EpisodeSpec, retrain_classifier
-from clta.model import Model, ModelConfig, descriptor
+from clta.episodes import EpisodeSpec, run_episodes
+from clta.model import Model, ModelConfig
 from clta.synth import SynthConfig, generate
 from clta.trainer import TrainConfig, train
 
@@ -54,21 +56,15 @@ def main():
         print(f"  support: {s.video_id} (T = {s.T})")
     print()
 
-    print("step 4: retrain only the classifier head on the support videos")
-    head, label_order = retrain_classifier(model, support, spec)
-    print(f"  head classes: {label_order}")
-    print("  (the attention parameters are frozen; a unit test checks they")
-    print("   come back bit-identical)\n")
-
-    print("step 5: classify the query videos")
-    correct = 0
+    print("step 4: retrain only the classifier head on the support videos,")
+    print("then classify the query videos")
+    result = run_episodes(model, novel, dataclasses.replace(spec, num_episodes=1)).results[0]
+    print("  (the attention parameters and batch-norm stats are frozen; a unit")
+    print("   test checks they come back bit-identical)")
     for seq in queries:
-        logits = head.W.T @ descriptor(model, seq.features) + head.bias
-        got = label_order[np.argmax(logits)]
-        mark = "ok" if got == seq.label else "WRONG"
-        correct += got == seq.label
-        print(f"  query {seq.video_id}: predicted {got} ({mark})")
-    print(f"\nepisode accuracy: {correct}/{len(queries)}")
+        mark = "ok" if result.per_class[seq.label] else "WRONG"
+        print(f"  query {seq.video_id} of {seq.label}: {mark}")
+    print(f"\nepisode accuracy: {sum(result.per_class.values())}/{len(queries)}")
     print("The harness repeats this hundreds of times with per-episode seeds")
     print("and reports the mean accuracy with a 95% confidence interval.")
 

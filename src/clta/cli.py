@@ -40,8 +40,10 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
 
-    def command(name, help):
+    def command(name, help, handler):
         p = commands[name] = sub.add_parser(name, help=help)
+        # set_defaults registers no flag, so a --config key cannot set the handler
+        p.set_defaults(handler=handler)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", type=str, default=None,
                        help="key=value file with defaults; flags override")
@@ -49,7 +51,7 @@ def _build_parser():
                        help="suppress timestamp comment lines in result CSVs")
         return p
 
-    p = command("gen", "generate a synthetic dataset")
+    p = command("gen", "generate a synthetic dataset", _cmd_gen)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--mode", choices=["instance_shifted", "fixed_position"],
                    default="instance_shifted")
@@ -80,7 +82,7 @@ def _build_parser():
         p.add_argument("--batch-size", type=int, default=128)
         p.add_argument("--dropout", type=float, default=0.0)
 
-    p = command("train", "train an attention model on the base classes")
+    p = command("train", "train an attention model on the base classes", _cmd_train)
     p.add_argument("--data", required=True, help="manifest CSV path")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--log", default=None,
@@ -95,25 +97,25 @@ def _build_parser():
         p.add_argument("--episodes", type=int, default=600)
         p.add_argument("--head", choices=["same", "softmax", "cosine"], default="same")
 
-    p = command("eval", "episodic n-way k-shot evaluation")
+    p = command("eval", "episodic n-way k-shot evaluation", _cmd_eval)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default=None, help="result CSV path (default stdout only)")
     eval_flags(p)
 
-    p = command("gradcheck", "finite-difference check of the full model")
+    p = command("gradcheck", "finite-difference check of the full model", _cmd_gradcheck)
     p.add_argument("--beta", type=float, default=10.0,
                    help="soft-argmax scale for the checked model")
     p.add_argument("--eps", type=float, default=1e-5)
 
-    p = command("ablate", "sweep one factor and evaluate each setting")
+    p = command("ablate", "sweep one factor and evaluate each setting", _cmd_ablate)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="sweep result CSV path")
     p.add_argument("--sweep", choices=["k", "beta", "fusion", "classifier"], required=True)
     train_flags(p)
     eval_flags(p)
 
-    p = command("dump-attention", "per-video attention trace CSVs")
+    p = command("dump-attention", "per-video attention trace CSVs", _cmd_dump_attention)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="output directory")
@@ -212,11 +214,12 @@ def _train_model(args, train_seqs, val_seqs):
                        dropout_rate=args.dropout, seed=args.seed)
     pairs = [(s.features, lab2idx[s.label]) for s in train_seqs]
     # val classes are disjoint from the base classes, so epoch selection uses
-    # a small episodic probe on the val split instead of plain accuracy
+    # a small episodic probe on the val split instead of plain accuracy; an
+    # episode needs two classes, so a one-class split, like an empty one, has none
     val_metric = None
-    if val_seqs:
-        val_classes = {s.label for s in val_seqs}
-        probe = EpisodeSpec(n_way=min(5, len(val_classes)), k_shot=1,
+    val_classes = len({s.label for s in val_seqs})
+    if val_classes >= 2:
+        probe = EpisodeSpec(n_way=min(5, val_classes), k_shot=1,
                             num_episodes=24, retrain_epochs=40, seed=args.seed)
 
         def val_metric(m):
@@ -253,14 +256,17 @@ def _load_model(checkpoint) -> Model:
     if not isinstance(meta, dict) or "model_config" not in meta:
         raise FormatError(f"{checkpoint}: metadata has no model_config")
     model = Model.from_config(meta["model_config"], params)
-    # clta train records both running stats; a batch-norm model cannot do without them
+    # clta train records both running stats; a batch-norm model cannot do without them.
+    # JSON gives NaN and Infinity as floats and true as a bool, an int subclass; a
+    # NaN fails the bound, which compares an int of any size exactly
     for name in ("bn_mean", "bn_var"):
         if name in meta or model.cfg.batch_norm:
             stats = meta.get(name)
             if not (isinstance(stats, list) and len(stats) == model.cfg.hidden
-                    and all(isinstance(x, (int, float)) for x in stats)):
+                    and all(type(x) in (int, float) and abs(x) <= sys.float_info.max
+                            for x in stats)):
                 raise FormatError(f"{checkpoint}: metadata needs {name} as "
-                                  f"{model.cfg.hidden} numbers")
+                                  f"{model.cfg.hidden} finite numbers")
             setattr(model, name, np.asarray(stats, dtype=np.float64))
     return model
 
@@ -360,16 +366,6 @@ def _cmd_dump_attention(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "gradcheck": _cmd_gradcheck,
-    "ablate": _cmd_ablate,
-    "dump-attention": _cmd_dump_attention,
-}
-
-
 def cli_dispatch(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _build_parser()
@@ -388,7 +384,7 @@ def cli_dispatch(argv=None) -> int:
         for action in required:
             action.required = command.get_default(action.dest) is None
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (CltaError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -169,46 +169,6 @@ def _descriptors(frozen_model: Model, videos: list[FrameSequence]) -> np.ndarray
     return out
 
 
-def _head_kind(frozen_model: Model, spec: EpisodeSpec) -> str:
-    return frozen_model.cfg.classifier if spec.head == "same" else spec.head
-
-
-def _check_lengths(frozen_model: Model, videos: list[FrameSequence]) -> None:
-    """ConfigError naming the first video longer than the model's Z."""
-    for seq in videos:
-        if seq.T > frozen_model.cfg.Z:
-            raise ConfigError(f"video {seq.video_id!r} longer than Z={frozen_model.cfg.Z}")
-
-
-def retrain_classifier(frozen_model: Model, support: list[FrameSequence],
-                       spec: EpisodeSpec):
-    """Train a fresh n-way head on support descriptors; attention untouched.
-
-    Returns (head, label_order) where label_order maps head index -> label.
-    Every support video needs a label, and the support needs spec.n_way
-    classes with spec.k_shot videos each. Each retrain epoch is one
-    full-batch step on the support rows in their order; nothing is drawn.
-    """
-    if not support:
-        raise ConfigError("empty support set")
-    _check_lengths(frozen_model, support)
-    support_labels = _labels(support)
-    groups = _by_class(support_labels)
-    counts = {c: len(idxs) for c, idxs in groups.items()}
-    if len(groups) != spec.n_way or set(counts.values()) != {spec.k_shot}:
-        raise SamplingError(f"support set has {len(groups)} classes, videos per class {counts}; "
-                            f"spec needs n_way={spec.n_way} classes of k_shot={spec.k_shot}")
-    labels = sorted(groups)
-    lab2idx = {c: i for i, c in enumerate(labels)}
-    X = _descriptors(frozen_model, support)
-    y = np.array([lab2idx[c] for c in support_labels])
-    kind = _head_kind(frozen_model, spec)
-    head = _fit_heads(kind, X[None], y[None], len(labels), spec)
-    if kind == "softmax":
-        return SoftmaxHead(W=head.W[0], bias=head.bias[0, 0]), labels
-    return CosineHead(W_proto=head.W_proto[0], temperature=float(head.temperature[0, 0, 0])), labels
-
-
 @dataclass(frozen=True)
 class _Chunk:
     """The draws of up to _CHUNK consecutive episodes; no model enters them."""
@@ -254,10 +214,13 @@ def _make_plan(labels: tuple[str, ...], spec: EpisodeSpec) -> tuple[_Chunk, ...]
 def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
                  spec: EpisodeSpec) -> EvalSummary:
     """Mean n-way k-shot accuracy over num_episodes with a 95% CI."""
-    _check_lengths(frozen_model, novel_set)
+    Z = frozen_model.cfg.Z
+    for seq in novel_set:
+        if seq.T > Z:
+            raise ConfigError(f"video {seq.video_id!r} longer than Z={Z}")
     plan = _make_plan(_labels(novel_set), spec)
     desc = _descriptors(frozen_model, novel_set)   # episode-independent: once for all
-    kind = _head_kind(frozen_model, spec)
+    kind = frozen_model.cfg.classifier if spec.head == "same" else spec.head
     results = []
     for chunk in plan:
         head = _fit_heads(kind, desc[chunk.support], chunk.y, spec.n_way, spec)

@@ -94,8 +94,9 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.beta <= 0:
             raise ConfigError(f"beta must be > 0, got {self.beta}")
-        if self.num_gaussians < 1:
-            raise ConfigError(f"need at least one attention head, got {self.num_gaussians}")
+        for name in ("num_gaussians", "Z", "feature_dim", "hidden", "num_classes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         # sldg always weighs its heads; avg has one summary, nothing to weigh
         self.fusion = {"sldg": "soft_weight", "avg": "average"}.get(self.kind, self.fusion)
 

@@ -1,4 +1,5 @@
-"""Base-class training: Adam, step-decay schedule, inverted dropout.
+"""Base-class training: Adam, step-decay schedule, and the seeded generator
+from which Model.forward_video draws its inverted-dropout masks.
 
 Minibatches of variable-length sequences go through the model in zero-padded
 chunks with a frame mask, taken in stable length order within a minibatch, which

@@ -71,6 +71,32 @@ def test_train_writes_checkpoint_and_log(checkpoint):
     assert rows[1][4] != ""  # episodic probe recorded as the val metric
 
 
+def test_train_with_a_one_class_val_split_has_no_val_signal(tmp_path, capsys, caplog):
+    # 6 classes give a val split of one class, on which no episode can be drawn
+    rc = cli_dispatch(["gen", "--out", str(tmp_path / "d"), "--classes", "6",
+                       "--videos-per-class", "4", "--seed", "0"])
+    assert rc == 0
+    assert "val: 1 classes, 4 videos" in capsys.readouterr().out
+    rc = cli_dispatch(["train", "--data", str(tmp_path / "d" / "manifest.csv"),
+                       "--out", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "log.csv"),
+                       "--epochs", "2"])
+    assert rc == 0
+    assert "no validation signal" in caplog.text
+    with open(tmp_path / "log.csv") as fh:
+        rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+    assert [r[4] for r in rows[1:]] == ["", ""]
+
+
+@pytest.mark.parametrize("hidden", ["-1", "0"])
+def test_train_rejects_a_hidden_size_below_one(dataset_dir, tmp_path, capsys, hidden):
+    ckpt = tmp_path / "m.ckpt"
+    rc = cli_dispatch(["train", "--data", str(dataset_dir / "manifest.csv"),
+                       "--out", str(ckpt), "--epochs", "1", "--hidden", hidden])
+    assert rc == 2
+    assert f"error: hidden must be >= 1, got {hidden}" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_eval_runs_and_writes_csv(dataset_dir, checkpoint, tmp_path, capsys):
     out = tmp_path / "eval.csv"
     rc = cli_dispatch(["eval", "--data", str(dataset_dir / "manifest.csv"),
@@ -180,13 +206,20 @@ def test_eval_and_ablate_reject_episode_counts_below_one(dataset_dir, checkpoint
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_checkpoint_metadata_is_checked(dataset_dir, tmp_path, capsys):
+@pytest.fixture
+def bn_checkpoint(tmp_path):
+    """A batch-norm checkpoint for the test data, and its good metadata."""
     cfg = ModelConfig(Z=40, feature_dim=24, hidden=16, num_classes=8, batch_norm=True)
     model = Model(cfg, np.random.default_rng(0))
     good = dict(model_config=model.config_dict(), labels=[f"c{i}" for i in range(8)],
                 bn_mean=[0.5] * 16, bn_var=[2.0] * 16)
     ckpt = tmp_path / "m.ckpt"
     io_files.save_checkpoint(ckpt, model.params, good)
+    return ckpt, good
+
+
+def test_checkpoint_metadata_is_checked(dataset_dir, bn_checkpoint, capsys):
+    ckpt, good = bn_checkpoint
     assert _eval_exit_code(dataset_dir, ckpt) == 0
     assert np.array_equal(_load_model(ckpt).bn_var, np.full(16, 2.0))
     meta = ckpt.parent / (ckpt.name + ".meta.json")
@@ -199,6 +232,23 @@ def test_checkpoint_metadata_is_checked(dataset_dir, tmp_path, capsys):
         capsys.readouterr()
         assert _eval_exit_code(dataset_dir, ckpt) == 2, named
         assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, stats", [
+    ("bn_mean", [0.5] * 15 + [float("nan")]),
+    ("bn_mean", [float("inf")] * 16),
+    ("bn_var", [2.0] * 8 + [float("-inf")] * 8),
+    ("bn_var", [True] * 16),
+    ("bn_mean", [0.5] * 15 + [10 ** 400]),
+], ids=["NaN", "Infinity", "-Infinity", "true", "int beyond float64"])
+def test_non_finite_or_boolean_bn_stats_exit_2(dataset_dir, bn_checkpoint, capsys,
+                                              name, stats):
+    ckpt, good = bn_checkpoint
+    meta = ckpt.parent / (ckpt.name + ".meta.json")
+    meta.write_text(json.dumps(dict(good, **{name: stats})))
+    assert _eval_exit_code(dataset_dir, ckpt) == 2
+    assert (f"error: {ckpt}: metadata needs {name} as 16 finite numbers"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -266,6 +316,15 @@ def test_checkpoint_sidecar_that_is_not_utf8_exits_2(dataset_dir, broken_checkpo
     meta.write_bytes(b'{"labels": ["caf\xe9"]}')
     assert _eval_exit_code(dataset_dir, ckpt) == 2
     assert f"error: {meta}: not UTF-8 at byte 16" in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_size_below_one_exits_2(dataset_dir, broken_checkpoint, capsys):
+    ckpt, meta = broken_checkpoint
+    sidecar = json.loads(meta.read_text())
+    sidecar["model_config"]["hidden"] = -1
+    meta.write_text(json.dumps(sidecar))
+    assert _eval_exit_code(dataset_dir, ckpt) == 2
+    assert "error: hidden must be >= 1, got -1" in capsys.readouterr().err
 
 
 def test_ablate_fusion_sweep(dataset_dir, tmp_path, capsys):

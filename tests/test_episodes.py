@@ -1,4 +1,5 @@
-"""Unit checks for episodic sampling and the retrain-per-episode harness."""
+"""Unit checks for episodic sampling and the retrain-per-episode harness,
+run_episodes, against draws and plain-numpy head fits made here."""
 
 import dataclasses
 
@@ -8,7 +9,7 @@ import pytest
 from clta import episodes
 from clta.attention import FrameSequence
 from clta.classifiers import CosineHead, SoftmaxHead, cosine_logits, softmax_logits
-from clta.episodes import RETRAIN_LR, EpisodeSpec, retrain_classifier, run_episodes
+from clta.episodes import RETRAIN_LR, EpisodeSpec, run_episodes
 from clta.errors import ConfigError, SamplingError, TrainingError
 from clta.model import Model, ModelConfig, descriptor
 
@@ -111,71 +112,34 @@ def test_sample_episode_too_few_classes():
 
 
 def test_unlabelled_video_rejected():
-    seq = FrameSequence(features=np.ones((3, 5)), label=None, video_id="x")
-    with pytest.raises(SamplingError, match="'x'"):
-        run_episodes(_frozen_model(), [seq], EpisodeSpec())
-
-
-def test_retrain_leaves_attention_untouched():
-    rng = np.random.default_rng(2)
-    novel = _novel_set(rng)
-    model = _frozen_model(kind="clta")
-    before = {k: v.copy() for k, v in model.params.items()}
-    support = [s for s in novel if s.video_id.endswith("_v0")][:5]
-    head, labels = retrain_classifier(model, support,
-                                      EpisodeSpec(n_way=5, retrain_epochs=5))
-    assert labels == sorted({s.label for s in support})
-    for k in before:
-        assert np.array_equal(model.params[k], before[k])  # bit-identical
-
-
-def test_retrain_empty_support():
-    with pytest.raises(ConfigError):
-        retrain_classifier(_frozen_model(), [], EpisodeSpec())
-
-
-def test_retrain_classifier_rejects_unlabelled_support_videos():
-    novel = _novel_set(np.random.default_rng(12), n_classes=3)
-    model = _frozen_model()
-    spec = EpisodeSpec(n_way=2, retrain_epochs=2)
-
     def unlabelled(name):
         return FrameSequence(features=np.ones((3, 5)), label=None, video_id=name)
 
+    with pytest.raises(SamplingError, match="'x'"):
+        run_episodes(_frozen_model(), [unlabelled("x")], EpisodeSpec())
+    # the first unlabelled video among labelled ones is named
+    novel = _novel_set(np.random.default_rng(12))
+    novel[3:3] = [unlabelled("nolabel"), unlabelled("later")]
     with pytest.raises(SamplingError, match="'nolabel'"):
-        retrain_classifier(model, [novel[0], unlabelled("nolabel"), novel[6]], spec)
-    with pytest.raises(SamplingError, match="'u0'"):
-        retrain_classifier(model, [unlabelled(f"u{i}") for i in range(3)], spec)
+        run_episodes(_frozen_model(), novel, EpisodeSpec(n_way=2, num_episodes=2))
 
 
-def test_retrain_classifier_rejects_a_one_class_support_set():
-    novel = _novel_set(np.random.default_rng(12), n_classes=3)
-    support = [s for s in novel if s.label == "c1"]
-    with pytest.raises(SamplingError, match="'c1'"):
-        retrain_classifier(_frozen_model(), support, EpisodeSpec(n_way=2, retrain_epochs=2))
-
-
-def test_retrain_classifier_checks_the_support_against_the_spec():
-    # a lone fit takes the episode shape run_episodes fits: n_way classes of k_shot
-    novel = _novel_set(np.random.default_rng(12), n_classes=3)
-    support = [s for s in novel if s.video_id.endswith(("_v0", "_v1"))]
-    model = _frozen_model()
-    with pytest.raises(SamplingError, match="3 classes.*n_way=5 classes of k_shot=1"):
-        retrain_classifier(model, support, EpisodeSpec(n_way=5, k_shot=1, retrain_epochs=2))
-    # the right class count, with one class a video short
-    with pytest.raises(SamplingError, match="'c2': 1.*n_way=3 classes of k_shot=2"):
-        retrain_classifier(model, support[:-1], EpisodeSpec(n_way=3, k_shot=2, retrain_epochs=2))
-    head, labels = retrain_classifier(model, support, EpisodeSpec(n_way=3, k_shot=2,
-                                                                  retrain_epochs=2))
-    assert labels == ["c0", "c1", "c2"] and head.W.shape == (8, 3)
-
-
-def test_retrain_classifier_names_an_overlong_video():
-    novel = _novel_set(np.random.default_rng(12), n_classes=3)
-    support = [novel[0], novel[6],
-               FrameSequence(features=np.ones((25, 5)), label="c1", video_id="too_long")]
-    with pytest.raises(ConfigError, match="'too_long'"):
-        retrain_classifier(_frozen_model(), support, EpisodeSpec(n_way=2, retrain_epochs=2))
+def test_retrain_leaves_attention_untouched():
+    # params and batch-norm running stats come back bit-identical, for either head
+    rng = np.random.default_rng(2)
+    novel = _novel_set(rng)
+    for head in ("softmax", "cosine"):
+        cfg = ModelConfig(kind="clta", classifier=head, num_gaussians=2, beta=10.0, Z=10,
+                          feature_dim=5, hidden=8, num_classes=4, dropout=0.0,
+                          batch_norm=True)
+        model = Model(cfg, np.random.default_rng(0))
+        model.bn_mean, model.bn_var = rng.normal(size=8), rng.uniform(0.5, 2.0, size=8)
+        before = {k: v.tobytes() for k, v in model.params.items()}
+        stats = (model.bn_mean.tobytes(), model.bn_var.tobytes())
+        run_episodes(model, novel, EpisodeSpec(n_way=5, k_shot=2, num_episodes=3,
+                                               retrain_epochs=5))
+        assert {k: v.tobytes() for k, v in model.params.items()} == before
+        assert (model.bn_mean.tobytes(), model.bn_var.tobytes()) == stats
 
 
 def test_run_episodes_rejects_overlong_videos():
@@ -183,7 +147,7 @@ def test_run_episodes_rejects_overlong_videos():
     novel = _novel_set(rng)
     novel.append(FrameSequence(features=np.ones((25, 5)), label="c0",
                                video_id="too_long"))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="'too_long'"):
         run_episodes(_frozen_model(), novel, EpisodeSpec(num_episodes=2))
 
 
@@ -198,12 +162,20 @@ def test_run_episodes_separable_is_perfect():
 
 
 def _episode_by_hand(model, novel, spec, i):
-    """Episode i drawn with rng.choice on the lists and fitted on its own, as
-    one retrain_classifier call."""
+    """Episode i drawn with rng.choice on the lists and its head fitted on its
+    own by the plain-numpy reference fit of the kind run_episodes picks."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, i]))
     support, query = _draws_on_the_lists(rng, novel, spec)
-    head, labels = retrain_classifier(model, [novel[j] for j in support], spec)
-    logits = cosine_logits if isinstance(head, CosineHead) else softmax_logits
+    labels = sorted({novel[j].label for j in query})
+    X = episodes._descriptors(model, [novel[j] for j in support])
+    y = np.array([labels.index(novel[j].label) for j in support])
+    fit = (spec.n_way, spec.retrain_epochs, RETRAIN_LR)
+    if (model.cfg.classifier if spec.head == "same" else spec.head) == "softmax":
+        p = _reference_softmax_fit(X, y, *fit)
+        head, logits = SoftmaxHead(W=p["W"], bias=p["b"]), softmax_logits
+    else:
+        p = _reference_cosine_fit(X, y, *fit)
+        head, logits = CosineHead(W_proto=p["proto"], temperature=p["temp"]), cosine_logits
     return {novel[j].label: np.argmax(logits(descriptor(model, novel[j].features), head))
             == labels.index(novel[j].label) for j in query}
 
@@ -331,20 +303,6 @@ def test_fit_heads_raises_on_a_non_finite_descriptor(head, rows):
         episodes._fit_heads(head, X, y, n_way, spec)
 
 
-def test_retrain_classifier_is_bit_identical_to_a_plain_fit():
-    # 5-way 13-shot: 65 support rows, one full-batch step per retrain epoch
-    novel = _novel_set(np.random.default_rng(11), n_classes=5, per_class=14)
-    model = _frozen_model(kind="clta")
-    support = [s for s in novel if not s.video_id.endswith("_v13")]
-    spec = EpisodeSpec(n_way=5, k_shot=13, retrain_epochs=7)
-    head, labels = retrain_classifier(model, support, spec)
-    X = episodes._descriptors(model, support)
-    y = np.array([labels.index(s.label) for s in support])
-    want = _reference_softmax_fit(X, y, 5, spec.retrain_epochs, RETRAIN_LR)
-    assert head.W.tobytes() == want["W"].tobytes()
-    assert head.bias.tobytes() == want["b"].tobytes()
-
-
 def test_run_episodes_deterministic_in_seed():
     rng = np.random.default_rng(6)
     novel = _novel_set(rng)
@@ -358,14 +316,24 @@ def test_run_episodes_deterministic_in_seed():
     assert any(x.per_class != y.per_class for x, y in zip(a.results, c.results))
 
 
-def test_episode_head_override():
-    rng = np.random.default_rng(7)
-    novel = _novel_set(rng, n_classes=5)
-    model = _frozen_model(classifier="softmax")
-    support = [s for s in novel if s.video_id.endswith("_v0")]
-    spec = EpisodeSpec(n_way=5, retrain_epochs=3, head="cosine")
-    head, _ = retrain_classifier(model, support, spec)
-    assert type(head).__name__ == "CosineHead"
+def test_episode_head_override(monkeypatch):
+    fitted = []
+    fit_heads = episodes._fit_heads
+
+    def recording_fit(*args):
+        head = fit_heads(*args)
+        fitted.append(type(head))
+        return head
+
+    monkeypatch.setattr(episodes, "_fit_heads", recording_fit)
+    novel = _novel_set(np.random.default_rng(7), n_classes=5)
+    for classifier, head, want in (("softmax", "cosine", CosineHead),
+                                   ("cosine", "softmax", SoftmaxHead),
+                                   ("cosine", "same", CosineHead)):
+        fitted.clear()
+        spec = EpisodeSpec(n_way=5, num_episodes=3, retrain_epochs=3, head=head)
+        run_episodes(_frozen_model(classifier=classifier), novel, spec)
+        assert fitted == [want]
 
 
 @pytest.fixture

@@ -254,8 +254,10 @@ def test_config_validation():
         ModelConfig(classifier="nope")
     with pytest.raises(ConfigError):
         ModelConfig(beta=0.0)
-    with pytest.raises(ConfigError):
-        ModelConfig(num_gaussians=0)
+    for name in ("num_gaussians", "Z", "feature_dim", "hidden", "num_classes"):
+        for bad in (0, -1):
+            with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {bad}"):
+                ModelConfig(**{name: bad})
     with pytest.raises(ConfigError):
         ModelConfig(dropout=1.0)
 
