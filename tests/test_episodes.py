@@ -117,11 +117,21 @@ def test_unlabelled_video_rejected():
 
     with pytest.raises(SamplingError, match="'x'"):
         run_episodes(_frozen_model(), [unlabelled("x")], EpisodeSpec())
-    # the first unlabelled video among labelled ones is named
-    novel = _novel_set(np.random.default_rng(12))
+
+
+def test_retrain_classifier_rejects_unlabelled_support_videos():
+    # the first unlabelled video of the set is named, among labelled ones or not
+    def unlabelled(name):
+        return FrameSequence(features=np.ones((3, 5)), label=None, video_id=name)
+
+    model = _frozen_model()
+    spec = EpisodeSpec(n_way=2, num_episodes=2, retrain_epochs=2)
+    novel = _novel_set(np.random.default_rng(12), n_classes=3)
     novel[3:3] = [unlabelled("nolabel"), unlabelled("later")]
     with pytest.raises(SamplingError, match="'nolabel'"):
-        run_episodes(_frozen_model(), novel, EpisodeSpec(n_way=2, num_episodes=2))
+        run_episodes(model, novel, spec)
+    with pytest.raises(SamplingError, match="'u0'"):
+        run_episodes(model, [unlabelled(f"u{i}") for i in range(3)], spec)
 
 
 def test_retrain_leaves_attention_untouched():
@@ -149,6 +159,16 @@ def test_run_episodes_rejects_overlong_videos():
                                video_id="too_long"))
     with pytest.raises(ConfigError, match="'too_long'"):
         run_episodes(_frozen_model(), novel, EpisodeSpec(num_episodes=2))
+
+
+def test_retrain_classifier_names_an_overlong_video():
+    # an overlong video mid-set, in a class that episodes draw from
+    novel = _novel_set(np.random.default_rng(12), n_classes=3)
+    novel.insert(7, FrameSequence(features=np.ones((25, 5)), label="c1",
+                                  video_id="too_long"))
+    with pytest.raises(ConfigError, match="'too_long'"):
+        run_episodes(_frozen_model(), novel,
+                     EpisodeSpec(n_way=2, num_episodes=2, retrain_epochs=2))
 
 
 def test_run_episodes_separable_is_perfect():
@@ -301,6 +321,33 @@ def test_fit_heads_raises_on_a_non_finite_descriptor(head, rows):
     spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, retrain_epochs=epochs)
     with pytest.raises(TrainingError):
         episodes._fit_heads(head, X, y, n_way, spec)
+
+
+def test_retrain_classifier_is_bit_identical_to_a_plain_fit(monkeypatch):
+    # 5-way 13-shot: 65 support rows, one full-batch step per retrain epoch;
+    # the head run_episodes fits is the plain-numpy softmax fit, bit for bit
+    fitted = []
+    fit_heads = episodes._fit_heads
+
+    def recording_fit(*args):
+        fitted.append((args, fit_heads(*args)))
+        return fitted[-1][1]
+
+    monkeypatch.setattr(episodes, "_fit_heads", recording_fit)
+    novel = _novel_set(np.random.default_rng(11), n_classes=5, per_class=14)
+    model = _frozen_model(kind="clta")
+    spec = EpisodeSpec(n_way=5, k_shot=13, num_episodes=1, retrain_epochs=7)
+    run_episodes(model, novel, spec)
+    [((kind, X, y, n_way, _), head)] = fitted
+    [(support, query)] = _drawn(novel, spec)
+    labels = sorted({novel[j].label for j in query})
+    want_X = episodes._descriptors(model, novel)[support]
+    want_y = np.array([labels.index(novel[j].label) for j in support])
+    assert kind == "softmax" and n_way == 5
+    assert X[0].tobytes() == want_X.tobytes() and np.array_equal(y[0], want_y)
+    want = _reference_softmax_fit(want_X, want_y, 5, spec.retrain_epochs, RETRAIN_LR)
+    assert head.W[0].tobytes() == want["W"].tobytes()
+    assert head.bias[0].reshape(want["b"].shape).tobytes() == want["b"].tobytes()
 
 
 def test_run_episodes_deterministic_in_seed():
