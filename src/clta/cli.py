@@ -6,6 +6,7 @@ file passed with --config supplies defaults; explicit flags override it.
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -214,10 +215,10 @@ def _train_model(args, train_seqs, val_seqs):
                        dropout_rate=args.dropout, seed=args.seed)
     pairs = [(s.features, lab2idx[s.label]) for s in train_seqs]
     # val classes are disjoint from the base classes, so epoch selection uses
-    # a small episodic probe on the val split instead of plain accuracy; an
-    # episode needs two classes, so a one-class split, like an empty one, has none
+    # a small episodic probe on the val split instead of plain accuracy; a
+    # 1-shot episode needs two classes of two videos each, else there is none
     val_metric = None
-    val_classes = len({s.label for s in val_seqs})
+    val_classes = sum(n >= 2 for n in Counter(s.label for s in val_seqs).values())
     if val_classes >= 2:
         probe = EpisodeSpec(n_way=min(5, val_classes), k_shot=1,
                             num_episodes=24, retrain_epochs=40, seed=args.seed)
@@ -258,15 +259,16 @@ def _load_model(checkpoint) -> Model:
     model = Model.from_config(meta["model_config"], params)
     # clta train records both running stats; a batch-norm model cannot do without them.
     # JSON gives NaN and Infinity as floats and true as a bool, an int subclass; a
-    # NaN fails the bound, which compares an int of any size exactly
-    for name in ("bn_mean", "bn_var"):
+    # NaN fails the bounds, which compare an int of any size exactly. The forward
+    # takes the square root of a variance, so none may be negative
+    for name, least, rule in (("bn_mean", -sys.float_info.max, ""), ("bn_var", 0, " >= 0")):
         if name in meta or model.cfg.batch_norm:
             stats = meta.get(name)
             if not (isinstance(stats, list) and len(stats) == model.cfg.hidden
-                    and all(type(x) in (int, float) and abs(x) <= sys.float_info.max
+                    and all(type(x) in (int, float) and least <= x <= sys.float_info.max
                             for x in stats)):
                 raise FormatError(f"{checkpoint}: metadata needs {name} as "
-                                  f"{model.cfg.hidden} finite numbers")
+                                  f"{model.cfg.hidden} finite numbers{rule}")
             setattr(model, name, np.asarray(stats, dtype=np.float64))
     return model
 

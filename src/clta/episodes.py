@@ -13,9 +13,11 @@ full-batch step on all support rows in row order.
 The draws do not depend on the model: they are a plan made from the set's
 labels in order and the spec, which is frozen so that it can key a one-slot
 cache of the latest plan. The per-epoch val probe of training therefore
-draws its episodes on its first call only. A plan holds each episode's
-support, query and head targets. The length check, the descriptors, the fit
-and the scoring run on every call.
+draws its episodes on its first call only. A plan is each episode's query
+labels and read-only arrays, one row per episode: support and query indices
+and their head classes, the ranks of the drawn classes in sorted label
+order. The length check, the descriptors, the fit and the scoring run on
+every call.
 
 Fitting is one batched solve: every episode has the same n_way * k_shot
 support size, so the heads of a chunk of episodes are stacked and trained
@@ -112,12 +114,13 @@ def _draw_episode(rng, groups, eligible, spec):
     # rng.choice(len(x)) draws the positions that rng.choice(x) picks, from the
     # same stream, without converting x to an array on every call
     support, query = [], []
-    for c in rng.choice(len(eligible), size=spec.n_way, replace=False):
+    drawn = rng.choice(len(eligible), size=spec.n_way, replace=False)
+    for c in drawn:
         members = groups[eligible[c]]
         picked = rng.choice(len(members), size=spec.k_shot + 1, replace=False)
         support.extend(members[i] for i in picked[:-1])
         query.append(members[picked[-1]])
-    return support, query
+    return support, query, drawn
 
 
 def _flat(head):
@@ -169,46 +172,26 @@ def _descriptors(frozen_model: Model, videos: list[FrameSequence]) -> np.ndarray
     return out
 
 
-@dataclass(frozen=True)
-class _Chunk:
-    """The draws of up to _CHUNK consecutive episodes; no model enters them."""
-    ids: range
-    support: np.ndarray    # (E, n_way * k_shot) novel-set indices
-    query: np.ndarray      # (E, n_way) novel-set indices, one per class
-    y: np.ndarray          # (E, n_way * k_shot) head class of each support video
-    truth: np.ndarray      # (E, n_way) head class of each query
-    labels: tuple          # each episode's query labels
-
-
 # The latest plan only: the per-epoch val probe calls with the same set and
 # spec every epoch, and calls over many seeds or sets pin one plan at most.
 @functools.lru_cache(maxsize=1)
-def _make_plan(labels: tuple[str, ...], spec: EpisodeSpec) -> tuple[_Chunk, ...]:
-    """The episodes' draws: a pure function of the set's labels in order and
-    the spec."""
+def _make_plan(labels: tuple[str, ...], spec: EpisodeSpec):
+    """The episodes' draws, a pure function of the set's labels in order and
+    the spec: each episode's query labels, then support (E, n_way * k_shot)
+    and query (E, n_way) novel-set indices and their head classes y and truth.
+    The eligible classes are sorted, so a query's head class, the rank of its
+    drawn position among the episode's, is its class's rank in label order."""
     groups = _by_class(labels)
     eligible = _eligible(groups, spec)
-    # class codes in sorted label order: a head's class index is the rank of
-    # its code among the episode's query codes (one query per class)
-    code = {c: k for k, c in enumerate(sorted(groups))}
-    codes = np.array([code[c] for c in labels])
-    n = spec.n_way * spec.k_shot
-    chunks = []
-    for lo in range(0, spec.num_episodes, _CHUNK):
-        ids = range(lo, min(lo + _CHUNK, spec.num_episodes))
-        support = np.empty((len(ids), n), dtype=np.intp)
-        query = np.empty((len(ids), spec.n_way), dtype=np.intp)
-        for e, i in enumerate(ids):
-            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, i]))
-            support[e], query[e] = _draw_episode(rng, groups, eligible, spec)
-        qcodes = codes[query][:, None, :]
-        y = (qcodes < codes[support][..., None]).sum(axis=-1)
-        truth = (qcodes < codes[query][..., None]).sum(axis=-1)
-        for a in (support, query, y, truth):
-            a.flags.writeable = False
-        query_labels = tuple(tuple(labels[j] for j in q) for q in query.tolist())
-        chunks.append(_Chunk(ids, support, query, y, truth, query_labels))
-    return tuple(chunks)
+    draws = [_draw_episode(np.random.default_rng(np.random.SeedSequence([spec.seed, i])),
+                           groups, eligible, spec) for i in range(spec.num_episodes)]
+    support, query, drawn = (np.array(a, dtype=np.intp) for a in zip(*draws))
+    truth = drawn.argsort(axis=1).argsort(axis=1)
+    y = truth.repeat(spec.k_shot, axis=1)
+    for a in (support, query, y, truth):
+        a.flags.writeable = False
+    query_labels = tuple(tuple(labels[j] for j in q) for q in query.tolist())
+    return query_labels, support, query, y, truth
 
 
 def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
@@ -218,16 +201,18 @@ def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
     for seq in novel_set:
         if seq.T > Z:
             raise ConfigError(f"video {seq.video_id!r} longer than Z={Z}")
-    plan = _make_plan(_labels(novel_set), spec)
+    query_labels, support, query, y, truth = _make_plan(_labels(novel_set), spec)
     desc = _descriptors(frozen_model, novel_set)   # episode-independent: once for all
     kind = frozen_model.cfg.classifier if spec.head == "same" else spec.head
-    results = []
-    for chunk in plan:
-        head = _fit_heads(kind, desc[chunk.support], chunk.y, spec.n_way, spec)
-        correct = head_forward(desc[chunk.query], head)[0].argmax(axis=-1) == chunk.truth
-        for i, labels, ok in zip(chunk.ids, chunk.labels, correct.tolist()):
-            results.append(EpisodeResult(accuracy=sum(ok) / spec.n_way,
-                                         per_class=dict(zip(labels, ok)), episode_seed=i))
+    correct = []
+    for lo in range(0, spec.num_episodes, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        head = _fit_heads(kind, desc[support[part]], y[part], spec.n_way, spec)
+        correct += (head_forward(desc[query[part]], head)[0].argmax(axis=-1)
+                    == truth[part]).tolist()
+    results = [EpisodeResult(accuracy=sum(ok) / spec.n_way,
+                             per_class=dict(zip(labels, ok)), episode_seed=i)
+               for i, (labels, ok) in enumerate(zip(query_labels, correct))]
 
     accs = np.array([r.accuracy for r in results])
     mean = float(accs.mean())

@@ -95,8 +95,12 @@ class ModelConfig:
         if self.beta <= 0:
             raise ConfigError(f"beta must be > 0, got {self.beta}")
         for name in ("num_gaussians", "Z", "feature_dim", "hidden", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            size = getattr(self, name)
+            # JSON gives true as a bool, which is an int subclass but no size
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {size!r}")
+            if size < 1:
+                raise ConfigError(f"{name} must be >= 1, got {size}")
         # sldg always weighs its heads; avg has one summary, nothing to weigh
         self.fusion = {"sldg": "soft_weight", "avg": "average"}.get(self.kind, self.fusion)
 
@@ -181,7 +185,7 @@ class Model:
         p, cfg = self.params, self.cfg
         if F.shape[-2] > cfg.Z:
             raise ConfigError(f"sequence length {F.shape[-2]} exceeds Z={cfg.Z}")
-        cache: dict = {"F": F, "mask": mask, "train": train}
+        cache: dict = {"F": F}
 
         if cfg.projection_stage == "pre":
             x0 = F @ p["proj_W"].T + p["proj_b"]      # (B, T, h)

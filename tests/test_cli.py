@@ -72,19 +72,24 @@ def test_train_writes_checkpoint_and_log(checkpoint):
 
 
 def test_train_with_a_one_class_val_split_has_no_val_signal(tmp_path, capsys, caplog):
-    # 6 classes give a val split of one class, on which no episode can be drawn
-    rc = cli_dispatch(["gen", "--out", str(tmp_path / "d"), "--classes", "6",
-                       "--videos-per-class", "4", "--seed", "0"])
-    assert rc == 0
-    assert "val: 1 classes, 4 videos" in capsys.readouterr().out
-    rc = cli_dispatch(["train", "--data", str(tmp_path / "d" / "manifest.csv"),
-                       "--out", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "log.csv"),
-                       "--epochs", "2"])
-    assert rc == 0
-    assert "no validation signal" in caplog.text
-    with open(tmp_path / "log.csv") as fh:
-        rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
-    assert [r[4] for r in rows[1:]] == ["", ""]
+    # 6 classes give a val split of one class, on which no episode can be drawn;
+    # 12 classes of one video give two val classes, neither with a query to spare
+    for classes, per_class, val_line in (("6", "4", "val: 1 classes, 4 videos"),
+                                         ("12", "1", "val: 2 classes, 2 videos")):
+        out = tmp_path / f"{classes}x{per_class}"
+        rc = cli_dispatch(["gen", "--out", str(out / "d"), "--classes", classes,
+                           "--videos-per-class", per_class, "--seed", "0"])
+        assert rc == 0
+        assert val_line in capsys.readouterr().out
+        caplog.clear()
+        rc = cli_dispatch(["train", "--data", str(out / "d" / "manifest.csv"),
+                           "--out", str(out / "m.ckpt"), "--log", str(out / "log.csv"),
+                           "--epochs", "2"])
+        assert rc == 0
+        assert "no validation signal" in caplog.text
+        with open(out / "log.csv") as fh:
+            rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+        assert [r[4] for r in rows[1:]] == ["", ""]
 
 
 @pytest.mark.parametrize("hidden", ["-1", "0"])
@@ -240,7 +245,8 @@ def test_checkpoint_metadata_is_checked(dataset_dir, bn_checkpoint, capsys):
     ("bn_var", [2.0] * 8 + [float("-inf")] * 8),
     ("bn_var", [True] * 16),
     ("bn_mean", [0.5] * 15 + [10 ** 400]),
-], ids=["NaN", "Infinity", "-Infinity", "true", "int beyond float64"])
+    ("bn_var", [-1.0] * 16),
+], ids=["NaN", "Infinity", "-Infinity", "true", "int beyond float64", "negative variance"])
 def test_non_finite_or_boolean_bn_stats_exit_2(dataset_dir, bn_checkpoint, capsys,
                                               name, stats):
     ckpt, good = bn_checkpoint
@@ -320,11 +326,16 @@ def test_checkpoint_sidecar_that_is_not_utf8_exits_2(dataset_dir, broken_checkpo
 
 def test_checkpoint_with_a_size_below_one_exits_2(dataset_dir, broken_checkpoint, capsys):
     ckpt, meta = broken_checkpoint
-    sidecar = json.loads(meta.read_text())
-    sidecar["model_config"]["hidden"] = -1
-    meta.write_text(json.dumps(sidecar))
-    assert _eval_exit_code(dataset_dir, ckpt) == 2
-    assert "error: hidden must be >= 1, got -1" in capsys.readouterr().err
+    good = json.loads(meta.read_text())
+    # a non-integer size is the same kind of broken config
+    for name, size, error in (("hidden", -1, "hidden must be >= 1, got -1"),
+                              ("hidden", 1.5, "hidden must be an integer, got 1.5"),
+                              ("num_gaussians", True,
+                               "num_gaussians must be an integer, got True")):
+        meta.write_text(json.dumps(dict(good, model_config=dict(good["model_config"],
+                                                                **{name: size}))))
+        assert _eval_exit_code(dataset_dir, ckpt) == 2
+        assert f"error: {error}" in capsys.readouterr().err
 
 
 def test_ablate_fusion_sweep(dataset_dir, tmp_path, capsys):

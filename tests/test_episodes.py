@@ -53,9 +53,8 @@ def test_spec_validation():
 def _drawn(novel, spec):
     """(support, query) novel-set indices of each episode, from the plan that
     run_episodes makes for the set and fits and scores the episodes by."""
-    return [(s.tolist(), q.tolist())
-            for chunk in episodes._make_plan(tuple(x.label for x in novel), spec)
-            for s, q in zip(chunk.support, chunk.query)]
+    _, support, query, _, _ = episodes._make_plan(tuple(x.label for x in novel), spec)
+    return list(zip(support.tolist(), query.tolist()))
 
 
 def test_sample_episode_structure():
@@ -97,6 +96,18 @@ def test_sample_episode_draws_what_choice_on_the_lists_draws(k_shot):
     for i, got in enumerate(_drawn(novel, spec)):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, i]))
         assert got == _draws_on_the_lists(rng, novel, spec)
+
+
+def test_head_classes_are_label_ranks_within_the_episode():
+    # c10 sorts before c2, and the set is not in label order
+    order = np.random.default_rng(4).permutation(np.repeat(np.arange(12), 6))
+    labels = tuple(f"c{c}" for c in order)
+    spec = EpisodeSpec(n_way=5, k_shot=2, num_episodes=20, seed=4)
+    query_labels, support, _, y, truth = episodes._make_plan(labels, spec)
+    for q_labels, s, y_row, t_row in zip(query_labels, support, y, truth):
+        rank = {c: r for r, c in enumerate(sorted(q_labels))}
+        assert t_row.tolist() == [rank[c] for c in q_labels]
+        assert y_row.tolist() == [rank[labels[i]] for i in s]
 
 
 def test_sample_episode_too_few_classes():
@@ -467,7 +478,7 @@ def test_the_memo_keeps_only_the_latest_plan(plans):
 
 
 def _plan_arrays(plan):
-    return [a for chunk in plan for a in vars(chunk).values() if isinstance(a, np.ndarray)]
+    return [a for a in plan if isinstance(a, np.ndarray)]
 
 
 def test_cached_plan_arrays_are_read_only(plans):

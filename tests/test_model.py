@@ -258,6 +258,10 @@ def test_config_validation():
         for bad in (0, -1):
             with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {bad}"):
                 ModelConfig(**{name: bad})
+        for bad in (1.5, 2.0, True, np.float64(3.0), "4"):
+            with pytest.raises(ConfigError, match=f"{name} must be an integer, got"):
+                ModelConfig(**{name: bad})
+        ModelConfig(**{name: np.int32(2)})
     with pytest.raises(ConfigError):
         ModelConfig(dropout=1.0)
 
