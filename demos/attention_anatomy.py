@@ -38,24 +38,24 @@ def main():
     K = 3
 
     print("-- random detectors: the head has not learned where to look --")
-    trace, _ = attend_forward(seq.features, rng.standard_normal((K, cfg.d)) * 1e-3,
+    _, cache = attend_forward(seq.features, rng.standard_normal((K, cfg.d)) * 1e-3,
                               rng.standard_normal((K, cfg.d)), beta=1e3, Z=Z)
     for k in range(K):
-        print(f"head {k}: mu = {trace.mu[k]:.3f}  sigma = {trace.sigma[k]:.3f}  "
-              f"weights {sparkline(trace.norm_weights[k])}")
+        print(f"head {k}: mu = {cache['mu'][k]:.3f}  sigma = {cache['sigma'][k]:.3f}  "
+              f"weights {sparkline(cache['e'][k])}")
 
     print("\n-- hand-built detectors: mean row = cue, std row = -cue --")
     # pointing the mean detector along the cue makes the soft-argmax land on
     # the window; a negative std detector drives the sigmoids toward zero on
     # quiet frames, so the Gaussian tightens
-    trace, _ = attend_forward(seq.features,
+    _, cache = attend_forward(seq.features,
                               np.tile(cue, (K, 1)) * np.array([[1.0], [2.0], [4.0]]),
                               np.tile(-8.0 * cue, (K, 1)), beta=1e3, Z=Z)
     for k in range(K):
-        print(f"head {k}: mu = {trace.mu[k]:.3f}  sigma = {trace.sigma[k]:.3f}  "
-              f"weights {sparkline(trace.norm_weights[k])}")
+        print(f"head {k}: mu = {cache['mu'][k]:.3f}  sigma = {cache['sigma'][k]:.3f}  "
+              f"weights {sparkline(cache['e'][k])}")
 
-    peak = int(np.argmax(trace.norm_weights[2])) + 1
+    peak = int(np.argmax(cache["e"][2])) + 1
     print(f"\nsharpest head peaks at frame {peak}; "
           f"cue projection peaks at frame {int(np.argmax(proj)) + 1}")
     print("The weights follow the contents, not the absolute frame index:")

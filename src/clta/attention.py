@@ -8,6 +8,10 @@ weights aggregate the frames into K video-level summaries, which a fusion
 step combines into one descriptor. The tsf and sldg baselines pool through
 the same Gaussian kernel and differ only in where mu and sigma come from.
 
+Every kernel returns (summaries v (..., K, d), cache). The cache is the one
+record of a pass, for the backward and for inspection: mu and sigma (..., K),
+raw weights a and normalized weights e (..., K, T).
+
 Frame indices are 1-based inside all formulas; Z is the dataset-wide max
 sequence length, frozen from the training split. Every kernel takes one
 video (T, d) or a stack (..., T, d) padded to a common T with a frame mask
@@ -56,38 +60,11 @@ class FrameSequence:
         return self.features.shape[1]
 
 
-@dataclass
-class AttentionTrace:
-    """Everything the attention step computed, for inspection and CSV dumps."""
-
-    mu: np.ndarray           # (..., K) in [1/Z, T/Z]
-    sigma: np.ndarray        # (..., K) in [_SIGMA_FLOOR, T/Z]
-    raw_weights: np.ndarray  # (..., K, T), entries in (0, 1]
-    norm_weights: np.ndarray  # (..., K, T), rows sum to 1
-    summaries: np.ndarray    # (..., K, d)
-
-
-@dataclass
-class FusionSpec:
-    """How the K summaries become one descriptor."""
-
-    mode: str = "average"  # "average" | "soft_weight"
-    soft_logits: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("average", "soft_weight"):
-            raise ConfigError(f"unknown fusion mode {self.mode!r}")
-        if self.mode == "soft_weight":
-            if self.soft_logits is None:
-                raise ConfigError("soft_weight fusion requires soft_logits")
-            self.soft_logits = np.asarray(self.soft_logits, dtype=np.float64)
-
-
 def soft_argmax(scores: np.ndarray, beta: float) -> float:
     """Differentiable argmax: expectation of the 1-based index under
     softmax(beta * scores). Result lies in [1, T]."""
-    if beta <= 0:
-        raise ConfigError(f"beta must be > 0, got {beta}")
+    if not 0 < beta < np.inf:
+        raise ConfigError(f"beta must be finite and > 0, got {beta}")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
         raise ShapeError("scores must be a nonempty vector")
@@ -142,7 +119,8 @@ def gaussian_pool_backward(cache: dict, dv: np.ndarray, need_dF: bool = False):
 
 def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
                    beta: float, Z: int, mask: np.ndarray | None = None):
-    """Attention forward, vectorized over K and the stack. Returns (trace, cache)."""
+    """Attention forward, vectorized over K and the stack. Returns (v (..., K, d),
+    cache); the cache's mu, sigma, a and e are the one record of the pass."""
     F = np.asarray(F, dtype=np.float64)
     if F.ndim < 2:
         raise ShapeError(f"F must be (..., T, d), got shape {F.shape}")
@@ -150,8 +128,8 @@ def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
         raise ShapeError(
             f"feature dim {F.shape[-1]} does not match matrices "
             f"{W_mean.shape} / {W_std.shape}")
-    if beta <= 0:
-        raise ConfigError(f"beta must be > 0, got {beta}")
+    if not 0 < beta < np.inf:
+        raise ConfigError(f"beta must be finite and > 0, got {beta}")
     T = F.shape[-2]
     if T > Z:
         raise ConfigError(f"sequence length {T} exceeds Z={Z}")
@@ -170,11 +148,9 @@ def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
     sigma = np.maximum(sigma_raw, floor)
 
     v, cache = gaussian_pool_forward(F, mu, sigma, Z, mask=mask)
-    trace = AttentionTrace(mu=mu, sigma=sigma, raw_weights=cache["a"],
-                           norm_weights=cache["e"], summaries=v)
     cache.update(p=p, sg=sg, sigma_floored=sigma_raw < floor, beta=beta, Z=Z,
                  W_mean=W_mean, W_std=W_std)
-    return trace, cache
+    return v, cache
 
 
 def attend_backward(cache: dict, dv: np.ndarray, need_dF: bool = False):
@@ -204,27 +180,22 @@ def attend_backward(cache: dict, dv: np.ndarray, need_dF: bool = False):
     return dW_mean, dW_std, dF
 
 
-def fusion_weights(spec: FusionSpec, K: int) -> np.ndarray:
-    if spec.mode == "average":
+def fusion_weights(soft_logits: np.ndarray | None, K: int) -> np.ndarray:
+    """Weights (K,) of the K summaries: 1/K each without soft_logits, else their softmax."""
+    if soft_logits is None:
         return np.full(K, 1.0 / K)
-    if spec.soft_logits.shape != (K,):
-        raise ShapeError(f"soft_logits shape {spec.soft_logits.shape} != ({K},)")
-    return softmax_stable(spec.soft_logits)
+    if soft_logits.shape != (K,):
+        raise ShapeError(f"soft_logits shape {soft_logits.shape} != ({K},)")
+    return softmax_stable(soft_logits)
 
 
-def fuse(trace: AttentionTrace, spec: FusionSpec) -> np.ndarray:
-    """Combine the K summaries into one descriptor V."""
-    s = fusion_weights(spec, trace.summaries.shape[-2])
-    return s @ trace.summaries
-
-
-def fuse_backward(v: np.ndarray, spec: FusionSpec, dV: np.ndarray):
+def fuse_backward(v: np.ndarray, soft_logits: np.ndarray | None, dV: np.ndarray):
     """Returns (dv, d_soft_logits-or-None summed over the stack) for fusion."""
     K = v.shape[-2]
-    s = fusion_weights(spec, K)
+    s = fusion_weights(soft_logits, K)
     dv = s[:, None] * dV[..., None, :]
     dlogits = None
-    if spec.mode == "soft_weight":
+    if soft_logits is not None:
         ds = (v @ dV[..., None])[..., 0]
         dlogits = softmax_backward(s, ds).reshape(-1, K).sum(axis=0)
     return dv, dlogits

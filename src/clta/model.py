@@ -29,11 +29,6 @@ def _clta_init(rng, K, attn_dim, cfg):
             "W_std": rng.standard_normal((K, attn_dim)) / np.sqrt(attn_dim)}
 
 
-def _clta_forward(G, p, cfg, mask):
-    trace, cache = att.attend_forward(G, p["W_mean"], p["W_std"], cfg.beta, cfg.Z, mask)
-    return trace.summaries, cache
-
-
 def _avg_forward(G, p, cfg, mask):
     # one summary, with every frame of a video weighted 1/T; fusing one summary is exact
     e = mask[..., None, :] / mask.sum(axis=-1)[..., None, None]
@@ -47,10 +42,14 @@ def _avg_backward(cache, dv, need_dG):
 
 # kind -> (init(rng, K, attn_dim, cfg) -> params, forward(G, params, cfg, mask)
 # -> (summaries v (..., K, d), one for avg, cache), backward(cache, dv, need_dG)
-# -> (*dparams, dG-or-None), the names of dparams). Kernels are looked up on
-# their module per call, so wrappers installed there (for timing) see the calls.
+# -> (*dparams, dG-or-None), the names of dparams). Every kernel returns that
+# (v, cache) pair itself, and is looked up on its module per call, so wrappers
+# installed there (for timing) see the calls.
 _KINDS = {
-    "clta": (_clta_init, _clta_forward, lambda *a: att.attend_backward(*a), ("W_mean", "W_std")),
+    "clta": (_clta_init,
+             lambda G, p, cfg, mask: att.attend_forward(G, p["W_mean"], p["W_std"],
+                                                        cfg.beta, cfg.Z, mask),
+             lambda *a: att.attend_backward(*a), ("W_mean", "W_std")),
     "avg": (lambda rng, K, attn_dim, cfg: {}, _avg_forward, _avg_backward, ()),
     "selfattn": (lambda rng, K, attn_dim, cfg:
                  {"W_attn": rng.standard_normal((K, attn_dim)) / np.sqrt(attn_dim)},
@@ -92,8 +91,9 @@ class ModelConfig:
             raise ConfigError(f"unknown projection stage {self.projection_stage!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be > 0, got {self.beta}")
+        # JSON gives NaN and Infinity as floats and true as a bool
+        if isinstance(self.beta, bool) or not 0 < self.beta < np.inf:
+            raise ConfigError(f"beta must be a finite number > 0, got {self.beta!r}")
         for name in ("num_gaussians", "Z", "feature_dim", "hidden", "num_classes"):
             size = getattr(self, name)
             # JSON gives true as a bool, which is an int subclass but no size
@@ -154,12 +154,7 @@ class Model:
         m.params = {k: np.asarray(params[k], dtype=np.float64) for k in m.params}
         return m
 
-    # -- fusion and classifier head -------------------------------------------
-
-    def _fusion_spec(self) -> att.FusionSpec:
-        if self.cfg.fusion == "soft_weight":
-            return att.FusionSpec(mode="soft_weight", soft_logits=self.params["soft_logits"])
-        return att.FusionSpec(mode="average")
+    # -- classifier head --------------------------------------------------------
 
     def _head(self):
         """The classifier head over the params, and their names in field order."""
@@ -195,7 +190,8 @@ class Model:
             G = F
 
         v, cache["attn"] = _KINDS[cfg.kind][1](G, p, cfg, mask)
-        V = att.fusion_weights(self._fusion_spec(), v.shape[-2]) @ v
+        # soft_logits is a parameter exactly when the config fuses with soft weights
+        V = att.fusion_weights(p.get("soft_logits"), v.shape[-2]) @ v
         cache["v"] = v
 
         if cfg.projection_stage == "post":
@@ -268,7 +264,7 @@ class Model:
         else:
             dV = dr
 
-        dv, dsl = att.fuse_backward(cache["v"], self._fusion_spec(), dV)
+        dv, dsl = att.fuse_backward(cache["v"], p.get("soft_logits"), dV)
         if dsl is not None:
             grads["soft_logits"] += dsl
         *dparams, dG = _KINDS[cfg.kind][2](cache["attn"], dv, cfg.projection_stage == "pre")

@@ -52,8 +52,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
+        if not 0 < self.lr0 < np.inf:
+            raise ConfigError(f"lr0 must be finite and > 0, got {self.lr0}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.decay_every < 1 or self.batch_size < 1 or self.epochs < 0:
@@ -63,8 +63,8 @@ class TrainConfig:
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place, in the textbook formula's operation order."""
-    if lr <= 0:
-        raise ConfigError(f"lr must be > 0, got {lr}")
+    if not 0 < lr < np.inf:
+        raise ConfigError(f"lr must be finite and > 0, got {lr}")
     state.step += 1
     bc1, bc2 = 1.0 - _BETA1 ** state.step, 1.0 - _BETA2 ** state.step
     for name, p in params.items():

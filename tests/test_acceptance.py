@@ -10,7 +10,7 @@ import functools
 import numpy as np
 import pytest
 
-from clta.attention import FrameSequence, FusionSpec, attend_forward, fuse, soft_argmax
+from clta.attention import FrameSequence, attend_forward, fusion_weights, soft_argmax
 from clta.classifiers import CosineHead, SoftmaxHead, cosine_logits, softmax_logits
 from clta.cli import cli_dispatch, gradcheck_batch
 from clta.episodes import EpisodeSpec, run_episodes
@@ -98,15 +98,15 @@ def test_criterion_2_normalization_and_ranges():
         Wm = rng.normal(0, 1, size=(K, d))
         Ws = rng.normal(0, 1, size=(K, d))
         beta = float(rng.uniform(1, 1000))
-        trace, _ = attend_forward(F, Wm, Ws, beta, Z)
-        worst_sum = max(worst_sum, float(np.abs(trace.norm_weights.sum(axis=1) - 1).max()))
-        ok &= bool(np.all(trace.mu >= 1.0 / Z - 1e-12))
-        ok &= bool(np.all(trace.mu <= T / Z + 1e-12))
-        ok &= bool(np.all(trace.sigma > 0.0))
-        ok &= bool(np.all(trace.sigma <= T / Z + 1e-12))
+        v, cache = attend_forward(F, Wm, Ws, beta, Z)
+        worst_sum = max(worst_sum, float(np.abs(cache["e"].sum(axis=1) - 1).max()))
+        ok &= bool(np.all(cache["mu"] >= 1.0 / Z - 1e-12))
+        ok &= bool(np.all(cache["mu"] <= T / Z + 1e-12))
+        ok &= bool(np.all(cache["sigma"] > 0.0))
+        ok &= bool(np.all(cache["sigma"] <= T / Z + 1e-12))
         lo, hi = F.min(axis=0), F.max(axis=0)
-        ok &= bool(np.all(trace.summaries >= lo[None, :] - 1e-12))
-        ok &= bool(np.all(trace.summaries <= hi[None, :] + 1e-12))
+        ok &= bool(np.all(v >= lo[None, :] - 1e-12))
+        ok &= bool(np.all(v <= hi[None, :] + 1e-12))
     ok &= worst_sum <= 1e-9
     _report(2, "weights normalize; mu/sigma/summaries stay in range", ok,
             f"worst row-sum dev {worst_sum:.2e} over 1000 inputs")
@@ -144,23 +144,23 @@ def test_criterion_4_oracle_equivalence():
         F = rng.normal(0, 1, size=(T, d))
         Wm = rng.normal(0, 1, size=(K, d))
         Ws = rng.normal(0, 1, size=(K, d))
-        trace, _ = attend_forward(F, Wm, Ws, beta, Z)
+        v, cache = attend_forward(F, Wm, Ws, beta, Z)
         rmu, rsig, ra, re, rv = ref_attend(F.tolist(), Wm.tolist(), Ws.tolist(),
                                            beta, Z)
         worst = max(worst,
-                    float(np.abs(trace.mu - rmu).max()),
-                    float(np.abs(trace.sigma - rsig).max()),
-                    float(np.abs(trace.raw_weights - ra).max()),
-                    float(np.abs(trace.norm_weights - re).max()),
-                    float(np.abs(trace.summaries - rv).max()))
-        # fusion, both modes
-        V_avg = fuse(trace, FusionSpec(mode="average"))
+                    float(np.abs(cache["mu"] - rmu).max()),
+                    float(np.abs(cache["sigma"] - rsig).max()),
+                    float(np.abs(cache["a"] - ra).max()),
+                    float(np.abs(cache["e"] - re).max()),
+                    float(np.abs(v - rv).max()))
+        # fusion, both modes, as the model runs it
+        V_avg = fusion_weights(None, K) @ v
         worst = max(worst, float(np.abs(
-            V_avg - ref_fuse(trace.summaries.tolist(), "average")).max()))
+            V_avg - ref_fuse(v.tolist(), "average")).max()))
         logits = rng.normal(size=K)
-        V_soft = fuse(trace, FusionSpec(mode="soft_weight", soft_logits=logits))
+        V_soft = fusion_weights(logits, K) @ v
         worst = max(worst, float(np.abs(V_soft - ref_fuse(
-            trace.summaries.tolist(), "soft_weight", logits.tolist())).max()))
+            v.tolist(), "soft_weight", logits.tolist())).max()))
         # both classifier heads on the fused descriptor
         c = int(rng.integers(2, 4))
         W = rng.normal(size=(d, c))

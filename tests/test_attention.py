@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from clta.attention import (AttentionTrace, FrameSequence, FusionSpec,
-                            attend_backward, attend_forward, fuse, fuse_backward,
+from clta.attention import (FrameSequence, attend_backward, attend_forward, fuse_backward,
                             fusion_weights, gaussian_pool_backward,
                             gaussian_pool_forward, soft_argmax)
 from clta.errors import ConfigError, NumericError, ShapeError
@@ -41,8 +40,9 @@ def test_soft_argmax_uniform_scores_give_midpoint():
 
 
 def test_soft_argmax_validation():
-    with pytest.raises(ConfigError):
-        soft_argmax(np.ones(3), 0.0)
+    for beta in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="beta"):
+            soft_argmax(np.ones(3), beta)
     with pytest.raises(ShapeError):
         soft_argmax(np.array([]), 1.0)
 
@@ -52,8 +52,8 @@ def test_learn_std_floor_with_nonnegative_features():
     # sigmoid to exact zero; the floor must keep sigma strictly positive
     F = np.abs(np.random.default_rng(2).normal(1, 0.2, size=(8, 4))) + 1.0
     w = np.full((1, 4), -500.0)
-    trace, _ = attend_forward(F, np.zeros((1, 4)), w, 10.0, Z=10)
-    assert trace.sigma[0] == min(1e-3, 0.5 * 8 / 10)
+    _, cache = attend_forward(F, np.zeros((1, 4)), w, 10.0, Z=10)
+    assert cache["sigma"][0] == min(1e-3, 0.5 * 8 / 10)
 
 
 def test_gaussian_weights_shape_and_peak():
@@ -114,14 +114,13 @@ def test_attend_matches_per_head_composition():
     for _ in range(30):
         F, Wm, Ws, Z = _random_setup(rng)
         beta = float(rng.uniform(1, 50))
-        trace, _ = attend_forward(F, Wm, Ws, beta, Z)
-        assert isinstance(trace, AttentionTrace)
+        got, cache = attend_forward(F, Wm, Ws, beta, Z)
         mu, sig, a, e, v = ref_attend(F.tolist(), Wm.tolist(), Ws.tolist(), beta, Z)
-        assert np.allclose(trace.mu, mu, atol=1e-12)
-        assert np.allclose(trace.sigma, sig, atol=1e-12)
-        assert np.allclose(trace.raw_weights, a, atol=1e-12)
-        assert np.allclose(trace.norm_weights, e, atol=1e-12)
-        assert np.allclose(trace.summaries, v, atol=1e-12)
+        assert np.allclose(cache["mu"], mu, atol=1e-12)
+        assert np.allclose(cache["sigma"], sig, atol=1e-12)
+        assert np.allclose(cache["a"], a, atol=1e-12)
+        assert np.allclose(cache["e"], e, atol=1e-12)
+        assert np.allclose(got, v, atol=1e-12)
 
 
 def test_attend_normalization_and_ranges():
@@ -129,18 +128,18 @@ def test_attend_normalization_and_ranges():
     for _ in range(100):
         F, Wm, Ws, Z = _random_setup(rng)
         T = F.shape[0]
-        trace, _ = attend_forward(F, Wm, Ws, float(rng.uniform(1, 200)), Z)
-        assert np.allclose(trace.norm_weights.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(trace.mu >= 1.0 / Z - 1e-12)
-        assert np.all(trace.mu <= T / Z + 1e-12)
-        assert np.all(trace.sigma > 0.0)
-        assert np.all(trace.sigma <= T / Z + 1e-12)
-        assert np.all(trace.raw_weights > 0.0)
-        assert np.all(trace.raw_weights <= 1.0 + 1e-15)
+        v, cache = attend_forward(F, Wm, Ws, float(rng.uniform(1, 200)), Z)
+        assert np.allclose(cache["e"].sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(cache["mu"] >= 1.0 / Z - 1e-12)
+        assert np.all(cache["mu"] <= T / Z + 1e-12)
+        assert np.all(cache["sigma"] > 0.0)
+        assert np.all(cache["sigma"] <= T / Z + 1e-12)
+        assert np.all(cache["a"] > 0.0)
+        assert np.all(cache["a"] <= 1.0 + 1e-15)
         # convex combinations stay inside the per-dimension frame bounds
         lo, hi = F.min(axis=0), F.max(axis=0)
-        assert np.all(trace.summaries >= lo[None, :] - 1e-12)
-        assert np.all(trace.summaries <= hi[None, :] + 1e-12)
+        assert np.all(v >= lo[None, :] - 1e-12)
+        assert np.all(v <= hi[None, :] + 1e-12)
 
 
 def test_attend_rejects_length_beyond_Z():
@@ -163,8 +162,8 @@ def test_attend_backward_finite_difference():
         dv = rng.normal(size=(2, 3))
 
         def loss(Wm_, Ws_):
-            trace, _ = attend_forward(F, Wm_, Ws_, beta, Z)
-            return float((trace.summaries * dv).sum())
+            v, _ = attend_forward(F, Wm_, Ws_, beta, Z)
+            return float((v * dv).sum())
 
         _, cache = attend_forward(F, Wm, Ws, beta, Z)
         dWm, dWs, _ = attend_backward(cache, dv)
@@ -195,7 +194,7 @@ def test_attend_backward_dF_finite_difference():
         F[idx] = orig - eps
         tm, _ = attend_forward(F, Wm, Ws, 5.0, Z)
         F[idx] = orig
-        num = ((tp.summaries - tm.summaries) * dv).sum() / (2 * eps)
+        num = ((tp - tm) * dv).sum() / (2 * eps)
         assert abs(dF[idx] - num) < 1e-6
 
 
@@ -213,25 +212,19 @@ def test_sigma_floor_blocks_gradient():
 def test_fusion_average_and_soft():
     rng = np.random.default_rng(8)
     v = rng.normal(size=(3, 4))
-    trace = AttentionTrace(mu=np.zeros(3), sigma=np.ones(3),
-                           raw_weights=np.ones((3, 2)), norm_weights=np.full((3, 2), 0.5),
-                           summaries=v)
-    assert np.allclose(fuse(trace, FusionSpec(mode="average")), v.mean(axis=0), atol=1e-12)
+    assert np.allclose(fusion_weights(None, 3) @ v, v.mean(axis=0), atol=1e-12)
     logits = rng.normal(size=3)
     w = np.exp(logits - logits.max())
     w /= w.sum()
-    spec = FusionSpec(mode="soft_weight", soft_logits=logits)
-    assert np.allclose(fuse(trace, spec), w @ v, atol=1e-12)
-    assert np.allclose(fusion_weights(spec, 3).sum(), 1.0, atol=1e-12)
+    assert np.allclose(fusion_weights(logits, 3) @ v, w @ v, atol=1e-12)
+    assert np.allclose(fusion_weights(logits, 3).sum(), 1.0, atol=1e-12)
 
 
-def test_fusion_spec_validation():
-    with pytest.raises(ConfigError):
-        FusionSpec(mode="nope")
-    with pytest.raises(ConfigError):
-        FusionSpec(mode="soft_weight")
+def test_fusion_weights_validation():
     with pytest.raises(ShapeError):
-        fusion_weights(FusionSpec(mode="soft_weight", soft_logits=np.zeros(2)), 3)
+        fusion_weights(np.zeros(2), 3)
+    with pytest.raises(ShapeError):
+        fusion_weights(np.zeros((1, 3)), 3)
 
 
 def test_fuse_backward_finite_difference():
@@ -239,14 +232,13 @@ def test_fuse_backward_finite_difference():
     v = rng.normal(size=(3, 4))
     logits = rng.normal(size=3)
     dV = rng.normal(size=4)
-    spec = FusionSpec(mode="soft_weight", soft_logits=logits)
-    dv, dlog = fuse_backward(v, spec, dV)
+    dv, dlog = fuse_backward(v, logits, dV)
+    assert np.array_equal(fuse_backward(v, None, dV)[0], np.full((3, 1), 1 / 3) * dV)
+    assert fuse_backward(v, None, dV)[1] is None
     eps = 1e-6
 
     def loss(v_, logits_):
-        trace = AttentionTrace(np.zeros(3), np.ones(3), np.ones((3, 1)),
-                               np.ones((3, 1)), v_)
-        return float(fuse(trace, FusionSpec(mode="soft_weight", soft_logits=logits_)) @ dV)
+        return float(fusion_weights(logits_, 3) @ v_ @ dV)
 
     for idx in np.ndindex(v.shape):
         orig = v[idx]
@@ -282,7 +274,8 @@ def test_clta_params_validation():
     W = np.zeros((2, 3))
     with pytest.raises(ShapeError):
         attend_forward(F, W, np.zeros((2, 4)), 1.0, 5)
-    with pytest.raises(ConfigError):
-        attend_forward(F, W, W, -1.0, 5)
+    for beta in (-1.0, 0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="beta"):
+            attend_forward(F, W, W, beta, 5)
     with pytest.raises(ConfigError):
         attend_forward(F, W, W, 1.0, 0)

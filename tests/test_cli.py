@@ -92,6 +92,23 @@ def test_train_with_a_one_class_val_split_has_no_val_signal(tmp_path, capsys, ca
         assert [r[4] for r in rows[1:]] == ["", ""]
 
 
+@pytest.mark.parametrize("flag, value, error", [
+    ("--beta", "nan", "beta must be a finite number > 0, got nan"),
+    ("--beta", "inf", "beta must be a finite number > 0, got inf"),
+    ("--lr", "nan", "lr0 must be finite and > 0, got nan"),
+    ("--lr", "inf", "lr0 must be finite and > 0, got inf"),
+], ids=["beta-nan", "beta-inf", "lr-nan", "lr-inf"])
+def test_train_rejects_a_non_finite_beta_or_lr_before_training(dataset_dir, tmp_path, capsys,
+                                                               monkeypatch, flag, value, error):
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("training started"))
+    ckpt = tmp_path / "m.ckpt"
+    rc = cli_dispatch(["train", "--data", str(dataset_dir / "manifest.csv"),
+                       "--out", str(ckpt), "--epochs", "1", flag, value])
+    assert rc == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("hidden", ["-1", "0"])
 def test_train_rejects_a_hidden_size_below_one(dataset_dir, tmp_path, capsys, hidden):
     ckpt = tmp_path / "m.ckpt"
@@ -336,6 +353,19 @@ def test_checkpoint_with_a_size_below_one_exits_2(dataset_dir, broken_checkpoint
                                                                 **{name: size}))))
         assert _eval_exit_code(dataset_dir, ckpt) == 2
         assert f"error: {error}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", [float("inf"), float("nan"), True],
+                         ids=["Infinity", "NaN", "true"])
+def test_checkpoint_with_a_non_finite_or_boolean_beta_exits_2(dataset_dir, broken_checkpoint,
+                                                              capsys, beta):
+    ckpt, meta = broken_checkpoint
+    good = json.loads(meta.read_text())
+    meta.write_text(json.dumps(dict(good, model_config=dict(good["model_config"], beta=beta))))
+    assert _eval_exit_code(dataset_dir, ckpt) == 2
+    captured = capsys.readouterr()
+    assert f"error: beta must be a finite number > 0, got {beta!r}" in captured.err
+    assert "Warning" not in captured.err and captured.out == ""
 
 
 def test_ablate_fusion_sweep(dataset_dir, tmp_path, capsys):

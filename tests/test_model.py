@@ -253,7 +253,14 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(classifier="nope")
     with pytest.raises(ConfigError):
-        ModelConfig(beta=0.0)
+        ModelConfig(fusion="nope")
+    with pytest.raises(ConfigError):
+        ModelConfig(projection_stage="nope")
+    # JSON gives NaN and Infinity as floats and true as a bool
+    for bad in (0.0, -1.0, float("nan"), float("inf"), -float("inf"), True, False):
+        with pytest.raises(ConfigError, match="beta must be a finite number > 0"):
+            ModelConfig(beta=bad)
+    ModelConfig(beta=np.float64(1e3))
     for name in ("num_gaussians", "Z", "feature_dim", "hidden", "num_classes"):
         for bad in (0, -1):
             with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {bad}"):
@@ -264,6 +271,19 @@ def test_config_validation():
         ModelConfig(**{name: np.int32(2)})
     with pytest.raises(ConfigError):
         ModelConfig(dropout=1.0)
+
+
+def test_average_fusion_checkpoint_drops_a_soft_logits_block():
+    # the forward fuses with soft_logits exactly when it is a parameter, so
+    # loading must keep a block the config does not declare out of params
+    rng = np.random.default_rng(3)
+    model = Model(_small_cfg("clta"), rng)
+    _randomize_head(model, rng)
+    F = rng.standard_normal((4, 3))
+    extra = dict(model.params, soft_logits=np.array([5.0, -5.0]))
+    loaded = Model.from_config(model.config_dict(), extra)
+    assert "soft_logits" not in loaded.params
+    assert np.array_equal(loaded.forward_video(F)[0], model.forward_video(F)[0])
 
 
 def test_loss_and_grads_empty_batch():

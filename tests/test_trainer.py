@@ -20,8 +20,9 @@ def test_lr_schedule_step_decay():
 
 
 def test_train_config_validation():
-    with pytest.raises(ConfigError):
-        TrainConfig(lr0=0.0)
+    for bad in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="lr0 must be finite and > 0"):
+            TrainConfig(lr0=bad)
     with pytest.raises(ConfigError):
         TrainConfig(dropout_rate=1.0)
     with pytest.raises(ConfigError):
@@ -71,6 +72,14 @@ def test_adam_rejects_nonfinite_gradients():
     p = {"x": np.zeros(2)}
     with pytest.raises(TrainingError):
         adam_step(p, {"x": np.array([np.nan, 0.0])}, AdamState(), 0.1)
+
+
+def test_adam_rejects_a_non_positive_or_non_finite_lr():
+    for bad in (0.0, -0.1, float("nan"), float("inf")):
+        p = {"x": np.ones(2)}
+        with pytest.raises(ConfigError, match="lr must be finite and > 0"):
+            adam_step(p, {"x": np.ones(2)}, AdamState(), bad)
+        assert np.array_equal(p["x"], np.ones(2))
 
 
 def test_adam_converges_on_quadratic():
