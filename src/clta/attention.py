@@ -1,12 +1,13 @@
 """Content-and-length based Gaussian temporal attention.
 
 Per video, each of the K attention heads learns a Gaussian over the
-normalized frame axis t/Z. The mean comes from a soft-argmax over the dot
-products of frames with a mean-learning row, the standard deviation from
-the sigmoid-summed dot products with a std-learning row. The resulting
-weights aggregate the frames into K video-level summaries, which a fusion
-step combines into one descriptor. The tsf and sldg baselines pool through
-the same Gaussian kernel and differ only in where mu and sigma come from.
+normalized frame axis t/Z. The mean comes from soft_argmax, the one
+soft-argmax of the package, over the dot products of frames with a
+mean-learning row, the standard deviation from the sigmoid-summed dot
+products with a std-learning row. The resulting weights aggregate the
+frames into K video-level summaries, which a fusion step combines into one
+descriptor. The tsf and sldg baselines pool through the same Gaussian kernel
+and differ only in where mu and sigma come from.
 
 Every kernel returns (summaries v (..., K, d), cache). The cache is the one
 record of a pass, for the backward and for inspection: mu and sigma (..., K),
@@ -60,22 +61,33 @@ class FrameSequence:
         return self.features.shape[1]
 
 
-def soft_argmax(scores: np.ndarray, beta: float) -> float:
-    """Differentiable argmax: expectation of the 1-based index under
-    softmax(beta * scores). Result lies in [1, T]."""
-    if not 0 < beta < np.inf:
-        raise ConfigError(f"beta must be finite and > 0, got {beta}")
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0:
-        raise ShapeError("scores must be a nonempty vector")
-    p = softmax_stable(beta * scores)
-    idx = np.arange(1, scores.size + 1, dtype=np.float64)
-    return float(p @ idx)
-
-
 def frame_mask(F: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """The frame mask (..., T) of frames F (..., T, d); None means all frames."""
     return np.ones(F.shape[:-1], dtype=bool) if mask is None else mask
+
+
+def soft_argmax(scores: np.ndarray, beta: float, mask: np.ndarray | None = None):
+    """Differentiable argmax over frames: the expected 1-based frame index under
+    p = softmax(beta * scores) over each video's own frames.
+
+    scores are (..., T, K), K heads per video, or (T,) for one head; mask is the
+    frame mask (..., T). Returns (index (..., K), or a float for one head, in
+    [1, T]; p shaped like scores). Raises NumericError where beta * scores
+    overflows on a frame of the mask: clipping would turn an argmax into a tie."""
+    if not 0 < beta < np.inf:
+        raise ConfigError(f"beta must be finite and > 0, got {beta}")
+    one = np.ndim(scores) == 1
+    s = np.asarray(scores, dtype=np.float64).reshape(np.shape(scores) + (1,) * one)
+    if s.ndim < 2 or s.size == 0:
+        raise ShapeError(f"scores must be nonempty, (..., T, K) or (T,), got {np.shape(scores)}")
+    mask = frame_mask(s, mask)
+    with np.errstate(over="ignore"):
+        z = beta * s
+    if not np.isfinite(z[mask]).all():
+        raise NumericError(f"beta={beta} times the frame scores is not finite; lower beta")
+    p = softmax_stable(np.where(mask[..., None], z, -np.inf), axis=-2)
+    index = np.arange(1, s.shape[-2] + 1, dtype=np.float64) @ p
+    return (float(index[0]), p[:, 0]) if one else (index, p)
 
 
 def gaussian_pool_forward(F: np.ndarray, mu: np.ndarray, sigma: np.ndarray, Z: int,
@@ -128,18 +140,12 @@ def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
         raise ShapeError(
             f"feature dim {F.shape[-1]} does not match matrices "
             f"{W_mean.shape} / {W_std.shape}")
-    if not 0 < beta < np.inf:
-        raise ConfigError(f"beta must be finite and > 0, got {beta}")
-    T = F.shape[-2]
-    if T > Z:
-        raise ConfigError(f"sequence length {T} exceeds Z={Z}")
-    idx = np.arange(1, T + 1, dtype=np.float64)
+    if F.shape[-2] > Z:
+        raise ConfigError(f"sequence length {F.shape[-2]} exceeds Z={Z}")
     mask = frame_mask(F, mask)
 
-    scores_m = F @ W_mean.T                                   # (..., T, K)
-    # soft-argmax distribution over each video's own frames
-    p = softmax_stable(np.where(mask[..., None], beta * scores_m, -np.inf), axis=-2)
-    mu = (idx @ p) / Z                                        # (..., K)
+    index, p = soft_argmax(F @ W_mean.T, beta, mask)          # (..., K), (..., T, K)
+    mu = index / Z
 
     scores_s = F @ W_std.T                                    # (..., T, K)
     sg = np.where(mask[..., None], sigmoid(scores_s), 0.0)

@@ -62,15 +62,6 @@ def _cosine(V: np.ndarray, head: CosineHead, nv=None):
     return (V @ np.swapaxes(w, -1, -2)) / nv, nv, w, nw
 
 
-def cosine_scores(V: np.ndarray, head: CosineHead) -> np.ndarray:
-    """Cosine similarities in [-1, 1]; scale by temperature for logits."""
-    return _cosine(np.asarray(V, dtype=np.float64), head)[0]
-
-
-def cosine_logits(V: np.ndarray, head: CosineHead) -> np.ndarray:
-    return head.temperature * cosine_scores(V, head)
-
-
 def cosine_logits_backward(V, head: CosineHead, dlogits, need_dV: bool = True, cos=None,
                            out=None):
     """Returns (dW_proto, dtemperature, dV-or-None) for rows V (..., n, h);

@@ -310,8 +310,7 @@ def _cmd_gradcheck(args) -> int:
 
     def loss_fn(params):
         model.params = params
-        loss, grads = loss_and_grads(model, batch, train=False)
-        return loss, grads
+        return loss_and_grads(model, batch, train=False)[:2]
 
     err = finite_diff_check(loss_fn, model.params, eps=args.eps)
     print(f"max relative gradient error: {err:.3e}")

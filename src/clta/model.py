@@ -15,7 +15,7 @@ from . import attention as att
 from . import baselines as bl
 from . import classifiers as cls
 from .errors import ConfigError, ShapeError, TrainingError
-from .numerics import cross_entropy, cross_entropy_grad, relu, sum_outer
+from .numerics import cross_entropy, relu, sum_outer
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.99
@@ -178,6 +178,9 @@ class Model:
         F = np.asarray(F, dtype=np.float64).reshape((-1,) + np.shape(F)[-2:])
         mask = att.frame_mask(F, mask)
         p, cfg = self.params, self.cfg
+        if F.shape[-1] != cfg.feature_dim:
+            raise ShapeError(f"feature dim {F.shape[-1]} does not match the model's "
+                             f"feature_dim {cfg.feature_dim}")
         if F.shape[-2] > cfg.Z:
             raise ConfigError(f"sequence length {F.shape[-2]} exceeds Z={cfg.Z}")
         cache: dict = {"F": F}
@@ -286,6 +289,9 @@ _CHUNK = 64
 def _padded_chunks(pairs):
     """Yield (F (B, T, d), mask (B, T), targets (B,)) for chunks of up to _CHUNK
     (F, target) pairs in stable length order, each padded to its longest video."""
+    dims = sorted({F.shape[-1] for F, _ in pairs})
+    if len(dims) > 1:
+        raise ShapeError(f"videos of feature dims {dims} cannot share a batch")
     lens = np.array([len(F) for F, _ in pairs])
     order = np.argsort(lens, kind="stable")
     for lo in range(0, len(pairs), _CHUNK):
@@ -304,22 +310,19 @@ def descriptor(model: Model, F: np.ndarray, mask: np.ndarray | None = None) -> n
 
 
 def loss_and_grads(model: Model, batch, train: bool = False,
-                   rng: np.random.Generator | None = None, with_correct: bool = False):
-    """Mean cross-entropy and mean gradients over [(F, target), ...]; with
-    with_correct, also the number of videos whose logits in this same pass
-    put their target first: (loss, grads, correct)."""
+                   rng: np.random.Generator | None = None):
+    """(mean cross-entropy, mean gradients, correct) over [(F, target), ...]:
+    correct counts the videos whose logits in this same pass put their target first."""
     if not batch:
         raise ConfigError("empty batch")
     grads = model.zero_grads()
     total, correct = 0.0, 0
     for F, mask, y in _padded_chunks(batch):
         logits, cache = model.forward_video(F, train=train, rng=rng, mask=mask)
-        loss = cross_entropy(logits, y)
+        loss, dlogits = cross_entropy(logits, y)
         if not np.all(np.isfinite(loss)):
             raise TrainingError("non-finite loss during batch evaluation")
         total += loss.sum()
         correct += int((logits.argmax(axis=-1) == y).sum())
-        model.backward_video(cache, cross_entropy_grad(logits, y) / len(batch), grads)
-    if with_correct:
-        return total / len(batch), grads, correct
-    return total / len(batch), grads
+        model.backward_video(cache, dlogits / len(batch), grads)
+    return total / len(batch), grads, correct

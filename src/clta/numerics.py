@@ -1,12 +1,13 @@
 """Stable scalar/vector primitives and a finite-difference gradient checker.
 
 All math runs in float64. Every primitive here has a matching analytic
-gradient helper so the rest of the model can chain them by hand.
+gradient helper so the rest of the model can chain them by hand, except
+cross_entropy, which returns its loss and gradient together from one pass.
 """
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 
 def softmax_stable(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
@@ -47,13 +48,6 @@ def softmax_backward(p: np.ndarray, dp: np.ndarray, axis: int = -1) -> np.ndarra
     return p * (dp - inner)
 
 
-def log_softmax(x: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis."""
-    x = np.asarray(x, dtype=np.float64)
-    z = x - np.max(x, axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 def sigmoid(x):
     """Logistic function, stable for large |x|: 1 / (1 + e^-x) for x >= 0 and
     e^x / (1 + e^x) below, in one pass with e = e^-|x|, which never overflows."""
@@ -69,20 +63,22 @@ def sigmoid_grad(s):
 
 
 def cross_entropy(logits: np.ndarray, target):
-    """Negative log softmax probability of the target class, per row of
-    logits (..., c) with targets (...); a float for one row."""
+    """(loss, dlogits) per row of logits (..., c) with targets (...), from one
+    max, exp and sum. loss is the negative log softmax probability of the
+    target, log(sum exp z) - z[target] with z = logits - max (a float for one
+    row); dlogits = softmax(logits) - onehot(target), with softmax_stable's bits."""
     logits, t = np.asarray(logits, dtype=np.float64), np.asarray(target)
     if logits.ndim < 1 or logits.shape[-1] == 0:
         raise ShapeError("cross_entropy expects nonempty rows of logits")
     if np.any((t < 0) | (t >= logits.shape[-1])):
         raise IndexError(f"target {target} out of range for {logits.shape[-1]} classes")
-    loss = -np.take_along_axis(log_softmax(logits), t[..., None], axis=-1)[..., 0]
-    return float(loss) if loss.ndim == 0 else loss
-
-
-def cross_entropy_grad(logits: np.ndarray, target) -> np.ndarray:
-    """d loss / d logits = softmax(logits) - onehot(target), per row."""
-    return softmax_stable(logits) - np.eye(np.shape(logits)[-1])[target]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    ez = np.exp(z)
+    total = ez.sum(axis=-1, keepdims=True)
+    loss = -(np.take_along_axis(z, t[..., None], axis=-1) - np.log(total))[..., 0]
+    ez /= total
+    ez -= np.eye(logits.shape[-1])[t]
+    return (float(loss) if loss.ndim == 0 else loss), ez
 
 
 def sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -107,7 +103,7 @@ def finite_diff_check(loss_fn, params: dict[str, np.ndarray], eps: float = 1e-5)
         |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
     if not 1e-6 <= eps <= 1e-4:
-        raise ValueError(f"eps {eps} outside [1e-6, 1e-4]")
+        raise ConfigError(f"eps {eps} outside [1e-6, 1e-4]")
     loss0, grads = loss_fn(params)
     if not np.isfinite(loss0):
         raise NumericError("loss is non-finite at the base point")

@@ -107,7 +107,7 @@ def evaluate(model: Model, examples) -> tuple[float, float]:
     for F, mask, y in _padded_chunks(examples):
         # index the result so this chunk's cache is freed before the next one
         logits = model.forward_video(F, mask=mask)[0]
-        total += cross_entropy(logits, y).sum()
+        total += cross_entropy(logits, y)[0].sum()
         correct += int((logits.argmax(axis=-1) == y).sum())
     return total / len(examples), correct / len(examples)
 
@@ -154,8 +154,7 @@ def train(model: Model, train_set, cfg: TrainConfig, val_metric=None) -> list[Ep
         epoch_loss, correct = 0.0, 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[start:start + cfg.batch_size]]
-            batch_loss, grads, batch_correct = loss_and_grads(
-                model, batch, train=True, rng=rng, with_correct=True)
+            batch_loss, grads, batch_correct = loss_and_grads(model, batch, train=True, rng=rng)
             adam_step(model.params, grads, state, lr)
             epoch_loss += batch_loss * len(batch)
             correct += batch_correct

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from clta.attention import FrameSequence, attend_forward, fusion_weights, soft_argmax
-from clta.classifiers import CosineHead, SoftmaxHead, cosine_logits, softmax_logits
+from clta.classifiers import CosineHead, SoftmaxHead, head_forward
 from clta.cli import cli_dispatch, gradcheck_batch
 from clta.episodes import EpisodeSpec, run_episodes
 from clta.model import Model, ModelConfig, loss_and_grads
@@ -78,7 +78,7 @@ def test_criterion_1_gradient_check():
 
     def loss_fn(params):
         model.params = params
-        return loss_and_grads(model, batch, train=False)
+        return loss_and_grads(model, batch, train=False)[:2]
 
     err = finite_diff_check(loss_fn, model.params, eps=1e-5)
     _report(1, "analytic gradients match finite differences", err < 1e-4,
@@ -122,7 +122,7 @@ def test_criterion_3_soft_argmax_fidelity():
         s[int(np.argmax(s))] += 0.05  # enforce a top-1 margin >= 0.05
         hard = float(np.argmax(s) + 1)
         for b in gaps:
-            gaps[b].append(abs(soft_argmax(s, b) - hard))
+            gaps[b].append(abs(soft_argmax(s, b)[0] - hard))
         worst = max(worst, gaps[1e3][-1])
     means = {b: float(np.mean(v)) for b, v in gaps.items()}
     ok = worst <= 1e-6
@@ -165,11 +165,11 @@ def test_criterion_4_oracle_equivalence():
         c = int(rng.integers(2, 4))
         W = rng.normal(size=(d, c))
         b = rng.normal(size=c)
-        got = softmax_logits(V_avg, SoftmaxHead(W=W, bias=b))
+        got = head_forward(V_avg, SoftmaxHead(W=W, bias=b))[0]
         ref = ref_softmax_logits(V_avg.tolist(), W.tolist(), b.tolist())
         worst = max(worst, float(np.abs(got - ref).max()))
         protos = rng.normal(size=(c, d))
-        got = cosine_logits(V_avg + 1.0, CosineHead(W_proto=protos, temperature=7.0))
+        got = head_forward(V_avg + 1.0, CosineHead(W_proto=protos, temperature=7.0))[0]
         ref = ref_cosine_logits((V_avg + 1.0).tolist(), protos.tolist(), 7.0)
         worst = max(worst, float(np.abs(got - ref).max()))
     _report(4, "pipeline matches an independent reference implementation",

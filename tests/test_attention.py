@@ -27,24 +27,60 @@ def test_soft_argmax_range_and_limit():
     for _ in range(100):
         T = int(rng.integers(1, 12))
         s = rng.normal(0, 1, size=T)
-        m = soft_argmax(s, 1.0)
-        assert 1.0 <= m <= T
+        m, p = soft_argmax(s, 1.0)
+        assert 1.0 <= m <= T and p.shape == (T,)
         # huge beta recovers the hard argmax when the top score is unique
         s[int(rng.integers(0, T))] += 2.0
         hard = float(np.argmax(s) + 1)
-        assert abs(soft_argmax(s, 1e4) - hard) < 1e-6
+        assert abs(soft_argmax(s, 1e4)[0] - hard) < 1e-6
 
 
 def test_soft_argmax_uniform_scores_give_midpoint():
-    assert abs(soft_argmax(np.zeros(5), 10.0) - 3.0) < 1e-12
+    assert abs(soft_argmax(np.zeros(5), 10.0)[0] - 3.0) < 1e-12
 
 
 def test_soft_argmax_validation():
     for beta in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ConfigError, match="beta"):
             soft_argmax(np.ones(3), beta)
-    with pytest.raises(ShapeError):
-        soft_argmax(np.array([]), 1.0)
+    for scores in (np.array([]), np.zeros((0, 2)), np.float64(1.0)):
+        with pytest.raises(ShapeError):
+            soft_argmax(scores, 1.0)
+
+
+def test_soft_argmax_of_a_masked_padded_stack_is_each_videos_own():
+    # heads (T, K) per video, padded with garbage scores that the mask hides
+    rng = np.random.default_rng(12)
+    B, T, K = 5, 9, 3
+    lens = np.array([1, 4, 9, 2, 7])
+    mask = np.arange(T) < lens[:, None]
+    scores = rng.normal(0, 3, size=(B, T, K))
+    scores[~mask] = 1e300
+    index, p = soft_argmax(scores, 50.0, mask)
+    assert index.shape == (B, K) and p.shape == (B, T, K)
+    for b, n in enumerate(lens):
+        own_index, own_p = soft_argmax(scores[b, :n], 50.0)
+        assert np.allclose(index[b], own_index, rtol=0, atol=1e-12)
+        assert np.array_equal(p[b, :n], own_p) and np.all(p[b, n:] == 0.0)
+        for k in range(K):
+            one_index, one_p = soft_argmax(scores[b, :n, k], 50.0)
+            assert abs(one_index - own_index[k]) <= 1e-12
+            assert np.array_equal(one_p, own_p[:, k])
+
+
+def test_soft_argmax_overflow_is_a_numeric_error_naming_beta():
+    # beta * scores overflows to inf: a softmax of it would be all NaN (inf - inf),
+    # and clipping would make every overflowed frame a tie; the suite turns any
+    # numpy overflow or invalid-value warning into a failure
+    F = np.random.default_rng(13).normal(size=(6, 4))
+    W = np.full((2, 4), 10.0)
+    with pytest.raises(NumericError, match="beta=1e\\+308"):
+        attend_forward(F, W, W, 1e308, Z=6)
+    with pytest.raises(NumericError, match="beta"):
+        soft_argmax(np.array([0.0, -2.0, 1.0]), 1e308)
+    # a finite product keeps its bits, and an overflow on a masked-out frame is no error
+    index, p = soft_argmax(np.array([[0.0], [2.0], [1e10]]), 1e297, np.array([True, True, False]))
+    assert index[0] == 2.0 and np.array_equal(p[:, 0], [0.0, 1.0, 0.0])
 
 
 def test_learn_std_floor_with_nonnegative_features():

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from clta.classifiers import (CosineHead, SoftmaxHead, cosine_logits,
-                              cosine_logits_backward, cosine_scores, head_forward,
+from clta.classifiers import (CosineHead, SoftmaxHead, cosine_logits_backward, head_forward,
                               head_logits_backward, row_norms, softmax_logits,
                               softmax_logits_backward)
 from clta.errors import ShapeError
@@ -47,14 +46,23 @@ def test_softmax_backward_fd():
               grads, (W, b, V))
 
 
+def _logits(V, head):
+    return head_forward(V, head)[0]
+
+
+def _cosine_scores(V, head):
+    """The similarities in [-1, 1] that a cosine head scales by its temperature."""
+    return head_forward(V, head)[1][0]
+
+
 def test_cosine_scores_range_and_scale_invariance():
     rng = np.random.default_rng(2)
     head = CosineHead(W_proto=rng.normal(size=(5, 6)), temperature=10.0)
     V = rng.normal(size=6)
-    s = cosine_scores(V, head)
+    s = _cosine_scores(V, head)
     assert np.all(s >= -1.0 - 1e-12) and np.all(s <= 1.0 + 1e-12)
-    assert np.allclose(s, cosine_scores(3.7 * V, head), atol=1e-12)
-    assert np.allclose(cosine_logits(V, head), 10.0 * s, atol=1e-12)
+    assert np.allclose(s, _cosine_scores(3.7 * V, head), atol=1e-12)
+    assert np.array_equal(_logits(V, head), 10.0 * s)
 
 
 def test_cosine_self_similarity_is_maximal():
@@ -62,7 +70,7 @@ def test_cosine_self_similarity_is_maximal():
     protos = rng.normal(size=(4, 6))
     head = CosineHead(W_proto=protos)
     for i in range(4):
-        s = cosine_scores(protos[i], head)
+        s = _cosine_scores(protos[i], head)
         assert abs(s[i] - 1.0) < 1e-12
         assert np.argmax(s) == i
 
@@ -70,9 +78,9 @@ def test_cosine_self_similarity_is_maximal():
 def test_cosine_degenerate_inputs():
     # the ReLU projection can produce an all-zero descriptor
     head = CosineHead(W_proto=np.ones((2, 3)))
-    assert np.array_equal(cosine_scores(np.zeros(3), head), np.zeros(2))
+    assert np.array_equal(_cosine_scores(np.zeros(3), head), np.zeros(2))
     protos = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
-    assert np.allclose(cosine_scores(np.ones(3), CosineHead(W_proto=protos)),
+    assert np.allclose(_cosine_scores(np.ones(3), CosineHead(W_proto=protos)),
                        [0.0, 5.0 / (3.0 * np.sqrt(3.0))], rtol=0, atol=1e-15)
     V = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5]])
     for g in cosine_logits_backward(V, CosineHead(protos, np.array([7.0])), np.ones((2, 2))):
@@ -86,13 +94,13 @@ def test_cosine_backward_fd():
     temp = np.array([7.0])
     dlog = rng.normal(size=(5, 3))
     grads = cosine_logits_backward(V, CosineHead(protos, temp), dlog)
-    _fd_check(lambda: float((cosine_logits(V, CosineHead(protos, temp)) * dlog).sum()),
+    _fd_check(lambda: float((_logits(V, CosineHead(protos, temp)) * dlog).sum()),
               grads, (protos, temp, V))
     # a zero row scores 0 whatever the head, so it adds nothing to the head's
     # gradients; the cosine has no gradient in V there, so dV is not checked
     V[2] = 0.0
     grads = cosine_logits_backward(V, CosineHead(protos, temp), dlog)
-    _fd_check(lambda: float((cosine_logits(V, CosineHead(protos, temp)) * dlog).sum()),
+    _fd_check(lambda: float((_logits(V, CosineHead(protos, temp)) * dlog).sum()),
               grads[:2], (protos, temp))
 
 
@@ -105,12 +113,12 @@ def test_stacked_heads_backward_fd(kind):
     dlog = rng.normal(size=(E, n, c))
     if kind == "softmax":
         params = (rng.normal(size=(E, h, c)), rng.normal(size=(E, 1, c)))
-        make, logits, backward = SoftmaxHead, softmax_logits, softmax_logits_backward
+        make, backward = SoftmaxHead, softmax_logits_backward
     else:
         params = (rng.normal(size=(E, c, h)), rng.uniform(5, 10, size=(E, 1, 1)))
-        make, logits, backward = CosineHead, cosine_logits, cosine_logits_backward
+        make, backward = CosineHead, cosine_logits_backward
     grads = backward(V, make(*params), dlog)
-    _fd_check(lambda: float((logits(V, make(*params)) * dlog).sum()), grads, (*params, V))
+    _fd_check(lambda: float((_logits(V, make(*params)) * dlog).sum()), grads, (*params, V))
     # each head's gradients come from its own rows only
     for e in range(E):
         one = backward(V[e], make(*(p[e] for p in params)), dlog[e])
@@ -141,7 +149,7 @@ def test_cosine_backward_given_the_forward_values_is_bit_identical(lead):
                       rng.uniform(5, 10, size=lead + (1, 1)) if lead else np.array([7.0]))
     dlog = rng.normal(size=lead + (n, c))
     logits, cos = head_forward(V, head)
-    assert np.array_equal(logits, cosine_logits(V, head))
+    assert np.array_equal(logits, head.temperature * _cosine_scores(V, head))
     for need_dV in (True, False):
         reused = head_logits_backward(V, head, dlog, need_dV, cos=cos)
         recomputed = cosine_logits_backward(V, head, dlog, need_dV)

@@ -150,6 +150,14 @@ def test_gradcheck_exit_code_and_output(capsys):
     assert "max relative gradient error" in out
 
 
+@pytest.mark.parametrize("eps", ["1", "nan"])
+def test_gradcheck_eps_outside_its_window_exits_2(capsys, eps):
+    assert cli_dispatch(["gradcheck", "--eps", eps]) == 2
+    captured = capsys.readouterr()
+    assert f"error: eps {float(eps)} outside [1e-6, 1e-4]" in captured.err
+    assert captured.out == ""
+
+
 def test_gradcheck_batch_is_seed_deterministic():
     m1, b1 = gradcheck_batch(3, 10.0)
     m2, b2 = gradcheck_batch(3, 10.0)
@@ -208,6 +216,48 @@ def test_dump_attention_rejects_videos_longer_than_Z(dataset_dir, tmp_path, caps
                        "--split", "test"])
     assert rc == 2
     assert "exceeds Z=5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-attention"])
+@pytest.mark.parametrize("stage", ["post", "pre"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_checkpoint_of_another_feature_dim_exits_2(dataset_dir, tmp_path, capsys, kind, stage,
+                                                   command):
+    # the data has 24-dim features; the model was made for 16
+    model = Model(ModelConfig(kind=kind, Z=40, feature_dim=16, hidden=16, num_classes=8,
+                              projection_stage=stage), np.random.default_rng(0))
+    ckpt = tmp_path / "m.ckpt"
+    io_files.save_checkpoint(ckpt, model.params, dict(model_config=model.config_dict(),
+                                                      labels=[f"c{i}" for i in range(8)]))
+    out = tmp_path / "out"
+    episodes = ["--n-way", "2", "--episodes", "2"] if command == "eval" else []
+    capsys.readouterr()
+    rc = cli_dispatch([command, "--data", str(dataset_dir / "manifest.csv"),
+                       "--checkpoint", str(ckpt), "--out", str(out), *episodes])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: feature dim 24 does not match the model's feature_dim 16" in captured.err
+    assert captured.out == ""
+
+
+def test_train_on_a_manifest_of_mixed_feature_dims_exits_2(dataset_dir, tmp_path, capsys):
+    header, *rows = (dataset_dir / "manifest.csv").read_text().splitlines()
+    mixed = [header]
+    for i, row in enumerate(rows):
+        vid, label, split, path = row.split(",")
+        path = dataset_dir / path   # absolute, so the manifest can live elsewhere
+        if split == "train" and i % 2:
+            T = io_files.read_feature_file(path).T
+            path = tmp_path / f"{vid}.fvf"
+            io_files.write_feature_file(path, np.ones((T, 16), dtype=np.float32))
+        mixed.append(f"{vid},{label},{split},{path}")
+    manifest = tmp_path / "mixed.csv"
+    manifest.write_text("\n".join(mixed + [""]))
+    ckpt = tmp_path / "m.ckpt"
+    rc = cli_dispatch(["train", "--data", str(manifest), "--out", str(ckpt), "--epochs", "1"])
+    assert rc == 2
+    assert "error: videos of feature dims [16, 24] cannot share a batch" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def _eval_exit_code(dataset_dir, ckpt):

@@ -8,7 +8,7 @@ import pytest
 
 from clta import episodes
 from clta.attention import FrameSequence
-from clta.classifiers import CosineHead, SoftmaxHead, cosine_logits, softmax_logits
+from clta.classifiers import CosineHead, SoftmaxHead, head_forward
 from clta.episodes import RETRAIN_LR, EpisodeSpec, run_episodes
 from clta.errors import ConfigError, SamplingError, TrainingError
 from clta.model import Model, ModelConfig, descriptor
@@ -203,11 +203,11 @@ def _episode_by_hand(model, novel, spec, i):
     fit = (spec.n_way, spec.retrain_epochs, RETRAIN_LR)
     if (model.cfg.classifier if spec.head == "same" else spec.head) == "softmax":
         p = _reference_softmax_fit(X, y, *fit)
-        head, logits = SoftmaxHead(W=p["W"], bias=p["b"]), softmax_logits
+        head = SoftmaxHead(W=p["W"], bias=p["b"])
     else:
         p = _reference_cosine_fit(X, y, *fit)
-        head, logits = CosineHead(W_proto=p["proto"], temperature=p["temp"]), cosine_logits
-    return {novel[j].label: np.argmax(logits(descriptor(model, novel[j].features), head))
+        head = CosineHead(W_proto=p["proto"], temperature=p["temp"])
+    return {novel[j].label: np.argmax(head_forward(descriptor(model, novel[j].features), head)[0])
             == labels.index(novel[j].label) for j in query}
 
 

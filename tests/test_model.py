@@ -51,7 +51,7 @@ def test_gradients_match_finite_differences(kind, classifier, fusion, stage):
 
     def loss_fn(params):
         model.params = params
-        return loss_and_grads(model, batch, train=False)
+        return loss_and_grads(model, batch, train=False)[:2]
 
     err = finite_diff_check(loss_fn, model.params)
     assert err < 1e-5, f"{kind}/{classifier}/{fusion}/{stage}: fd error {err:.3e}"
@@ -68,7 +68,7 @@ def test_gradients_with_batch_norm():
 
     def loss_fn(params):
         model.params = params
-        return loss_and_grads(model, batch, train=False)
+        return loss_and_grads(model, batch, train=False)[:2]
 
     assert finite_diff_check(loss_fn, model.params) < 1e-6
 
@@ -105,7 +105,7 @@ def test_loss_and_grads_match_one_video_at_a_time(kind, classifier, fusion, stag
     _randomize_head(model, rng)
     batch = [(rng.standard_normal((int(rng.integers(1, 8)), 3)), int(rng.integers(0, 3)))
              for _ in range(model_mod._CHUNK + 1)]
-    loss, grads = loss_and_grads(model, batch)
+    loss, grads, _ = loss_and_grads(model, batch)
     singles = [loss_and_grads(model, [pair]) for pair in batch]
     assert abs(loss - np.mean([s[0] for s in singles])) < 1e-12
     for k in grads:
@@ -153,7 +153,7 @@ def test_training_mode_matches_one_video_at_a_time():
     ref = copy.deepcopy(model)
     batch = [(rng.standard_normal((int(rng.integers(1, 8)), 3)), int(rng.integers(0, 3)))
              for _ in range(model_mod._CHUNK + 1)]
-    loss, grads = loss_and_grads(model, batch, train=True, rng=np.random.default_rng(5))
+    loss, grads, _ = loss_and_grads(model, batch, train=True, rng=np.random.default_rng(5))
     ref_rng = np.random.default_rng(5)
     singles = [loss_and_grads(ref, [pair], train=True, rng=ref_rng)
                for pair in sorted(batch, key=lambda p: len(p[0]))]

@@ -5,9 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from clta.errors import NumericError, ShapeError
-from clta.numerics import (cross_entropy, cross_entropy_grad, finite_diff_check,
-                           log_softmax, relu, sigmoid, sigmoid_grad,
+from clta.errors import ConfigError, NumericError, ShapeError
+from clta.numerics import (cross_entropy, finite_diff_check, relu, sigmoid, sigmoid_grad,
                            softmax_backward, softmax_stable, softplus)
 
 
@@ -32,11 +31,13 @@ def test_softmax_empty_raises():
         softmax_stable(np.array([]))
 
 
-def test_log_softmax_consistent_with_softmax():
+def test_cross_entropy_loss_is_minus_log_softmax():
     rng = np.random.default_rng(1)
     for _ in range(20):
         x = rng.normal(0, 5, size=9)
-        assert np.allclose(np.exp(log_softmax(x)), softmax_stable(x), atol=1e-12)
+        for t in range(9):
+            assert np.allclose(np.exp(-cross_entropy(x, t)[0]), softmax_stable(x)[t],
+                               rtol=0, atol=1e-12)
 
 
 def test_sigmoid_extremes_and_symmetry():
@@ -167,12 +168,21 @@ def test_cross_entropy_value_and_grad():
         logits = rng.normal(0, 2, size=5)
         t = int(rng.integers(0, 5))
         p = softmax_stable(logits)
-        assert abs(cross_entropy(logits, t) + np.log(p[t])) < 1e-12
-        g = cross_entropy_grad(logits, t)
+        loss, g = cross_entropy(logits, t)
+        assert isinstance(loss, float) and abs(loss + np.log(p[t])) < 1e-12
         assert abs(g.sum()) < 1e-12
-        hot = np.zeros(5)
-        hot[t] = 1.0
-        assert np.allclose(g, p - hot, atol=1e-12)
+    # rows of logits, on both sides of softmax_stable's 8-wide last axis: the
+    # gradient has the bits of the softmax less the one-hot target
+    for c in range(2, 31):
+        for rows in (1, 7, 64):
+            logits = rng.normal(0, 4, size=(rows, c))
+            t = rng.integers(0, c, size=rows)
+            loss, g = cross_entropy(logits, t)
+            want = softmax_stable(logits) - np.eye(c)[t]
+            assert loss.shape == (rows,) and np.array_equal(g.view(np.uint64), want.view(np.uint64))
+            assert np.allclose(loss, -np.log(softmax_stable(logits)[np.arange(rows), t]),
+                               rtol=1e-12, atol=1e-12)
+            assert np.array_equal(cross_entropy(logits[0], t[0])[1], g[0])
 
 
 def test_cross_entropy_target_out_of_range():
@@ -213,10 +223,10 @@ def test_finite_diff_check_eps_window():
     def loss_fn(params):
         return float(params["x"] @ params["x"]), {"x": 2 * params["x"]}
 
-    with pytest.raises(ValueError):
-        finite_diff_check(loss_fn, {"x": np.ones(2)}, eps=1e-7)
-    with pytest.raises(ValueError):
-        finite_diff_check(loss_fn, {"x": np.ones(2)}, eps=1e-3)
+    # a ConfigError, which is a ValueError, so the CLI exits 2
+    for eps in (1e-7, 1e-3, 1.0, np.nan):
+        with pytest.raises(ConfigError, match="eps"):
+            finite_diff_check(loss_fn, {"x": np.ones(2)}, eps=eps)
 
 
 def test_finite_diff_check_nonfinite_loss():
