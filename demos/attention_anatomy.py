@@ -23,8 +23,7 @@ def sparkline(w):
 
 def main():
     cfg = SynthConfig(num_classes=6, videos_per_class=4, d=24, t_min=16, t_max=24,
-                      window_len=5, noise_std=0.05, train_frac=4 / 6, val_frac=1 / 6,
-                      seed=3)
+                      window_len=5, noise_std=0.05, seed=3)
     ds = generate(cfg)
     seq = ds.split("train")[5]
     Z = cfg.t_max

@@ -18,8 +18,7 @@ from clta.trainer import TrainConfig, train
 
 
 def main():
-    ds = generate(SynthConfig(seed=2, num_classes=12, videos_per_class=12,
-                              train_frac=8 / 12, val_frac=2 / 12))
+    ds = generate(SynthConfig(seed=2, num_classes=12, videos_per_class=12))
     train_seqs = ds.split("train")
     Z = max(s.T for s in train_seqs)
     labels = sorted({s.label for s in train_seqs})

@@ -25,8 +25,7 @@ def main():
     noise = 0.05 if mode == "fixed_position" else 0.12
     print(f"dataset mode: {mode} (noise {noise})")
     ds = generate(SynthConfig(seed=1, mode=mode, noise_std=noise,
-                              num_classes=18, videos_per_class=20,
-                              train_frac=12 / 18, val_frac=3 / 18))
+                              num_classes=18, videos_per_class=20))
     train_seqs = ds.split("train")
     Z = max(s.T for s in train_seqs)
     labels = sorted({s.label for s in train_seqs})

@@ -70,24 +70,22 @@ def soft_argmax(scores: np.ndarray, beta: float, mask: np.ndarray | None = None)
     """Differentiable argmax over frames: the expected 1-based frame index under
     p = softmax(beta * scores) over each video's own frames.
 
-    scores are (..., T, K), K heads per video, or (T,) for one head; mask is the
-    frame mask (..., T). Returns (index (..., K), or a float for one head, in
-    [1, T]; p shaped like scores). Raises NumericError where beta * scores
-    overflows on a frame of the mask: clipping would turn an argmax into a tie."""
+    scores are (..., T, K), K heads per video; mask is the frame mask (..., T).
+    Returns (index (..., K) in [1, T], p shaped like scores). Raises NumericError
+    where beta * scores overflows on a frame of the mask: clipping would turn an
+    argmax into a tie."""
     if not 0 < beta < np.inf:
         raise ConfigError(f"beta must be finite and > 0, got {beta}")
-    one = np.ndim(scores) == 1
-    s = np.asarray(scores, dtype=np.float64).reshape(np.shape(scores) + (1,) * one)
+    s = np.asarray(scores, dtype=np.float64)
     if s.ndim < 2 or s.size == 0:
-        raise ShapeError(f"scores must be nonempty, (..., T, K) or (T,), got {np.shape(scores)}")
+        raise ShapeError(f"scores must be nonempty (..., T, K), got shape {s.shape}")
     mask = frame_mask(s, mask)
     with np.errstate(over="ignore"):
         z = beta * s
     if not np.isfinite(z[mask]).all():
         raise NumericError(f"beta={beta} times the frame scores is not finite; lower beta")
     p = softmax_stable(np.where(mask[..., None], z, -np.inf), axis=-2)
-    index = np.arange(1, s.shape[-2] + 1, dtype=np.float64) @ p
-    return (float(index[0]), p[:, 0]) if one else (index, p)
+    return np.arange(1, s.shape[-2] + 1, dtype=np.float64) @ p, p
 
 
 def gaussian_pool_forward(F: np.ndarray, mu: np.ndarray, sigma: np.ndarray, Z: int,

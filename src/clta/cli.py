@@ -120,7 +120,7 @@ def _build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--split", choices=["train", "val", "test"], default="test")
+    p.add_argument("--split", choices=synth.SPLITS, default="test")
     return parser, commands
 
 
@@ -385,6 +385,8 @@ def cli_dispatch(argv=None) -> int:
         for action in required:
             action.required = command.get_default(action.dest) is None
         args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {args.seed}")
         return args.handler(args)
     except (CltaError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

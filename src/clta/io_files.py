@@ -17,6 +17,7 @@ import numpy as np
 
 from .attention import FrameSequence
 from .errors import FormatError, NumericError
+from .synth import SPLITS
 
 FEATURE_MAGIC = b"FVF1"
 CHECKPOINT_MAGIC = b"CLTA"
@@ -102,7 +103,7 @@ def read_manifest(path) -> list[dict]:
             if vid in seen:
                 fail(f"duplicate video_id {vid!r}")
             seen.add(vid)
-            if split not in ("train", "val", "test"):
+            if split not in SPLITS:
                 fail(f"unknown split {split!r} for {vid!r}")
             split_labels.setdefault(split, set()).add(label)
             if not os.path.isfile(os.path.join(base, rel)):

@@ -7,6 +7,8 @@ optimizer and the finite-difference checker can treat the model as a
 black-box loss.
 """
 
+import math
+import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -91,8 +93,9 @@ class ModelConfig:
             raise ConfigError(f"unknown projection stage {self.projection_stage!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        # JSON gives NaN and Infinity as floats and true as a bool
-        if isinstance(self.beta, bool) or not 0 < self.beta < np.inf:
+        # JSON gives NaN and Infinity as floats, true as a bool, and a long run of
+        # digits as an int no float holds, which compares with the float max exactly
+        if isinstance(self.beta, bool) or not 0 < self.beta <= sys.float_info.max:
             raise ConfigError(f"beta must be a finite number > 0, got {self.beta!r}")
         for name in ("num_gaussians", "Z", "feature_dim", "hidden", "num_classes"):
             size = getattr(self, name)
@@ -101,6 +104,10 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be an integer, got {size!r}")
             if size < 1:
                 raise ConfigError(f"{name} must be >= 1, got {size}")
+        # the init divides W_mean by beta * sqrt(attn_dim)
+        attn_dim = self.hidden if self.projection_stage == "pre" else self.feature_dim
+        if not math.isfinite(float(self.beta) * math.sqrt(attn_dim)):
+            raise ConfigError(f"beta * sqrt({attn_dim}) must be finite, got beta={self.beta!r}")
         # sldg always weighs its heads; avg has one summary, nothing to weigh
         self.fusion = {"sldg": "soft_weight", "avg": "average"}.get(self.kind, self.fusion)
 
@@ -234,15 +241,9 @@ class Model:
         logits, cache["cos"] = cls.head_forward(y, self._head()[0])
         return (logits[0] if one else logits), cache
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
-
-    def backward_video(self, cache: dict, dlogits: np.ndarray,
-                       grads: dict[str, np.ndarray] | None = None):
+    def backward_video(self, cache: dict, dlogits: np.ndarray, grads: dict[str, np.ndarray]):
         """Accumulate parameter gradients, summed over the cached stack, into grads."""
         p, cfg = self.params, self.cfg
-        if grads is None:
-            grads = self.zero_grads()
         y = cache["y"]
         dlogits = np.reshape(dlogits, (len(y), -1))
 
@@ -278,7 +279,6 @@ class Model:
             dx0 = dG * (cache["pre_x0"] > 0)        # (B, T, h)
             grads["proj_W"] += sum_outer(dx0, cache["F"])
             grads["proj_b"] += dx0.sum(axis=(0, 1))
-        return grads
 
 
 # Videos padded into one forward pass, in length order so a chunk holds little
@@ -315,7 +315,7 @@ def loss_and_grads(model: Model, batch, train: bool = False,
     correct counts the videos whose logits in this same pass put their target first."""
     if not batch:
         raise ConfigError("empty batch")
-    grads = model.zero_grads()
+    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
     total, correct = 0.0, 0
     for F, mask, y in _padded_chunks(batch):
         logits, cache = model.forward_video(F, train=train, rng=rng, mask=mask)

@@ -53,8 +53,7 @@ def sigmoid(x):
     e^x / (1 + e^x) below, in one pass with e = e^-|x|, which never overflows."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(np.minimum(x, -x))   # -|x|, but a nan keeps its sign bit
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
-    return out if np.ndim(out) else float(out)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_grad(s):
@@ -65,8 +64,8 @@ def sigmoid_grad(s):
 def cross_entropy(logits: np.ndarray, target):
     """(loss, dlogits) per row of logits (..., c) with targets (...), from one
     max, exp and sum. loss is the negative log softmax probability of the
-    target, log(sum exp z) - z[target] with z = logits - max (a float for one
-    row); dlogits = softmax(logits) - onehot(target), with softmax_stable's bits."""
+    target, log(sum exp z) - z[target] with z = logits - max; dlogits =
+    softmax(logits) - onehot(target), with softmax_stable's bits."""
     logits, t = np.asarray(logits, dtype=np.float64), np.asarray(target)
     if logits.ndim < 1 or logits.shape[-1] == 0:
         raise ShapeError("cross_entropy expects nonempty rows of logits")
@@ -78,7 +77,7 @@ def cross_entropy(logits: np.ndarray, target):
     loss = -(np.take_along_axis(z, t[..., None], axis=-1) - np.log(total))[..., 0]
     ez /= total
     ez -= np.eye(logits.shape[-1])[t]
-    return (float(loss) if loss.ndim == 0 else loss), ez
+    return loss, ez
 
 
 def sum_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -24,6 +24,10 @@ from .attention import FrameSequence
 from .errors import ConfigError
 
 SPLITS = ("train", "val", "test")
+# Shares of the classes in the train and val splits; the test split takes the rest.
+_TRAIN_FRAC, _VAL_FRAC = 20 / 30, 5 / 30
+# Share of background frames that carry the weak cue, and its amplitude.
+_DISTRACTOR_RATE, _DISTRACTOR_AMP = 0.25, 0.15
 
 
 @dataclass
@@ -36,12 +40,8 @@ class SynthConfig:
     window_len: int = 6
     signal_amp: float = 0.3
     cue_amp: float = 0.3
-    distractor_rate: float = 0.25
-    distractor_amp: float = 0.15
     noise_std: float = 0.12
     mode: str = "instance_shifted"   # instance_shifted | fixed_position
-    train_frac: float = 20 / 30
-    val_frac: float = 5 / 30
     seed: int = 0
 
     def __post_init__(self):
@@ -60,13 +60,10 @@ class SynthConfig:
             raise ConfigError(f"feature dimension d must be >= 1, got {self.d}")
         if not self.noise_std >= 0:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
-        n_train, n_val, n_test = self.split_counts()
-        if min(n_train, n_val, n_test) < 0 or n_train + n_val + n_test != self.num_classes:
-            raise ConfigError("split fractions do not partition the classes")
 
     def split_counts(self):
-        n_train = int(round(self.train_frac * self.num_classes))
-        n_val = int(round(self.val_frac * self.num_classes))
+        n_train = int(round(_TRAIN_FRAC * self.num_classes))
+        n_val = int(round(_VAL_FRAC * self.num_classes))
         return n_train, n_val, self.num_classes - n_train - n_val
 
 
@@ -124,7 +121,7 @@ def generate(cfg: SynthConfig) -> Dataset:
 
     sequences: list[FrameSequence] = []
     split_of: dict[str, str] = {}
-    distractor = cfg.distractor_amp * cue
+    distractor = _DISTRACTOR_AMP * cue
     for c in range(cfg.num_classes):
         label = f"class{c:03d}"
         split = "train" if c < n_train else ("val" if c < n_train + n_val else "test")
@@ -143,7 +140,7 @@ def generate(cfg: SynthConfig) -> Dataset:
                 start = int(rng.integers(0, room + 1))
             # weak distractor cues on scattered background frames: soft
             # position estimates get dragged toward them, hard ones do not
-            hit = rng.random(T) < cfg.distractor_rate
+            hit = rng.random(T) < _DISTRACTOR_RATE
             hit[start:start + cfg.window_len] = False
             np.add(F, distractor, out=F, where=hit[:, None])
             F[start:start + cfg.window_len] += planted

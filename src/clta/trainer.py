@@ -9,8 +9,8 @@ one at a time in that order, up to float summation order.
 Each training video goes through the model once per epoch. The logged train
 accuracy comes from the logits of that gradient pass, whose losses the logged
 train loss averages: training mode (dropout, batch-norm updates), at the
-parameters of the step that saw the video. evaluate(model, train_set) gives
-the eval-mode accuracy at the end of an epoch.
+parameters of the step that saw the video. loss_and_grads(model, train_set)[2]
+counts the videos that eval mode classifies correctly at the end of an epoch.
 """
 
 import logging
@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, TrainingError
-from .model import Model, _padded_chunks, loss_and_grads
-from .numerics import cross_entropy
+from .model import Model, loss_and_grads
 
 log = logging.getLogger(__name__)
 
@@ -62,32 +61,39 @@ class TrainConfig:
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update, in place, in the textbook formula's operation order."""
+    """One bias-corrected Adam update, in place, in the textbook formula's operation order.
+
+    Raises TrainingError, before that parameter moves, where a gradient is not
+    finite or its square overflows the second moment."""
     if not 0 < lr < np.inf:
         raise ConfigError(f"lr must be finite and > 0, got {lr}")
     state.step += 1
     bc1, bc2 = 1.0 - _BETA1 ** state.step, 1.0 - _BETA2 ** state.step
-    for name, p in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        if name not in state.m:
-            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
-        if name not in state.work:
-            state.work[name] = np.empty_like(p), np.empty_like(p)
-        m, v = state.m[name], state.v[name]
-        step, den = state.work[name]
-        m *= _BETA1
-        m += np.multiply(1 - _BETA1, g, out=step)
-        v *= _BETA2
-        np.multiply(1 - _BETA2, g, out=step)
-        v += np.multiply(step, g, out=step)
-        np.divide(m, bc1, out=step)
-        step *= lr
-        np.sqrt(np.divide(v, bc2, out=den), out=den)
-        den += _EPS
-        step /= den
-        p -= step
+    # a gradient that is nan or inf, or whose square overflows, leaves the
+    # denominator non-finite, which is checked instead of warned about
+    with np.errstate(over="ignore"):
+        for name, p in params.items():
+            g = grads[name]
+            if name not in state.m:
+                state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
+            if name not in state.work:
+                state.work[name] = np.empty_like(p), np.empty_like(p)
+            m, v = state.m[name], state.v[name]
+            step, den = state.work[name]
+            m *= _BETA1
+            m += np.multiply(1 - _BETA1, g, out=step)
+            v *= _BETA2
+            np.multiply(1 - _BETA2, g, out=step)
+            v += np.multiply(step, g, out=step)
+            np.sqrt(np.divide(v, bc2, out=den), out=den)
+            if not np.isfinite(den).all():
+                raise TrainingError(f"gradient for parameter {name!r} is not finite "
+                                    f"or its square overflows")
+            np.divide(m, bc1, out=step)
+            step *= lr
+            den += _EPS
+            step /= den
+            p -= step
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -96,20 +102,6 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     if epoch < 0:
         raise ConfigError(f"epoch must be >= 0, got {epoch}")
     return cfg.lr0 * DECAY_FACTOR ** (epoch // cfg.decay_every)
-
-
-def evaluate(model: Model, examples) -> tuple[float, float]:
-    """Eval-mode mean loss and accuracy over [(F, target), ...] at the current
-    parameters, summed over padded chunks of the whole set in stable length order."""
-    if not examples:
-        raise ConfigError("empty evaluation set")
-    total, correct = 0.0, 0
-    for F, mask, y in _padded_chunks(examples):
-        # index the result so this chunk's cache is freed before the next one
-        logits = model.forward_video(F, mask=mask)[0]
-        total += cross_entropy(logits, y)[0].sum()
-        correct += int((logits.argmax(axis=-1) == y).sum())
-    return total / len(examples), correct / len(examples)
 
 
 @dataclass
@@ -130,12 +122,13 @@ def train(model: Model, train_set, cfg: TrainConfig, val_metric=None) -> list[Ep
     Deterministic for a fixed (seed, config, data): shuffle order and
     dropout masks both derive from cfg.seed. Each epoch runs every training
     video through the model once, in the gradient pass, and logs its loss and
-    accuracy from that pass (see EpochRecord); evaluate(model, train_set)[1]
-    after an epoch gives the eval-mode accuracy at its final parameters.
-    When given, val_metric(model) scores every epoch (e.g. an episodic probe on held-out classes, or
-    evaluate() accuracy on held-out videos), and the parameters of the best
-    epoch, with their batch-norm running stats, are restored at the end;
-    without it the last epoch's parameters are kept.
+    accuracy from that pass (see EpochRecord); loss_and_grads(model, pairs)[2]
+    / len(pairs) after an epoch gives the eval-mode accuracy on pairs at its
+    final parameters. When given, val_metric(model) scores every epoch (e.g.
+    an episodic probe on held-out classes, or that accuracy on held-out
+    videos), and the parameters of the best epoch, with their batch-norm
+    running stats, are restored at the end; without it the last epoch's
+    parameters are kept.
     """
     if not train_set:
         raise ConfigError("empty training set")

@@ -122,7 +122,7 @@ def test_criterion_3_soft_argmax_fidelity():
         s[int(np.argmax(s))] += 0.05  # enforce a top-1 margin >= 0.05
         hard = float(np.argmax(s) + 1)
         for b in gaps:
-            gaps[b].append(abs(soft_argmax(s, b)[0] - hard))
+            gaps[b].append(abs(soft_argmax(s[:, None], b)[0][0] - hard))
         worst = max(worst, gaps[1e3][-1])
     means = {b: float(np.mean(v)) for b, v in gaps.items()}
     ok = worst <= 1e-6

@@ -26,24 +26,25 @@ def test_soft_argmax_range_and_limit():
     rng = np.random.default_rng(0)
     for _ in range(100):
         T = int(rng.integers(1, 12))
-        s = rng.normal(0, 1, size=T)
+        s = rng.normal(0, 1, size=(T, 1))
         m, p = soft_argmax(s, 1.0)
-        assert 1.0 <= m <= T and p.shape == (T,)
+        assert m.shape == (1,) and 1.0 <= m[0] <= T and p.shape == (T, 1)
         # huge beta recovers the hard argmax when the top score is unique
         s[int(rng.integers(0, T))] += 2.0
         hard = float(np.argmax(s) + 1)
-        assert abs(soft_argmax(s, 1e4)[0] - hard) < 1e-6
+        assert abs(soft_argmax(s, 1e4)[0][0] - hard) < 1e-6
 
 
 def test_soft_argmax_uniform_scores_give_midpoint():
-    assert abs(soft_argmax(np.zeros(5), 10.0)[0] - 3.0) < 1e-12
+    assert abs(soft_argmax(np.zeros((5, 1)), 10.0)[0][0] - 3.0) < 1e-12
 
 
 def test_soft_argmax_validation():
     for beta in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ConfigError, match="beta"):
-            soft_argmax(np.ones(3), beta)
-    for scores in (np.array([]), np.zeros((0, 2)), np.float64(1.0)):
+            soft_argmax(np.ones((3, 1)), beta)
+    # scores are (..., T, K): a vector of frame scores is no stack of heads
+    for scores in (np.array([]), np.zeros((0, 2)), np.float64(1.0), np.ones(3)):
         with pytest.raises(ShapeError):
             soft_argmax(scores, 1.0)
 
@@ -63,9 +64,9 @@ def test_soft_argmax_of_a_masked_padded_stack_is_each_videos_own():
         assert np.allclose(index[b], own_index, rtol=0, atol=1e-12)
         assert np.array_equal(p[b, :n], own_p) and np.all(p[b, n:] == 0.0)
         for k in range(K):
-            one_index, one_p = soft_argmax(scores[b, :n, k], 50.0)
-            assert abs(one_index - own_index[k]) <= 1e-12
-            assert np.array_equal(one_p, own_p[:, k])
+            one_index, one_p = soft_argmax(scores[b, :n, k, None], 50.0)
+            assert abs(one_index[0] - own_index[k]) <= 1e-12
+            assert np.array_equal(one_p[:, 0], own_p[:, k])
 
 
 def test_soft_argmax_overflow_is_a_numeric_error_naming_beta():
@@ -77,7 +78,7 @@ def test_soft_argmax_overflow_is_a_numeric_error_naming_beta():
     with pytest.raises(NumericError, match="beta=1e\\+308"):
         attend_forward(F, W, W, 1e308, Z=6)
     with pytest.raises(NumericError, match="beta"):
-        soft_argmax(np.array([0.0, -2.0, 1.0]), 1e308)
+        soft_argmax(np.array([[0.0], [-2.0], [1.0]]), 1e308)
     # a finite product keeps its bits, and an overflow on a masked-out frame is no error
     index, p = soft_argmax(np.array([[0.0], [2.0], [1e10]]), 1e297, np.array([True, True, False]))
     assert index[0] == 2.0 and np.array_equal(p[:, 0], [0.0, 1.0, 0.0])

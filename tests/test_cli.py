@@ -109,6 +109,21 @@ def test_train_rejects_a_non_finite_beta_or_lr_before_training(dataset_dir, tmp_
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("beta, error", [
+    ("1e308", "beta * sqrt(24) must be finite, got beta=1e+308"),
+    ("1e200", "gradient for parameter 'W_mean' is not finite or its square overflows"),
+], ids=["init-divisor", "adam-second-moment"])
+def test_train_with_a_huge_finite_beta_exits_2(dataset_dir, tmp_path, capsys, beta, error):
+    # 1e308 overflows the init's divisor, 1e200 the squared W_mean gradient in
+    # Adam; the suite turns the RuntimeWarning of either overflow into a failure
+    ckpt = tmp_path / "m.ckpt"
+    rc = cli_dispatch(["train", "--data", str(dataset_dir / "manifest.csv"),
+                       "--out", str(ckpt), "--epochs", "2", "--beta", beta])
+    assert rc == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("hidden", ["-1", "0"])
 def test_train_rejects_a_hidden_size_below_one(dataset_dir, tmp_path, capsys, hidden):
     ckpt = tmp_path / "m.ckpt"
@@ -516,6 +531,30 @@ def test_config_file_that_is_not_utf8_names_file_and_byte(tmp_path, capsys):
     cfg.write_bytes(b"seed=1\n# caf\xe9\n")
     assert cli_dispatch(["gradcheck", "--config", str(cfg)]) == 2
     assert f"{cfg}: not UTF-8 text at byte 12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "gradcheck", "ablate",
+                                     "dump-attention"])
+def test_a_negative_seed_exits_2_and_writes_nothing(dataset_dir, checkpoint, tmp_path, capsys,
+                                                     command, via):
+    manifest, out = str(dataset_dir / "manifest.csv"), tmp_path / "out"
+    argv = {"gen": ["--out", str(out)],
+            "train": ["--data", manifest, "--out", str(out)],
+            "eval": ["--data", manifest, "--checkpoint", str(checkpoint), "--out", str(out)],
+            "gradcheck": [],
+            "ablate": ["--data", manifest, "--out", str(out), "--sweep", "k"],
+            "dump-attention": ["--data", manifest, "--checkpoint", str(checkpoint),
+                               "--out", str(out)]}[command]
+    if via == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        (tmp_path / "run.cfg").write_text("seed = -1\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert cli_dispatch([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0, got -1\n" and captured.out == ""
+    assert not out.exists()
 
 
 def test_usage_errors_exit_1(capsys):

@@ -256,11 +256,16 @@ def test_config_validation():
         ModelConfig(fusion="nope")
     with pytest.raises(ConfigError):
         ModelConfig(projection_stage="nope")
-    # JSON gives NaN and Infinity as floats and true as a bool
-    for bad in (0.0, -1.0, float("nan"), float("inf"), -float("inf"), True, False):
+    # JSON gives NaN and Infinity as floats, true as a bool and 400 digits as an int
+    for bad in (0.0, -1.0, float("nan"), float("inf"), -float("inf"), True, False, 10 ** 400):
         with pytest.raises(ConfigError, match="beta must be a finite number > 0"):
             ModelConfig(beta=bad)
     ModelConfig(beta=np.float64(1e3))
+    # the init divides W_mean by beta * sqrt(attn_dim), which must be finite too
+    for stage, dims, attn_dim in (("post", {"feature_dim": 4}, 4), ("pre", {"hidden": 9}, 9)):
+        with pytest.raises(ConfigError, match=f"beta \\* sqrt\\({attn_dim}\\) must be finite"):
+            ModelConfig(beta=1e308, projection_stage=stage, **dims)
+        ModelConfig(beta=1e308 / attn_dim ** 0.5, projection_stage=stage, **dims)
     for name in ("num_gaussians", "Z", "feature_dim", "hidden", "num_classes"):
         for bad in (0, -1):
             with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {bad}"):

@@ -5,15 +5,22 @@ import hashlib
 import numpy as np
 import pytest
 
+from clta import synth
 from clta.errors import ConfigError
 from clta.synth import SynthConfig, generate
 
 
 def _small_cfg(**kw):
+    # 9 classes split 6 / 2 / 1
     base = dict(num_classes=9, videos_per_class=6, d=24, t_min=8, t_max=16,
-                window_len=4, train_frac=5 / 9, val_frac=2 / 9, seed=0)
+                window_len=4, seed=0)
     base.update(kw)
     return SynthConfig(**base)
+
+
+@pytest.fixture
+def no_distractors(monkeypatch):
+    monkeypatch.setattr(synth, "_DISTRACTOR_RATE", 0.0)
 
 
 def test_config_validation():
@@ -35,6 +42,15 @@ def test_config_rejects_bad_sizes():
         with pytest.raises(ConfigError):
             SynthConfig(**bad)
     SynthConfig(d=1, noise_std=0.0)
+
+
+def test_split_counts_partition_every_class_count_from_3():
+    # the fixed fractions leave no split negative, so no count needs a check
+    for classes in range(3, 100_001):
+        n_train, n_val, n_test = SynthConfig(num_classes=classes).split_counts()
+        assert min(n_train, n_val, n_test) >= 0 and n_train + n_val + n_test == classes, classes
+    assert SynthConfig(num_classes=3).split_counts() == (2, 0, 1)
+    assert SynthConfig().split_counts() == (20, 5, 5)
 
 
 def test_generation_is_deterministic():
@@ -69,9 +85,9 @@ def test_max_length_is_pinned_into_the_training_split():
 def test_splits_partition_classes_disjointly():
     ds = generate(_small_cfg())
     labels = {name: {s.label for s in ds.split(name)} for name in ("train", "val", "test")}
-    assert len(labels["train"]) == 5
+    assert len(labels["train"]) == 6
     assert len(labels["val"]) == 2
-    assert len(labels["test"]) == 2
+    assert len(labels["test"]) == 1
     assert not labels["train"] & labels["val"]
     assert not labels["train"] & labels["test"]
     assert not labels["val"] & labels["test"]
@@ -104,15 +120,15 @@ def _detect_start(seq, cfg):
     return int(np.argmax(sums))
 
 
-def test_instance_shifted_windows_move_between_videos():
-    cfg = _small_cfg(noise_std=0.02, distractor_rate=0.0)
+def test_instance_shifted_windows_move_between_videos(no_distractors):
+    cfg = _small_cfg(noise_std=0.02)
     ds = generate(cfg)
     starts = [_detect_start(s, cfg) for s in ds.sequences]
     assert len(set(starts)) > 3  # positions vary across videos
 
 
-def test_fixed_position_windows_share_one_fraction():
-    cfg = _small_cfg(mode="fixed_position", noise_std=0.02, distractor_rate=0.0)
+def test_fixed_position_windows_share_one_fraction(no_distractors):
+    cfg = _small_cfg(mode="fixed_position", noise_std=0.02)
     ds = generate(cfg)
     # same room (T - window_len) must imply the same start, across classes
     by_room: dict[int, set] = {}
@@ -127,8 +143,8 @@ def test_fixed_position_windows_share_one_fraction():
     assert fracs_lo <= fracs_hi  # a common fraction exists
 
 
-def test_window_carries_the_class_prototype():
-    cfg = _small_cfg(noise_std=0.02, distractor_rate=0.0, signal_amp=1.0, cue_amp=0.2)
+def test_window_carries_the_class_prototype(no_distractors):
+    cfg = _small_cfg(noise_std=0.02, signal_amp=1.0, cue_amp=0.2)
     ds = generate(cfg)
     hits = 0
     for s in ds.sequences:
@@ -144,7 +160,7 @@ def test_splits_hold_their_classes_and_videos():
     ds = generate(_small_cfg())
     counts = {name: (len({s.label for s in ds.split(name)}), len(ds.split(name)))
               for name in ("train", "val", "test")}
-    assert counts == {"train": (5, 5 * 6), "val": (2, 2 * 6), "test": (2, 2 * 6)}
+    assert counts == {"train": (6, 6 * 6), "val": (2, 2 * 6), "test": (1, 1 * 6)}
     assert sum(n for _, n in counts.values()) == len(ds.sequences)
 
 

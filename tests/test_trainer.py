@@ -5,8 +5,8 @@ import pytest
 
 from clta import trainer as trainer_mod
 from clta.errors import ConfigError, TrainingError
-from clta.model import Model, ModelConfig
-from clta.trainer import AdamState, TrainConfig, adam_step, evaluate, lr_at, train
+from clta.model import Model, ModelConfig, loss_and_grads
+from clta.trainer import AdamState, TrainConfig, adam_step, lr_at, train
 
 
 def test_lr_schedule_step_decay():
@@ -74,6 +74,16 @@ def test_adam_rejects_nonfinite_gradients():
         adam_step(p, {"x": np.array([np.nan, 0.0])}, AdamState(), 0.1)
 
 
+@pytest.mark.parametrize("g", [1e200, -1e160, np.inf, np.nan])
+def test_adam_rejects_a_gradient_whose_square_overflows_before_moving_it(g):
+    # a finite gradient past ~1e154 squares to inf: the second moment would be
+    # inf and every later step of that parameter silently zero
+    p = {"a": np.ones(2), "b": np.ones(3)}
+    with pytest.raises(TrainingError, match="parameter 'b' is not finite or its square"):
+        adam_step(p, {"a": np.ones(2), "b": np.array([1.0, g, 1.0])}, AdamState(), 0.1)
+    assert np.array_equal(p["b"], np.ones(3))
+
+
 def test_adam_rejects_a_non_positive_or_non_finite_lr():
     for bad in (0.0, -0.1, float("nan"), float("inf")):
         p = {"x": np.ones(2)}
@@ -117,8 +127,7 @@ def test_training_reduces_loss_and_fits_separable_data():
     records = train(model, pairs, cfg)
     assert len(records) == 15
     assert records[-1].train_loss < records[0].train_loss
-    _, acc = evaluate(model, pairs)
-    assert acc == 1.0
+    assert loss_and_grads(model, pairs)[2] == len(pairs)
 
 
 def test_training_is_deterministic_in_the_seed():
@@ -168,7 +177,7 @@ def test_val_set_accuracy_recorded():
     pairs = _toy_problem()
     model = _toy_model()
     cfg = TrainConfig(lr0=5e-3, epochs=3, batch_size=8, dropout_rate=0.0, seed=0)
-    records = train(model, pairs, cfg, val_metric=lambda m: evaluate(m, pairs[:6])[1])
+    records = train(model, pairs, cfg, val_metric=lambda m: loss_and_grads(m, pairs[:6])[2] / 6)
     assert all(r.val_acc is not None for r in records)
 
 
@@ -195,20 +204,22 @@ def test_mixed_length_batches_train_in_padded_chunks():
     assert np.isfinite(records[-1].train_loss)
 
 
-def test_evaluate_on_an_empty_set_raises():
-    with pytest.raises(ConfigError, match="empty"):
-        evaluate(_toy_model(), [])
-
-
 def test_train_runs_no_separate_evaluation_pass(monkeypatch):
-    # train_acc comes from the gradient pass; evaluate() is never called
-    def no_evaluate(*args, **kwargs):
-        raise AssertionError("train() called evaluate()")
+    # train_acc comes from the gradient pass: every forward is a training-mode
+    # one, once per video and epoch, also when a val_metric is given
+    modes = []
+    forward = Model.forward_video
 
-    monkeypatch.setattr(trainer_mod, "evaluate", no_evaluate)
-    records = train(_toy_model(), _toy_problem(),
+    def recording_forward(self, F, train=False, rng=None, mask=None):
+        modes.extend([train] * len(F))
+        return forward(self, F, train=train, rng=rng, mask=mask)
+
+    monkeypatch.setattr(Model, "forward_video", recording_forward)
+    pairs = _toy_problem()
+    records = train(_toy_model(), pairs,
                     TrainConfig(lr0=5e-3, epochs=3, batch_size=8, dropout_rate=0.0, seed=0),
                     val_metric=lambda m: 0.5)
+    assert modes == [True] * (3 * len(pairs))
     assert len(records) == 3 and all(0.0 <= r.train_acc <= 1.0 for r in records)
 
 
