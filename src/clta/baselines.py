@@ -1,6 +1,5 @@
 """Comparison temporal-attention mechanisms evaluated on the same inputs.
 
-avg      - plain frame averaging, no attention parameters.
 selfattn - one learning matrix, softmaxed per-frame dot products.
 tsf      - shared trainable Gaussians, rescaled only by video length.
 sldg     - length-defined Gaussians with a trainable scale per head.
@@ -9,7 +8,8 @@ tsf and sldg pool through the same Gaussian kernel as clta
 (attention.gaussian_pool_forward); their weights depend only on
 (T, parameters): two same-length videos always receive identical weights,
 regardless of contents. Each takes frames and a mask as the attention
-kernels do.
+kernels do. Plain frame averaging, avg, needs no kernel: model._KINDS gives
+each frame weight 1/T and pools e @ F, as every kind does.
 """
 
 import numpy as np
@@ -25,15 +25,6 @@ def tsf_init(K: int) -> dict[str, np.ndarray]:
     # evenly spaced seeds in [-1, 1]; widths so the effective std ~ 1/(2K)
     centers = np.linspace(-1.0, 1.0, K) if K > 1 else np.zeros(1)
     return {"centers": centers, "widths": np.full(K, np.log(np.expm1(1.0 / (2 * K))))}
-
-
-def average_pool(F: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Mean over each video's own frames of F (..., T, d)."""
-    F = np.asarray(F, dtype=np.float64)
-    if F.ndim < 2 or F.shape[-2] < 1:
-        raise ShapeError(f"expected (..., T>=1, d) frames, got {F.shape}")
-    mask = frame_mask(F, mask)[..., None]
-    return np.where(mask, F, 0.0).sum(axis=-2) / mask.sum(axis=-2)
 
 
 def self_attention_forward(F: np.ndarray, W: np.ndarray, mask: np.ndarray | None = None):

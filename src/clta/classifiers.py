@@ -10,6 +10,8 @@ import numpy as np
 
 from .errors import ShapeError
 
+INIT_TEMPERATURE = 10.0   # a cosine head's starting temperature, in the model and episode fits
+
 
 @dataclass
 class SoftmaxHead:
@@ -20,7 +22,7 @@ class SoftmaxHead:
 @dataclass
 class CosineHead:
     W_proto: np.ndarray  # (..., c, h), row i is the prototype of class i
-    temperature: float | np.ndarray = 10.0   # scalar, (1,) or (..., 1, 1)
+    temperature: float | np.ndarray   # scalar, (1,) or (..., 1, 1)
 
 
 def softmax_logits(V: np.ndarray, head: SoftmaxHead, out=None) -> np.ndarray:

@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io_files, synth
-from .episodes import EpisodeSpec, run_episodes
+from .episodes import HEADS, EpisodeSpec, run_episodes
 from .errors import CltaError, ConfigError, FormatError
-from .model import MODEL_KINDS, Model, ModelConfig, _padded_chunks, loss_and_grads
+from .model import (CLASSIFIERS, MODEL_KINDS, PROJECTION_STAGES, Model, ModelConfig,
+                    _padded_chunks, loss_and_grads)
 from .numerics import finite_diff_check
 from .trainer import TrainConfig, train
 
@@ -54,8 +55,7 @@ def _build_parser():
 
     p = command("gen", "generate a synthetic dataset", _cmd_gen)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--mode", choices=["instance_shifted", "fixed_position"],
-                   default="instance_shifted")
+    p.add_argument("--mode", choices=synth.MODES, default="instance_shifted")
     p.add_argument("--classes", type=int, default=30)
     p.add_argument("--videos-per-class", type=int, default=30)
     p.add_argument("--dim", type=int, default=32)
@@ -69,11 +69,11 @@ def _build_parser():
 
     def train_flags(p):
         p.add_argument("--model", choices=MODEL_KINDS, default="clta")
-        p.add_argument("--classifier", choices=["softmax", "cosine"], default="softmax")
+        p.add_argument("--classifier", choices=CLASSIFIERS, default="softmax")
         p.add_argument("--fusion", choices=["average", "soft"], default="average")
         p.add_argument("--k-gaussians", type=int, default=6)
         p.add_argument("--beta", type=float, default=1e3)
-        p.add_argument("--projection-stage", choices=["pre", "post"], default="post")
+        p.add_argument("--projection-stage", choices=PROJECTION_STAGES, default="post")
         p.add_argument("--hidden", type=int, default=64)
         p.add_argument("--batch-norm", action="store_true")
         p.add_argument("--epochs", type=int, default=60)
@@ -96,7 +96,7 @@ def _build_parser():
         p.add_argument("--n-way", type=int, default=5)
         p.add_argument("--k-shot", type=int, default=1)
         p.add_argument("--episodes", type=int, default=600)
-        p.add_argument("--head", choices=["same", "softmax", "cosine"], default="same")
+        p.add_argument("--head", choices=HEADS, default="same")
 
     p = command("eval", "episodic n-way k-shot evaluation", _cmd_eval)
     p.add_argument("--data", required=True)
@@ -112,7 +112,7 @@ def _build_parser():
     p = command("ablate", "sweep one factor and evaluate each setting", _cmd_ablate)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="sweep result CSV path")
-    p.add_argument("--sweep", choices=["k", "beta", "fusion", "classifier"], required=True)
+    p.add_argument("--sweep", choices=tuple(_SWEEPS), required=True)
     train_flags(p)
     eval_flags(p)
 
@@ -321,7 +321,7 @@ _SWEEPS = {
     "k": ("k_gaussians", [3, 6, 9]),
     "beta": ("beta", [1e1, 1e2, 1e3]),
     "fusion": ("fusion", ["average", "soft"]),
-    "classifier": ("classifier", ["softmax", "cosine"]),
+    "classifier": ("classifier", CLASSIFIERS),
 }
 
 
@@ -348,6 +348,9 @@ def _cmd_ablate(args) -> int:
 def _cmd_dump_attention(args) -> int:
     model = _load_model(args.checkpoint)
     seqs = io_files.load_split(args.data, args.split)
+    bad = [s.video_id for s in seqs if Path(f"{s.video_id}.csv").name != f"{s.video_id}.csv"]
+    if bad:
+        raise FormatError(f"{args.data}: video_id {bad[0]!r} cannot name a trace file in --out")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for F, mask, video_ids in _padded_chunks([(s.features, s.video_id) for s in seqs]):

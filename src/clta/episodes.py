@@ -34,13 +34,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import FrameSequence
-from .classifiers import (CosineHead, SoftmaxHead, head_forward, head_logits_backward,
-                          row_norms)
+from .classifiers import (INIT_TEMPERATURE, CosineHead, SoftmaxHead, head_forward,
+                          head_logits_backward, row_norms)
 from .errors import ConfigError, SamplingError
 from .model import Model, _padded_chunks, descriptor
 from .numerics import softmax_stable
 from .trainer import AdamState, adam_step
 
+HEADS = ("same", "softmax", "cosine")
 # Episodes fitted together. Each costs about 90 KB while its chunk is fitted
 # (5-way 5-shot, h=64, 100 retrain epochs); past 64 a chunk is no faster.
 _CHUNK = 64
@@ -62,7 +63,7 @@ class EpisodeSpec:
             raise ConfigError(f"n_way must be >= 2, got {self.n_way}")
         if self.k_shot < 1:
             raise ConfigError(f"k_shot must be >= 1, got {self.k_shot}")
-        if self.head not in ("same", "softmax", "cosine"):
+        if self.head not in HEADS:
             raise ConfigError(f"unknown episode head {self.head!r}")
         if self.num_episodes < 1 or self.retrain_epochs < 0:
             raise ConfigError("num_episodes must be >= 1, retrain_epochs >= 0")
@@ -147,7 +148,7 @@ def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int, spec: Episod
     else:
         # prototypes start at the per-class support means
         init = CosineHead(W_proto=np.swapaxes(onehot, 1, 2) @ X / onehot.sum(axis=1)[..., None],
-                          temperature=np.full((E, 1, 1), 10.0))
+                          temperature=np.full((E, 1, 1), INIT_TEMPERATURE))
     theta, head = _flat(init)   # adam_step updates theta in place
     grad, dhead = _flat(init)
     nv = row_norms(X) if kind == "cosine" else None

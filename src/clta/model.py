@@ -34,12 +34,11 @@ def _clta_init(rng, K, attn_dim, cfg):
 def _avg_forward(G, p, cfg, mask):
     # one summary, with every frame of a video weighted 1/T; fusing one summary is exact
     e = mask[..., None, :] / mask.sum(axis=-1)[..., None, None]
-    return bl.average_pool(G, mask)[..., None, :], {"mask": mask, "e": e}
+    return e @ G, {"e": e}
 
 
 def _avg_backward(cache, dv, need_dG):
-    mask = cache["mask"]
-    return (mask[..., None] * (dv / mask.sum(axis=-1)[..., None, None]) if need_dG else None,)
+    return (np.swapaxes(cache["e"], -1, -2) @ dv if need_dG else None,)
 
 
 # kind -> (init(rng, K, attn_dim, cfg) -> params, forward(G, params, cfg, mask)
@@ -65,6 +64,7 @@ _KINDS = {
              lambda *a: bl.sldg_backward(*a), ("scales",)),
 }
 MODEL_KINDS = tuple(_KINDS)
+CLASSIFIERS, PROJECTION_STAGES = ("softmax", "cosine"), ("pre", "post")
 
 
 @dataclass
@@ -83,14 +83,13 @@ class ModelConfig:
     batch_norm: bool = False
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind {self.kind!r}")
-        if self.classifier not in ("softmax", "cosine"):
-            raise ConfigError(f"unknown classifier {self.classifier!r}")
-        if self.fusion not in ("average", "soft_weight"):
-            raise ConfigError(f"unknown fusion {self.fusion!r}")
-        if self.projection_stage not in ("post", "pre"):
-            raise ConfigError(f"unknown projection stage {self.projection_stage!r}")
+        for label, value, allowed in (
+                ("model kind", self.kind, MODEL_KINDS),
+                ("classifier", self.classifier, CLASSIFIERS),
+                ("fusion", self.fusion, ("average", "soft_weight")),
+                ("projection stage", self.projection_stage, PROJECTION_STAGES)):
+            if value not in allowed:
+                raise ConfigError(f"unknown {label} {value!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         # JSON gives NaN and Infinity as floats, true as a bool, and a long run of
@@ -104,10 +103,12 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be an integer, got {size!r}")
             if size < 1:
                 raise ConfigError(f"{name} must be >= 1, got {size}")
-        # the init divides W_mean by beta * sqrt(attn_dim)
+        # the init divides W_mean by beta * sqrt(attn_dim); a tiny beta overflows the quotient
         attn_dim = self.hidden if self.projection_stage == "pre" else self.feature_dim
-        if not math.isfinite(float(self.beta) * math.sqrt(attn_dim)):
+        if not math.isfinite(divisor := float(self.beta) * math.sqrt(attn_dim)):
             raise ConfigError(f"beta * sqrt({attn_dim}) must be finite, got beta={self.beta!r}")
+        if not math.isfinite(1 / divisor):
+            raise ConfigError(f"1 / (beta * sqrt({attn_dim})) overflows, got beta={self.beta!r}")
         # sldg always weighs its heads; avg has one summary, nothing to weigh
         self.fusion = {"sldg": "soft_weight", "avg": "average"}.get(self.kind, self.fusion)
 
@@ -133,7 +134,7 @@ class Model:
             p["cls_b"] = np.zeros(c)
         else:
             p["cls_proto"] = rng.standard_normal((c, h)) / np.sqrt(h)
-            p["cls_temp"] = np.array([10.0])
+            p["cls_temp"] = np.array([cls.INIT_TEMPERATURE])
         self.params = p
         # batch-norm running stats; treated as constants by the backward pass
         self.bn_mean = np.zeros(h)

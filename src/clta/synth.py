@@ -24,6 +24,7 @@ from .attention import FrameSequence
 from .errors import ConfigError
 
 SPLITS = ("train", "val", "test")
+MODES = ("instance_shifted", "fixed_position")
 # Shares of the classes in the train and val splits; the test split takes the rest.
 _TRAIN_FRAC, _VAL_FRAC = 20 / 30, 5 / 30
 # Share of background frames that carry the weak cue, and its amplitude.
@@ -45,7 +46,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("instance_shifted", "fixed_position"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not (self.t_min >= self.window_len >= 1):
             raise ConfigError(

@@ -1,18 +1,8 @@
 """Unit checks for the comparison attention mechanisms."""
 
 import numpy as np
-import pytest
 
 from clta import baselines as bl
-from clta.errors import ShapeError
-
-
-def test_average_pool():
-    rng = np.random.default_rng(0)
-    F = rng.normal(size=(7, 4))
-    assert np.allclose(bl.average_pool(F), F.mean(axis=0), atol=1e-15)
-    with pytest.raises(ShapeError):
-        bl.average_pool(np.zeros(4))
 
 
 def test_self_attention_rows_normalize_and_depend_on_content():

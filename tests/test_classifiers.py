@@ -68,7 +68,7 @@ def test_cosine_scores_range_and_scale_invariance():
 def test_cosine_self_similarity_is_maximal():
     rng = np.random.default_rng(3)
     protos = rng.normal(size=(4, 6))
-    head = CosineHead(W_proto=protos)
+    head = CosineHead(W_proto=protos, temperature=10.0)
     for i in range(4):
         s = _cosine_scores(protos[i], head)
         assert abs(s[i] - 1.0) < 1e-12
@@ -77,10 +77,10 @@ def test_cosine_self_similarity_is_maximal():
 
 def test_cosine_degenerate_inputs():
     # the ReLU projection can produce an all-zero descriptor
-    head = CosineHead(W_proto=np.ones((2, 3)))
+    head = CosineHead(W_proto=np.ones((2, 3)), temperature=10.0)
     assert np.array_equal(_cosine_scores(np.zeros(3), head), np.zeros(2))
     protos = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
-    assert np.allclose(_cosine_scores(np.ones(3), CosineHead(W_proto=protos)),
+    assert np.allclose(_cosine_scores(np.ones(3), CosineHead(W_proto=protos, temperature=10.0)),
                        [0.0, 5.0 / (3.0 * np.sqrt(3.0))], rtol=0, atol=1e-15)
     V = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5]])
     for g in cosine_logits_backward(V, CosineHead(protos, np.array([7.0])), np.ones((2, 2))):

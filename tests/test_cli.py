@@ -9,7 +9,8 @@ import pytest
 from clta import cli, io_files, synth
 from clta.cli import (_build_parser, _config_defaults, _load_model, cli_dispatch,
                       gradcheck_batch)
-from clta.model import MODEL_KINDS, Model, ModelConfig
+from clta.episodes import HEADS
+from clta.model import CLASSIFIERS, MODEL_KINDS, PROJECTION_STAGES, Model, ModelConfig
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,21 @@ def test_train_with_a_huge_finite_beta_exits_2(dataset_dir, tmp_path, capsys, be
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_a_beta_whose_init_scale_overflows_exits_2(dataset_dir, tmp_path, capsys, command):
+    # beta * sqrt(attn_dim) is finite, but the init's W_mean scale, its reciprocal,
+    # is not; the suite turns the RuntimeWarning of that overflow into a failure
+    ckpt = tmp_path / "m.ckpt"
+    argv, attn_dim = {"train": (["--data", str(dataset_dir / "manifest.csv"),
+                                 "--out", str(ckpt), "--epochs", "1"], 24),
+                      "gradcheck": ([], 4)}[command]
+    assert cli_dispatch([command, *argv, "--beta", "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: 1 / (beta * sqrt({attn_dim})) overflows, got beta=1e-320\n"
+    assert captured.out == ""
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("hidden", ["-1", "0"])
 def test_train_rejects_a_hidden_size_below_one(dataset_dir, tmp_path, capsys, hidden):
     ckpt = tmp_path / "m.ckpt"
@@ -217,6 +233,35 @@ def test_dump_attention_traces(dataset_dir, checkpoint, tmp_path):
                 assert r[4] == f"{attn['e'][0, k, t - 1]:.10g}", kind
                 for col, key in ((5, "mu"), (6, "sigma")):
                     assert r[col] == (f"{attn[key][0, k]:.10g}" if key in attn else ""), kind
+
+
+@pytest.mark.parametrize("video_id", ["../escaped_x", "abs_x", "sub/x"],
+                         ids=["parent", "absolute", "subdirectory"])
+def test_dump_attention_rejects_a_video_id_that_is_no_plain_file_name(
+        dataset_dir, checkpoint, tmp_path, capsys, video_id):
+    # an absolute id lies under tmp_path, so a trace written there stays in the test's folder
+    video_id = str(tmp_path / video_id) if video_id == "abs_x" else video_id
+    header, *rows = (dataset_dir / "manifest.csv").read_text().splitlines()
+    lines, renamed = [header], False
+    for row in rows:
+        vid, label, split, path = row.split(",")
+        if split == "test" and not renamed:
+            vid, renamed = video_id, True
+        lines.append(",".join([vid, label, split, str(dataset_dir / path)]))
+    manifest, out = tmp_path / "m.csv", tmp_path / "out" / "traces"
+    manifest.write_text("\n".join(lines) + "\n")
+    rc = cli_dispatch(["dump-attention", "--data", str(manifest),
+                       "--checkpoint", str(checkpoint), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {manifest}: video_id {video_id!r} "
+                            f"cannot name a trace file in --out\n")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+    # eval names no file after a video, so the id is no error there
+    assert cli_dispatch(["eval", "--data", str(manifest), "--checkpoint", str(checkpoint),
+                         "--n-way", "2", "--episodes", "2"]) == 0
 
 
 def test_dump_attention_rejects_videos_longer_than_Z(dataset_dir, tmp_path, capsys):
@@ -420,6 +465,18 @@ def test_checkpoint_with_a_size_below_one_exits_2(dataset_dir, broken_checkpoint
         assert f"error: {error}" in capsys.readouterr().err
 
 
+def test_checkpoint_with_a_beta_whose_init_scale_overflows_exits_2(dataset_dir,
+                                                                  broken_checkpoint, capsys):
+    ckpt, meta = broken_checkpoint
+    good = json.loads(meta.read_text())
+    meta.write_text(json.dumps(dict(good, model_config=dict(good["model_config"], beta=1e-320))))
+    assert '"beta": 1e-320' in meta.read_text()
+    assert _eval_exit_code(dataset_dir, ckpt) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: 1 / (beta * sqrt(24)) overflows, got beta=1e-320\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("beta", [float("inf"), float("nan"), True],
                          ids=["Infinity", "NaN", "true"])
 def test_checkpoint_with_a_non_finite_or_boolean_beta_exits_2(dataset_dir, broken_checkpoint,
@@ -555,6 +612,20 @@ def test_a_negative_seed_exits_2_and_writes_nothing(dataset_dir, checkpoint, tmp
     captured = capsys.readouterr()
     assert captured.err == "error: seed must be >= 0, got -1\n" and captured.out == ""
     assert not out.exists()
+
+
+def test_enumerated_flags_take_their_choices_from_the_configs():
+    _, commands = _build_parser()
+    for command, dest, allowed in (("gen", "mode", synth.MODES),
+                                   ("train", "model", MODEL_KINDS),
+                                   ("train", "classifier", CLASSIFIERS),
+                                   ("train", "projection_stage", PROJECTION_STAGES),
+                                   ("eval", "head", HEADS),
+                                   ("ablate", "sweep", tuple(cli._SWEEPS)),
+                                   ("dump-attention", "split", synth.SPLITS)):
+        assert commands[command].flags[dest].choices == allowed, dest
+    assert cli._SWEEPS["classifier"] == ("classifier", CLASSIFIERS)
+    assert "--projection-stage {pre,post}" in commands["train"].format_usage()
 
 
 def test_usage_errors_exit_1(capsys):

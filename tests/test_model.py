@@ -113,6 +113,31 @@ def test_loss_and_grads_match_one_video_at_a_time(kind, classifier, fusion, stag
         assert np.allclose(grads[k], want, rtol=0, atol=1e-12), k
 
 
+@pytest.mark.parametrize("stage", ["post", "pre"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_summaries_are_the_recorded_weights_times_the_frames(kind, stage):
+    # every kind pools the frames G it attends over through the weights e it
+    # records, which are what clta dump-attention writes: v = e @ G
+    rng = np.random.default_rng(zlib.crc32(f"{kind}/{stage}".encode()))
+    model = Model(ModelConfig(kind=kind, num_gaussians=3, beta=10.0, Z=40, feature_dim=8,
+                              hidden=6, num_classes=3, projection_stage=stage, dropout=0.0),
+                  rng)
+    # a nonzero bias makes the padded frames of G nonzero in the pre stage
+    model.params["proj_b"] = rng.standard_normal(6)
+    lens = np.array([40, 23, 7, 1, 13, 31])
+    mask = np.arange(40) < lens[:, None]
+    F = np.where(mask[..., None], rng.standard_normal((6, 40, 8)), 0.0)
+    cache = model.forward_video(F, mask=mask)[1]
+    G = np.maximum(cache["pre_x0"], 0.0) if stage == "pre" else F
+    e, v = cache["attn"]["e"], cache["v"]
+    assert np.array_equal(v, e @ G)
+    assert np.all(np.where(mask[:, None, :], True, e == 0.0))
+    assert np.allclose(e.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    if kind == "avg":
+        means = np.array([g[:t].mean(axis=0) for g, t in zip(G, lens)])
+        assert np.allclose(v[:, 0], means, rtol=0, atol=1e-15)
+
+
 def test_padded_chunks_take_every_pair_once_in_stable_length_order():
     rng = np.random.default_rng(14)
     lens = rng.integers(1, 9, size=2 * model_mod._CHUNK + 5)   # many ties
@@ -276,6 +301,16 @@ def test_config_validation():
         ModelConfig(**{name: np.int32(2)})
     with pytest.raises(ConfigError):
         ModelConfig(dropout=1.0)
+
+
+def test_config_rejects_a_beta_whose_init_scale_overflows():
+    # the init scales W_mean by 1 / (beta * sqrt(attn_dim)), which a tiny beta overflows
+    for stage, dims, attn_dim in (("post", {"feature_dim": 4}, 4), ("pre", {"hidden": 9}, 9)):
+        for bad in (1e-320, 5e-310, 5e-324):
+            with pytest.raises(ConfigError,
+                               match=f"1 / \\(beta \\* sqrt\\({attn_dim}\\)\\) overflows"):
+                ModelConfig(beta=bad, projection_stage=stage, **dims)
+        Model(ModelConfig(beta=1e-308, projection_stage=stage, **dims), np.random.default_rng(0))
 
 
 def test_average_fusion_checkpoint_drops_a_soft_logits_block():
