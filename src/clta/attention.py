@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 from .numerics import sigmoid, sigmoid_grad, softmax_backward, softmax_stable, sum_outer
 
 # Below this log-weight the Gaussian is clamped to keep weights strictly
@@ -70,22 +70,18 @@ def soft_argmax(scores: np.ndarray, beta: float, mask: np.ndarray | None = None)
     """Differentiable argmax over frames: the expected 1-based frame index under
     p = softmax(beta * scores) over each video's own frames.
 
-    scores are (..., T, K), K heads per video; mask is the frame mask (..., T).
+    scores are nonempty float64 (..., T, K), K heads per video; mask is the frame
+    mask (..., T); beta is in ModelConfig's range, which ModelConfig checks.
     Returns (index (..., K) in [1, T], p shaped like scores). Raises NumericError
     where beta * scores overflows on a frame of the mask: clipping would turn an
     argmax into a tie."""
-    if not 0 < beta < np.inf:
-        raise ConfigError(f"beta must be finite and > 0, got {beta}")
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim < 2 or s.size == 0:
-        raise ShapeError(f"scores must be nonempty (..., T, K), got shape {s.shape}")
-    mask = frame_mask(s, mask)
+    mask = frame_mask(scores, mask)
     with np.errstate(over="ignore"):
-        z = beta * s
+        z = beta * scores
     if not np.isfinite(z[mask]).all():
         raise NumericError(f"beta={beta} times the frame scores is not finite; lower beta")
     p = softmax_stable(np.where(mask[..., None], z, -np.inf), axis=-2)
-    return np.arange(1, s.shape[-2] + 1, dtype=np.float64) @ p, p
+    return np.arange(1, scores.shape[-2] + 1, dtype=np.float64) @ p, p
 
 
 def gaussian_pool_forward(F: np.ndarray, mu: np.ndarray, sigma: np.ndarray, Z: int,
@@ -130,16 +126,11 @@ def gaussian_pool_backward(cache: dict, dv: np.ndarray, need_dF: bool = False):
 def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
                    beta: float, Z: int, mask: np.ndarray | None = None):
     """Attention forward, vectorized over K and the stack. Returns (v (..., K, d),
-    cache); the cache's mu, sigma, a and e are the one record of the pass."""
-    F = np.asarray(F, dtype=np.float64)
-    if F.ndim < 2:
-        raise ShapeError(f"F must be (..., T, d), got shape {F.shape}")
-    if F.shape[-1] != W_mean.shape[1] or F.shape[-1] != W_std.shape[1]:
-        raise ShapeError(
-            f"feature dim {F.shape[-1]} does not match matrices "
-            f"{W_mean.shape} / {W_std.shape}")
-    if F.shape[-2] > Z:
-        raise ConfigError(f"sequence length {F.shape[-2]} exceeds Z={Z}")
+    cache); the cache's mu, sigma, a and e are the one record of the pass.
+
+    F is a float64 stack (..., T, d) with T <= Z and d the width of W_mean
+    (K, d) and W_std (K, d), and beta is in ModelConfig's range: ModelConfig and
+    Model.forward_video check these, and the kernel trusts them."""
     mask = frame_mask(F, mask)
 
     index, p = soft_argmax(F @ W_mean.T, beta, mask)          # (..., K), (..., T, K)
@@ -185,11 +176,10 @@ def attend_backward(cache: dict, dv: np.ndarray, need_dF: bool = False):
 
 
 def fusion_weights(soft_logits: np.ndarray | None, K: int) -> np.ndarray:
-    """Weights (K,) of the K summaries: 1/K each without soft_logits, else their softmax."""
+    """Weights (K,) of the K summaries: 1/K each without soft_logits, else their
+    softmax. soft_logits is (K,), as Model makes it and Model.from_config checks."""
     if soft_logits is None:
         return np.full(K, 1.0 / K)
-    if soft_logits.shape != (K,):
-        raise ShapeError(f"soft_logits shape {soft_logits.shape} != ({K},)")
     return softmax_stable(soft_logits)
 
 

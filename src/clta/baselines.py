@@ -8,13 +8,13 @@ tsf and sldg pool through the same Gaussian kernel as clta
 (attention.gaussian_pool_forward); their weights depend only on
 (T, parameters): two same-length videos always receive identical weights,
 regardless of contents. Each takes frames and a mask as the attention
-kernels do. Plain frame averaging, avg, needs no kernel: model._KINDS gives
-each frame weight 1/T and pools e @ F, as every kind does.
+kernels do: a float64 stack that Model.forward_video has checked. Plain
+frame averaging, avg, needs no kernel: model._KINDS gives each frame weight
+1/T and pools e @ F, as every kind does.
 """
 
 import numpy as np
 
-from .errors import ShapeError
 from .attention import frame_mask, gaussian_pool_backward, gaussian_pool_forward
 from .numerics import sigmoid, softmax_backward, softmax_stable, softplus, sum_outer
 
@@ -28,10 +28,8 @@ def tsf_init(K: int) -> dict[str, np.ndarray]:
 
 
 def self_attention_forward(F: np.ndarray, W: np.ndarray, mask: np.ndarray | None = None):
-    """Per-head softmax over frame scores f_t . w_k. Returns (v, cache)."""
-    F = np.asarray(F, dtype=np.float64)
-    if F.shape[-1] != W.shape[1]:
-        raise ShapeError(f"feature dim {F.shape[-1]} != matrix cols {W.shape[1]}")
+    """Per-head softmax over frame scores f_t . w_k. Returns (v, cache). F's
+    width is W's (K, d), as Model.forward_video checks."""
     scores = np.where(frame_mask(F, mask)[..., None, :], W @ np.swapaxes(F, -1, -2), -np.inf)
     e = softmax_stable(scores, axis=-1)       # (..., K, T)
     v = e @ F                                 # (..., K, d)
@@ -50,7 +48,6 @@ def self_attention_backward(cache, dv, need_dF=False):
 def tsf_forward(F: np.ndarray, centers: np.ndarray, widths: np.ndarray, Z: int,
                 mask: np.ndarray | None = None):
     """Shared Gaussian filters, positions/widths rescaled by each video's T/Z."""
-    F = np.asarray(F, dtype=np.float64)
     frac = (frame_mask(F, mask).sum(axis=-1) / Z)[..., None]
     th = np.tanh(centers)
     mu = (th + 1.0) / 2.0 * frac           # (..., K)
@@ -78,7 +75,6 @@ def sldg_schedule(T, K: int, Z: int):
 
 
 def sldg_forward(F: np.ndarray, scales: np.ndarray, Z: int, mask: np.ndarray | None = None):
-    F = np.asarray(F, dtype=np.float64)
     mu, sigma = sldg_schedule(frame_mask(F, mask).sum(axis=-1), scales.shape[0], Z)
     return gaussian_pool_forward(F, mu, sigma, Z, scale=scales, mask=mask)
 

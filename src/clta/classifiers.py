@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
-
 INIT_TEMPERATURE = 10.0   # a cosine head's starting temperature, in the model and episode fits
 
 
@@ -26,9 +24,10 @@ class CosineHead:
 
 
 def softmax_logits(V: np.ndarray, head: SoftmaxHead, out=None) -> np.ndarray:
+    """V's rows are as wide as W's (..., h, c), and bias has W's c: Model builds
+    the head from its config, Model.from_config checks a loaded one, and the
+    episode fit makes one per descriptor width."""
     V = np.asarray(V, dtype=np.float64)
-    if head.W.shape[-2] != V.shape[-1] or head.W.shape[-1] != head.bias.shape[-1]:
-        raise ShapeError(f"head shapes {head.W.shape}/{head.bias.shape} vs input {V.shape}")
     logits = np.matmul(V, head.W, out=out)
     logits += head.bias
     return logits

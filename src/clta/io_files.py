@@ -70,10 +70,11 @@ def write_manifest(path, rows: list[dict]) -> None:
 
 def read_manifest(path) -> list[dict]:
     """Parse and validate a UTF-8 manifest. Each row has exactly the four
-    MANIFEST_FIELDS, with a non-empty video_id, label and path; blank lines
-    are skipped. Paths are relative to the manifest and must name files:
-    each is stat-ed here, and its contents are checked by read_feature_file
-    when its split loads."""
+    MANIFEST_FIELDS, with a non-empty video_id, label and path, and no NUL
+    byte in the video_id, which names trace files; blank lines are skipped.
+    Paths are relative to the manifest and must name files: each is stat-ed
+    here, and its contents are checked by read_feature_file when its split
+    loads."""
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8")
@@ -100,6 +101,8 @@ def read_manifest(path) -> list[dict]:
             vid, label, split, rel = fields
             if not (vid and label and rel):
                 fail(f"empty {next(k for k in ('video_id', 'label', 'path') if not row[k])}")
+            if "\x00" in vid:
+                fail(f"video_id {vid!r} holds a NUL byte, which no file name can hold")
             if vid in seen:
                 fail(f"duplicate video_id {vid!r}")
             seen.add(vid)

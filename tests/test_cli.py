@@ -94,8 +94,8 @@ def test_train_with_a_one_class_val_split_has_no_val_signal(tmp_path, capsys, ca
 
 
 @pytest.mark.parametrize("flag, value, error", [
-    ("--beta", "nan", "beta must be a finite number > 0, got nan"),
-    ("--beta", "inf", "beta must be a finite number > 0, got inf"),
+    ("--beta", "nan", "beta must be a number in [1e-300, 1e300], got nan"),
+    ("--beta", "inf", "beta must be a number in [1e-300, 1e300], got inf"),
     ("--lr", "nan", "lr0 must be finite and > 0, got nan"),
     ("--lr", "inf", "lr0 must be finite and > 0, got inf"),
 ], ids=["beta-nan", "beta-inf", "lr-nan", "lr-inf"])
@@ -111,12 +111,12 @@ def test_train_rejects_a_non_finite_beta_or_lr_before_training(dataset_dir, tmp_
 
 
 @pytest.mark.parametrize("beta, error", [
-    ("1e308", "beta * sqrt(24) must be finite, got beta=1e+308"),
+    ("1e308", "beta must be a number in [1e-300, 1e300], got 1e+308"),
     ("1e200", "gradient for parameter 'W_mean' is not finite or its square overflows"),
 ], ids=["init-divisor", "adam-second-moment"])
 def test_train_with_a_huge_finite_beta_exits_2(dataset_dir, tmp_path, capsys, beta, error):
-    # 1e308 overflows the init's divisor, 1e200 the squared W_mean gradient in
-    # Adam; the suite turns the RuntimeWarning of either overflow into a failure
+    # 1e308 lies outside beta's range, 1e200 overflows the squared W_mean gradient
+    # in Adam; the suite turns the RuntimeWarning of that overflow into a failure
     ckpt = tmp_path / "m.ckpt"
     rc = cli_dispatch(["train", "--data", str(dataset_dir / "manifest.csv"),
                        "--out", str(ckpt), "--epochs", "2", "--beta", beta])
@@ -130,12 +130,12 @@ def test_a_beta_whose_init_scale_overflows_exits_2(dataset_dir, tmp_path, capsys
     # beta * sqrt(attn_dim) is finite, but the init's W_mean scale, its reciprocal,
     # is not; the suite turns the RuntimeWarning of that overflow into a failure
     ckpt = tmp_path / "m.ckpt"
-    argv, attn_dim = {"train": (["--data", str(dataset_dir / "manifest.csv"),
-                                 "--out", str(ckpt), "--epochs", "1"], 24),
-                      "gradcheck": ([], 4)}[command]
+    argv = {"train": ["--data", str(dataset_dir / "manifest.csv"),
+                      "--out", str(ckpt), "--epochs", "1"],
+            "gradcheck": []}[command]
     assert cli_dispatch([command, *argv, "--beta", "1e-320"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: 1 / (beta * sqrt({attn_dim})) overflows, got beta=1e-320\n"
+    assert captured.err == "error: beta must be a number in [1e-300, 1e300], got 1e-320\n"
     assert captured.out == ""
     assert not ckpt.exists()
 
@@ -235,21 +235,29 @@ def test_dump_attention_traces(dataset_dir, checkpoint, tmp_path):
                     assert r[col] == (f"{attn[key][0, k]:.10g}" if key in attn else ""), kind
 
 
+def _manifest_renaming_a_test_video(dataset_dir, tmp_path, video_id):
+    """(manifest m.csv in tmp_path whose first test video is renamed video_id,
+    that row's line number)."""
+    header, *rows = (dataset_dir / "manifest.csv").read_text().splitlines()
+    lines, line = [header], None
+    for row in rows:
+        vid, label, split, path = row.split(",")
+        if split == "test" and line is None:
+            vid, line = video_id, len(lines) + 1
+        lines.append(",".join([vid, label, split, str(dataset_dir / path)]))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest, line
+
+
 @pytest.mark.parametrize("video_id", ["../escaped_x", "abs_x", "sub/x"],
                          ids=["parent", "absolute", "subdirectory"])
 def test_dump_attention_rejects_a_video_id_that_is_no_plain_file_name(
         dataset_dir, checkpoint, tmp_path, capsys, video_id):
     # an absolute id lies under tmp_path, so a trace written there stays in the test's folder
     video_id = str(tmp_path / video_id) if video_id == "abs_x" else video_id
-    header, *rows = (dataset_dir / "manifest.csv").read_text().splitlines()
-    lines, renamed = [header], False
-    for row in rows:
-        vid, label, split, path = row.split(",")
-        if split == "test" and not renamed:
-            vid, renamed = video_id, True
-        lines.append(",".join([vid, label, split, str(dataset_dir / path)]))
-    manifest, out = tmp_path / "m.csv", tmp_path / "out" / "traces"
-    manifest.write_text("\n".join(lines) + "\n")
+    manifest, _ = _manifest_renaming_a_test_video(dataset_dir, tmp_path, video_id)
+    out = tmp_path / "out" / "traces"
     rc = cli_dispatch(["dump-attention", "--data", str(manifest),
                        "--checkpoint", str(checkpoint), "--out", str(out)])
     assert rc == 2
@@ -264,6 +272,21 @@ def test_dump_attention_rejects_a_video_id_that_is_no_plain_file_name(
                          "--n-way", "2", "--episodes", "2"]) == 0
 
 
+def test_dump_attention_rejects_a_video_id_holding_a_nul_byte(dataset_dir, checkpoint,
+                                                              tmp_path, capsys):
+    # a NUL byte passes the plain-file-name check but names no file; the
+    # manifest reader rejects the row before --out is created
+    manifest, line = _manifest_renaming_a_test_video(dataset_dir, tmp_path, "a\x00b")
+    rc = cli_dispatch(["dump-attention", "--data", str(manifest),
+                       "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {manifest}: line {line}: video_id 'a\\x00b' holds a "
+                            f"NUL byte, which no file name can hold\n")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+
+
 def test_dump_attention_rejects_videos_longer_than_Z(dataset_dir, tmp_path, capsys):
     model = Model(ModelConfig(kind="tsf", Z=5, feature_dim=24, hidden=16, num_classes=8),
                   np.random.default_rng(0))
@@ -276,6 +299,20 @@ def test_dump_attention_rejects_videos_longer_than_Z(dataset_dir, tmp_path, caps
                        "--split", "test"])
     assert rc == 2
     assert "exceeds Z=5" in capsys.readouterr().err
+
+
+def test_eval_names_a_video_longer_than_Z(dataset_dir, tmp_path, capsys):
+    model = Model(ModelConfig(kind="tsf", Z=5, feature_dim=24, hidden=16, num_classes=8),
+                  np.random.default_rng(0))
+    ckpt = tmp_path / "short.ckpt"
+    io_files.save_checkpoint(ckpt, model.params, dict(model_config=model.config_dict(),
+                                                      labels=[f"c{i}" for i in range(8)]))
+    first = next(s for s in io_files.load_split(dataset_dir / "manifest.csv", "test") if s.T > 5)
+    capsys.readouterr()
+    assert _eval_exit_code(dataset_dir, ckpt) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: video {first.video_id!r} longer than Z=5\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["eval", "dump-attention"])
@@ -469,12 +506,15 @@ def test_checkpoint_with_a_beta_whose_init_scale_overflows_exits_2(dataset_dir,
                                                                   broken_checkpoint, capsys):
     ckpt, meta = broken_checkpoint
     good = json.loads(meta.read_text())
-    meta.write_text(json.dumps(dict(good, model_config=dict(good["model_config"], beta=1e-320))))
-    assert '"beta": 1e-320' in meta.read_text()
-    assert _eval_exit_code(dataset_dir, ckpt) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: 1 / (beta * sqrt(24)) overflows, got beta=1e-320\n"
-    assert captured.out == ""
+    # 3e-309's init scale is finite, but its product with a normal draw may not be
+    for beta in ("1e-320", "3e-309"):
+        meta.write_text(json.dumps(dict(good, model_config=dict(good["model_config"],
+                                                                beta=float(beta)))))
+        assert f'"beta": {beta}' in meta.read_text()
+        assert _eval_exit_code(dataset_dir, ckpt) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: beta must be a number in [1e-300, 1e300], got {beta}\n"
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("beta", [float("inf"), float("nan"), True],
@@ -486,7 +526,7 @@ def test_checkpoint_with_a_non_finite_or_boolean_beta_exits_2(dataset_dir, broke
     meta.write_text(json.dumps(dict(good, model_config=dict(good["model_config"], beta=beta))))
     assert _eval_exit_code(dataset_dir, ckpt) == 2
     captured = capsys.readouterr()
-    assert f"error: beta must be a finite number > 0, got {beta!r}" in captured.err
+    assert f"error: beta must be a number in [1e-300, 1e300], got {beta!r}" in captured.err
     assert "Warning" not in captured.err and captured.out == ""
 
 

@@ -163,12 +163,14 @@ def test_retrain_leaves_attention_untouched():
         assert (model.bn_mean.tobytes(), model.bn_var.tobytes()) == stats
 
 
-def test_run_episodes_rejects_overlong_videos():
+def test_run_episodes_rejects_overlong_videos(monkeypatch):
+    # the entry check names the video before any descriptor is computed
+    monkeypatch.setattr(episodes, "descriptor", lambda *a: pytest.fail("descriptor computed"))
     rng = np.random.default_rng(3)
     novel = _novel_set(rng)
     novel.append(FrameSequence(features=np.ones((25, 5)), label="c0",
                                video_id="too_long"))
-    with pytest.raises(ConfigError, match="'too_long'"):
+    with pytest.raises(ConfigError, match="^video 'too_long' longer than Z=10$"):
         run_episodes(_frozen_model(), novel, EpisodeSpec(num_episodes=2))
 
 

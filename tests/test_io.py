@@ -134,8 +134,9 @@ def _manifest_with(tmp_path, *lines):
     (b"a,c0,train,features/", "line 3: missing feature file 'features/'"),
     (b"a,c0,train," + b"x" * 200_000, "line 3: field larger than field limit"),
     (b"a,c0,train," + b"x" * 300, "line 3: missing feature file 'xxx"),
+    (b"a\x00b,c0,train,a.fvf", r"line 3: video_id 'a\\x00b' holds a NUL byte"),
 ], ids=["not-utf8", "short", "extra", "no-id", "no-label", "no-path", "dot", "dir", "csv-error",
-        "name-too-long"])
+        "name-too-long", "nul-id"])
 def test_manifest_defects_name_the_line_or_byte(tmp_path, row, message):
     # line 2 is a good row and a blank line is skipped, so the bad row is line 3
     mpath = _manifest_with(tmp_path, b"b,c1,val,b.fvf", row, b"")

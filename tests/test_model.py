@@ -272,6 +272,9 @@ def test_from_config_rejects_bad_checkpoints():
         Model.from_config(model.config_dict(), wrong)
 
 
+_BETA_RANGE = r"beta must be a number in \[1e-300, 1e300\], got"
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(kind="nope")
@@ -282,15 +285,17 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(projection_stage="nope")
     # JSON gives NaN and Infinity as floats, true as a bool and 400 digits as an int
-    for bad in (0.0, -1.0, float("nan"), float("inf"), -float("inf"), True, False, 10 ** 400):
-        with pytest.raises(ConfigError, match="beta must be a finite number > 0"):
+    for bad in (0.0, -1.0, float("nan"), float("inf"), -float("inf"), True, False, 10 ** 400,
+                "1e3", None):
+        with pytest.raises(ConfigError, match=_BETA_RANGE):
             ModelConfig(beta=bad)
     ModelConfig(beta=np.float64(1e3))
-    # the init divides W_mean by beta * sqrt(attn_dim), which must be finite too
-    for stage, dims, attn_dim in (("post", {"feature_dim": 4}, 4), ("pre", {"hidden": 9}, 9)):
-        with pytest.raises(ConfigError, match=f"beta \\* sqrt\\({attn_dim}\\) must be finite"):
-            ModelConfig(beta=1e308, projection_stage=stage, **dims)
-        ModelConfig(beta=1e308 / attn_dim ** 0.5, projection_stage=stage, **dims)
+    # the init divides W_mean by beta * sqrt(attn_dim); the range keeps that finite
+    for stage, dims in (("post", {"feature_dim": 4}), ("pre", {"hidden": 9})):
+        for bad in (1e308, 1.0000001e300):
+            with pytest.raises(ConfigError, match=_BETA_RANGE):
+                ModelConfig(beta=bad, projection_stage=stage, **dims)
+        Model(ModelConfig(beta=1e300, projection_stage=stage, **dims), np.random.default_rng(0))
     for name in ("num_gaussians", "Z", "feature_dim", "hidden", "num_classes"):
         for bad in (0, -1):
             with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {bad}"):
@@ -304,13 +309,14 @@ def test_config_validation():
 
 
 def test_config_rejects_a_beta_whose_init_scale_overflows():
-    # the init scales W_mean by 1 / (beta * sqrt(attn_dim)), which a tiny beta overflows
-    for stage, dims, attn_dim in (("post", {"feature_dim": 4}, 4), ("pre", {"hidden": 9}, 9)):
-        for bad in (1e-320, 5e-310, 5e-324):
-            with pytest.raises(ConfigError,
-                               match=f"1 / \\(beta \\* sqrt\\({attn_dim}\\)\\) overflows"):
+    # the init scales W_mean by 1 / (beta * sqrt(attn_dim)), which a tiny beta
+    # overflows; at attn_dim 4, 3e-309's scale is finite but not its product with
+    # a draw above about 1.1, and 1e-308's with a draw above about 3.6
+    for stage, dims in (("post", {"feature_dim": 4}), ("pre", {"hidden": 9})):
+        for bad in (1e-320, 5e-310, 5e-324, 3e-309, 1e-308, 0.9999999e-300):
+            with pytest.raises(ConfigError, match=_BETA_RANGE):
                 ModelConfig(beta=bad, projection_stage=stage, **dims)
-        Model(ModelConfig(beta=1e-308, projection_stage=stage, **dims), np.random.default_rng(0))
+        Model(ModelConfig(beta=1e-300, projection_stage=stage, **dims), np.random.default_rng(0))
 
 
 def test_average_fusion_checkpoint_drops_a_soft_logits_block():
