@@ -14,10 +14,10 @@ record of a pass, for the backward and for inspection: mu and sigma (..., K),
 raw weights a and normalized weights e (..., K, T).
 
 Frame indices are 1-based inside all formulas; Z is the dataset-wide max
-sequence length, frozen from the training split. Every kernel takes one
-video (T, d) or a stack (..., T, d) padded to a common T with a frame mask
-(..., T); padded frames get no weight, and each video's length sets its
-sigma floor.
+sequence length, frozen from the training split. Every kernel takes only what
+Model.forward_video passes, a float64 stack (..., T, d) padded to a common T
+and its frame mask (..., T): padded frames get no weight, and each video's
+length sets its sigma floor. Every backward takes its cache and need_dF.
 """
 
 from dataclasses import dataclass
@@ -61,12 +61,7 @@ class FrameSequence:
         return self.features.shape[1]
 
 
-def frame_mask(F: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """The frame mask (..., T) of frames F (..., T, d); None means all frames."""
-    return np.ones(F.shape[:-1], dtype=bool) if mask is None else mask
-
-
-def soft_argmax(scores: np.ndarray, beta: float, mask: np.ndarray | None = None):
+def soft_argmax(scores: np.ndarray, beta: float, mask: np.ndarray):
     """Differentiable argmax over frames: the expected 1-based frame index under
     p = softmax(beta * scores) over each video's own frames.
 
@@ -75,7 +70,6 @@ def soft_argmax(scores: np.ndarray, beta: float, mask: np.ndarray | None = None)
     Returns (index (..., K) in [1, T], p shaped like scores). Raises NumericError
     where beta * scores overflows on a frame of the mask: clipping would turn an
     argmax into a tie."""
-    mask = frame_mask(scores, mask)
     with np.errstate(over="ignore"):
         z = beta * scores
     if not np.isfinite(z[mask]).all():
@@ -85,8 +79,8 @@ def soft_argmax(scores: np.ndarray, beta: float, mask: np.ndarray | None = None)
 
 
 def gaussian_pool_forward(F: np.ndarray, mu: np.ndarray, sigma: np.ndarray, Z: int,
-                          scale: np.ndarray | None = None, mask: np.ndarray | None = None):
-    """Pool frames F (..., T, d) through K Gaussians over t/Z, t=1..T.
+                          mask: np.ndarray, scale: np.ndarray | None = None):
+    """Pool frames F (..., T, d), mask (..., T), through K Gaussians over t/Z.
 
     Head k weighs frame t by a = exp(max(-((t/Z - mu_k)/sigma_k)^2 / 2,
     _LOG_FLOOR)), softmaxes scale_k * a (or a) over frames and averages the
@@ -97,13 +91,13 @@ def gaussian_pool_forward(F: np.ndarray, mu: np.ndarray, sigma: np.ndarray, Z: i
     g = -0.5 * u * u
     a = np.exp(np.maximum(g, _LOG_FLOOR))
     q = a if scale is None else scale[:, None] * a
-    e = softmax_stable(np.where(frame_mask(F, mask)[..., None, :], q, -np.inf), axis=-1)
+    e = softmax_stable(np.where(mask[..., None, :], q, -np.inf), axis=-1)
     v = e @ F
     return v, dict(F=F, pos=pos, u=u, a=a, e=e, clamped=g < _LOG_FLOOR,
                    mu=mu, sigma=sigma, scale=scale)
 
 
-def gaussian_pool_backward(cache: dict, dv: np.ndarray, need_dF: bool = False):
+def gaussian_pool_backward(cache: dict, dv: np.ndarray, need_dF: bool):
     """Backprop through gaussian_pool_forward for upstream dv (..., K, d).
 
     Returns (dmu, dsigma, dscale-or-None summed over the stack, dF-or-None);
@@ -124,15 +118,13 @@ def gaussian_pool_backward(cache: dict, dv: np.ndarray, need_dF: bool = False):
 
 
 def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
-                   beta: float, Z: int, mask: np.ndarray | None = None):
+                   beta: float, Z: int, mask: np.ndarray):
     """Attention forward, vectorized over K and the stack. Returns (v (..., K, d),
     cache); the cache's mu, sigma, a and e are the one record of the pass.
 
-    F is a float64 stack (..., T, d) with T <= Z and d the width of W_mean
-    (K, d) and W_std (K, d), and beta is in ModelConfig's range: ModelConfig and
-    Model.forward_video check these, and the kernel trusts them."""
-    mask = frame_mask(F, mask)
-
+    F is a float64 stack (..., T, d) with frame mask (..., T), T <= Z and d the
+    width of W_mean (K, d) and W_std (K, d), and beta is in ModelConfig's range:
+    ModelConfig and Model.forward_video check these, and the kernel trusts them."""
     index, p = soft_argmax(F @ W_mean.T, beta, mask)          # (..., K), (..., T, K)
     mu = index / Z
 
@@ -142,13 +134,13 @@ def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
     floor = np.minimum(_SIGMA_FLOOR, 0.5 * mask.sum(axis=-1) / Z)[..., None]
     sigma = np.maximum(sigma_raw, floor)
 
-    v, cache = gaussian_pool_forward(F, mu, sigma, Z, mask=mask)
+    v, cache = gaussian_pool_forward(F, mu, sigma, Z, mask)
     cache.update(p=p, sg=sg, sigma_floored=sigma_raw < floor, beta=beta, Z=Z,
                  W_mean=W_mean, W_std=W_std)
     return v, cache
 
 
-def attend_backward(cache: dict, dv: np.ndarray, need_dF: bool = False):
+def attend_backward(cache: dict, dv: np.ndarray, need_dF: bool):
     """Backprop through attend_forward.
 
     dv: (..., K, d) upstream gradient on the summaries.

@@ -7,15 +7,15 @@ sldg     - length-defined Gaussians with a trainable scale per head.
 tsf and sldg pool through the same Gaussian kernel as clta
 (attention.gaussian_pool_forward); their weights depend only on
 (T, parameters): two same-length videos always receive identical weights,
-regardless of contents. Each takes frames and a mask as the attention
-kernels do: a float64 stack that Model.forward_video has checked. Plain
-frame averaging, avg, needs no kernel: model._KINDS gives each frame weight
-1/T and pools e @ F, as every kind does.
+regardless of contents. Each forward takes what the attention kernels take,
+a checked float64 stack and its frame mask, and each backward its cache and
+need_dF. Plain frame averaging, avg, needs no kernel: model._KINDS gives each
+frame weight 1/T and pools e @ F, as every kind does.
 """
 
 import numpy as np
 
-from .attention import frame_mask, gaussian_pool_backward, gaussian_pool_forward
+from .attention import gaussian_pool_backward, gaussian_pool_forward
 from .numerics import sigmoid, softmax_backward, softmax_stable, softplus, sum_outer
 
 
@@ -27,16 +27,16 @@ def tsf_init(K: int) -> dict[str, np.ndarray]:
     return {"centers": centers, "widths": np.full(K, np.log(np.expm1(1.0 / (2 * K))))}
 
 
-def self_attention_forward(F: np.ndarray, W: np.ndarray, mask: np.ndarray | None = None):
+def self_attention_forward(F: np.ndarray, W: np.ndarray, mask: np.ndarray):
     """Per-head softmax over frame scores f_t . w_k. Returns (v, cache). F's
     width is W's (K, d), as Model.forward_video checks."""
-    scores = np.where(frame_mask(F, mask)[..., None, :], W @ np.swapaxes(F, -1, -2), -np.inf)
+    scores = np.where(mask[..., None, :], W @ np.swapaxes(F, -1, -2), -np.inf)
     e = softmax_stable(scores, axis=-1)       # (..., K, T)
     v = e @ F                                 # (..., K, d)
     return v, dict(F=F, W=W, e=e, a=scores)
 
 
-def self_attention_backward(cache, dv, need_dF=False):
+def self_attention_backward(cache, dv, need_dF):
     F, W, e = cache["F"], cache["W"], cache["e"]
     de = dv @ np.swapaxes(F, -1, -2)
     dscores = softmax_backward(e, de, axis=-1)
@@ -46,18 +46,18 @@ def self_attention_backward(cache, dv, need_dF=False):
 
 
 def tsf_forward(F: np.ndarray, centers: np.ndarray, widths: np.ndarray, Z: int,
-                mask: np.ndarray | None = None):
+                mask: np.ndarray):
     """Shared Gaussian filters, positions/widths rescaled by each video's T/Z."""
-    frac = (frame_mask(F, mask).sum(axis=-1) / Z)[..., None]
+    frac = (mask.sum(axis=-1) / Z)[..., None]
     th = np.tanh(centers)
     mu = (th + 1.0) / 2.0 * frac           # (..., K)
     sigma = softplus(widths) * frac         # (..., K)
-    v, cache = gaussian_pool_forward(F, mu, sigma, Z, mask=mask)
+    v, cache = gaussian_pool_forward(F, mu, sigma, Z, mask)
     cache.update(th=th, widths=widths, frac=frac)
     return v, cache
 
 
-def tsf_backward(cache, dv, need_dF=False):
+def tsf_backward(cache, dv, need_dF):
     dmu, dsigma, _, dF = gaussian_pool_backward(cache, dv, need_dF)
     dcenters = sum_outer(cache["frac"], dmu)[0] * (1.0 - cache["th"] ** 2) / 2.0
     dwidths = sum_outer(cache["frac"], dsigma)[0] * sigmoid(cache["widths"])
@@ -74,11 +74,11 @@ def sldg_schedule(T, K: int, Z: int):
     return mu, sigma
 
 
-def sldg_forward(F: np.ndarray, scales: np.ndarray, Z: int, mask: np.ndarray | None = None):
-    mu, sigma = sldg_schedule(frame_mask(F, mask).sum(axis=-1), scales.shape[0], Z)
-    return gaussian_pool_forward(F, mu, sigma, Z, scale=scales, mask=mask)
+def sldg_forward(F: np.ndarray, scales: np.ndarray, Z: int, mask: np.ndarray):
+    mu, sigma = sldg_schedule(mask.sum(axis=-1), scales.shape[0], Z)
+    return gaussian_pool_forward(F, mu, sigma, Z, mask, scales)
 
 
-def sldg_backward(cache, dv, need_dF=False):
+def sldg_backward(cache, dv, need_dF):
     _, _, dscales, dF = gaussian_pool_backward(cache, dv, need_dF)
     return dscales, dF

@@ -1,5 +1,6 @@
-"""Softmax (linear) and cosine-similarity classification heads, for one
-descriptor (h,) or rows (..., n, h); the backward passes take rows.
+"""Softmax (linear) and cosine-similarity classification heads over float64
+rows of descriptors (..., n, h): the model's (B, h), and the episode fit's
+(E, n, h) for E stacked heads. Each backward takes its forward's values.
 
 The head forwards and backwards take optional out= arrays, which receive the
 logits or the parameter gradients instead of new arrays, with the same bits."""
@@ -20,14 +21,13 @@ class SoftmaxHead:
 @dataclass
 class CosineHead:
     W_proto: np.ndarray  # (..., c, h), row i is the prototype of class i
-    temperature: float | np.ndarray   # scalar, (1,) or (..., 1, 1)
+    temperature: np.ndarray   # (1,), or (..., 1, 1) for stacked heads
 
 
 def softmax_logits(V: np.ndarray, head: SoftmaxHead, out=None) -> np.ndarray:
     """V's rows are as wide as W's (..., h, c), and bias has W's c: Model builds
     the head from its config, Model.from_config checks a loaded one, and the
     episode fit makes one per descriptor width."""
-    V = np.asarray(V, dtype=np.float64)
     logits = np.matmul(V, head.W, out=out)
     logits += head.bias
     return logits
@@ -63,19 +63,18 @@ def _cosine(V: np.ndarray, head: CosineHead, nv=None):
     return (V @ np.swapaxes(w, -1, -2)) / nv, nv, w, nw
 
 
-def cosine_logits_backward(V, head: CosineHead, dlogits, need_dV: bool = True, cos=None,
+def cosine_logits_backward(V, head: CosineHead, dlogits, cos, need_dV: bool = True,
                            out=None):
     """Returns (dW_proto, dtemperature, dV-or-None) for rows V (..., n, h);
-    cos is the forward's (scores, |V|, w, |W_proto|), recomputed when None, and
-    out, when given, is (dW_proto, dtemperature) to write the first two to."""
-    V = np.asarray(V, dtype=np.float64)
-    s, nv, w, nw = _cosine(V, head) if cos is None else cos   # s: (..., n, c)
+    cos is the forward's (scores, |V|, w, |W_proto|), and out, when given, is
+    (dW_proto, dtemperature) to write the first two to."""
+    s, nv, w, nw = cos   # s: (..., n, c)
     dW, dtemp = (None, None) if out is None else out
     ds = head.temperature * dlogits
     dss = ds * s
     dtemp = (dlogits * s).sum(axis=(-2, -1),
                               out=None if dtemp is None else dtemp.reshape(s.shape[:-2]))
-    dtemp = dtemp.reshape(np.shape(head.temperature))
+    dtemp = dtemp.reshape(head.temperature.shape)
     # d s_nc / d w_c = (V_n / |V_n| - s_nc w_c) / |w_c|, summed over the rows n
     dW = np.divide(np.swapaxes(ds / nv, -1, -2) @ V - dss.sum(axis=-2)[..., None] * w, nw,
                    out=dW)
@@ -89,14 +88,14 @@ def head_forward(V: np.ndarray, head, out=None, nv=None):
     nv is a cosine head's row_norms(V), computed when None."""
     if isinstance(head, SoftmaxHead):
         return softmax_logits(V, head, out), None
-    cos = _cosine(np.asarray(V, dtype=np.float64), head, nv)
+    cos = _cosine(V, head, nv)
     return np.multiply(head.temperature, cos[0], out=out), cos
 
 
-def head_logits_backward(V, head, dlogits, need_dV: bool = True, cos=None, out=None):
+def head_logits_backward(V, head, dlogits, cos, need_dV: bool = True, out=None):
     """(gradient of each head parameter in field order..., dV-or-None) of either
-    head; cos is head_forward's, which spares a cosine head a second pass, and
-    out, when given, holds one array per parameter to write its gradient to."""
+    head; cos is head_forward's, and out, when given, holds one array per
+    parameter to write its gradient to."""
     if isinstance(head, SoftmaxHead):
         return softmax_logits_backward(V, head, dlogits, need_dV, out)
-    return cosine_logits_backward(V, head, dlogits, need_dV, cos, out)
+    return cosine_logits_backward(V, head, dlogits, cos, need_dV, out)

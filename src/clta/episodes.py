@@ -159,7 +159,7 @@ def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int, spec: Episod
         dlog = softmax_stable(logits, out=logits)
         dlog -= onehot
         dlog /= n
-        head_logits_backward(X, head, dlog, need_dV=False, cos=cos, out=out)
+        head_logits_backward(X, head, dlog, cos, need_dV=False, out=out)
         adam_step(params, grads, state, RETRAIN_LR)
     return head
 

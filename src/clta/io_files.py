@@ -28,12 +28,18 @@ MANIFEST_FIELDS = ["video_id", "label", "split", "path"]
 # -- feature files -------------------------------------------------------------
 
 def write_feature_file(path, features: np.ndarray) -> None:
+    """Raises FormatError, before opening path, unless features are 2-d and finite float32."""
     features = np.asarray(features)
     if features.ndim != 2:
         raise FormatError(f"features must be 2-d, got shape {features.shape}")
-    payload = np.ascontiguousarray(features, dtype="<f4").tobytes()
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(features, dtype="<f4")
+    if not np.isfinite(payload).all():
+        row, col = np.argwhere(~np.isfinite(payload))[0]
+        raise FormatError(f"{path}: value {float(features[row, col])!r} at row {row}, "
+                          f"column {col} does not fit float32")
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC + struct.pack("<II", *features.shape) + payload)
+        fh.write(FEATURE_MAGIC + struct.pack("<II", *features.shape) + payload.tobytes())
 
 
 def read_feature_file(path, video_id: str = "", label: str | None = None) -> FrameSequence:
@@ -149,7 +155,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (params, meta): finite parameter blocks and a UTF-8 JSON sidecar."""
+    """Returns (params, meta): finite, uniquely named blocks and a UTF-8 JSON sidecar."""
     raw = Path(path).read_bytes()
     if len(raw) < 5 or raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic at byte 0")
@@ -168,6 +174,8 @@ def load_checkpoint(path):
             name = raw[off + 4:off + 4 + nlen].decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: parameter name is not UTF-8 at byte {off + 4}") from None
+        if name in params:
+            raise FormatError(f"{path}: repeated parameter block {name!r} at byte {off}")
         off += 4 + nlen
         rows, cols = struct.unpack_from("<II", raw, off)
         off += 8

@@ -1,10 +1,9 @@
 """Full model assembly: attention + fusion + projection head + classifier.
 
 Forward and backward are hand-chained over a stack of videos padded to one
-length with a frame mask (one video is a stack of one), and the backward
-sums a gradient for every registered parameter over the stack, so the
-optimizer and the finite-difference checker can treat the model as a
-black-box loss.
+length with a frame mask, and the backward sums a gradient for every
+registered parameter over the stack, so the optimizer and the
+finite-difference checker can treat the model as a black-box loss.
 """
 
 from dataclasses import dataclass, asdict
@@ -174,14 +173,11 @@ class Model:
     def forward_video(self, F: np.ndarray, train: bool = False,
                       rng: np.random.Generator | None = None,
                       mask: np.ndarray | None = None):
-        """Compute class logits (c,) for one (T, d) feature matrix, or (B, c)
-        for a stack (B, T, d) zero-padded to T with a frame mask (B, T).
-
-        Returns (logits, cache); pass the cache to backward_video.
-        """
-        one = np.ndim(F) == 2
+        """Compute class logits (B, c) for a stack (B, T, d) zero-padded to T with a
+        frame mask (B, T); the one place with defaults: a (T, d) video is a stack of
+        one, and no mask keeps every frame. Returns (logits, cache) for backward_video."""
         F = np.asarray(F, dtype=np.float64).reshape((-1,) + np.shape(F)[-2:])
-        mask = att.frame_mask(F, mask)
+        mask = np.ones(F.shape[:-1], dtype=bool) if mask is None else mask
         p, cfg = self.params, self.cfg
         if F.shape[-1] != cfg.feature_dim:
             raise ShapeError(f"feature dim {F.shape[-1]} does not match the model's "
@@ -237,16 +233,15 @@ class Model:
 
         cache["y"] = y
         logits, cache["cos"] = cls.head_forward(y, self._head()[0])
-        return (logits[0] if one else logits), cache
+        return logits, cache
 
     def backward_video(self, cache: dict, dlogits: np.ndarray, grads: dict[str, np.ndarray]):
-        """Accumulate parameter gradients, summed over the cached stack, into grads."""
+        """Accumulate gradients for dlogits (B, c), summed over the stack, into grads."""
         p, cfg = self.params, self.cfg
         y = cache["y"]
-        dlogits = np.reshape(dlogits, (len(y), -1))
 
         head, names = self._head()
-        *dhead, dy = cls.head_logits_backward(y, head, dlogits, cos=cache["cos"])
+        *dhead, dy = cls.head_logits_backward(y, head, dlogits, cache["cos"])
         for name, d in zip(names, dhead):
             grads[name] += d
 
@@ -301,10 +296,9 @@ def _padded_chunks(pairs):
 
 
 def descriptor(model: Model, F: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Eval-mode classifier input (frozen attention + head): (h,) for one (T, d)
-    video, (B, h) for a stack (B, T, d) zero-padded with a frame mask (B, T)."""
-    y = model.forward_video(F, train=False, mask=mask)[1]["y"]
-    return y[0] if np.ndim(F) == 2 else y
+    """Eval-mode classifier input (frozen attention + head), (B, h) for a stack
+    (B, T, d) with a frame mask (B, T), with forward_video's defaults: (T, d) gives (1, h)."""
+    return model.forward_video(F, train=False, mask=mask)[1]["y"]
 
 
 def loss_and_grads(model: Model, batch, train: bool = False,

@@ -98,7 +98,7 @@ def test_criterion_2_normalization_and_ranges():
         Wm = rng.normal(0, 1, size=(K, d))
         Ws = rng.normal(0, 1, size=(K, d))
         beta = float(rng.uniform(1, 1000))
-        v, cache = attend_forward(F, Wm, Ws, beta, Z)
+        v, cache = attend_forward(F, Wm, Ws, beta, Z, np.ones(T, dtype=bool))
         worst_sum = max(worst_sum, float(np.abs(cache["e"].sum(axis=1) - 1).max()))
         ok &= bool(np.all(cache["mu"] >= 1.0 / Z - 1e-12))
         ok &= bool(np.all(cache["mu"] <= T / Z + 1e-12))
@@ -122,7 +122,7 @@ def test_criterion_3_soft_argmax_fidelity():
         s[int(np.argmax(s))] += 0.05  # enforce a top-1 margin >= 0.05
         hard = float(np.argmax(s) + 1)
         for b in gaps:
-            gaps[b].append(abs(soft_argmax(s[:, None], b)[0][0] - hard))
+            gaps[b].append(abs(soft_argmax(s[:, None], b, np.ones(T, dtype=bool))[0][0] - hard))
         worst = max(worst, gaps[1e3][-1])
     means = {b: float(np.mean(v)) for b, v in gaps.items()}
     ok = worst <= 1e-6
@@ -144,7 +144,7 @@ def test_criterion_4_oracle_equivalence():
         F = rng.normal(0, 1, size=(T, d))
         Wm = rng.normal(0, 1, size=(K, d))
         Ws = rng.normal(0, 1, size=(K, d))
-        v, cache = attend_forward(F, Wm, Ws, beta, Z)
+        v, cache = attend_forward(F, Wm, Ws, beta, Z, np.ones(T, dtype=bool))
         rmu, rsig, ra, re, rv = ref_attend(F.tolist(), Wm.tolist(), Ws.tolist(),
                                            beta, Z)
         worst = max(worst,
@@ -165,11 +165,12 @@ def test_criterion_4_oracle_equivalence():
         c = int(rng.integers(2, 4))
         W = rng.normal(size=(d, c))
         b = rng.normal(size=c)
-        got = head_forward(V_avg, SoftmaxHead(W=W, bias=b))[0]
+        got = head_forward(V_avg[None], SoftmaxHead(W=W, bias=b))[0]
         ref = ref_softmax_logits(V_avg.tolist(), W.tolist(), b.tolist())
         worst = max(worst, float(np.abs(got - ref).max()))
         protos = rng.normal(size=(c, d))
-        got = head_forward(V_avg + 1.0, CosineHead(W_proto=protos, temperature=7.0))[0]
+        got = head_forward(V_avg[None] + 1.0,
+                           CosineHead(W_proto=protos, temperature=np.array([7.0])))[0]
         ref = ref_cosine_logits((V_avg + 1.0).tolist(), protos.tolist(), 7.0)
         worst = max(worst, float(np.abs(got - ref).max()))
     _report(4, "pipeline matches an independent reference implementation",

@@ -11,6 +11,11 @@ from clta.errors import NumericError, ShapeError
 from oracle_reference import ref_attend
 
 
+def _all_frames(x):
+    """The frame mask that keeps every frame of frames (..., T, d) or scores (..., T, K)."""
+    return np.ones(x.shape[:-1], dtype=bool)
+
+
 def _random_setup(rng, T=None, d=None, K=None):
     T = T or int(rng.integers(1, 9))
     d = d or int(rng.integers(2, 6))
@@ -27,16 +32,16 @@ def test_soft_argmax_range_and_limit():
     for _ in range(100):
         T = int(rng.integers(1, 12))
         s = rng.normal(0, 1, size=(T, 1))
-        m, p = soft_argmax(s, 1.0)
+        m, p = soft_argmax(s, 1.0, _all_frames(s))
         assert m.shape == (1,) and 1.0 <= m[0] <= T and p.shape == (T, 1)
         # huge beta recovers the hard argmax when the top score is unique
         s[int(rng.integers(0, T))] += 2.0
         hard = float(np.argmax(s) + 1)
-        assert abs(soft_argmax(s, 1e4)[0][0] - hard) < 1e-6
+        assert abs(soft_argmax(s, 1e4, _all_frames(s))[0][0] - hard) < 1e-6
 
 
 def test_soft_argmax_uniform_scores_give_midpoint():
-    assert abs(soft_argmax(np.zeros((5, 1)), 10.0)[0][0] - 3.0) < 1e-12
+    assert abs(soft_argmax(np.zeros((5, 1)), 10.0, np.ones(5, dtype=bool))[0][0] - 3.0) < 1e-12
 
 
 def test_soft_argmax_of_a_masked_padded_stack_is_each_videos_own():
@@ -50,11 +55,11 @@ def test_soft_argmax_of_a_masked_padded_stack_is_each_videos_own():
     index, p = soft_argmax(scores, 50.0, mask)
     assert index.shape == (B, K) and p.shape == (B, T, K)
     for b, n in enumerate(lens):
-        own_index, own_p = soft_argmax(scores[b, :n], 50.0)
+        own_index, own_p = soft_argmax(scores[b, :n], 50.0, mask[b, :n])
         assert np.allclose(index[b], own_index, rtol=0, atol=1e-12)
         assert np.array_equal(p[b, :n], own_p) and np.all(p[b, n:] == 0.0)
         for k in range(K):
-            one_index, one_p = soft_argmax(scores[b, :n, k, None], 50.0)
+            one_index, one_p = soft_argmax(scores[b, :n, k, None], 50.0, mask[b, :n])
             assert abs(one_index[0] - own_index[k]) <= 1e-12
             assert np.array_equal(one_p[:, 0], own_p[:, k])
 
@@ -66,9 +71,9 @@ def test_soft_argmax_overflow_is_a_numeric_error_naming_beta():
     F = np.random.default_rng(13).normal(size=(6, 4))
     W = np.full((2, 4), 10.0)
     with pytest.raises(NumericError, match="beta=1e\\+308"):
-        attend_forward(F, W, W, 1e308, Z=6)
+        attend_forward(F, W, W, 1e308, 6, _all_frames(F))
     with pytest.raises(NumericError, match="beta"):
-        soft_argmax(np.array([[0.0], [-2.0], [1.0]]), 1e308)
+        soft_argmax(np.array([[0.0], [-2.0], [1.0]]), 1e308, np.ones(3, dtype=bool))
     # a finite product keeps its bits, and an overflow on a masked-out frame is no error
     index, p = soft_argmax(np.array([[0.0], [2.0], [1e10]]), 1e297, np.array([True, True, False]))
     assert index[0] == 2.0 and np.array_equal(p[:, 0], [0.0, 1.0, 0.0])
@@ -79,14 +84,14 @@ def test_learn_std_floor_with_nonnegative_features():
     # sigmoid to exact zero; the floor must keep sigma strictly positive
     F = np.abs(np.random.default_rng(2).normal(1, 0.2, size=(8, 4))) + 1.0
     w = np.full((1, 4), -500.0)
-    _, cache = attend_forward(F, np.zeros((1, 4)), w, 10.0, Z=10)
+    _, cache = attend_forward(F, np.zeros((1, 4)), w, 10.0, 10, _all_frames(F))
     assert cache["sigma"][0] == min(1e-3, 0.5 * 8 / 10)
 
 
 def test_gaussian_weights_shape_and_peak():
     F = np.random.default_rng(10).normal(size=(7, 3))
     mu, sigma = np.array([0.4, 0.1]), np.array([0.1, 1e-3])
-    v, cache = gaussian_pool_forward(F, mu, sigma, Z=10)
+    v, cache = gaussian_pool_forward(F, mu, sigma, 10, _all_frames(F))
     a, e = cache["a"], cache["e"]
     assert a.shape == e.shape == (2, 7) and v.shape == (2, 3)
     assert np.all(a > 0) and np.all(a <= 1.0)
@@ -97,7 +102,7 @@ def test_gaussian_weights_shape_and_peak():
     assert np.allclose(e.sum(axis=1), 1.0, atol=1e-12)
     assert np.allclose(v, e @ F, atol=1e-15)
     scale = np.array([3.0, -2.0])
-    _, scaled = gaussian_pool_forward(F, mu, sigma, Z=10, scale=scale)
+    _, scaled = gaussian_pool_forward(F, mu, sigma, 10, _all_frames(F), scale)
     q = scale[:, None] * a
     ref = np.exp(q - q.max(axis=1, keepdims=True))
     assert np.allclose(scaled["e"], ref / ref.sum(axis=1, keepdims=True), atol=1e-12)
@@ -114,10 +119,10 @@ def test_gaussian_pool_backward_finite_difference(with_scale):
     dv = rng.normal(size=(K, d))
 
     def loss():
-        v, _ = gaussian_pool_forward(F, mu, sigma, Z, scale=scale)
+        v, _ = gaussian_pool_forward(F, mu, sigma, Z, _all_frames(F), scale)
         return float((v * dv).sum())
 
-    _, cache = gaussian_pool_forward(F, mu, sigma, Z, scale=scale)
+    _, cache = gaussian_pool_forward(F, mu, sigma, Z, _all_frames(F), scale)
     dmu, dsigma, dscale, dF = gaussian_pool_backward(cache, dv, need_dF=True)
     assert (dscale is None) == (scale is None)
     checked = [(mu, dmu), (sigma, dsigma), (F, dF)]
@@ -141,7 +146,7 @@ def test_attend_matches_per_head_composition():
     for _ in range(30):
         F, Wm, Ws, Z = _random_setup(rng)
         beta = float(rng.uniform(1, 50))
-        got, cache = attend_forward(F, Wm, Ws, beta, Z)
+        got, cache = attend_forward(F, Wm, Ws, beta, Z, _all_frames(F))
         mu, sig, a, e, v = ref_attend(F.tolist(), Wm.tolist(), Ws.tolist(), beta, Z)
         assert np.allclose(cache["mu"], mu, atol=1e-12)
         assert np.allclose(cache["sigma"], sig, atol=1e-12)
@@ -155,7 +160,7 @@ def test_attend_normalization_and_ranges():
     for _ in range(100):
         F, Wm, Ws, Z = _random_setup(rng)
         T = F.shape[0]
-        v, cache = attend_forward(F, Wm, Ws, float(rng.uniform(1, 200)), Z)
+        v, cache = attend_forward(F, Wm, Ws, float(rng.uniform(1, 200)), Z, _all_frames(F))
         assert np.allclose(cache["e"].sum(axis=1), 1.0, atol=1e-12)
         assert np.all(cache["mu"] >= 1.0 / Z - 1e-12)
         assert np.all(cache["mu"] <= T / Z + 1e-12)
@@ -177,11 +182,11 @@ def test_attend_backward_finite_difference():
         dv = rng.normal(size=(2, 3))
 
         def loss(Wm_, Ws_):
-            v, _ = attend_forward(F, Wm_, Ws_, beta, Z)
+            v, _ = attend_forward(F, Wm_, Ws_, beta, Z, _all_frames(F))
             return float((v * dv).sum())
 
-        _, cache = attend_forward(F, Wm, Ws, beta, Z)
-        dWm, dWs, _ = attend_backward(cache, dv)
+        _, cache = attend_forward(F, Wm, Ws, beta, Z, _all_frames(F))
+        dWm, dWs, _ = attend_backward(cache, dv, need_dF=False)
         eps = 1e-6
         for W, dW in ((Wm, dWm), (Ws, dWs)):
             for idx in np.ndindex(W.shape):
@@ -199,15 +204,15 @@ def test_attend_backward_dF_finite_difference():
     rng = np.random.default_rng(6)
     F, Wm, Ws, Z = _random_setup(rng, T=4, d=3, K=2)
     dv = rng.normal(size=(2, 3))
-    _, cache = attend_forward(F, Wm, Ws, 5.0, Z)
+    _, cache = attend_forward(F, Wm, Ws, 5.0, Z, _all_frames(F))
     _, _, dF = attend_backward(cache, dv, need_dF=True)
     eps = 1e-6
     for idx in np.ndindex(F.shape):
         orig = F[idx]
         F[idx] = orig + eps
-        tp, _ = attend_forward(F, Wm, Ws, 5.0, Z)
+        tp, _ = attend_forward(F, Wm, Ws, 5.0, Z, _all_frames(F))
         F[idx] = orig - eps
-        tm, _ = attend_forward(F, Wm, Ws, 5.0, Z)
+        tm, _ = attend_forward(F, Wm, Ws, 5.0, Z, _all_frames(F))
         F[idx] = orig
         num = ((tp - tm) * dv).sum() / (2 * eps)
         assert abs(dF[idx] - num) < 1e-6
@@ -218,9 +223,9 @@ def test_sigma_floor_blocks_gradient():
     F = np.abs(rng.normal(1.0, 0.2, size=(6, 3))) + 1.0
     Wm = rng.normal(size=(2, 3))
     Ws = np.full((2, 3), -500.0)  # sigma pinned at the floor
-    _, cache = attend_forward(F, Wm, Ws, 5.0, Z=8)
+    _, cache = attend_forward(F, Wm, Ws, 5.0, 8, _all_frames(F))
     assert np.all(cache["sigma_floored"])
-    _, dWs, _ = attend_backward(cache, rng.normal(size=(2, 3)))
+    _, dWs, _ = attend_backward(cache, rng.normal(size=(2, 3)), need_dF=False)
     assert np.allclose(dWs, 0.0)
 
 

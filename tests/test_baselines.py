@@ -5,13 +5,18 @@ import numpy as np
 from clta import baselines as bl
 
 
+def _all_frames(F):
+    """The frame mask that keeps every frame of F (..., T, d)."""
+    return np.ones(F.shape[:-1], dtype=bool)
+
+
 def test_self_attention_rows_normalize_and_depend_on_content():
     rng = np.random.default_rng(1)
     W = rng.normal(size=(3, 5))
     F1 = rng.normal(size=(6, 5))
     F2 = rng.normal(size=(6, 5))
-    v1, c1 = bl.self_attention_forward(F1, W)
-    v2, c2 = bl.self_attention_forward(F2, W)
+    v1, c1 = bl.self_attention_forward(F1, W, _all_frames(F1))
+    v2, c2 = bl.self_attention_forward(F2, W, _all_frames(F2))
     assert np.allclose(c1["e"].sum(axis=1), 1.0, atol=1e-12)
     assert not np.allclose(c1["e"], c2["e"])  # content-driven
     assert v1.shape == (3, 5)
@@ -23,20 +28,22 @@ def test_tsf_and_sldg_weights_are_content_blind():
     F1 = rng.normal(size=(9, 4))
     F2 = rng.normal(size=(9, 4)) * 3.0 + 1.0
     init = bl.tsf_init(4)
-    _, ca = bl.tsf_forward(F1, init["centers"], init["widths"], Z=12)
-    _, cb = bl.tsf_forward(F2, init["centers"], init["widths"], Z=12)
+    _, ca = bl.tsf_forward(F1, init["centers"], init["widths"], 12, _all_frames(F1))
+    _, cb = bl.tsf_forward(F2, init["centers"], init["widths"], 12, _all_frames(F2))
     assert np.allclose(ca["e"], cb["e"], atol=1e-15)
     scales = rng.normal(size=4)
-    _, sa = bl.sldg_forward(F1, scales, Z=12)
-    _, sb = bl.sldg_forward(F2, scales, Z=12)
+    _, sa = bl.sldg_forward(F1, scales, 12, _all_frames(F1))
+    _, sb = bl.sldg_forward(F2, scales, 12, _all_frames(F2))
     assert np.allclose(sa["e"], sb["e"], atol=1e-15)
 
 
 def test_tsf_length_rescaling():
     # the filters track the fraction of the video, not absolute frames
     init = bl.tsf_init(3)
-    _, c_short = bl.tsf_forward(np.zeros((6, 2)), init["centers"], init["widths"], Z=12)
-    _, c_long = bl.tsf_forward(np.zeros((12, 2)), init["centers"], init["widths"], Z=12)
+    _, c_short = bl.tsf_forward(np.zeros((6, 2)), init["centers"], init["widths"], 12,
+                                np.ones(6, dtype=bool))
+    _, c_long = bl.tsf_forward(np.zeros((12, 2)), init["centers"], init["widths"], 12,
+                               np.ones(12, dtype=bool))
     assert np.allclose(c_short["mu"] / (6 / 12), c_long["mu"] / (12 / 12), atol=1e-12)
     assert np.allclose(c_short["sigma"] / (6 / 12), c_long["sigma"], atol=1e-12)
 
@@ -67,9 +74,9 @@ def test_self_attention_backward_fd():
     F = rng.normal(size=(5, 3))
     W = rng.normal(size=(2, 3))
     dv = rng.normal(size=(2, 3))
-    _, cache = bl.self_attention_forward(F, W)
+    _, cache = bl.self_attention_forward(F, W, _all_frames(F))
     dW, dF = bl.self_attention_backward(cache, dv, need_dF=True)
-    _fd_weight_grad(lambda: bl.self_attention_forward(F, W)[0],
+    _fd_weight_grad(lambda: bl.self_attention_forward(F, W, _all_frames(F))[0],
                     None, [(W, dW), (F, dF)], dv)
 
 
@@ -79,9 +86,9 @@ def test_tsf_backward_fd():
     init = bl.tsf_init(3)
     centers, widths = init["centers"], init["widths"]
     dv = rng.normal(size=(3, 3))
-    _, cache = bl.tsf_forward(F, centers, widths, Z=9)
+    _, cache = bl.tsf_forward(F, centers, widths, 9, _all_frames(F))
     dc, dw, dF = bl.tsf_backward(cache, dv, need_dF=True)
-    _fd_weight_grad(lambda: bl.tsf_forward(F, centers, widths, Z=9)[0],
+    _fd_weight_grad(lambda: bl.tsf_forward(F, centers, widths, 9, _all_frames(F))[0],
                     None, [(centers, dc), (widths, dw)], dv)
 
 
@@ -90,8 +97,8 @@ def test_sldg_backward_fd():
     F = rng.normal(size=(7, 3))
     scales = rng.normal(size=3)
     dv = rng.normal(size=(3, 3))
-    _, cache = bl.sldg_forward(F, scales, Z=10)
+    _, cache = bl.sldg_forward(F, scales, 10, _all_frames(F))
     ds, dF = bl.sldg_backward(cache, dv, need_dF=True)
-    _fd_weight_grad(lambda: bl.sldg_forward(F, scales, Z=10)[0],
+    _fd_weight_grad(lambda: bl.sldg_forward(F, scales, 10, _all_frames(F))[0],
                     None, [(scales, ds)], dv)
 

@@ -12,9 +12,9 @@ def test_softmax_logits_linear():
     rng = np.random.default_rng(0)
     W = rng.normal(size=(4, 3))
     b = rng.normal(size=3)
-    V = rng.normal(size=4)
+    V = rng.normal(size=(1, 4))
     logits = softmax_logits(V, SoftmaxHead(W=W, bias=b))
-    assert np.allclose(logits, W.T @ V + b, atol=1e-15)
+    assert np.allclose(logits, V @ W + b, atol=1e-15)
 
 
 def _fd_check(loss, analytic, arrays, tol=1e-7, eps=1e-6):
@@ -54,8 +54,8 @@ def _cosine_scores(V, head):
 
 def test_cosine_scores_range_and_scale_invariance():
     rng = np.random.default_rng(2)
-    head = CosineHead(W_proto=rng.normal(size=(5, 6)), temperature=10.0)
-    V = rng.normal(size=6)
+    head = CosineHead(W_proto=rng.normal(size=(5, 6)), temperature=np.array([10.0]))
+    V = rng.normal(size=(1, 6))
     s = _cosine_scores(V, head)
     assert np.all(s >= -1.0 - 1e-12) and np.all(s <= 1.0 + 1e-12)
     assert np.allclose(s, _cosine_scores(3.7 * V, head), atol=1e-12)
@@ -65,22 +65,23 @@ def test_cosine_scores_range_and_scale_invariance():
 def test_cosine_self_similarity_is_maximal():
     rng = np.random.default_rng(3)
     protos = rng.normal(size=(4, 6))
-    head = CosineHead(W_proto=protos, temperature=10.0)
+    head = CosineHead(W_proto=protos, temperature=np.array([10.0]))
     for i in range(4):
-        s = _cosine_scores(protos[i], head)
+        s = _cosine_scores(protos[i, None], head)[0]
         assert abs(s[i] - 1.0) < 1e-12
         assert np.argmax(s) == i
 
 
 def test_cosine_degenerate_inputs():
     # the ReLU projection can produce an all-zero descriptor
-    head = CosineHead(W_proto=np.ones((2, 3)), temperature=10.0)
-    assert np.array_equal(_cosine_scores(np.zeros(3), head), np.zeros(2))
+    head = CosineHead(W_proto=np.ones((2, 3)), temperature=np.array([10.0]))
+    assert np.array_equal(_cosine_scores(np.zeros((1, 3)), head), np.zeros((1, 2)))
     protos = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
-    assert np.allclose(_cosine_scores(np.ones(3), CosineHead(W_proto=protos, temperature=10.0)),
-                       [0.0, 5.0 / (3.0 * np.sqrt(3.0))], rtol=0, atol=1e-15)
+    head = CosineHead(W_proto=protos, temperature=np.array([7.0]))
+    assert np.allclose(_cosine_scores(np.ones((1, 3)), head),
+                       [[0.0, 5.0 / (3.0 * np.sqrt(3.0))]], rtol=0, atol=1e-15)
     V = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5]])
-    for g in cosine_logits_backward(V, CosineHead(protos, np.array([7.0])), np.ones((2, 2))):
+    for g in cosine_logits_backward(V, head, np.ones((2, 2)), head_forward(V, head)[1]):
         assert np.all(np.isfinite(g))
 
 
@@ -90,13 +91,15 @@ def test_cosine_backward_fd():
     V = rng.normal(size=(5, 4))
     temp = np.array([7.0])
     dlog = rng.normal(size=(5, 3))
-    grads = cosine_logits_backward(V, CosineHead(protos, temp), dlog)
+    grads = cosine_logits_backward(V, CosineHead(protos, temp), dlog,
+                                   head_forward(V, CosineHead(protos, temp))[1])
     _fd_check(lambda: float((_logits(V, CosineHead(protos, temp)) * dlog).sum()),
               grads, (protos, temp, V))
     # a zero row scores 0 whatever the head, so it adds nothing to the head's
     # gradients; the cosine has no gradient in V there, so dV is not checked
     V[2] = 0.0
-    grads = cosine_logits_backward(V, CosineHead(protos, temp), dlog)
+    grads = cosine_logits_backward(V, CosineHead(protos, temp), dlog,
+                                   head_forward(V, CosineHead(protos, temp))[1])
     _fd_check(lambda: float((_logits(V, CosineHead(protos, temp)) * dlog).sum()),
               grads[:2], (protos, temp))
 
@@ -110,10 +113,14 @@ def test_stacked_heads_backward_fd(kind):
     dlog = rng.normal(size=(E, n, c))
     if kind == "softmax":
         params = (rng.normal(size=(E, h, c)), rng.normal(size=(E, 1, c)))
-        make, backward = SoftmaxHead, softmax_logits_backward
+        make = SoftmaxHead
     else:
         params = (rng.normal(size=(E, c, h)), rng.uniform(5, 10, size=(E, 1, 1)))
-        make, backward = CosineHead, cosine_logits_backward
+        make = CosineHead
+
+    def backward(V, head, dlog):
+        return head_logits_backward(V, head, dlog, head_forward(V, head)[1])
+
     grads = backward(V, make(*params), dlog)
     _fd_check(lambda: float((_logits(V, make(*params)) * dlog).sum()), grads, (*params, V))
     # each head's gradients come from its own rows only
@@ -135,25 +142,6 @@ def test_softmax_bias_gradient_is_the_plain_row_sum_bit_for_bit():
                                   dlog.sum(axis=-2).reshape(head.bias.shape).view(np.uint64))
 
 
-@pytest.mark.parametrize("lead", [(), (3,)])
-def test_cosine_backward_given_the_forward_values_is_bit_identical(lead):
-    # one head over rows (n, h), and E stacked heads over (E, n, h)
-    rng = np.random.default_rng(6)
-    n, h, c = 4, 5, 3
-    V = rng.normal(size=lead + (n, h))
-    V[..., 0, :] = 0.0   # a zero descriptor takes the norm-of-zero branch
-    head = CosineHead(rng.normal(size=lead + (c, h)),
-                      rng.uniform(5, 10, size=lead + (1, 1)) if lead else np.array([7.0]))
-    dlog = rng.normal(size=lead + (n, c))
-    logits, cos = head_forward(V, head)
-    assert np.array_equal(logits, head.temperature * _cosine_scores(V, head))
-    for need_dV in (True, False):
-        reused = head_logits_backward(V, head, dlog, need_dV, cos=cos)
-        recomputed = cosine_logits_backward(V, head, dlog, need_dV)
-        for got, want in zip(reused, recomputed):
-            assert (got is None and want is None) or np.array_equal(got, want)
-
-
 @pytest.mark.parametrize("kind", ["softmax", "cosine"])
 def test_heads_write_into_given_arrays_with_the_same_bits(kind):
     # stacked heads as the episode fit steps them: out= arrays for the logits
@@ -168,12 +156,12 @@ def test_heads_write_into_given_arrays_with_the_same_bits(kind):
         head = CosineHead(rng.normal(size=(E, c, h)), rng.uniform(5, 10, size=(E, 1, 1)))
     dlog = rng.normal(size=(E, n, c))
     logits, cos = head_forward(V, head)
-    want = head_logits_backward(V, head, dlog, need_dV=False, cos=cos)
+    want = head_logits_backward(V, head, dlog, cos, need_dV=False)
     out = np.empty((E, n, c))
     got, cos = head_forward(V, head, out=out, nv=None if cos is None else row_norms(V))
     assert got is out and np.array_equal(got.view(np.uint64), logits.view(np.uint64))
     grads = tuple(np.full_like(p, np.nan) for p in vars(head).values())
-    res = head_logits_backward(V, head, dlog, need_dV=False, cos=cos, out=grads)
+    res = head_logits_backward(V, head, dlog, cos, need_dV=False, out=grads)
     assert res[-1] is None
     for r, g, w in zip(res, grads, want):
         assert np.shares_memory(r, g)

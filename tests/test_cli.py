@@ -59,6 +59,18 @@ def test_gen_prints_summary(tmp_path, capsys):
                                        "Z = 40\n")
 
 
+@pytest.mark.parametrize("flag", ["--amp", "--noise"])
+def test_gen_rejects_features_that_float32_cannot_hold(tmp_path, capsys, flag):
+    # float64 synthesis can exceed float32's range; such a file could not be read back
+    out = tmp_path / "d"
+    rc = cli_dispatch(["gen", "--out", str(out), "--classes", "3", "--videos-per-class", "2",
+                       "--dim", "4", flag, "1e39"])
+    assert rc == 2
+    assert "does not fit float32" in capsys.readouterr().err
+    assert not (out / "manifest.csv").exists()
+    assert list((out / "features").iterdir()) == []
+
+
 def test_train_writes_checkpoint_and_log(checkpoint):
     params, meta = io_files.load_checkpoint(checkpoint)
     assert meta["model_config"]["kind"] == "clta"

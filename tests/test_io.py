@@ -257,6 +257,12 @@ def test_checkpoint_boundary_defects_name_the_block_or_byte(tmp_path):
     # header 5, block W 4 + 1 + 8 + 32, block b 4 + 1 + 8, then b's second value
     with pytest.raises(FormatError, match=f"{path}: non-finite value in parameter 'b' at byte 71"):
         io_files.load_checkpoint(path)
+    # a repeated block name: header 5, then the first w block 4 + 1 + 8 + 16
+    block = struct.pack("<I", 1) + b"w" + struct.pack("<II", 2, 0)
+    path.write_bytes(b"CLTA\x01" + block + np.array([1.0, 2.0]).astype("<f8").tobytes()
+                     + block + np.array([7.0, 8.0]).astype("<f8").tobytes())
+    with pytest.raises(FormatError, match=f"{path}: repeated parameter block 'w' at byte 34"):
+        io_files.load_checkpoint(path)
     io_files.save_checkpoint(path, {"W": np.ones((2, 2))}, {})
     meta = tmp_path / "m.ckpt.meta.json"
     meta.write_bytes(b'{"x": "\xff"}')

@@ -85,10 +85,15 @@ def test_padded_row_equals_the_video_run_alone(kind, classifier, fusion, stage, 
     (F, mask, _), = model_mod._padded_chunks([(short, 0), (longer, 1)])
     assert F.shape == (2, 6, 3) and mask.sum(axis=1).tolist() == [T, 6]
     logits, cache = model.forward_video(F, mask=mask)
-    alone, alone_cache = model.forward_video(short)
-    assert logits.shape == (2, 3) and alone.shape == (3,)
-    assert np.allclose(logits[0], alone, rtol=0, atol=1e-12)
-    assert np.allclose(cache["y"][0], descriptor(model, short), rtol=0, atol=1e-12)
+    alone, alone_cache = model.forward_video(short[None], mask=np.ones((1, T), dtype=bool))
+    assert logits.shape == (2, 3) and alone.shape == (1, 3)
+    assert np.allclose(logits[0], alone[0], rtol=0, atol=1e-12)
+    # the benchmark compares descriptors of one (T, d) video bit for bit: a stack of one
+    one = descriptor(model, short)
+    stacked = descriptor(model, short[None], np.ones((1, T), dtype=bool))
+    assert one.shape == (1, model.cfg.hidden)
+    assert np.array_equal(one.view(np.uint64), stacked.view(np.uint64))
+    assert np.allclose(cache["y"][0], one[0], rtol=0, atol=1e-12)
     assert np.array_equal(descriptor(model, F, mask), cache["y"])
     for key in ("mu", "sigma"):
         if key in alone_cache.get("attn", {}):
@@ -194,8 +199,8 @@ def test_forward_logit_shapes():
     rng = np.random.default_rng(0)
     for kind in MODEL_KINDS:
         model = Model(_small_cfg(kind), rng)
-        logits, _ = model.forward_video(rng.standard_normal((4, 3)))
-        assert logits.shape == (3,)
+        logits, _ = model.forward_video(rng.standard_normal((1, 4, 3)))
+        assert logits.shape == (1, 3)
         assert np.all(np.isfinite(logits))
 
 

@@ -1,11 +1,12 @@
-"""Every public function and class of the package, and every field of its
-configs, has a user outside tests/.
+"""Every public function, class and method of the package, and every field of
+its configs, has a user outside tests/.
 
-A module-level function or class whose name does not start with an underscore
-must be named by some file in src/, demos/ or benchmarks/: as a name, an
-attribute or an import. A string does not count: a benchmark span that names
-a function nothing calls any more is no use of it. A copy of a code path that
-only tests call checks itself instead of the path the model runs.
+A module-level function or class whose name does not start with an underscore,
+and such a method of such a class, must be named by some file in src/, demos/
+or benchmarks/: as a name, an attribute or an import. A string does not count:
+a benchmark span that names a function nothing calls any more is no use of it.
+A copy of a code path that only tests call checks itself instead of the path
+the model runs.
 
 Every config field must be passed by keyword somewhere in those files; a
 setting that no caller changes is a module constant.
@@ -24,14 +25,24 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "clta"
 
 
+def _public(body):
+    """The functions and classes of a parsed body whose names are public."""
+    return [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def _public_definitions():
-    """{name: module} of the package's public module-level functions and classes."""
+    """{qualified name: name} of the package's public module-level functions and
+    classes (module.name) and of the public methods of those classes
+    (module.Class.method)."""
     defs = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defs[node.name] = path.stem
+        for node in _public(ast.parse(path.read_text(encoding="utf-8")).body):
+            defs[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                defs.update((f"{path.stem}.{node.name}.{method.name}", method.name)
+                            for method in _public(node.body)
+                            if isinstance(method, ast.FunctionDef))
     return defs
 
 
@@ -61,7 +72,8 @@ def test_every_public_name_is_used_outside_the_tests():
         used |= _names_used(tree)
     defs = _public_definitions()
     assert len(defs) > 20   # the walk found the package
-    unused = sorted(f"{module}.{name}" for name, module in defs.items() if name not in used)
+    assert "model.Model.forward_video" in defs   # and the methods of its classes
+    unused = sorted(qualified for qualified, name in defs.items() if name not in used)
     assert unused == [], f"public names that only tests call: {unused}"
 
 
