@@ -38,9 +38,9 @@ def main():
     every_frame = np.ones(seq.T, dtype=bool)
 
     print("-- random detectors: the head has not learned where to look --")
-    _, cache = attend_forward(seq.features, rng.standard_normal((K, cfg.d)) * 1e-3,
-                              rng.standard_normal((K, cfg.d)), beta=1e3, Z=Z,
-                              mask=every_frame)
+    cache = attend_forward(seq.features, rng.standard_normal((K, cfg.d)) * 1e-3,
+                           rng.standard_normal((K, cfg.d)), beta=1e3, Z=Z,
+                           mask=every_frame)
     for k in range(K):
         print(f"head {k}: mu = {cache['mu'][k]:.3f}  sigma = {cache['sigma'][k]:.3f}  "
               f"weights {sparkline(cache['e'][k])}")
@@ -49,10 +49,10 @@ def main():
     # pointing the mean detector along the cue makes the soft-argmax land on
     # the window; a negative std detector drives the sigmoids toward zero on
     # quiet frames, so the Gaussian tightens
-    _, cache = attend_forward(seq.features,
-                              np.tile(cue, (K, 1)) * np.array([[1.0], [2.0], [4.0]]),
-                              np.tile(-8.0 * cue, (K, 1)), beta=1e3, Z=Z,
-                              mask=every_frame)
+    cache = attend_forward(seq.features,
+                           np.tile(cue, (K, 1)) * np.array([[1.0], [2.0], [4.0]]),
+                           np.tile(-8.0 * cue, (K, 1)), beta=1e3, Z=Z,
+                           mask=every_frame)
     for k in range(K):
         print(f"head {k}: mu = {cache['mu'][k]:.3f}  sigma = {cache['sigma'][k]:.3f}  "
               f"weights {sparkline(cache['e'][k])}")

@@ -4,20 +4,20 @@ Per video, each of the K attention heads learns a Gaussian over the
 normalized frame axis t/Z. The mean comes from soft_argmax, the one
 soft-argmax of the package, over the dot products of frames with a
 mean-learning row, the standard deviation from the sigmoid-summed dot
-products with a std-learning row. The resulting weights aggregate the
-frames into K video-level summaries, which a fusion step combines into one
-descriptor. The tsf and sldg baselines pool through the same Gaussian kernel
-and differ only in where mu and sigma come from.
+products with a std-learning row. The resulting weights e pool the frames
+into K video-level summaries e @ F, which a fusion step combines into one
+descriptor. The tsf and sldg baselines weigh frames through the same
+Gaussian kernel and differ only in where mu and sigma come from.
 
-Every kernel returns (summaries v (..., K, d), cache). The cache is the one
-record of a pass, for the backward and for inspection: mu and sigma (..., K),
-raw weights a and normalized weights e (..., K, T).
+A kernel only weighs frames; Model.forward_video pools them. It returns its
+cache, the one record of a pass: mu and sigma (..., K), raw weights a and
+normalized weights e (..., K, T). Its backward is (cache, de, dF-or-None).
 
 Frame indices are 1-based inside all formulas; Z is the dataset-wide max
 sequence length, frozen from the training split. Every kernel takes only what
 Model.forward_video passes, a float64 stack (..., T, d) padded to a common T
 and its frame mask (..., T): padded frames get no weight, and each video's
-length sets its sigma floor. Every backward takes its cache and need_dF.
+length sets its sigma floor.
 """
 
 from dataclasses import dataclass
@@ -72,40 +72,38 @@ def soft_argmax(scores: np.ndarray, beta: float, mask: np.ndarray):
     argmax into a tie."""
     with np.errstate(over="ignore"):
         z = beta * scores
-    if not np.isfinite(z[mask]).all():
+    # padded frames are almost always finite too, which spares the masked gather
+    if not np.isfinite(z).all() and not np.isfinite(z[mask]).all():
         raise NumericError(f"beta={beta} times the frame scores is not finite; lower beta")
     p = softmax_stable(np.where(mask[..., None], z, -np.inf), axis=-2)
     return np.arange(1, scores.shape[-2] + 1, dtype=np.float64) @ p, p
 
 
-def gaussian_pool_forward(F: np.ndarray, mu: np.ndarray, sigma: np.ndarray, Z: int,
-                          mask: np.ndarray, scale: np.ndarray | None = None):
-    """Pool frames F (..., T, d), mask (..., T), through K Gaussians over t/Z.
+def gaussian_pool_forward(mu: np.ndarray, sigma: np.ndarray, Z: int, mask: np.ndarray,
+                          scale: np.ndarray | None = None):
+    """Weights of K Gaussians over t/Z on the frames of mask (..., T).
 
     Head k weighs frame t by a = exp(max(-((t/Z - mu_k)/sigma_k)^2 / 2,
-    _LOG_FLOOR)), softmaxes scale_k * a (or a) over frames and averages the
-    frames with the result; mu, sigma are (..., K). Returns (v (..., K, d), cache).
+    _LOG_FLOOR)) and softmaxes scale_k * a (or a) over frames into e; mu, sigma
+    are (..., K). Returns the cache, with a and e (..., K, T).
     """
-    pos = np.arange(1, F.shape[-2] + 1, dtype=np.float64) / Z         # (T,)
+    pos = np.arange(1, mask.shape[-1] + 1, dtype=np.float64) / Z      # (T,)
     u = (pos - mu[..., None]) / sigma[..., None]                       # (..., K, T)
     g = -0.5 * u * u
     a = np.exp(np.maximum(g, _LOG_FLOOR))
     q = a if scale is None else scale[:, None] * a
     e = softmax_stable(np.where(mask[..., None, :], q, -np.inf), axis=-1)
-    v = e @ F
-    return v, dict(F=F, pos=pos, u=u, a=a, e=e, clamped=g < _LOG_FLOOR,
-                   mu=mu, sigma=sigma, scale=scale)
+    return dict(pos=pos, u=u, a=a, e=e, clamped=g < _LOG_FLOOR, mu=mu, sigma=sigma,
+                scale=scale)
 
 
-def gaussian_pool_backward(cache: dict, dv: np.ndarray, need_dF: bool):
-    """Backprop through gaussian_pool_forward for upstream dv (..., K, d).
+def gaussian_pool_backward(cache: dict, de: np.ndarray):
+    """Backprop through gaussian_pool_forward for upstream de (..., K, T).
 
-    Returns (dmu, dsigma, dscale-or-None summed over the stack, dF-or-None);
-    dF covers only the pooling path, not how mu and sigma were made from F.
+    Returns (dmu, dsigma, dscale-or-None summed over the stack).
     """
-    F, e, a, u = cache["F"], cache["e"], cache["a"], cache["u"]
+    e, a, u = cache["e"], cache["a"], cache["u"]
     sigma, scale = cache["sigma"], cache["scale"]
-    de = dv @ np.swapaxes(F, -1, -2)                     # (..., K, T)
     dq = softmax_backward(e, de, axis=-1)
     dscale = None if scale is None else (dq * a).sum(axis=-1).reshape(-1, len(scale)).sum(axis=0)
     dg = (dq if scale is None else dq * scale[:, None]) * a
@@ -113,14 +111,13 @@ def gaussian_pool_backward(cache: dict, dv: np.ndarray, need_dF: bool):
     du = dg * (-u)
     dmu = (du * (-1.0 / sigma[..., None])).sum(axis=-1)        # (..., K)
     dsigma = (du * (-u / sigma[..., None])).sum(axis=-1)       # (..., K)
-    dF = np.swapaxes(e, -1, -2) @ dv if need_dF else None
-    return dmu, dsigma, dscale, dF
+    return dmu, dsigma, dscale
 
 
 def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
                    beta: float, Z: int, mask: np.ndarray):
-    """Attention forward, vectorized over K and the stack. Returns (v (..., K, d),
-    cache); the cache's mu, sigma, a and e are the one record of the pass.
+    """Attention forward, vectorized over K and the stack. Returns the cache; its
+    mu, sigma, a and e are the one record of the pass.
 
     F is a float64 stack (..., T, d) with frame mask (..., T), T <= Z and d the
     width of W_mean (K, d) and W_std (K, d), and beta is in ModelConfig's range:
@@ -134,37 +131,34 @@ def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
     floor = np.minimum(_SIGMA_FLOOR, 0.5 * mask.sum(axis=-1) / Z)[..., None]
     sigma = np.maximum(sigma_raw, floor)
 
-    v, cache = gaussian_pool_forward(F, mu, sigma, Z, mask)
-    cache.update(p=p, sg=sg, sigma_floored=sigma_raw < floor, beta=beta, Z=Z,
+    cache = gaussian_pool_forward(mu, sigma, Z, mask)
+    cache.update(F=F, p=p, sg=sg, sigma_floored=sigma_raw < floor, beta=beta, Z=Z,
                  W_mean=W_mean, W_std=W_std)
-    return v, cache
+    return cache
 
 
-def attend_backward(cache: dict, dv: np.ndarray, need_dF: bool):
+def attend_backward(cache: dict, de: np.ndarray, dF: np.ndarray | None):
     """Backprop through attend_forward.
 
-    dv: (..., K, d) upstream gradient on the summaries.
+    de: (..., K, T) upstream gradient on the weights e; dF: the pooling's
+    gradient on F, or None when F needs none.
     Returns (dW_mean, dW_std, dF-or-None), summed over the stack.
     """
     F, p, sg, pos = cache["F"], cache["p"], cache["sg"], cache["pos"]
     beta, Z = cache["beta"], cache["Z"]
-    dmu, dsigma, _, dF = gaussian_pool_backward(cache, dv, need_dF)
+    dmu, dsigma, _ = gaussian_pool_backward(cache, de)
     dsigma[cache["sigma_floored"]] = 0.0
 
     # mean path: mu = (idx @ p) / Z, p = softmax(beta * F W_mean^T) over frames
     dp = dmu[..., None, :] * pos[:, None]                # idx/Z == pos
     dsm = beta * softmax_backward(p, dp, axis=-2)        # (..., T, K)
-    dW_mean = sum_outer(dsm, F)
-    if need_dF:
-        dF = dF + dsm @ cache["W_mean"]
 
     # std path: sigma = sum_t sigmoid(F W_std^T) / Z; padded frames have sg = 0
     dss = (dsigma[..., None, :] / Z) * sigmoid_grad(sg)  # (..., T, K)
-    dW_std = sum_outer(dss, F)
-    if need_dF:
-        dF = dF + dss @ cache["W_std"]
 
-    return dW_mean, dW_std, dF
+    if dF is not None:
+        dF = dF + dsm @ cache["W_mean"] + dss @ cache["W_std"]
+    return sum_outer(dsm, F), sum_outer(dss, F), dF
 
 
 def fusion_weights(soft_logits: np.ndarray | None, K: int) -> np.ndarray:

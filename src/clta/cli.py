@@ -175,13 +175,15 @@ def _cmd_gen(args) -> int:
         noise_std=args.noise, mode=args.mode, seed=args.seed)
     dataset = synth.generate(cfg)
     out = Path(args.out)
-    (out / "features").mkdir(parents=True, exist_ok=True)
-    rows = []
-    for seq in dataset.sequences:
+    rows, blobs = [], []
+    for seq in dataset.sequences:   # every file is built and checked before any is written
         rel = f"features/{seq.video_id}.fvf"
-        io_files.write_feature_file(out / rel, seq.features)
+        blobs.append(io_files._feature_bytes(out / rel, seq.features))
         rows.append(dict(video_id=seq.video_id, label=seq.label,
                          split=dataset.split_of[seq.video_id], path=rel))
+    (out / "features").mkdir(parents=True, exist_ok=True)
+    for row, blob in zip(rows, blobs):
+        (out / row["path"]).write_bytes(blob)
     io_files.write_manifest(out / "manifest.csv", rows)
     for name in synth.SPLITS:
         seqs = dataset.split(name)

@@ -27,8 +27,8 @@ MANIFEST_FIELDS = ["video_id", "label", "split", "path"]
 
 # -- feature files -------------------------------------------------------------
 
-def write_feature_file(path, features: np.ndarray) -> None:
-    """Raises FormatError, before opening path, unless features are 2-d and finite float32."""
+def _feature_bytes(path, features: np.ndarray) -> bytes:
+    """The bytes of path's feature file; FormatError unless 2-d and finite float32."""
     features = np.asarray(features)
     if features.ndim != 2:
         raise FormatError(f"features must be 2-d, got shape {features.shape}")
@@ -38,8 +38,12 @@ def write_feature_file(path, features: np.ndarray) -> None:
         row, col = np.argwhere(~np.isfinite(payload))[0]
         raise FormatError(f"{path}: value {float(features[row, col])!r} at row {row}, "
                           f"column {col} does not fit float32")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC + struct.pack("<II", *features.shape) + payload.tobytes())
+    return FEATURE_MAGIC + struct.pack("<II", *features.shape) + payload.tobytes()
+
+
+def write_feature_file(path, features: np.ndarray) -> None:
+    """Raises FormatError, before opening path, unless features are 2-d and finite float32."""
+    Path(path).write_bytes(_feature_bytes(path, features))
 
 
 def read_feature_file(path, video_id: str = "", label: str | None = None) -> FrameSequence:

@@ -28,36 +28,30 @@ def _clta_init(rng, K, attn_dim, cfg):
             "W_std": rng.standard_normal((K, attn_dim)) / np.sqrt(attn_dim)}
 
 
-def _avg_forward(G, p, cfg, mask):
-    # one summary, with every frame of a video weighted 1/T; fusing one summary is exact
-    e = mask[..., None, :] / mask.sum(axis=-1)[..., None, None]
-    return e @ G, {"e": e}
-
-
-def _avg_backward(cache, dv, need_dG):
-    return (np.swapaxes(cache["e"], -1, -2) @ dv if need_dG else None,)
-
-
-# kind -> (init(rng, K, attn_dim, cfg) -> params, forward(G, params, cfg, mask)
-# -> (summaries v (..., K, d), one for avg, cache), backward(cache, dv, need_dG)
-# -> (*dparams, dG-or-None), the names of dparams). Every kernel returns that
-# (v, cache) pair itself, and is looked up on its module per call, so wrappers
-# installed there (for timing) see the calls.
+# kind -> (init(rng, K, attn_dim, cfg) -> params, forward(G, params, cfg, mask) -> cache,
+# backward(cache, de, dG-or-None) -> (*dparams, dG-or-None), the names of dparams).
+# A kind only weighs frames: its cache's e (..., K, T) is the one record of the pass,
+# which forward_video pools once as v = e @ G. Its backward gets de, the gradient on e,
+# and adds its score path to the pooling's dG; avg has no parameters and no backward.
+# Kernels are looked up on their module per call, so wrappers installed there see them.
 _KINDS = {
     "clta": (_clta_init,
              lambda G, p, cfg, mask: att.attend_forward(G, p["W_mean"], p["W_std"],
                                                         cfg.beta, cfg.Z, mask),
              lambda *a: att.attend_backward(*a), ("W_mean", "W_std")),
-    "avg": (lambda rng, K, attn_dim, cfg: {}, _avg_forward, _avg_backward, ()),
+    # every frame of a video weighted 1/T; fusing its one summary is exact
+    "avg": (lambda rng, K, attn_dim, cfg: {},
+            lambda G, p, cfg, mask: {"e": mask[..., None, :] / mask.sum(axis=-1)[..., None, None]},
+            None, ()),
     "selfattn": (lambda rng, K, attn_dim, cfg:
                  {"W_attn": rng.standard_normal((K, attn_dim)) / np.sqrt(attn_dim)},
                  lambda G, p, cfg, mask: bl.self_attention_forward(G, p["W_attn"], mask),
                  lambda *a: bl.self_attention_backward(*a), ("W_attn",)),
     "tsf": (lambda rng, K, attn_dim, cfg: bl.tsf_init(K),
-            lambda G, p, cfg, mask: bl.tsf_forward(G, p["centers"], p["widths"], cfg.Z, mask),
+            lambda G, p, cfg, mask: bl.tsf_forward(p["centers"], p["widths"], cfg.Z, mask),
             lambda *a: bl.tsf_backward(*a), ("centers", "widths")),
     "sldg": (lambda rng, K, attn_dim, cfg: {"scales": np.ones(K)},
-             lambda G, p, cfg, mask: bl.sldg_forward(G, p["scales"], cfg.Z, mask),
+             lambda G, p, cfg, mask: bl.sldg_forward(p["scales"], cfg.Z, mask),
              lambda *a: bl.sldg_backward(*a), ("scales",)),
 }
 MODEL_KINDS = tuple(_KINDS)
@@ -193,10 +187,11 @@ class Model:
         else:
             G = F
 
-        v, cache["attn"] = _KINDS[cfg.kind][1](G, p, cfg, mask)
+        cache["attn"] = _KINDS[cfg.kind][1](G, p, cfg, mask)
+        v = cache["attn"]["e"] @ G                    # (B, K, d)
         # soft_logits is a parameter exactly when the config fuses with soft weights
         V = att.fusion_weights(p.get("soft_logits"), v.shape[-2]) @ v
-        cache["v"] = v
+        cache["G"], cache["v"] = G, v
 
         if cfg.projection_stage == "post":
             x0 = V @ p["proj_W"].T + p["proj_b"]      # (B, h)
@@ -264,9 +259,14 @@ class Model:
         dv, dsl = att.fuse_backward(cache["v"], p.get("soft_logits"), dV)
         if dsl is not None:
             grads["soft_logits"] += dsl
-        *dparams, dG = _KINDS[cfg.kind][2](cache["attn"], dv, cfg.projection_stage == "pre")
-        for name, d in zip(_KINDS[cfg.kind][3], dparams):
-            grads[name] += d
+        # the pooling v = e @ G, once for every kind: dG in the pre stage, de for parameters
+        _, _, backward, names = _KINDS[cfg.kind]
+        e, G = cache["attn"]["e"], cache["G"]
+        dG = np.swapaxes(e, -1, -2) @ dv if cfg.projection_stage == "pre" else None
+        if names:
+            *dparams, dG = backward(cache["attn"], dv @ np.swapaxes(G, -1, -2), dG)
+            for name, d in zip(names, dparams):
+                grads[name] += d
 
         if dG is not None:
             dx0 = dG * (cache["pre_x0"] > 0)        # (B, T, h)

@@ -98,7 +98,8 @@ def test_criterion_2_normalization_and_ranges():
         Wm = rng.normal(0, 1, size=(K, d))
         Ws = rng.normal(0, 1, size=(K, d))
         beta = float(rng.uniform(1, 1000))
-        v, cache = attend_forward(F, Wm, Ws, beta, Z, np.ones(T, dtype=bool))
+        cache = attend_forward(F, Wm, Ws, beta, Z, np.ones(T, dtype=bool))
+        v = cache["e"] @ F   # the summaries, pooled as Model.forward_video pools them
         worst_sum = max(worst_sum, float(np.abs(cache["e"].sum(axis=1) - 1).max()))
         ok &= bool(np.all(cache["mu"] >= 1.0 / Z - 1e-12))
         ok &= bool(np.all(cache["mu"] <= T / Z + 1e-12))
@@ -144,7 +145,8 @@ def test_criterion_4_oracle_equivalence():
         F = rng.normal(0, 1, size=(T, d))
         Wm = rng.normal(0, 1, size=(K, d))
         Ws = rng.normal(0, 1, size=(K, d))
-        v, cache = attend_forward(F, Wm, Ws, beta, Z, np.ones(T, dtype=bool))
+        cache = attend_forward(F, Wm, Ws, beta, Z, np.ones(T, dtype=bool))
+        v = cache["e"] @ F   # the summaries, pooled as Model.forward_video pools them
         rmu, rsig, ra, re, rv = ref_attend(F.tolist(), Wm.tolist(), Ws.tolist(),
                                            beta, Z)
         worst = max(worst,

@@ -84,25 +84,24 @@ def test_learn_std_floor_with_nonnegative_features():
     # sigmoid to exact zero; the floor must keep sigma strictly positive
     F = np.abs(np.random.default_rng(2).normal(1, 0.2, size=(8, 4))) + 1.0
     w = np.full((1, 4), -500.0)
-    _, cache = attend_forward(F, np.zeros((1, 4)), w, 10.0, 10, _all_frames(F))
+    cache = attend_forward(F, np.zeros((1, 4)), w, 10.0, 10, _all_frames(F))
     assert cache["sigma"][0] == min(1e-3, 0.5 * 8 / 10)
 
 
 def test_gaussian_weights_shape_and_peak():
-    F = np.random.default_rng(10).normal(size=(7, 3))
+    every_frame = np.ones(7, dtype=bool)
     mu, sigma = np.array([0.4, 0.1]), np.array([0.1, 1e-3])
-    v, cache = gaussian_pool_forward(F, mu, sigma, 10, _all_frames(F))
+    cache = gaussian_pool_forward(mu, sigma, 10, every_frame)
     a, e = cache["a"], cache["e"]
-    assert a.shape == e.shape == (2, 7) and v.shape == (2, 3)
+    assert a.shape == e.shape == (2, 7)
     assert np.all(a > 0) and np.all(a <= 1.0)
     assert int(np.argmax(a[0])) == 3  # t=4 -> t/Z = 0.4
     # far from a narrow head the log-weight is clamped, not underflowed
     assert a[1, 0] == 1.0 and np.all(a[1, 1:] == np.exp(-700.0))
     assert np.array_equal(cache["clamped"], [[False] * 7, [False] + [True] * 6])
     assert np.allclose(e.sum(axis=1), 1.0, atol=1e-12)
-    assert np.allclose(v, e @ F, atol=1e-15)
     scale = np.array([3.0, -2.0])
-    _, scaled = gaussian_pool_forward(F, mu, sigma, 10, _all_frames(F), scale)
+    scaled = gaussian_pool_forward(mu, sigma, 10, every_frame, scale)
     q = scale[:, None] * a
     ref = np.exp(q - q.max(axis=1, keepdims=True))
     assert np.allclose(scaled["e"], ref / ref.sum(axis=1, keepdims=True), atol=1e-12)
@@ -118,14 +117,15 @@ def test_gaussian_pool_backward_finite_difference(with_scale):
     scale = rng.normal(size=K) * 2.0 if with_scale else None
     dv = rng.normal(size=(K, d))
 
+    # the loss pools the weights as Model.forward_video does, v = e @ F
     def loss():
-        v, _ = gaussian_pool_forward(F, mu, sigma, Z, _all_frames(F), scale)
-        return float((v * dv).sum())
+        e = gaussian_pool_forward(mu, sigma, Z, _all_frames(F), scale)["e"]
+        return float((e @ F * dv).sum())
 
-    _, cache = gaussian_pool_forward(F, mu, sigma, Z, _all_frames(F), scale)
-    dmu, dsigma, dscale, dF = gaussian_pool_backward(cache, dv, need_dF=True)
+    cache = gaussian_pool_forward(mu, sigma, Z, _all_frames(F), scale)
+    dmu, dsigma, dscale = gaussian_pool_backward(cache, dv @ F.T)
     assert (dscale is None) == (scale is None)
-    checked = [(mu, dmu), (sigma, dsigma), (F, dF)]
+    checked = [(mu, dmu), (sigma, dsigma)]
     if with_scale:
         checked.append((scale, dscale))
     eps = 1e-6
@@ -146,7 +146,8 @@ def test_attend_matches_per_head_composition():
     for _ in range(30):
         F, Wm, Ws, Z = _random_setup(rng)
         beta = float(rng.uniform(1, 50))
-        got, cache = attend_forward(F, Wm, Ws, beta, Z, _all_frames(F))
+        cache = attend_forward(F, Wm, Ws, beta, Z, _all_frames(F))
+        got = cache["e"] @ F
         mu, sig, a, e, v = ref_attend(F.tolist(), Wm.tolist(), Ws.tolist(), beta, Z)
         assert np.allclose(cache["mu"], mu, atol=1e-12)
         assert np.allclose(cache["sigma"], sig, atol=1e-12)
@@ -160,7 +161,8 @@ def test_attend_normalization_and_ranges():
     for _ in range(100):
         F, Wm, Ws, Z = _random_setup(rng)
         T = F.shape[0]
-        v, cache = attend_forward(F, Wm, Ws, float(rng.uniform(1, 200)), Z, _all_frames(F))
+        cache = attend_forward(F, Wm, Ws, float(rng.uniform(1, 200)), Z, _all_frames(F))
+        v = cache["e"] @ F
         assert np.allclose(cache["e"].sum(axis=1), 1.0, atol=1e-12)
         assert np.all(cache["mu"] >= 1.0 / Z - 1e-12)
         assert np.all(cache["mu"] <= T / Z + 1e-12)
@@ -182,11 +184,12 @@ def test_attend_backward_finite_difference():
         dv = rng.normal(size=(2, 3))
 
         def loss(Wm_, Ws_):
-            v, _ = attend_forward(F, Wm_, Ws_, beta, Z, _all_frames(F))
-            return float((v * dv).sum())
+            e = attend_forward(F, Wm_, Ws_, beta, Z, _all_frames(F))["e"]
+            return float((e @ F * dv).sum())
 
-        _, cache = attend_forward(F, Wm, Ws, beta, Z, _all_frames(F))
-        dWm, dWs, _ = attend_backward(cache, dv, need_dF=False)
+        cache = attend_forward(F, Wm, Ws, beta, Z, _all_frames(F))
+        dWm, dWs, dF = attend_backward(cache, dv @ F.T, None)
+        assert dF is None
         eps = 1e-6
         for W, dW in ((Wm, dWm), (Ws, dWs)):
             for idx in np.ndindex(W.shape):
@@ -204,15 +207,16 @@ def test_attend_backward_dF_finite_difference():
     rng = np.random.default_rng(6)
     F, Wm, Ws, Z = _random_setup(rng, T=4, d=3, K=2)
     dv = rng.normal(size=(2, 3))
-    _, cache = attend_forward(F, Wm, Ws, 5.0, Z, _all_frames(F))
-    _, _, dF = attend_backward(cache, dv, need_dF=True)
+    # F's gradient is the pooling's, e^T @ dv, plus the kernel's through the scores
+    cache = attend_forward(F, Wm, Ws, 5.0, Z, _all_frames(F))
+    _, _, dF = attend_backward(cache, dv @ F.T, cache["e"].T @ dv)
     eps = 1e-6
     for idx in np.ndindex(F.shape):
         orig = F[idx]
         F[idx] = orig + eps
-        tp, _ = attend_forward(F, Wm, Ws, 5.0, Z, _all_frames(F))
+        tp = attend_forward(F, Wm, Ws, 5.0, Z, _all_frames(F))["e"] @ F
         F[idx] = orig - eps
-        tm, _ = attend_forward(F, Wm, Ws, 5.0, Z, _all_frames(F))
+        tm = attend_forward(F, Wm, Ws, 5.0, Z, _all_frames(F))["e"] @ F
         F[idx] = orig
         num = ((tp - tm) * dv).sum() / (2 * eps)
         assert abs(dF[idx] - num) < 1e-6
@@ -223,9 +227,9 @@ def test_sigma_floor_blocks_gradient():
     F = np.abs(rng.normal(1.0, 0.2, size=(6, 3))) + 1.0
     Wm = rng.normal(size=(2, 3))
     Ws = np.full((2, 3), -500.0)  # sigma pinned at the floor
-    _, cache = attend_forward(F, Wm, Ws, 5.0, 8, _all_frames(F))
+    cache = attend_forward(F, Wm, Ws, 5.0, 8, _all_frames(F))
     assert np.all(cache["sigma_floored"])
-    _, dWs, _ = attend_backward(cache, rng.normal(size=(2, 3)), need_dF=False)
+    _, dWs, _ = attend_backward(cache, rng.normal(size=(2, 3)) @ F.T, None)
     assert np.allclose(dWs, 0.0)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,7 +69,30 @@ def test_gen_rejects_features_that_float32_cannot_hold(tmp_path, capsys, flag):
     assert rc == 2
     assert "does not fit float32" in capsys.readouterr().err
     assert not (out / "manifest.csv").exists()
-    assert list((out / "features").iterdir()) == []
+    assert not (out / "features").exists()
+
+
+def test_gen_writes_nothing_unless_every_video_fits(tmp_path, capsys):
+    # at this noise the first video fits float32 and a later one does not
+    argv = ["--classes", "3", "--videos-per-class", "2", "--dim", "4", "--noise", "1.5e38"]
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+                if p.is_file()}
+
+    fresh = tmp_path / "fresh"
+    assert cli_dispatch(["gen", "--out", str(fresh), *argv]) == 2
+    assert "does not fit float32" in capsys.readouterr().err
+    assert not (fresh / "features").exists() and not (fresh / "manifest.csv").exists()
+    # a failed run leaves an earlier dataset byte for byte as it was
+    earlier = tmp_path / "earlier"
+    assert cli_dispatch(["gen", "--out", str(earlier), "--classes", "3",
+                         "--videos-per-class", "2", "--dim", "4"]) == 0
+    before = tree(earlier)
+    assert Path("features/class000_v000.fvf") in before
+    assert cli_dispatch(["gen", "--out", str(earlier), *argv]) == 2
+    assert "does not fit float32" in capsys.readouterr().err
+    assert tree(earlier) == before
 
 
 def test_train_writes_checkpoint_and_log(checkpoint):
