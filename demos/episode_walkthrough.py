@@ -58,7 +58,7 @@ def main():
     print("step 4: retrain only the classifier head on the support videos,")
     print("then classify the query videos")
     result = run_episodes(model, novel, dataclasses.replace(spec, num_episodes=1)).results[0]
-    print("  (the attention parameters and batch-norm stats are frozen; a unit")
+    print("  (the attention parameters are frozen; a unit")
     print("   test checks they come back bit-identical)")
     for seq in queries:
         mark = "ok" if result.per_class[seq.label] else "WRONG"

@@ -75,7 +75,6 @@ def _build_parser():
         p.add_argument("--beta", type=float, default=1e3)
         p.add_argument("--projection-stage", choices=PROJECTION_STAGES, default="post")
         p.add_argument("--hidden", type=int, default=64)
-        p.add_argument("--batch-norm", action="store_true")
         p.add_argument("--epochs", type=int, default=60)
         p.add_argument("--lr", type=float, default=2e-3)
         p.add_argument("--decay-every", type=int, default=50,
@@ -210,7 +209,7 @@ def _train_model(args, train_seqs, val_seqs):
         num_gaussians=args.k_gaussians, beta=args.beta, Z=Z,
         feature_dim=train_seqs[0].d, hidden=args.hidden,
         num_classes=len(labels), projection_stage=args.projection_stage,
-        dropout=args.dropout, batch_norm=args.batch_norm)
+        dropout=args.dropout)
     model = Model(mcfg, np.random.default_rng(args.seed))
     tcfg = TrainConfig(lr0=args.lr, decay_every=args.decay_every,
                        batch_size=args.batch_size, epochs=args.epochs,
@@ -235,8 +234,7 @@ def _train_model(args, train_seqs, val_seqs):
 def _cmd_train(args) -> int:
     train_seqs, val_seqs, _ = _load_splits(args.data)
     model, labels, log = _train_model(args, train_seqs, val_seqs)
-    meta = dict(model_config=model.config_dict(), labels=labels,
-                bn_mean=model.bn_mean.tolist(), bn_var=model.bn_var.tolist())
+    meta = dict(model_config=model.config_dict(), labels=labels)
     io_files.save_checkpoint(args.out, model.params, meta)
     if args.log:
         io_files.write_csv(
@@ -258,21 +256,7 @@ def _load_model(checkpoint) -> Model:
     params, meta = io_files.load_checkpoint(checkpoint)
     if not isinstance(meta, dict) or "model_config" not in meta:
         raise FormatError(f"{checkpoint}: metadata has no model_config")
-    model = Model.from_config(meta["model_config"], params)
-    # clta train records both running stats; a batch-norm model cannot do without them.
-    # JSON gives NaN and Infinity as floats and true as a bool, an int subclass; a
-    # NaN fails the bounds, which compare an int of any size exactly. The forward
-    # takes the square root of a variance, so none may be negative
-    for name, least, rule in (("bn_mean", -sys.float_info.max, ""), ("bn_var", 0, " >= 0")):
-        if name in meta or model.cfg.batch_norm:
-            stats = meta.get(name)
-            if not (isinstance(stats, list) and len(stats) == model.cfg.hidden
-                    and all(type(x) in (int, float) and least <= x <= sys.float_info.max
-                            for x in stats)):
-                raise FormatError(f"{checkpoint}: metadata needs {name} as "
-                                  f"{model.cfg.hidden} finite numbers{rule}")
-            setattr(model, name, np.asarray(stats, dtype=np.float64))
-    return model
+    return Model.from_config(meta["model_config"], params)
 
 
 def _cmd_eval(args) -> int:

@@ -16,9 +16,6 @@ from . import classifiers as cls
 from .errors import ConfigError, ShapeError, TrainingError
 from .numerics import cross_entropy, relu, sum_outer
 
-_BN_EPS = 1e-5
-_BN_MOMENTUM = 0.99
-
 
 def _clta_init(rng, K, attn_dim, cfg):
     # keep beta * scores in the soft regime at init, otherwise the soft-argmax
@@ -70,8 +67,8 @@ class ModelConfig:
     hidden: int = 64
     num_classes: int = 5
     projection_stage: str = "post"     # post | pre
-    dropout: float = 0.9
-    batch_norm: bool = False
+    dropout: float = 0.0
+    batch_norm: bool = False           # removed: False is the one legal value
 
     def __post_init__(self):
         for label, value, allowed in (
@@ -83,6 +80,8 @@ class ModelConfig:
                 raise ConfigError(f"unknown {label} {value!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.batch_norm is not False:
+            raise ConfigError(f"batch norm is no longer supported (batch_norm={self.batch_norm!r})")
         # one range for beta, a factor 1e8 inside the float64 limits: the init's
         # W_mean, standard-normal draws times 1 / (beta * sqrt(attn_dim)), and that
         # divisor stay finite for any array-sized attn_dim. JSON gives NaN and
@@ -116,9 +115,6 @@ class Model:
         p.update(_KINDS[cfg.kind][0](rng, K, attn_dim, cfg))
         if cfg.fusion == "soft_weight":
             p["soft_logits"] = np.zeros(K)
-        if cfg.batch_norm:
-            p["bn_gamma"] = np.ones(h)
-            p["bn_beta"] = np.zeros(h)
         if cfg.classifier == "softmax":
             p["cls_W"] = np.zeros((h, c))
             p["cls_b"] = np.zeros(c)
@@ -126,7 +122,7 @@ class Model:
             p["cls_proto"] = rng.standard_normal((c, h)) / np.sqrt(h)
             p["cls_temp"] = np.array([cls.INIT_TEMPERATURE])
         self.params = p
-        # batch-norm running stats; treated as constants by the backward pass
+        # the removed batch norm's running stats; only benchmarks/ reads or sets them
         self.bn_mean = np.zeros(h)
         self.bn_var = np.ones(h)
 
@@ -195,36 +191,17 @@ class Model:
 
         if cfg.projection_stage == "post":
             x0 = V @ p["proj_W"].T + p["proj_b"]      # (B, h)
-            r = relu(x0)
+            y = relu(x0)
             cache["post_x0"] = x0
             cache["V_in"] = V
         else:
-            r = V
+            y = V
 
-        if cfg.batch_norm:
-            if train:
-                # running stats move one video at a time; each is normalized by its own update
-                mean, var = np.empty_like(r), np.empty_like(r)
-                for i, row in enumerate(r):
-                    self.bn_mean = _BN_MOMENTUM * self.bn_mean + (1 - _BN_MOMENTUM) * row
-                    self.bn_var = _BN_MOMENTUM * self.bn_var + (1 - _BN_MOMENTUM) * (row - self.bn_mean) ** 2
-                    mean[i], var[i] = self.bn_mean, self.bn_var
-            else:
-                mean, var = self.bn_mean, self.bn_var
-            denom = np.sqrt(var + _BN_EPS)
-            rhat = (r - mean) / denom
-            y1 = p["bn_gamma"] * rhat + p["bn_beta"]
-            cache["bn_rhat"] = rhat
-            cache["bn_denom"] = denom
-        else:
-            y1 = r
-
-        y = y1
         if train and cfg.dropout > 0.0:
             if rng is None:
                 raise ConfigError("training-mode forward with dropout needs an rng")
-            cache["drop_mask"] = (rng.random(y1.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
-            y = y1 * cache["drop_mask"]
+            cache["drop_mask"] = (rng.random(y.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+            y = y * cache["drop_mask"]
 
         cache["y"] = y
         logits, cache["cos"] = cls.head_forward(y, self._head()[0])
@@ -240,14 +217,7 @@ class Model:
         for name, d in zip(names, dhead):
             grads[name] += d
 
-        dy1 = dy * cache.get("drop_mask", 1.0)
-        if cfg.batch_norm:
-            grads["bn_gamma"] += (dy1 * cache["bn_rhat"]).sum(axis=0)
-            grads["bn_beta"] += dy1.sum(axis=0)
-            dr = dy1 * p["bn_gamma"] / cache["bn_denom"]
-        else:
-            dr = dy1
-
+        dr = dy * cache.get("drop_mask", 1.0)
         if cfg.projection_stage == "post":
             dx0 = dr * (cache["post_x0"] > 0)
             grads["proj_W"] += dx0.T @ cache["V_in"]

@@ -3,14 +3,14 @@ from which Model.forward_video draws its inverted-dropout masks.
 
 Minibatches of variable-length sequences go through the model in zero-padded
 chunks with a frame mask, taken in stable length order within a minibatch, which
-gives the loss, gradients, batch-norm stats and dropout masks of the videos run
-one at a time in that order, up to float summation order.
+gives the loss, gradients and dropout masks of the videos run one at a time in
+that order, up to float summation order.
 
 Each training video goes through the model once per epoch. The logged train
 accuracy comes from the logits of that gradient pass, whose losses the logged
-train loss averages: training mode (dropout, batch-norm updates), at the
-parameters of the step that saw the video. loss_and_grads(model, train_set)[2]
-counts the videos that eval mode classifies correctly at the end of an epoch.
+train loss averages: training mode (with dropout), at the parameters of the
+step that saw the video. loss_and_grads(model, train_set)[2] counts the videos
+that eval mode classifies correctly at the end of an epoch.
 """
 
 import logging
@@ -47,7 +47,7 @@ class TrainConfig:
     decay_every: int = 5
     batch_size: int = 128
     epochs: int = 20
-    dropout_rate: float = 0.9
+    dropout_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -126,9 +126,8 @@ def train(model: Model, train_set, cfg: TrainConfig, val_metric=None) -> list[Ep
     / len(pairs) after an epoch gives the eval-mode accuracy on pairs at its
     final parameters. When given, val_metric(model) scores every epoch (e.g.
     an episodic probe on held-out classes, or that accuracy on held-out
-    videos), and the parameters of the best epoch, with their batch-norm
-    running stats, are restored at the end; without it the last epoch's
-    parameters are kept.
+    videos), and the parameters of the best epoch are restored at the end;
+    without it the last epoch's parameters are kept.
     """
     if not train_set:
         raise ConfigError("empty training set")
@@ -154,13 +153,12 @@ def train(model: Model, train_set, cfg: TrainConfig, val_metric=None) -> list[Ep
         val_acc = None if val_metric is None else val_metric(model)
         if val_acc is not None and val_acc > best_val:
             best_val = val_acc
-            best = ({k: v.copy() for k, v in model.params.items()},
-                    model.bn_mean.copy(), model.bn_var.copy())
+            best = {k: v.copy() for k, v in model.params.items()}
         records.append(EpochRecord(epoch, lr, epoch_loss / len(train_set),
                                    correct / len(train_set), val_acc))
 
     if best is not None:
-        model.params, model.bn_mean, model.bn_var = best
+        model.params = best
     elif cfg.epochs > 0:
         log.warning("no validation signal: keeping last-epoch parameters")
     return records

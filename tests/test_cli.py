@@ -411,52 +411,6 @@ def test_eval_and_ablate_reject_episode_counts_below_one(dataset_dir, checkpoint
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.fixture
-def bn_checkpoint(tmp_path):
-    """A batch-norm checkpoint for the test data, and its good metadata."""
-    cfg = ModelConfig(Z=40, feature_dim=24, hidden=16, num_classes=8, batch_norm=True)
-    model = Model(cfg, np.random.default_rng(0))
-    good = dict(model_config=model.config_dict(), labels=[f"c{i}" for i in range(8)],
-                bn_mean=[0.5] * 16, bn_var=[2.0] * 16)
-    ckpt = tmp_path / "m.ckpt"
-    io_files.save_checkpoint(ckpt, model.params, good)
-    return ckpt, good
-
-
-def test_checkpoint_metadata_is_checked(dataset_dir, bn_checkpoint, capsys):
-    ckpt, good = bn_checkpoint
-    assert _eval_exit_code(dataset_dir, ckpt) == 0
-    assert np.array_equal(_load_model(ckpt).bn_var, np.full(16, 2.0))
-    meta = ckpt.parent / (ckpt.name + ".meta.json")
-    bad = [({}, "model_config"),
-           (dict(good, model_config=dict(good["model_config"], colour="red")), "colour"),
-           (dict(good, bn_mean=[0.5] * 15), "bn_mean"),
-           ({k: v for k, v in good.items() if k != "bn_var"}, "bn_var")]
-    for broken, named in bad:
-        meta.write_text(json.dumps(broken))
-        capsys.readouterr()
-        assert _eval_exit_code(dataset_dir, ckpt) == 2, named
-        assert named in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("name, stats", [
-    ("bn_mean", [0.5] * 15 + [float("nan")]),
-    ("bn_mean", [float("inf")] * 16),
-    ("bn_var", [2.0] * 8 + [float("-inf")] * 8),
-    ("bn_var", [True] * 16),
-    ("bn_mean", [0.5] * 15 + [10 ** 400]),
-    ("bn_var", [-1.0] * 16),
-], ids=["NaN", "Infinity", "-Infinity", "true", "int beyond float64", "negative variance"])
-def test_non_finite_or_boolean_bn_stats_exit_2(dataset_dir, bn_checkpoint, capsys,
-                                              name, stats):
-    ckpt, good = bn_checkpoint
-    meta = ckpt.parent / (ckpt.name + ".meta.json")
-    meta.write_text(json.dumps(dict(good, **{name: stats})))
-    assert _eval_exit_code(dataset_dir, ckpt) == 2
-    assert (f"error: {ckpt}: metadata needs {name} as 16 finite numbers"
-            in capsys.readouterr().err)
-
-
 @pytest.mark.parametrize("argv", [
     ["train", "--epochs", "2", "--log", "{out}/log.csv", "--out", "{out}/m.ckpt"],
     ["ablate", "--sweep", "fusion", "--epochs", "1", "--n-way", "2", "--episodes", "4",
@@ -495,6 +449,56 @@ def broken_checkpoint(checkpoint, tmp_path):
     meta = tmp_path / "m.ckpt.meta.json"
     meta.write_bytes((checkpoint.parent / "model.ckpt.meta.json").read_bytes())
     return ckpt, meta
+
+
+def test_checkpoint_metadata_is_checked(dataset_dir, broken_checkpoint, capsys):
+    ckpt, meta = broken_checkpoint
+    good = json.loads(meta.read_text())
+    for broken, named in (({}, "model_config"),
+                          (dict(good, model_config=dict(good["model_config"], colour="red")),
+                           "colour")):
+        meta.write_text(json.dumps(broken))
+        assert _eval_exit_code(dataset_dir, ckpt) == 2, named
+        assert named in capsys.readouterr().err
+
+
+def test_a_sidecar_with_batch_norm_stats_evaluates_as_without_them(dataset_dir,
+                                                                    broken_checkpoint, capsys):
+    # sidecars written while the model had batch norm record it off, with the
+    # untouched running stats; those keys are ignored
+    ckpt, meta = broken_checkpoint
+    good = json.loads(meta.read_text())
+    assert good["model_config"]["batch_norm"] is False
+    argv = ["eval", "--data", str(dataset_dir / "manifest.csv"), "--checkpoint", str(ckpt),
+            "--n-way", "2", "--episodes", "10", "--seed", "5"]
+    assert cli_dispatch(argv) == 0
+    line = capsys.readouterr().out
+    hidden = good["model_config"]["hidden"]
+    meta.write_text(json.dumps(dict(good, bn_mean=[0.0] * hidden, bn_var=[1.0] * hidden)))
+    assert cli_dispatch(argv) == 0
+    assert capsys.readouterr().out == line
+
+
+def test_a_batch_norm_sidecar_exits_2(dataset_dir, broken_checkpoint, capsys):
+    ckpt, meta = broken_checkpoint
+    good = json.loads(meta.read_text())
+    meta.write_text(json.dumps(dict(good, model_config=dict(good["model_config"],
+                                                            batch_norm=True))))
+    assert _eval_exit_code(dataset_dir, ckpt) == 2
+    assert "error: batch norm is no longer supported" in capsys.readouterr().err
+
+
+def test_batch_norm_is_no_longer_a_flag_or_config_key(dataset_dir, tmp_path, capsys):
+    train = ["train", "--data", str(dataset_dir / "manifest.csv"), "--out", str(tmp_path / "m")]
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs=1\nbatch-norm=true\n")
+    assert cli_dispatch([*train, "--config", str(cfg)]) == 2
+    assert f"{cfg}:2: unknown key 'batch-norm'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch([*train, "--batch-norm"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --batch-norm" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "dump-attention"])
@@ -595,13 +599,15 @@ def test_config_file_defaults_and_flag_precedence(dataset_dir, tmp_path):
     assert rc == 0
     params, meta = io_files.load_checkpoint(ckpt)
     assert meta["model_config"]["hidden"] == 32  # so does its --flag=value form
-    cfg.write_text("epochs=1\nhidden=16\nbatch-norm=true\n")
+    cfg.write_text("epochs=1\nhidden=16\ndeterministic-output=true\n")
+    log = tmp_path / "log.csv"
     rc = cli_dispatch(["train", "--data", str(dataset_dir / "manifest.csv"),
-                       "--out", str(ckpt), "--config", str(cfg), "--seed", "0"])
+                       "--out", str(ckpt), "--log", str(log), "--config", str(cfg),
+                       "--seed", "0"])
     assert rc == 0
     params, meta = io_files.load_checkpoint(ckpt)
     assert meta["model_config"]["hidden"] == 16  # the file fills what flags omit
-    assert meta["model_config"]["batch_norm"] is True
+    assert log.read_text().startswith("epoch,")  # the on/off flag too: no timestamp line
 
 
 def test_config_file_supplies_required_flags(dataset_dir, tmp_path, capsys):
@@ -649,14 +655,15 @@ def test_config_file_boolean_values(tmp_path, capsys):
     cfg = tmp_path / "flags.cfg"
     for value, expected in (("no", False), ("FALSE", False), ("0", False),
                             ("Yes", True), ("true", True), ("1", True)):
-        cfg.write_text(f"batch-norm={value}\n")
-        assert _config_defaults(cfg, flags) == {"batch_norm": expected}
+        cfg.write_text(f"deterministic-output={value}\n")
+        assert _config_defaults(cfg, flags) == {"deterministic_output": expected}
     # a value that is neither is an error, not a silent False
-    cfg.write_text("batch-norm=on\n")
+    cfg.write_text("deterministic-output=on\n")
     rc = cli_dispatch(["train", "--data", "unused.csv", "--out", str(tmp_path / "m.ckpt"),
                        "--config", str(cfg)])
     assert rc == 2
-    assert f"{cfg}:1: invalid boolean value 'on' for key 'batch-norm'" in capsys.readouterr().err
+    assert (f"{cfg}:1: invalid boolean value 'on' for key 'deterministic-output'"
+            in capsys.readouterr().err)
 
 
 def test_config_file_that_is_not_utf8_names_file_and_byte(tmp_path, capsys):

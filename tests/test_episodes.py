@@ -146,21 +146,16 @@ def test_retrain_classifier_rejects_unlabelled_support_videos():
 
 
 def test_retrain_leaves_attention_untouched():
-    # params and batch-norm running stats come back bit-identical, for either head
-    rng = np.random.default_rng(2)
-    novel = _novel_set(rng)
+    # params come back bit-identical, for either head
+    novel = _novel_set(np.random.default_rng(2))
     for head in ("softmax", "cosine"):
         cfg = ModelConfig(kind="clta", classifier=head, num_gaussians=2, beta=10.0, Z=10,
-                          feature_dim=5, hidden=8, num_classes=4, dropout=0.0,
-                          batch_norm=True)
+                          feature_dim=5, hidden=8, num_classes=4, dropout=0.0)
         model = Model(cfg, np.random.default_rng(0))
-        model.bn_mean, model.bn_var = rng.normal(size=8), rng.uniform(0.5, 2.0, size=8)
         before = {k: v.tobytes() for k, v in model.params.items()}
-        stats = (model.bn_mean.tobytes(), model.bn_var.tobytes())
         run_episodes(model, novel, EpisodeSpec(n_way=5, k_shot=2, num_episodes=3,
                                                retrain_epochs=5))
         assert {k: v.tobytes() for k, v in model.params.items()} == before
-        assert (model.bn_mean.tobytes(), model.bn_var.tobytes()) == stats
 
 
 def test_run_episodes_rejects_overlong_videos(monkeypatch):

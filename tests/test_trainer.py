@@ -113,10 +113,9 @@ def _toy_problem(seed=0, n_classes=3, per_class=8, d=4):
     return pairs
 
 
-def _toy_model(seed=0, kind="avg", d=4, n_classes=3, batch_norm=False, dropout=0.0):
+def _toy_model(seed=0, kind="avg", d=4, n_classes=3, dropout=0.0):
     cfg = ModelConfig(kind=kind, num_gaussians=2, beta=10.0, Z=8, feature_dim=d,
-                      hidden=8, num_classes=n_classes, dropout=dropout,
-                      batch_norm=batch_norm)
+                      hidden=8, num_classes=n_classes, dropout=dropout)
     return Model(cfg, np.random.default_rng(seed))
 
 
@@ -155,22 +154,6 @@ def test_best_validation_epoch_is_restored():
     assert len(snapshots) == 5
     for k in model.params:
         assert np.array_equal(model.params[k], snapshots[1][k])
-
-
-def test_best_epoch_restores_its_batch_norm_stats():
-    pairs = _toy_problem()
-    model = _toy_model(batch_norm=True)
-    cfg = TrainConfig(lr0=5e-3, epochs=3, batch_size=8, dropout_rate=0.0, seed=0)
-    snapshots = []
-
-    def val_metric(m):
-        snapshots.append((m.bn_mean.copy(), m.bn_var.copy()))
-        return 1.0 if len(snapshots) == 1 else 0.0  # epoch 0 is "best"
-
-    train(model, pairs, cfg, val_metric=val_metric)
-    assert not np.array_equal(snapshots[0][0], snapshots[-1][0])
-    assert np.array_equal(model.bn_mean, snapshots[0][0])
-    assert np.array_equal(model.bn_var, snapshots[0][1])
 
 
 def test_val_set_accuracy_recorded():
@@ -245,11 +228,8 @@ def test_train_loss_is_the_per_video_mean_loss(monkeypatch):
         assert record.train_loss != np.mean([loss for loss, _ in batches])
 
 
-@pytest.mark.parametrize("kind,dropout,batch_norm", [("avg", 0.0, False), ("clta", 0.0, False),
-                                                     ("avg", 0.3, False), ("clta", 0.3, True),
-                                                     ("avg", 0.0, True)])
-def test_train_acc_is_the_accuracy_of_the_training_mode_logits(monkeypatch, kind, dropout,
-                                                               batch_norm):
+@pytest.mark.parametrize("kind,dropout", [("avg", 0.0), ("clta", 0.0), ("avg", 0.3), ("clta", 0.3)])
+def test_train_acc_is_the_accuracy_of_the_training_mode_logits(monkeypatch, kind, dropout):
     pairs = _toy_problem()
     target = {F.tobytes(): c for F, c in pairs}
     seen = []   # (correct, train) per video, in forward order
@@ -263,7 +243,7 @@ def test_train_acc_is_the_accuracy_of_the_training_mode_logits(monkeypatch, kind
 
     monkeypatch.setattr(Model, "forward_video", recording_forward)
     cfg = TrainConfig(lr0=5e-3, epochs=6, batch_size=8, dropout_rate=dropout, seed=2)
-    records = train(_toy_model(kind=kind, dropout=dropout, batch_norm=batch_norm), pairs, cfg)
+    records = train(_toy_model(kind=kind, dropout=dropout), pairs, cfg)
     assert len(seen) == cfg.epochs * len(pairs) and all(t for _, t in seen)
     per_epoch = np.array([ok for ok, _ in seen]).reshape(cfg.epochs, len(pairs))
     assert [r.train_acc for r in records] == list(per_epoch.mean(axis=1))
