@@ -39,14 +39,16 @@ _SIGMA_FLOOR = 1e-3
 
 @dataclass
 class FrameSequence:
-    """One video: a (T, d) float64 feature matrix plus optional label."""
+    """One video: a (T, d) feature matrix plus optional label. A float32 matrix,
+    as read from a feature file, stays float32; any other input becomes float64."""
 
     features: np.ndarray
     label: str | None = None
     video_id: str = ""
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        keep = getattr(self.features, "dtype", None) == np.float32
+        self.features = np.asarray(self.features, dtype=np.float32 if keep else np.float64)
         if self.features.ndim != 2 or self.features.shape[0] < 1 or self.features.shape[1] < 1:
             raise ShapeError(f"features must be (T>=1, d>=1), got {self.features.shape}")
         if not np.isfinite(self.features).all():

@@ -1,7 +1,9 @@
 """Binary feature files, manifest CSVs, and checkpoint persistence.
 
 All binary formats are little-endian regardless of host order. Feature
-payloads are float32 on disk; everything is promoted to float64 on read.
+payloads are float32 on disk and stay float32 when loaded, which halves a
+loaded set's memory; the model widens each padded chunk to float64, exactly.
+Checkpoints hold float64.
 """
 
 import csv
@@ -47,7 +49,8 @@ def write_feature_file(path, features: np.ndarray) -> None:
 
 
 def read_feature_file(path, video_id: str = "", label: str | None = None) -> FrameSequence:
-    """Checks header and length here; FrameSequence checks finiteness, once."""
+    """Checks header and length here; FrameSequence checks finiteness, once.
+    The features are the file's float32 values in a native-order array of their own."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12:
@@ -61,7 +64,7 @@ def read_feature_file(path, video_id: str = "", label: str | None = None) -> Fra
     if len(raw) != expected:
         raise FormatError(
             f"{path}: payload truncated at byte {len(raw)} (expected {expected})")
-    data = np.frombuffer(raw, dtype="<f4", offset=12).astype(np.float64).reshape(T, d)
+    data = np.frombuffer(raw, dtype="<f4", offset=12).reshape(T, d).astype(np.float32)
     try:
         return FrameSequence(features=data, label=label, video_id=video_id or Path(path).stem)
     except NumericError:

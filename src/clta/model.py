@@ -251,7 +251,8 @@ _CHUNK = 64
 
 def _padded_chunks(pairs):
     """Yield (F (B, T, d), mask (B, T), targets (B,)) for chunks of up to _CHUNK
-    (F, target) pairs in stable length order, each padded to its longest video."""
+    (F, target) pairs in stable length order, each padded to its longest video.
+    F is float64: here stored float32 features become float64, exactly."""
     dims = sorted({F.shape[-1] for F, _ in pairs})
     if len(dims) > 1:
         raise ShapeError(f"videos of feature dims {dims} cannot share a batch")

@@ -285,3 +285,17 @@ def test_frame_sequence_validation():
     seq = FrameSequence(features=np.ones((3, 2)), label="x", video_id="v0")
     assert seq.T == 3 and seq.d == 2
 
+
+def test_frame_sequence_keeps_float32_and_float64_and_widens_the_rest():
+    values = np.arange(6.0).reshape(3, 2) - 2.5
+    for dtype in (np.float32, np.float64):
+        seq = FrameSequence(features=values.astype(dtype))
+        assert seq.features.dtype == dtype
+        assert np.array_equal(seq.features, values)
+    for features in (values.astype(np.float16), values.astype(">f4"), values.tolist(),
+                     np.arange(6).reshape(3, 2)):
+        seq = FrameSequence(features=features)
+        assert seq.features.dtype == np.float64
+        assert np.array_equal(seq.features, np.asarray(features, dtype=np.float64))
+    with pytest.raises(NumericError):
+        FrameSequence(features=np.array([[0.0, np.inf]], dtype=np.float32))

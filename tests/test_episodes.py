@@ -228,6 +228,23 @@ def test_run_episodes_matches_one_episode_runs():
 
 
 @pytest.mark.parametrize("head", ["softmax", "cosine"])
+def test_run_episodes_gives_the_same_results_on_float32_and_float64_copies(head):
+    # feature files load as float32; episodes must not see the difference
+    novel = _novel_set(np.random.default_rng(6))
+    as32 = [FrameSequence(features=s.features.astype(np.float32), label=s.label,
+                          video_id=s.video_id) for s in novel]
+    as64 = [FrameSequence(features=s.features.astype(np.float64), label=s.label,
+                          video_id=s.video_id) for s in as32]
+    assert {s.features.dtype for s in as32} == {np.dtype(np.float32)}
+    assert {s.features.dtype for s in as64} == {np.dtype(np.float64)}
+    model = _frozen_model(kind="clta")
+    spec = EpisodeSpec(n_way=4, k_shot=2, num_episodes=8, retrain_epochs=5, seed=2, head=head)
+    a, b = run_episodes(model, as32, spec), run_episodes(model, as64, spec)
+    assert a.results == b.results
+    assert (a.mean_acc, a.ci95) == (b.mean_acc, b.ci95)
+
+
+@pytest.mark.parametrize("head", ["softmax", "cosine"])
 def test_run_episodes_spanning_chunks_match_one_episode_runs(head):
     rng = np.random.default_rng(8)
     novel = _novel_set(rng)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from clta import io_files
+from clta.cli import cli_dispatch
 from clta.errors import CltaError, FormatError
+from clta.synth import SPLITS
 
 
 def test_feature_file_roundtrip(tmp_path):
@@ -15,10 +17,10 @@ def test_feature_file_roundtrip(tmp_path):
     path = tmp_path / "v.fvf"
     io_files.write_feature_file(path, F)
     seq = io_files.read_feature_file(path, video_id="v", label="c0")
-    assert seq.features.dtype == np.float64
+    # payload is float32 on disk, and the loaded features keep it, value for value
+    assert seq.features.dtype == np.float32
     assert seq.label == "c0" and seq.video_id == "v"
-    # payload is float32 on disk
-    assert np.allclose(seq.features, F.astype(np.float32), atol=0)
+    assert np.array_equal(seq.features, F.astype(np.float32))
     assert path.stat().st_size == 12 + 4 * 7 * 5
 
 
@@ -85,6 +87,20 @@ def test_manifest_roundtrip(tmp_path):
     test_split = io_files.load_split(mpath, "test")
     assert [s.video_id for s in test_split] == ["d0"]
     assert test_split[0].label == "c2"
+
+
+def test_a_loaded_video_holds_four_bytes_per_feature(tmp_path):
+    # the loaded set is what grows with videos x frames x width: no widening
+    # at load, and no array that still holds the file's bytes
+    assert cli_dispatch(["gen", "--out", str(tmp_path), "--classes", "6",
+                         "--videos-per-class", "2", "--dim", "8", "--seed", "0"]) == 0
+    manifest = tmp_path / "manifest.csv"
+    loaded = [s for split in SPLITS for s in io_files.load_split(manifest, split)]
+    assert len(loaded) == 12
+    for seq in loaded:
+        F = seq.features
+        assert F.dtype == np.float32 and F.dtype.isnative and F.flags.writeable
+        assert F.base is None and F.nbytes == 4 * seq.T * seq.d
 
 
 def test_manifest_validation_errors(tmp_path):

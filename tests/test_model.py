@@ -168,6 +168,40 @@ def test_padded_chunks_take_every_pair_once_in_stable_length_order():
             assert np.array_equal(row[:lens[i]], pairs[i][0])
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_float32_features_give_the_bits_of_their_float64_copies():
+    # feature files load as float32; the model must compute exactly what it
+    # computes on float64 copies of the same values
+    rng = np.random.default_rng(16)
+    F32 = [rng.standard_normal((int(T), 3)).astype(np.float32) for T in rng.integers(1, 8, 9)]
+    F64 = [F.astype(np.float64) for F in F32]
+    targets = [int(t) for t in rng.integers(0, 3, len(F32))]
+    for kind in ("clta", "avg"):
+        model = Model(_small_cfg(kind), rng)
+        model.cfg.dropout = 0.3
+        _randomize_head(model, rng)
+        a, b = (loss_and_grads(model, list(zip(F, targets)), train=True,
+                               rng=np.random.default_rng(3)) for F in (F32, F64))
+        assert _same_bits(a[0], b[0]) and a[2] == b[2], kind
+        for k in model.params:
+            assert _same_bits(a[1][k], b[1][k]), (kind, k)
+        (X32, M32, _), = model_mod._padded_chunks([(F, 0) for F in F32])
+        (X64, M64, _), = model_mod._padded_chunks([(F, 0) for F in F64])
+        assert X32.dtype == X64.dtype == np.float64
+        assert _same_bits(descriptor(model, X32, M32), descriptor(model, X64, M64)), kind
+        assert _same_bits(descriptor(model, F32[0]), descriptor(model, F64[0])), kind
+    # one chunk of both dtypes comes out float64 with every value exact
+    mixed = [(F, i) for i, F in enumerate(F32[:4] + F64[4:])]
+    (X, mask, ids), = model_mod._padded_chunks(mixed)
+    assert X.dtype == np.float64 and not np.any(X[~mask])
+    for row, i in zip(X, ids):
+        assert np.array_equal(row[:len(F64[i])], F64[i])
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_forward_rejects_videos_longer_than_Z(kind):
     rng = np.random.default_rng(15)
