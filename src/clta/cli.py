@@ -87,7 +87,7 @@ def _build_parser():
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--log", default=None,
                    help="training log CSV path; train_acc is the accuracy of each "
-                        "epoch's own training-mode gradient pass, not an eval-mode pass "
+                        "epoch's own gradient pass, with dropout, not a pass without it "
                         "at the end of the epoch")
     train_flags(p)
 
@@ -296,7 +296,7 @@ def _cmd_gradcheck(args) -> int:
 
     def loss_fn(params):
         model.params = params
-        return loss_and_grads(model, batch, train=False)[:2]
+        return loss_and_grads(model, batch)[:2]
 
     err = finite_diff_check(loss_fn, model.params, eps=args.eps)
     print(f"max relative gradient error: {err:.3e}")
@@ -340,7 +340,7 @@ def _cmd_dump_attention(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for F, mask, video_ids in _padded_chunks([(s.features, s.video_id) for s in seqs]):
-        acache = model.forward_video(F, mask=mask)[1]["attn"]
+        acache = model.forward_video(F, mask)[1]["attn"]
         # every kind records weights e (B, K, T); avg has no raw weights a, mu or sigma
         e, a, mu, sigma = (acache.get(key) for key in ("e", "a", "mu", "sigma"))
         for b, (video_id, T) in enumerate(zip(video_ids, mask.sum(axis=1))):

@@ -132,7 +132,7 @@ def _flat(head):
     return buf, type(head)(*(part.reshape(p.shape) for part, p in zip(parts, fields)))
 
 
-def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int, spec: EpisodeSpec):
+def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, spec: EpisodeSpec):
     """Train E heads at once on support X (E, n, h) with labels y (E, n): each
     retrain epoch is one full-batch step on all n rows in row order. Returns
     one head whose stacked parameters view one buffer.
@@ -141,7 +141,7 @@ def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int, spec: Episod
     softmax and its gradient overwrite, and one flat gradient buffer whose
     per-field views the head's backward fills; the cosine head's |X| is taken
     once, since the support rows never change."""
-    E, n, h = X.shape
+    (E, n, h), n_way = X.shape, spec.n_way
     onehot = np.eye(n_way)[y]
     if kind == "softmax":
         init = SoftmaxHead(W=np.zeros((E, h, n_way)), bias=np.zeros((E, 1, n_way)))
@@ -165,7 +165,7 @@ def _fit_heads(kind: str, X: np.ndarray, y: np.ndarray, n_way: int, spec: Episod
 
 
 def _descriptors(frozen_model: Model, videos: list[FrameSequence]) -> np.ndarray:
-    """Eval-mode descriptors (n, h) of the videos, in their order, computed one
+    """Descriptors (n, h), without dropout, of the videos, in their order, computed one
     padded chunk at a time in stable length order."""
     out = np.empty((len(videos), frozen_model.cfg.hidden))
     for F, mask, rows in _padded_chunks([(s.features, i) for i, s in enumerate(videos)]):
@@ -208,7 +208,7 @@ def run_episodes(frozen_model: Model, novel_set: list[FrameSequence],
     correct = []
     for lo in range(0, spec.num_episodes, _CHUNK):
         part = slice(lo, lo + _CHUNK)
-        head = _fit_heads(kind, desc[support[part]], y[part], spec.n_way, spec)
+        head = _fit_heads(kind, desc[support[part]], y[part], spec)
         correct += (head_forward(desc[query[part]], head)[0].argmax(axis=-1)
                     == truth[part]).tolist()
     results = [EpisodeResult(accuracy=sum(ok) / spec.n_way,

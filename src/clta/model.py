@@ -160,14 +160,12 @@ class Model:
 
     # -- forward / backward ---------------------------------------------------
 
-    def forward_video(self, F: np.ndarray, train: bool = False,
-                      rng: np.random.Generator | None = None,
-                      mask: np.ndarray | None = None):
+    def forward_video(self, F: np.ndarray, mask: np.ndarray,
+                      rng: np.random.Generator | None = None):
         """Compute class logits (B, c) for a stack (B, T, d) zero-padded to T with a
-        frame mask (B, T); the one place with defaults: a (T, d) video is a stack of
-        one, and no mask keeps every frame. Returns (logits, cache) for backward_video."""
-        F = np.asarray(F, dtype=np.float64).reshape((-1,) + np.shape(F)[-2:])
-        mask = np.ones(F.shape[:-1], dtype=bool) if mask is None else mask
+        frame mask (B, T), with dropout masks drawn from rng when it is given and
+        cfg.dropout > 0. Returns (logits, cache) for backward_video."""
+        F = np.asarray(F, dtype=np.float64)
         p, cfg = self.params, self.cfg
         if F.shape[-1] != cfg.feature_dim:
             raise ShapeError(f"feature dim {F.shape[-1]} does not match the model's "
@@ -197,9 +195,7 @@ class Model:
         else:
             y = V
 
-        if train and cfg.dropout > 0.0:
-            if rng is None:
-                raise ConfigError("training-mode forward with dropout needs an rng")
+        if rng is not None and cfg.dropout > 0.0:
             cache["drop_mask"] = (rng.random(y.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
             y = y * cache["drop_mask"]
 
@@ -267,21 +263,24 @@ def _padded_chunks(pairs):
 
 
 def descriptor(model: Model, F: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Eval-mode classifier input (frozen attention + head), (B, h) for a stack
-    (B, T, d) with a frame mask (B, T), with forward_video's defaults: (T, d) gives (1, h)."""
-    return model.forward_video(F, train=False, mask=mask)[1]["y"]
+    """Classifier input without dropout (frozen attention + head), (B, h) for a
+    stack (B, T, d) with a frame mask (B, T). With no mask every frame counts,
+    and a lone (T, d) video is a stack of one: it gives (1, h)."""
+    if mask is None:
+        F = np.reshape(F, (-1,) + np.shape(F)[-2:])
+        mask = np.ones(F.shape[:2], dtype=bool)
+    return model.forward_video(F, mask)[1]["y"]
 
 
-def loss_and_grads(model: Model, batch, train: bool = False,
-                   rng: np.random.Generator | None = None):
-    """(mean cross-entropy, mean gradients, correct) over [(F, target), ...]:
-    correct counts the videos whose logits in this same pass put their target first."""
+def loss_and_grads(model: Model, batch, rng: np.random.Generator | None = None):
+    """(mean cross-entropy, mean gradients, correct) over [(F, target), ...], with
+    dropout from rng if given; correct counts the videos this same pass classifies right."""
     if not batch:
         raise ConfigError("empty batch")
     grads = {k: np.zeros_like(v) for k, v in model.params.items()}
     total, correct = 0.0, 0
     for F, mask, y in _padded_chunks(batch):
-        logits, cache = model.forward_video(F, train=train, rng=rng, mask=mask)
+        logits, cache = model.forward_video(F, mask, rng)
         loss, dlogits = cross_entropy(logits, y)
         if not np.all(np.isfinite(loss)):
             raise TrainingError("non-finite loss during batch evaluation")

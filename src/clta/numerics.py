@@ -1,8 +1,8 @@
 """Stable scalar/vector primitives and a finite-difference gradient checker.
 
-All math runs in float64. Every primitive here has a matching analytic
-gradient helper so the rest of the model can chain them by hand, except
-cross_entropy, which returns its loss and gradient together from one pass.
+All math runs in float64. softmax and sigmoid have gradient helpers the model
+chains by hand; callers apply relu's and softplus's gradients (a positive mask,
+sigmoid) themselves, and cross_entropy returns its loss and gradient at once.
 """
 
 import numpy as np

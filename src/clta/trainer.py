@@ -8,9 +8,9 @@ that order, up to float summation order.
 
 Each training video goes through the model once per epoch. The logged train
 accuracy comes from the logits of that gradient pass, whose losses the logged
-train loss averages: training mode (with dropout), at the parameters of the
-step that saw the video. loss_and_grads(model, train_set)[2] counts the videos
-that eval mode classifies correctly at the end of an epoch.
+train loss averages: with dropout, at the parameters of the step that saw the
+video. loss_and_grads(model, train_set)[2] counts the videos that the model
+classifies correctly without dropout at the end of an epoch.
 """
 
 import logging
@@ -108,7 +108,7 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 class EpochRecord:
     """One epoch's log. train_loss is the mean loss over the training videos,
     each counted once, and train_acc the share of them whose logits put their
-    target first, both from the gradient pass's own training-mode forward."""
+    target first, both from the gradient pass's own forward, with dropout."""
     epoch: int
     lr: float
     train_loss: float
@@ -123,7 +123,7 @@ def train(model: Model, train_set, cfg: TrainConfig, val_metric=None) -> list[Ep
     dropout masks both derive from cfg.seed. Each epoch runs every training
     video through the model once, in the gradient pass, and logs its loss and
     accuracy from that pass (see EpochRecord); loss_and_grads(model, pairs)[2]
-    / len(pairs) after an epoch gives the eval-mode accuracy on pairs at its
+    / len(pairs) after an epoch gives the accuracy without dropout on pairs at its
     final parameters. When given, val_metric(model) scores every epoch (e.g.
     an episodic probe on held-out classes, or that accuracy on held-out
     videos), and the parameters of the best epoch are restored at the end;
@@ -146,7 +146,7 @@ def train(model: Model, train_set, cfg: TrainConfig, val_metric=None) -> list[Ep
         epoch_loss, correct = 0.0, 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[start:start + cfg.batch_size]]
-            batch_loss, grads, batch_correct = loss_and_grads(model, batch, train=True, rng=rng)
+            batch_loss, grads, batch_correct = loss_and_grads(model, batch, rng=rng)
             adam_step(model.params, grads, state, lr)
             epoch_loss += batch_loss * len(batch)
             correct += batch_correct

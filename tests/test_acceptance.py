@@ -78,7 +78,7 @@ def test_criterion_1_gradient_check():
 
     def loss_fn(params):
         model.params = params
-        return loss_and_grads(model, batch, train=False)[:2]
+        return loss_and_grads(model, batch)[:2]
 
     err = finite_diff_check(loss_fn, model.params, eps=1e-5)
     _report(1, "analytic gradients match finite differences", err < 1e-4,

@@ -35,7 +35,7 @@ def test_tsf_and_sldg_weights_are_content_blind():
                           rng)
             if kind == "sldg":
                 model.params["scales"] = rng.normal(size=4)
-            e = model.forward_video(F)[1]["attn"]["e"]
+            e = model.forward_video(F, np.ones((2, 9), dtype=bool))[1]["attn"]["e"]
             assert np.allclose(e[0], e[1], atol=1e-15), (kind, stage)
 
 

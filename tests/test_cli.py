@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -263,7 +264,8 @@ def test_dump_attention_traces(dataset_dir, checkpoint, tmp_path):
                 total = sum(float(r[4]) for r in body if r[0] == k)
                 assert abs(total - 1.0) < 1e-9
             # the video's rows of its padded chunk match the video run alone
-            attn = model.forward_video(seq.features)[1]["attn"]
+            attn = model.forward_video(seq.features[None],
+                                       np.ones((1, seq.T), dtype=bool))[1]["attn"]
             for r in body:
                 k, t = int(r[0]), int(r[1])
                 assert r[4] == f"{attn['e'][0, k, t - 1]:.10g}", kind
@@ -519,6 +521,43 @@ def test_checkpoint_with_non_finite_parameter_exits_2(dataset_dir, broken_checkp
     assert (f"error: {ckpt}: non-finite value in parameter 'proj_b' at byte {len(raw) - 8}"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def _block_boundaries(raw):
+    """Byte offsets of a v1 checkpoint where a parameter block starts, from the
+    end of the 5-byte header to the start of the last block."""
+    cuts, off = [], 5
+    while off < len(raw):
+        cuts.append(off)
+        (nlen,) = struct.unpack_from("<I", raw, off)
+        rows, cols = struct.unpack_from("<II", raw, off + 4 + nlen)
+        off += 4 + nlen + 8 + 8 * rows * max(cols, 1)
+    assert off == len(raw)
+    return cuts
+
+
+@pytest.mark.parametrize("flags", [["--model", "clta"], ["--model", "sldg"],
+                                   ["--model", "tsf", "--classifier", "cosine",
+                                    "--fusion", "soft"]], ids=["clta", "sldg", "tsf-cosine-soft"])
+def test_a_checkpoint_cut_at_a_block_boundary_exits_2(dataset_dir, tmp_path, capsys, flags):
+    # load_checkpoint reads such a file as a partial dict; the model names the
+    # first parameter it lacks. cli_dispatch turns only CltaError and OSError
+    # into exit 2, so any other exception fails the test with its traceback
+    full = tmp_path / "full.ckpt"
+    assert cli_dispatch(["train", "--data", str(dataset_dir / "manifest.csv"),
+                         "--out", str(full), "--epochs", "1", *flags]) == 0
+    raw = full.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    Path(f"{cut}.meta.json").write_bytes(Path(f"{full}.meta.json").read_bytes())
+    cuts = _block_boundaries(raw)
+    assert len(cuts) == len(_load_model(full).params)   # the header alone, then each block
+    capsys.readouterr()
+    for end in cuts:
+        cut.write_bytes(raw[:end])
+        assert _eval_exit_code(dataset_dir, cut) == 2, end
+        out, err = capsys.readouterr()
+        assert "error: checkpoint is missing parameter" in err, end
+        assert "Traceback" not in out + err, end
 
 
 def test_checkpoint_sidecar_that_is_not_utf8_exits_2(dataset_dir, broken_checkpoint, capsys):

@@ -318,7 +318,7 @@ def test_stacked_fit_matches_a_plain_fit(head, n_way, k_shot):
     X = rng.normal(size=(E, n_way * k_shot, h))
     y = np.stack([rng.permutation(np.repeat(np.arange(n_way), k_shot)) for _ in range(E)])
     spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, retrain_epochs=epochs)
-    stacked = episodes._fit_heads(head, X, y, n_way, spec)
+    stacked = episodes._fit_heads(head, X, y, spec)
     assert isinstance(stacked, SoftmaxHead if head == "softmax" else CosineHead)
     reference = _reference_softmax_fit if head == "softmax" else _reference_cosine_fit
     for e in range(E):
@@ -345,7 +345,7 @@ def test_fit_heads_raises_on_a_non_finite_descriptor(head, rows):
     y = np.stack([rng.permutation(np.repeat(np.arange(n_way), k_shot)) for _ in range(E)])
     spec = EpisodeSpec(n_way=n_way, k_shot=k_shot, retrain_epochs=epochs)
     with pytest.raises(TrainingError):
-        episodes._fit_heads(head, X, y, n_way, spec)
+        episodes._fit_heads(head, X, y, spec)
 
 
 def test_retrain_classifier_is_bit_identical_to_a_plain_fit(monkeypatch):
@@ -363,12 +363,12 @@ def test_retrain_classifier_is_bit_identical_to_a_plain_fit(monkeypatch):
     model = _frozen_model(kind="clta")
     spec = EpisodeSpec(n_way=5, k_shot=13, num_episodes=1, retrain_epochs=7)
     run_episodes(model, novel, spec)
-    [((kind, X, y, n_way, _), head)] = fitted
+    [((kind, X, y, fit_spec), head)] = fitted
     [(support, query)] = _drawn(novel, spec)
     labels = sorted({novel[j].label for j in query})
     want_X = episodes._descriptors(model, novel)[support]
     want_y = np.array([labels.index(novel[j].label) for j in support])
-    assert kind == "softmax" and n_way == 5
+    assert kind == "softmax" and fit_spec is spec
     assert X[0].tobytes() == want_X.tobytes() and np.array_equal(y[0], want_y)
     want = _reference_softmax_fit(want_X, want_y, 5, spec.retrain_epochs, RETRAIN_LR)
     assert head.W[0].tobytes() == want["W"].tobytes()

@@ -23,6 +23,11 @@ def _small_batch(rng, d=3):
     return [(rng.standard_normal((t, d)), int(rng.integers(0, 3))) for t in (3, 5)]
 
 
+def _alone(F):
+    """(F (1, T, d), mask (1, T)): one (T, d) video as a stack of one, every frame kept."""
+    return F[None], np.ones((1, len(F)), dtype=bool)
+
+
 def _randomize_head(model, rng):
     # zero-init classifier weights pass no gradient to the attention
     if model.cfg.classifier == "softmax":
@@ -50,7 +55,7 @@ def test_gradients_match_finite_differences(kind, classifier, fusion, stage):
 
     def loss_fn(params):
         model.params = params
-        return loss_and_grads(model, batch, train=False)[:2]
+        return loss_and_grads(model, batch)[:2]
 
     err = finite_diff_check(loss_fn, model.params)
     assert err < 1e-5, f"{kind}/{classifier}/{fusion}/{stage}: fd error {err:.3e}"
@@ -70,12 +75,12 @@ def test_training_mode_gradients_match_finite_differences(kind, classifier, fusi
     # gives that unit an exactly zero gradient, which the difference reads as
     # rounding noise; hidden 16 leaves every row here at least two
     (F, mask, _), = model_mod._padded_chunks(batch)
-    y = model.forward_video(F, train=True, rng=np.random.default_rng(0), mask=mask)[1]["y"]
+    y = model.forward_video(F, mask, np.random.default_rng(0))[1]["y"]
     assert ((y != 0).sum(axis=1) >= 2).all()
 
     def loss_fn(params):
         model.params = params
-        return loss_and_grads(model, batch, train=True, rng=np.random.default_rng(0))[:2]
+        return loss_and_grads(model, batch, np.random.default_rng(0))[:2]
 
     err = finite_diff_check(loss_fn, model.params)
     assert err < 1e-5, f"{kind}/{classifier}/{fusion}/{stage}: fd error {err:.3e}"
@@ -92,13 +97,13 @@ def test_padded_row_equals_the_video_run_alone(kind, classifier, fusion, stage, 
     short, longer = rng.standard_normal((T, 3)), rng.standard_normal((6, 3))
     (F, mask, _), = model_mod._padded_chunks([(short, 0), (longer, 1)])
     assert F.shape == (2, 6, 3) and mask.sum(axis=1).tolist() == [T, 6]
-    logits, cache = model.forward_video(F, mask=mask)
-    alone, alone_cache = model.forward_video(short[None], mask=np.ones((1, T), dtype=bool))
+    logits, cache = model.forward_video(F, mask)
+    alone, alone_cache = model.forward_video(*_alone(short))
     assert logits.shape == (2, 3) and alone.shape == (1, 3)
     assert np.allclose(logits[0], alone[0], rtol=0, atol=1e-12)
     # the benchmark compares descriptors of one (T, d) video bit for bit: a stack of one
     one = descriptor(model, short)
-    stacked = descriptor(model, short[None], np.ones((1, T), dtype=bool))
+    stacked = descriptor(model, *_alone(short))
     assert one.shape == (1, model.cfg.hidden)
     assert np.array_equal(one.view(np.uint64), stacked.view(np.uint64))
     assert np.allclose(cache["y"][0], one[0], rtol=0, atol=1e-12)
@@ -140,7 +145,7 @@ def test_summaries_are_the_recorded_weights_times_the_frames(kind, stage):
     lens = np.array([40, 23, 7, 1, 13, 31])
     mask = np.arange(40) < lens[:, None]
     F = np.where(mask[..., None], rng.standard_normal((6, 40, 8)), 0.0)
-    cache = model.forward_video(F, mask=mask)[1]
+    cache = model.forward_video(F, mask)[1]
     G = np.maximum(cache["pre_x0"], 0.0) if stage == "pre" else F
     e, v = cache["attn"]["e"], cache["v"]
     assert np.array_equal(v, e @ G)
@@ -184,8 +189,8 @@ def test_float32_features_give_the_bits_of_their_float64_copies():
         model = Model(_small_cfg(kind), rng)
         model.cfg.dropout = 0.3
         _randomize_head(model, rng)
-        a, b = (loss_and_grads(model, list(zip(F, targets)), train=True,
-                               rng=np.random.default_rng(3)) for F in (F32, F64))
+        a, b = (loss_and_grads(model, list(zip(F, targets)), np.random.default_rng(3))
+                for F in (F32, F64))
         assert _same_bits(a[0], b[0]) and a[2] == b[2], kind
         for k in model.params:
             assert _same_bits(a[1][k], b[1][k]), (kind, k)
@@ -206,9 +211,9 @@ def test_float32_features_give_the_bits_of_their_float64_copies():
 def test_forward_rejects_videos_longer_than_Z(kind):
     rng = np.random.default_rng(15)
     model = Model(_small_cfg(kind, Z=4), rng)
-    model.forward_video(rng.standard_normal((4, 3)))
+    model.forward_video(*_alone(rng.standard_normal((4, 3))))
     with pytest.raises(ConfigError, match="exceeds Z=4"):
-        model.forward_video(rng.standard_normal((5, 3)))
+        model.forward_video(*_alone(rng.standard_normal((5, 3))))
     with pytest.raises(ConfigError, match="exceeds Z=4"):
         loss_and_grads(model, [(rng.standard_normal((2, 3)), 0),
                                (rng.standard_normal((5, 3)), 1)])
@@ -224,9 +229,9 @@ def test_training_mode_matches_one_video_at_a_time():
     ref = copy.deepcopy(model)
     batch = [(rng.standard_normal((int(rng.integers(1, 8)), 3)), int(rng.integers(0, 3)))
              for _ in range(model_mod._CHUNK + 1)]
-    loss, grads, _ = loss_and_grads(model, batch, train=True, rng=np.random.default_rng(5))
+    loss, grads, _ = loss_and_grads(model, batch, np.random.default_rng(5))
     ref_rng = np.random.default_rng(5)
-    singles = [loss_and_grads(ref, [pair], train=True, rng=ref_rng)
+    singles = [loss_and_grads(ref, [pair], ref_rng)
                for pair in sorted(batch, key=lambda p: len(p[0]))]
     assert abs(loss - np.mean([s[0] for s in singles])) < 1e-12
     for k in grads:
@@ -234,11 +239,36 @@ def test_training_mode_matches_one_video_at_a_time():
                            rtol=0, atol=1e-12), k
 
 
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("kind", ["clta", "avg"])
+def test_the_generator_is_drawn_from_exactly_when_there_is_dropout(kind, dropout):
+    # the generator only feeds dropout: with none it is never drawn from, and
+    # leaving it out gives the same bits; with dropout each chunk takes one
+    # draw per descriptor entry, in chunk order
+    rng = np.random.default_rng(zlib.crc32(f"rng/{kind}/{dropout}".encode()))
+    model = Model(dataclasses.replace(_small_cfg(kind), dropout=dropout), rng)
+    _randomize_head(model, rng)
+    batch = [(rng.standard_normal((int(rng.integers(1, 8)), 3)), int(rng.integers(0, 3)))
+             for _ in range(model_mod._CHUNK + 1)]
+    assert len(list(model_mod._padded_chunks(batch))) == 2
+    gen, untouched = np.random.default_rng(4), np.random.default_rng(4)
+    drawn = loss_and_grads(model, batch, gen)
+    plain = loss_and_grads(model, batch)
+    if dropout == 0.0:
+        assert gen.bit_generator.state == untouched.bit_generator.state
+        assert _same_bits(drawn[0], plain[0]) and drawn[2] == plain[2]
+        assert all(_same_bits(drawn[1][k], plain[1][k]) for k in model.params)
+    else:
+        untouched.random(len(batch) * model.cfg.hidden)
+        assert gen.bit_generator.state == untouched.bit_generator.state
+        assert drawn[0] != plain[0]
+
+
 def test_forward_logit_shapes():
     rng = np.random.default_rng(0)
     for kind in MODEL_KINDS:
         model = Model(_small_cfg(kind), rng)
-        logits, _ = model.forward_video(rng.standard_normal((1, 4, 3)))
+        logits, _ = model.forward_video(*_alone(rng.standard_normal((4, 3))))
         assert logits.shape == (1, 3)
         assert np.all(np.isfinite(logits))
 
@@ -247,7 +277,7 @@ def test_descriptor_matches_eval_forward():
     rng = np.random.default_rng(1)
     model = Model(_small_cfg("clta"), rng)
     F = rng.standard_normal((5, 3))
-    _, cache = model.forward_video(F, train=False)
+    _, cache = model.forward_video(*_alone(F))
     assert np.allclose(descriptor(model, F), cache["y"], atol=1e-15)
 
 
@@ -258,10 +288,8 @@ def test_dropout_needs_rng_and_changes_output():
     model = Model(cfg, rng)
     _randomize_head(model, rng)
     F = rng.standard_normal((4, 3))
-    with pytest.raises(ConfigError):
-        model.forward_video(F, train=True)
-    l1, _ = model.forward_video(F, train=True, rng=np.random.default_rng(3))
-    l2, _ = model.forward_video(F, train=False)
+    l1, _ = model.forward_video(*_alone(F), np.random.default_rng(3))
+    l2, _ = model.forward_video(*_alone(F))
     assert not np.allclose(l1, l2)
 
 
@@ -270,13 +298,13 @@ def test_forward_dropout_statistics():
                       dropout=0.3)
     model = Model(cfg, np.random.default_rng(0))
     F = np.ones((3, 1))
-    _, cache = model.forward_video(F, train=True, rng=np.random.default_rng(1))
+    _, cache = model.forward_video(*_alone(F), np.random.default_rng(1))
     mask = cache["drop_mask"]
     kept = mask > 0
     assert abs(kept.mean() - 0.7) < 0.01
     assert np.allclose(mask[kept], 1.0 / 0.7, atol=1e-12)   # inverted scaling
     assert abs(mask.mean() - 1.0) < 0.01                    # unbiased
-    _, cache = model.forward_video(F, train=False)
+    _, cache = model.forward_video(*_alone(F))
     assert "drop_mask" not in cache
 
 
@@ -298,8 +326,8 @@ def test_from_config_roundtrip():
     _randomize_head(model, rng)
     rebuilt = Model.from_config(model.config_dict(), model.params)
     F = rng.standard_normal((4, 3))
-    a, _ = model.forward_video(F)
-    b, _ = rebuilt.forward_video(F)
+    a, _ = model.forward_video(*_alone(F))
+    b, _ = rebuilt.forward_video(*_alone(F))
     assert np.allclose(a, b, atol=1e-15)
 
 
@@ -377,7 +405,7 @@ def test_average_fusion_checkpoint_drops_a_soft_logits_block():
     extra = dict(model.params, soft_logits=np.array([5.0, -5.0]))
     loaded = Model.from_config(model.config_dict(), extra)
     assert "soft_logits" not in loaded.params
-    assert np.array_equal(loaded.forward_video(F)[0], model.forward_video(F)[0])
+    assert np.array_equal(loaded.forward_video(*_alone(F))[0], model.forward_video(*_alone(F))[0])
 
 
 def test_loss_and_grads_empty_batch():

@@ -188,14 +188,14 @@ def test_mixed_length_batches_train_in_padded_chunks():
 
 
 def test_train_runs_no_separate_evaluation_pass(monkeypatch):
-    # train_acc comes from the gradient pass: every forward is a training-mode
-    # one, once per video and epoch, also when a val_metric is given
+    # train_acc comes from the gradient pass: every forward is handed the
+    # dropout generator, once per video and epoch, also when a val_metric is given
     modes = []
     forward = Model.forward_video
 
-    def recording_forward(self, F, train=False, rng=None, mask=None):
-        modes.extend([train] * len(F))
-        return forward(self, F, train=train, rng=rng, mask=mask)
+    def recording_forward(self, F, mask, rng=None):
+        modes.extend([rng is not None] * len(F))
+        return forward(self, F, mask, rng)
 
     monkeypatch.setattr(Model, "forward_video", recording_forward)
     pairs = _toy_problem()
@@ -232,13 +232,13 @@ def test_train_loss_is_the_per_video_mean_loss(monkeypatch):
 def test_train_acc_is_the_accuracy_of_the_training_mode_logits(monkeypatch, kind, dropout):
     pairs = _toy_problem()
     target = {F.tobytes(): c for F, c in pairs}
-    seen = []   # (correct, train) per video, in forward order
+    seen = []   # (correct, given a dropout generator) per video, in forward order
     forward = Model.forward_video
 
-    def recording_forward(self, F, train=False, rng=None, mask=None):
-        logits, cache = forward(self, F, train=train, rng=rng, mask=mask)
+    def recording_forward(self, F, mask, rng=None):
+        logits, cache = forward(self, F, mask, rng)
         for row, m, pred in zip(F, mask, logits.argmax(axis=-1)):
-            seen.append((pred == target[row[m].tobytes()], train))
+            seen.append((pred == target[row[m].tobytes()], rng is not None))
         return logits, cache
 
     monkeypatch.setattr(Model, "forward_video", recording_forward)
