@@ -18,10 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .attention import FrameSequence
-from .errors import FormatError, NumericError
+from .errors import ConfigError, FormatError, NumericError
 from .synth import SPLITS
 
 FEATURE_MAGIC = b"FVF1"
+_FEATURE_HEADER = struct.Struct("<4sII")  # magic, T, d
 CHECKPOINT_MAGIC = b"CLTA"
 CHECKPOINT_VERSION = 1
 MANIFEST_FIELDS = ["video_id", "label", "split", "path"]
@@ -40,7 +41,7 @@ def _feature_bytes(path, features: np.ndarray) -> bytes:
         row, col = np.argwhere(~np.isfinite(payload))[0]
         raise FormatError(f"{path}: value {float(features[row, col])!r} at row {row}, "
                           f"column {col} does not fit float32")
-    return FEATURE_MAGIC + struct.pack("<II", *features.shape) + payload.tobytes()
+    return _FEATURE_HEADER.pack(FEATURE_MAGIC, *features.shape) + payload.tobytes()
 
 
 def write_feature_file(path, features: np.ndarray) -> None:
@@ -51,13 +52,13 @@ def write_feature_file(path, features: np.ndarray) -> None:
 def read_feature_file(path, video_id: str = "", label: str | None = None) -> FrameSequence:
     """Checks header and length here; FrameSequence checks finiteness, once.
     The features are the file's float32 values in a native-order array of their own."""
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:
         raw = fh.read()
     if len(raw) < 12:
         raise FormatError(f"{path}: truncated header at byte {len(raw)} (need 12)")
-    if raw[:4] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r} at byte 0")
-    T, d = struct.unpack("<II", raw[4:12])
+    magic, T, d = _FEATURE_HEADER.unpack_from(raw)
+    if magic != FEATURE_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
     if T < 1 or d < 1:
         raise FormatError(f"{path}: invalid dimensions T={T}, d={d} at byte 4")
     expected = 12 + 4 * T * d
@@ -85,9 +86,9 @@ def read_manifest(path) -> list[dict]:
     """Parse and validate a UTF-8 manifest. Each row has exactly the four
     MANIFEST_FIELDS, with a non-empty video_id, label and path, and no NUL
     byte in the video_id, which names trace files; blank lines are skipped.
-    Paths are relative to the manifest and must name files: each is stat-ed
-    here, and its contents are checked by read_feature_file when its split
-    loads."""
+    Paths are relative to the manifest and name files, as os.path.isfile tells:
+    one listing per folder, and a stat for a name it lacks as a plain file (a
+    symlink, say). read_feature_file checks contents when the split loads."""
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8")
@@ -97,9 +98,23 @@ def read_manifest(path) -> list[dict]:
     reader = csv.reader(io.StringIO(text, newline=""))
     rows, seen = [], set()
     split_labels: dict[str, set] = {}
+    listings: dict[str, set] = {}  # a row's folder -> the plain files in it
 
     def fail(message):
         raise FormatError(f"{path}: line {reader.line_num}: {message}") from None
+
+    def is_file(rel):
+        cut = rel.rfind("/") + 1
+        if (folder := rel[:cut]) not in listings:
+            listings[folder] = set()
+            where = os.path.join(base, folder) or "."
+            try:  # without search permission a folder lists names that fail a stat
+                if os.access(where, os.X_OK):
+                    with os.scandir(where) as it:
+                        listings[folder] = {e.name for e in it if e.is_file(follow_symlinks=False)}
+            except (OSError, ValueError):  # ValueError: a NUL byte in the folder name
+                pass
+        return rel[cut:] in listings[folder] or os.path.isfile(os.path.join(base, rel))
 
     try:
         header = next(reader, None)
@@ -122,7 +137,7 @@ def read_manifest(path) -> list[dict]:
             if split not in SPLITS:
                 fail(f"unknown split {split!r} for {vid!r}")
             split_labels.setdefault(split, set()).add(label)
-            if not os.path.isfile(os.path.join(base, rel)):
+            if not is_file(rel):
                 fail(f"missing feature file {rel!r}")
             rows.append(row)
     except csv.Error as exc:
@@ -134,7 +149,10 @@ def read_manifest(path) -> list[dict]:
 
 
 def load_split(manifest_path, split: str) -> list[FrameSequence]:
-    """read_manifest checks the rows, read_feature_file each file's bytes."""
+    """A split outside SPLITS is a ConfigError; read_manifest checks the
+    rows, read_feature_file each file's bytes."""
+    if split not in SPLITS:
+        raise ConfigError(f"unknown split {split!r}, expected one of {SPLITS}")
     return _read_split(manifest_path, read_manifest(manifest_path), split)
 
 

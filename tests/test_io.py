@@ -1,5 +1,7 @@
 """Unit checks for feature files, manifests, checkpoints, and result CSVs."""
 
+import os
+import re
 import struct
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from clta import io_files
 from clta.cli import cli_dispatch
-from clta.errors import CltaError, FormatError
+from clta.errors import CltaError, ConfigError, FormatError
 from clta.synth import SPLITS
 
 
@@ -176,6 +178,75 @@ def test_manifest_row_with_an_absolute_path_loads(tmp_path):
     [seq] = io_files.load_split(mpath, "train")
     assert seq.video_id == "x" and seq.label == "c0"
     assert np.array_equal(seq.features, np.full((2, 3), 0.5))
+
+
+def test_load_split_of_an_unknown_split_is_a_config_error_naming_the_splits(tmp_path):
+    mpath = _manifest_with(tmp_path, b"b,c1,val,b.fvf")
+    with pytest.raises(ConfigError, match=re.escape(f"unknown split 'training', "
+                                                    f"expected one of {SPLITS}")):
+        io_files.load_split(mpath, "training")
+
+
+def test_manifest_accepts_exactly_the_paths_that_isfile_accepts(tmp_path):
+    # read_manifest answers from one listing per folder; every path below must
+    # pass or fail as a stat of it would, on its own line with the same message
+    mpath = _manifest_with(tmp_path, b"b,c1,val,b.fvf")
+    (tmp_path / "sub" / "a" / "b").mkdir(parents=True)
+    for folder in ("sub/a/b", "locked", "readonly"):
+        (tmp_path / folder).mkdir(exist_ok=True)
+        (tmp_path / folder / "x.fvf").write_bytes(b"")
+    (tmp_path / "link.fvf").symlink_to(tmp_path / "a.fvf")
+    (tmp_path / "linkdir").symlink_to(tmp_path / "sub")
+    (tmp_path / "dangling.fvf").symlink_to(tmp_path / "nowhere.fvf")
+    paths = ["a.fvf", "link.fvf", "linkdir", "linkdir/a/b/x.fvf", "dangling.fvf", "features",
+             "missing.fvf", "A.FVF", "./a.fvf", "sub/../a.fvf", "sub/a/b/x.fvf", "a.fvf/",
+             str(tmp_path / "a.fvf"), str(tmp_path / "missing.fvf"), "a.fvf/x.fvf",
+             "nodir/x.fvf", "locked/x.fvf", "readonly/x.fvf", "sub\x00/x.fvf", "a\x00.fvf"]
+    # mode r-- lets a folder be listed but none of its names be stat-ed, mode
+    # 000 allows neither; root may still do both
+    (tmp_path / "locked").chmod(0)
+    (tmp_path / "readonly").chmod(0o444)
+    try:
+        def read(rels):
+            mpath.write_bytes(b"video_id,label,split,path\n" + "".join(
+                f"v{k},c0,train,{rel}\n" for k, rel in enumerate(rels)).encode())
+            try:
+                return [r["path"] for r in io_files.read_manifest(mpath)]
+            except FormatError as exc:
+                return str(exc)
+
+        accepted = [rel for rel in paths if os.path.isfile(os.path.join(tmp_path, rel))]
+        for rel in paths:
+            assert read(["b.fvf", rel]) == (["b.fvf", rel] if rel in accepted else
+                                            f"{mpath}: line 3: missing feature file {rel!r}")
+        # rows that share a folder share its listing
+        assert read(accepted * 2) == accepted * 2
+        for rel in set(paths) - set(accepted):
+            assert read(accepted + [rel]) == (f"{mpath}: line {2 + len(accepted)}: "
+                                              f"missing feature file {rel!r}")
+    finally:
+        (tmp_path / "locked").chmod(0o755)
+        (tmp_path / "readonly").chmod(0o755)
+    assert {"a.fvf", "link.fvf", "linkdir/a/b/x.fvf", "./a.fvf", "sub/../a.fvf"} <= set(accepted)
+
+
+def test_manifest_lists_each_folder_once_and_stats_no_row(tmp_path, monkeypatch):
+    (tmp_path / "features").mkdir()
+    rows = [dict(video_id=f"v{k}", label="c0", split="train", path=f"features/v{k}.fvf")
+            for k in range(200)]
+    for r in rows:
+        (tmp_path / r["path"]).write_bytes(b"")
+    mpath = tmp_path / "manifest.csv"
+    io_files.write_manifest(mpath, rows)
+    calls = []
+    for module, name in ((io_files.os, "scandir"), (io_files.os, "stat"),
+                         (io_files.os.path, "isfile")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append((_name, str(args[0])))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert io_files.read_manifest(mpath) == rows
+    assert calls == [("scandir", os.path.join(tmp_path, "features/"))]
 
 
 def _variants(raw):
