@@ -12,6 +12,7 @@ import io
 import itertools
 import json
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from .errors import ConfigError, FormatError, NumericError
 from .synth import SPLITS
 
 FEATURE_MAGIC = b"FVF1"
-_FEATURE_HEADER = struct.Struct("<4sII")  # magic, T, d
 CHECKPOINT_MAGIC = b"CLTA"
 CHECKPOINT_VERSION = 1
 MANIFEST_FIELDS = ["video_id", "label", "split", "path"]
@@ -41,7 +41,7 @@ def _feature_bytes(path, features: np.ndarray) -> bytes:
         row, col = np.argwhere(~np.isfinite(payload))[0]
         raise FormatError(f"{path}: value {float(features[row, col])!r} at row {row}, "
                           f"column {col} does not fit float32")
-    return _FEATURE_HEADER.pack(FEATURE_MAGIC, *features.shape) + payload.tobytes()
+    return FEATURE_MAGIC + struct.pack("<II", *features.shape) + payload.tobytes()
 
 
 def write_feature_file(path, features: np.ndarray) -> None:
@@ -56,9 +56,9 @@ def read_feature_file(path, video_id: str = "", label: str | None = None) -> Fra
         raw = fh.read()
     if len(raw) < 12:
         raise FormatError(f"{path}: truncated header at byte {len(raw)} (need 12)")
-    magic, T, d = _FEATURE_HEADER.unpack_from(raw)
-    if magic != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at byte 0")
+    if raw[:4] != FEATURE_MAGIC:
+        raise FormatError(f"{path}: bad magic {raw[:4]!r} at byte 0")
+    T, d = struct.unpack("<II", raw[4:12])
     if T < 1 or d < 1:
         raise FormatError(f"{path}: invalid dimensions T={T}, d={d} at byte 4")
     expected = 12 + 4 * T * d
@@ -86,9 +86,9 @@ def read_manifest(path) -> list[dict]:
     """Parse and validate a UTF-8 manifest. Each row has exactly the four
     MANIFEST_FIELDS, with a non-empty video_id, label and path, and no NUL
     byte in the video_id, which names trace files; blank lines are skipped.
-    Paths are relative to the manifest and name files, as os.path.isfile tells:
-    one listing per folder, and a stat for a name it lacks as a plain file (a
-    symlink, say). read_feature_file checks contents when the split loads."""
+    Paths are relative to the manifest and must name files (os.path.isfile): each
+    is stat-ed relative to the manifest's open folder, walking only its own path,
+    and read_feature_file checks its contents when its split loads."""
     path = Path(path)
     try:
         text = path.read_bytes().decode("utf-8")
@@ -98,23 +98,18 @@ def read_manifest(path) -> list[dict]:
     reader = csv.reader(io.StringIO(text, newline=""))
     rows, seen = [], set()
     split_labels: dict[str, set] = {}
-    listings: dict[str, set] = {}  # a row's folder -> the plain files in it
 
     def fail(message):
         raise FormatError(f"{path}: line {reader.line_num}: {message}") from None
 
-    def is_file(rel):
-        cut = rel.rfind("/") + 1
-        if (folder := rel[:cut]) not in listings:
-            listings[folder] = set()
-            where = os.path.join(base, folder) or "."
-            try:  # without search permission a folder lists names that fail a stat
-                if os.access(where, os.X_OK):
-                    with os.scandir(where) as it:
-                        listings[folder] = {e.name for e in it if e.is_file(follow_symlinks=False)}
-            except (OSError, ValueError):  # ValueError: a NUL byte in the folder name
-                pass
-        return rel[cut:] in listings[folder] or os.path.isfile(os.path.join(base, rel))
+    # O_PATH needs no read permission on the folder, only the search any stat needs
+    folder = os.open(base or ".", getattr(os, "O_PATH", os.O_RDONLY) | os.O_DIRECTORY)
+
+    def is_file(rel):  # os.path.isfile(os.path.join(base, rel))
+        try:
+            return stat.S_ISREG(os.stat(rel, dir_fd=folder).st_mode)
+        except (OSError, ValueError):  # ValueError: a NUL byte
+            return False
 
     try:
         header = next(reader, None)
@@ -142,6 +137,8 @@ def read_manifest(path) -> list[dict]:
             rows.append(row)
     except csv.Error as exc:
         fail(exc)
+    finally:
+        os.close(folder)
     for a, b in itertools.combinations(sorted(split_labels), 2):
         if leaked := split_labels[a] & split_labels[b]:
             raise FormatError(f"{path}: labels shared between splits {a}/{b}: {sorted(leaked)}")

@@ -187,9 +187,10 @@ def test_load_split_of_an_unknown_split_is_a_config_error_naming_the_splits(tmp_
         io_files.load_split(mpath, "training")
 
 
-def test_manifest_accepts_exactly_the_paths_that_isfile_accepts(tmp_path):
-    # read_manifest answers from one listing per folder; every path below must
-    # pass or fail as a stat of it would, on its own line with the same message
+def test_manifest_accepts_exactly_the_paths_that_isfile_accepts(tmp_path, monkeypatch):
+    # read_manifest stats each path relative to the manifest's open folder; every
+    # path below must pass or fail as os.path.isfile of the joined path would, on
+    # its own line with the same message
     mpath = _manifest_with(tmp_path, b"b,c1,val,b.fvf")
     (tmp_path / "sub" / "a" / "b").mkdir(parents=True)
     for folder in ("sub/a/b", "locked", "readonly"):
@@ -207,11 +208,11 @@ def test_manifest_accepts_exactly_the_paths_that_isfile_accepts(tmp_path):
     (tmp_path / "locked").chmod(0)
     (tmp_path / "readonly").chmod(0o444)
     try:
-        def read(rels):
+        def read(rels, name=mpath):
             mpath.write_bytes(b"video_id,label,split,path\n" + "".join(
                 f"v{k},c0,train,{rel}\n" for k, rel in enumerate(rels)).encode())
             try:
-                return [r["path"] for r in io_files.read_manifest(mpath)]
+                return [r["path"] for r in io_files.read_manifest(name)]
             except FormatError as exc:
                 return str(exc)
 
@@ -219,8 +220,9 @@ def test_manifest_accepts_exactly_the_paths_that_isfile_accepts(tmp_path):
         for rel in paths:
             assert read(["b.fvf", rel]) == (["b.fvf", rel] if rel in accepted else
                                             f"{mpath}: line 3: missing feature file {rel!r}")
-        # rows that share a folder share its listing
         assert read(accepted * 2) == accepted * 2
+        monkeypatch.chdir(tmp_path)  # a manifest named relative to the working folder
+        assert read(accepted, "manifest.csv") == accepted
         for rel in set(paths) - set(accepted):
             assert read(accepted + [rel]) == (f"{mpath}: line {2 + len(accepted)}: "
                                               f"missing feature file {rel!r}")
@@ -230,7 +232,21 @@ def test_manifest_accepts_exactly_the_paths_that_isfile_accepts(tmp_path):
     assert {"a.fvf", "link.fvf", "linkdir/a/b/x.fvf", "./a.fvf", "sub/../a.fvf"} <= set(accepted)
 
 
-def test_manifest_lists_each_folder_once_and_stats_no_row(tmp_path, monkeypatch):
+def test_manifest_in_a_folder_that_can_be_searched_but_not_read_loads(tmp_path):
+    # rows are stat-ed relative to the manifest's folder, opened for a search
+    # alone; root may read the folder anyway
+    io_files.write_feature_file(tmp_path / "a.fvf", np.ones((3, 2)))
+    folder = tmp_path / "searchonly"
+    folder.mkdir()
+    (folder / "manifest.csv").write_text("video_id,label,split,path\na,c0,train,../a.fvf\n")
+    folder.chmod(0o111)
+    try:
+        assert [r["path"] for r in io_files.read_manifest(folder / "manifest.csv")] == ["../a.fvf"]
+    finally:
+        folder.chmod(0o755)
+
+
+def test_manifest_stats_each_row_once_through_the_manifest_folder(tmp_path, monkeypatch):
     (tmp_path / "features").mkdir()
     rows = [dict(video_id=f"v{k}", label="c0", split="train", path=f"features/v{k}.fvf")
             for k in range(200)]
@@ -242,11 +258,12 @@ def test_manifest_lists_each_folder_once_and_stats_no_row(tmp_path, monkeypatch)
     for module, name in ((io_files.os, "scandir"), (io_files.os, "stat"),
                          (io_files.os.path, "isfile")):
         def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
-            calls.append((_name, str(args[0])))
+            calls.append((_name, str(args[0]), "dir_fd" in kwargs))
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     assert io_files.read_manifest(mpath) == rows
-    assert calls == [("scandir", os.path.join(tmp_path, "features/"))]
+    # one stat per row, of the row's own path, and no listing
+    assert calls == [("stat", r["path"], True) for r in rows]
 
 
 def _variants(raw):
