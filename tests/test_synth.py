@@ -164,8 +164,16 @@ def test_splits_hold_their_classes_and_videos():
     assert sum(n for _, n in counts.values()) == len(ds.sequences)
 
 
-# sha256 of generate(SynthConfig(seed=1, mode=mode)): the float64 feature bytes,
-# then the ids, the labels and "id,split" lines, each newline-terminated
+# sha256 of generate(SynthConfig(seed=1, **_PINNED[name])): the float64 feature
+# bytes, then the ids, the labels and "id,split" lines, each newline-terminated
+_PINNED = {
+    "instance_shifted": dict(mode="instance_shifted"),
+    "fixed_position": dict(mode="fixed_position"),
+    # the benchmark's tiny sizes
+    "benchmark_tiny": dict(videos_per_class=7, t_min=6, t_max=12),
+    # every video exactly one window long, one video a class
+    "edge": dict(t_min=6, t_max=6, window_len=6, videos_per_class=1, mode="fixed_position"),
+}
 _DIGESTS = {
     "instance_shifted": dict(
         features="51bf37bd0e066eb49c608ebdc538fc9554e9a0f4d7d1ffc261b9d814235f8f2d",
@@ -177,16 +185,30 @@ _DIGESTS = {
         ids="eccba5aa46bed1d43f78ce7f02047646f1b9a9f6f20bd03a7970f15245bae79c",
         labels="d0ed91cfd85cb2e5c3cfe10037a0e4ba242eef99de6d66a0cd6ad1ab32cd3df1",
         splits="99bf01d770504af74950506f6b296203bb8d4a6a7ce50c595ebcd0a13eee5211"),
+    "benchmark_tiny": dict(
+        features="9d937d93ca0cab4f98e877afb8482881684911c3eca06aa3897968b1e7d5286b",
+        ids="03ee908feb79a07b1077faf479843a16756ee249859321fb24761d479f663333",
+        labels="baa33491b11ea1bf8b594fb90bb41b7b2d1f4ba1b148b974b0dc77f178d3a89a",
+        splits="a6593101fce32694f62228417363c7647980a8effa353cd59b51ebd9bb9ffdc1"),
+    "edge": dict(
+        features="fda0e1f7a22b999a474b48ab3e0c77cf14e29a6c41ef328d61904983f50fe369",
+        ids="d1e25daf322a8d32c746490b775a62cc93430d6bf30b520d36f903c37c9d7a15",
+        labels="7f78f1b06dfe564053ac1dc5b3027d44bde9ddab7f269b0aa5e2b3fa208c7a4b",
+        splits="66d391dd7993b61e97a6139b9401e47e72b776324d70b604aad25353a963d8d1"),
 }
 
 
-@pytest.mark.parametrize("mode", sorted(_DIGESTS))
-def test_generated_bytes_are_pinned(mode):
-    ds = generate(SynthConfig(seed=1, mode=mode))
+@pytest.mark.parametrize("name", sorted(_DIGESTS))
+def test_generated_bytes_are_pinned(name):
+    ds = generate(SynthConfig(seed=1, **_PINNED[name]))
     parts = dict(
         features=b"".join(s.features.tobytes() for s in ds.sequences),
         ids=b"".join(f"{s.video_id}\n".encode() for s in ds.sequences),
         labels=b"".join(f"{s.label}\n".encode() for s in ds.sequences),
         splits=b"".join(f"{s.video_id},{ds.split_of[s.video_id]}\n".encode()
                         for s in ds.sequences))
-    assert {k: hashlib.sha256(v).hexdigest() for k, v in parts.items()} == _DIGESTS[mode]
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in parts.items()} == _DIGESTS[name]
+    # every video owns its features: no view into a block shared with other videos
+    for s in ds.sequences:
+        F = s.features
+        assert F.dtype == np.float64 and F.flags.c_contiguous and F.base is None, s.video_id
