@@ -51,21 +51,32 @@ def write_feature_file(path, features: np.ndarray) -> None:
 
 def read_feature_file(path, video_id: str = "", label: str | None = None) -> FrameSequence:
     """Checks header and length here; FrameSequence checks finiteness, once.
-    The features are the file's float32 values in a native-order array of their own."""
-    with open(path, "rb", buffering=0) as fh:
-        raw = fh.read()
-    if len(raw) < 12:
-        raise FormatError(f"{path}: truncated header at byte {len(raw)} (need 12)")
-    if raw[:4] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r} at byte 0")
-    T, d = struct.unpack("<II", raw[4:12])
-    if T < 1 or d < 1:
-        raise FormatError(f"{path}: invalid dimensions T={T}, d={d} at byte 4")
-    expected = 12 + 4 * T * d
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: payload truncated at byte {len(raw)} (expected {expected})")
-    data = np.frombuffer(raw, dtype="<f4", offset=12).reshape(T, d).astype(np.float32)
+    The features are the file's float32 values in a native-order array of their own.
+    A read shorter than asked for ends the file, as it does a regular file's."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        raw = os.read(fd, 12)
+        if len(raw) < 12:
+            raise FormatError(f"{path}: truncated header at byte {len(raw)} (need 12)")
+        if raw[:4] != FEATURE_MAGIC:
+            raise FormatError(f"{path}: bad magic {raw[:4]!r} at byte 0")
+        T, d = struct.unpack("<II", raw[4:12])
+        if T < 1 or d < 1:
+            raise FormatError(f"{path}: invalid dimensions T={T}, d={d} at byte 4")
+        # one read takes the payload the header sizes, at most 16 MiB at a time
+        want = min(4 * T * d, 1 << 24) + 1
+        payload = os.read(fd, want)
+        if len(payload) == want:
+            payload += b"".join(iter(lambda: os.read(fd, want), b""))
+    except IsADirectoryError as exc:  # os.read names no path, unlike open
+        exc.filename = os.fspath(path)
+        raise
+    finally:
+        os.close(fd)
+    if len(payload) != 4 * T * d:
+        raise FormatError(f"{path}: payload truncated at byte {12 + len(payload)} "
+                          f"(expected {12 + 4 * T * d})")
+    data = np.frombuffer(payload, dtype="<f4").reshape(T, d).astype(np.float32)
     try:
         return FrameSequence(features=data, label=label, video_id=video_id or Path(path).stem)
     except NumericError:
@@ -162,7 +173,9 @@ def _read_split(manifest_path, rows, split):
 # -- checkpoints ---------------------------------------------------------------
 
 def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict) -> None:
-    """Named float64 parameter blocks plus a JSON metadata sidecar."""
+    """Named float64 parameter blocks, at least one, plus a JSON metadata sidecar."""
+    if not params:
+        raise FormatError(f"{path}: a checkpoint needs at least one parameter block")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]))
         for name in sorted(params):
@@ -211,6 +224,8 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: non-finite value in parameter {name!r} at byte {bad}")
         params[name] = arr if cols == 0 else arr.reshape(rows, cols)
         off += nbytes
+    if not params:
+        raise FormatError(f"{path}: no parameter block after the header at byte 5")
     meta_path = Path(str(path) + ".meta.json")
     if not meta_path.exists():
         raise FormatError(f"missing checkpoint metadata {meta_path}")

@@ -257,9 +257,10 @@ def _padded_chunks(pairs):
     for lo in range(0, len(pairs), _CHUNK):
         idx = order[lo:lo + _CHUNK]
         F = np.zeros((len(idx), lens[idx[-1]], pairs[idx[0]][0].shape[-1]))
-        for row, i in zip(F, idx):
-            row[:lens[i]] = pairs[i][0]
+        for k, i in enumerate(idx):
+            F[k, :lens[i]] = pairs[i][0]
         yield F, np.arange(F.shape[1]) < lens[idx, None], np.array([pairs[i][1] for i in idx])
+        del F  # before the next chunk is allocated
 
 
 def descriptor(model: Model, F: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -287,4 +288,5 @@ def loss_and_grads(model: Model, batch, rng: np.random.Generator | None = None):
         total += loss.sum()
         correct += int((logits.argmax(axis=-1) == y).sum())
         model.backward_video(cache, dlogits / len(batch), grads)
+        del F, cache  # one padded chunk and its forward cache alive at a time
     return total / len(batch), grads, correct

@@ -29,6 +29,8 @@ MODES = ("instance_shifted", "fixed_position")
 _TRAIN_FRAC, _VAL_FRAC = 20 / 30, 5 / 30
 # Share of background frames that carry the weak cue, and its amplitude.
 _DISTRACTOR_RATE, _DISTRACTOR_AMP = 0.25, 0.15
+# Videos of a class that generate() draws and shapes at a time, in one scratch block.
+_SCRATCH_VIDEOS = 8
 
 
 @dataclass
@@ -123,33 +125,47 @@ def generate(cfg: SynthConfig) -> Dataset:
     sequences: list[FrameSequence] = []
     split_of: dict[str, str] = {}
     distractor = _DISTRACTOR_AMP * cue
+    # videos draw into their own rows of the block in rng's per-video order, are
+    # shaped in one pass, and each gets an exact-size copy of its rows
+    block = np.empty((min(_SCRATCH_VIDEOS, cfg.videos_per_class) * cfg.t_max, cfg.d))
+    uniform = np.empty(len(block))
     for c in range(cfg.num_classes):
         label = f"class{c:03d}"
         split = "train" if c < n_train else ("val" if c < n_train + n_val else "test")
         planted = cfg.signal_amp * protos[c] + cfg.cue_amp * cue
-        for v in range(cfg.videos_per_class):
-            T = int(rng.integers(cfg.t_min, cfg.t_max + 1))
-            # pin the dataset max length into the training split so Z covers
-            # every split
-            if c == 0 and v == 0:
-                T = cfg.t_max
-            F = rng.normal(0.0, cfg.noise_std, size=(T, cfg.d))
-            room = T - cfg.window_len
-            if cfg.mode == "fixed_position":
-                start = int(round(fixed_frac * room))
-            else:
-                start = int(rng.integers(0, room + 1))
+        for first in range(0, cfg.videos_per_class, _SCRATCH_VIDEOS):
+            videos = range(first, min(first + _SCRATCH_VIDEOS, cfg.videos_per_class))
+            rows, starts = [0], []
+            for v in videos:
+                T = int(rng.integers(cfg.t_min, cfg.t_max + 1))
+                # pin the dataset max length into the training split so Z covers every split
+                if c == 0 and v == 0:
+                    T = cfg.t_max
+                rng.standard_normal(out=block[rows[-1]:rows[-1] + T])
+                room = T - cfg.window_len
+                if cfg.mode == "fixed_position":
+                    starts.append(rows[-1] + int(round(fixed_frac * room)))
+                else:
+                    starts.append(rows[-1] + int(rng.integers(0, room + 1)))
+                rng.random(out=uniform[rows[-1]:rows[-1] + T])
+                rows.append(rows[-1] + T)
+            F = block[:rows[-1]]
+            # rng.normal(0.0, s) is 0.0 + s * z, which also turns z = -0.0 into 0.0
+            F *= cfg.noise_std
+            F += 0.0
+            window = (np.array(starts)[:, None] + np.arange(cfg.window_len)).ravel()
             # weak distractor cues on scattered background frames: soft
             # position estimates get dragged toward them, hard ones do not
-            hit = rng.random(T) < _DISTRACTOR_RATE
-            hit[start:start + cfg.window_len] = False
+            hit = uniform[:rows[-1]] < _DISTRACTOR_RATE
+            hit[window] = False
             np.add(F, distractor, out=F, where=hit[:, None])
-            F[start:start + cfg.window_len] += planted
+            F[window] += planted
             # features model post-activation backbone outputs, so they are
             # nonnegative; this is what lets the attention width detector
             # push frame scores negative and sharpen the Gaussians
             np.maximum(F, 0.0, out=F)
-            vid = f"{label}_v{v:03d}"
-            sequences.append(FrameSequence(features=F, label=label, video_id=vid))
-            split_of[vid] = split
+            for v, lo, hi in zip(videos, rows, rows[1:]):
+                vid = f"{label}_v{v:03d}"
+                sequences.append(FrameSequence(F[lo:hi].copy(), label, vid))
+                split_of[vid] = split
     return Dataset(sequences=sequences, split_of=split_of, prototypes=protos)

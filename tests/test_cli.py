@@ -541,8 +541,9 @@ def _block_boundaries(raw):
                                     "--fusion", "soft"]], ids=["clta", "sldg", "tsf-cosine-soft"])
 def test_a_checkpoint_cut_at_a_block_boundary_exits_2(dataset_dir, tmp_path, capsys, flags):
     # load_checkpoint reads such a file as a partial dict; the model names the
-    # first parameter it lacks. cli_dispatch turns only CltaError and OSError
-    # into exit 2, so any other exception fails the test with its traceback
+    # first parameter it lacks. The header alone holds no block, which
+    # load_checkpoint rejects itself. cli_dispatch turns only CltaError and
+    # OSError into exit 2, so any other exception fails the test with its traceback
     full = tmp_path / "full.ckpt"
     assert cli_dispatch(["train", "--data", str(dataset_dir / "manifest.csv"),
                          "--out", str(full), "--epochs", "1", *flags]) == 0
@@ -556,7 +557,9 @@ def test_a_checkpoint_cut_at_a_block_boundary_exits_2(dataset_dir, tmp_path, cap
         cut.write_bytes(raw[:end])
         assert _eval_exit_code(dataset_dir, cut) == 2, end
         out, err = capsys.readouterr()
-        assert "error: checkpoint is missing parameter" in err, end
+        expected = (f"error: {cut}: no parameter block after the header at byte 5"
+                    if end == 5 else "error: checkpoint is missing parameter")
+        assert expected in err, end
         assert "Traceback" not in out + err, end
 
 

@@ -1,5 +1,6 @@
 """Unit checks for feature files, manifests, checkpoints, and result CSVs."""
 
+import contextlib
 import os
 import re
 import struct
@@ -61,6 +62,74 @@ def test_feature_file_truncated_at_every_byte(tmp_path):
         cut.write_bytes(raw[:n])
         with pytest.raises(FormatError):
             io_files.read_feature_file(cut)
+
+
+def _open_fds():
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_no_feature_file_read_leaks_a_descriptor(tmp_path):
+    # the reader holds a bare descriptor, which no ResourceWarning would report
+    good = tmp_path / "good.fvf"
+    io_files.write_feature_file(good, np.arange(6.0).reshape(3, 2))
+    raw = good.read_bytes()
+    cut = tmp_path / "cut.fvf"
+    locked = tmp_path / "locked.fvf"
+    locked.write_bytes(raw)
+    locked.chmod(0)
+    before = _open_fds()
+    try:
+        for n in range(len(raw) + 1):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(FormatError) if n < len(raw) else contextlib.nullcontext():
+                io_files.read_feature_file(cut)
+        for path in (tmp_path / "missing.fvf", tmp_path, locked):
+            try:
+                io_files.read_feature_file(path)
+            except OSError:
+                pass  # root may read a file whose mode forbids it
+        assert _open_fds() == before
+    finally:
+        locked.chmod(0o644)
+
+
+def test_a_missing_or_directory_path_raises_the_open_error_naming_it(tmp_path):
+    missing = tmp_path / "missing.fvf"
+    with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
+        io_files.read_feature_file(missing)
+    for path in (tmp_path, str(tmp_path)):
+        with pytest.raises(IsADirectoryError, match=re.escape(str(tmp_path))) as err:
+            io_files.read_feature_file(path)
+        assert err.value.filename == str(tmp_path)
+
+
+def test_a_backbone_width_feature_file_round_trips_bit_identically(tmp_path):
+    # 40 x 512 float32 features are 80 KiB, more than one 64 KiB buffer
+    F = np.random.default_rng(3).standard_normal((40, 512)).astype(np.float32)
+    path = tmp_path / "wide.fvf"
+    io_files.write_feature_file(path, F)
+    assert path.stat().st_size > 1 << 16
+    seq = io_files.read_feature_file(path)
+    assert seq.features.dtype == np.float32 and seq.features.base is None
+    assert seq.features.tobytes() == F.tobytes()
+
+
+def test_a_feature_file_length_error_names_the_true_length(tmp_path):
+    good = tmp_path / "good.fvf"
+    io_files.write_feature_file(good, np.ones((3, 2)))
+    path = tmp_path / "bad.fvf"
+    for extra in (1, 5, 100_000):
+        path.write_bytes(good.read_bytes() + bytes(extra))
+        with pytest.raises(FormatError,
+                           match=rf"payload truncated at byte {36 + extra} \(expected 36\)"):
+            io_files.read_feature_file(path)
+    # a header declaring 16 GiB of features, with 8 bytes of them
+    path.write_bytes(b"FVF1" + struct.pack("<II", 1 << 31, 2) + bytes(8))
+    with pytest.raises(FormatError,
+                       match=rf"payload truncated at byte 20 \(expected {12 + (1 << 34)}\)"):
+        io_files.read_feature_file(path)
 
 
 def test_feature_file_rejects_nonfinite(tmp_path):
@@ -392,8 +461,20 @@ def test_checkpoint_truncated_at_every_byte(tmp_path):
         except FormatError:
             pass
     # only a cut between two blocks still loads, as the blocks before it:
-    # the format has no block count to tell it from a complete file
-    assert loaded_at == {5: [], after_W: ["W"]}
+    # the format has no block count to tell it from a complete file; a cut
+    # right after the header leaves no block, which no checkpoint has
+    assert loaded_at == {after_W: ["W"]}
+
+
+def test_a_checkpoint_without_parameter_blocks_is_a_format_error(tmp_path):
+    path = tmp_path / "empty.ckpt"
+    with pytest.raises(FormatError, match=f"{path}: a checkpoint needs at least one"):
+        io_files.save_checkpoint(path, {}, {})
+    assert not path.exists() and not (tmp_path / "empty.ckpt.meta.json").exists()
+    path.write_bytes(b"CLTA\x01")
+    (tmp_path / "empty.ckpt.meta.json").write_text("{}")
+    with pytest.raises(FormatError, match=f"{path}: no parameter block after the header at byte 5"):
+        io_files.load_checkpoint(path)
 
 
 def test_write_csv_timestamp_control(tmp_path):

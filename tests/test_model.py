@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import weakref
 import zlib
 
 import numpy as np
@@ -171,6 +172,41 @@ def test_padded_chunks_take_every_pair_once_in_stable_length_order():
         assert not np.any(F[~mask])
         for row, i in zip(F, ids):
             assert np.array_equal(row[:lens[i]], pairs[i][0])
+
+
+class _ZerosSpy:
+    """numpy for the model module, with np.zeros recording each padded (B, T, d)
+    stack it makes and how many stacks it made before are still reachable."""
+
+    def __init__(self):
+        self.stacks, self.alive = [], []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, *args, **kwargs):
+        out = np.zeros(shape, *args, **kwargs)
+        if np.ndim(shape) == 1 and len(shape) == 3:
+            self.alive.append(sum(ref() is not None for ref in self.stacks))
+            self.stacks.append(weakref.ref(out))
+        return out
+
+
+@pytest.mark.parametrize("kind,stage", [("clta", "post"), ("selfattn", "pre")])
+def test_a_batch_holds_one_padded_chunk_at_a_time(monkeypatch, kind, stage):
+    # the previous chunk's stack and forward cache are gone when the next is padded
+    rng = np.random.default_rng(21)
+    cfg = dataclasses.replace(_small_cfg(kind, stage=stage), Z=9)
+    model = Model(cfg, rng)
+    batch = [(rng.standard_normal((int(t), 3)), int(rng.integers(0, 3)))
+             for t in rng.integers(1, 10, 2 * model_mod._CHUNK + 3)]
+    expected = loss_and_grads(model, batch)
+    spy = _ZerosSpy()
+    monkeypatch.setattr(model_mod, "np", spy)
+    loss, grads, correct = loss_and_grads(model, batch)
+    assert spy.alive == [0, 0, 0]
+    assert loss == expected[0] and correct == expected[2]
+    assert all(_same_bits(grads[k], expected[1][k]) for k in grads)
 
 
 def _same_bits(a, b):
