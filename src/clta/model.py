@@ -260,7 +260,7 @@ def _padded_chunks(pairs):
         for k, i in enumerate(idx):
             F[k, :lens[i]] = pairs[i][0]
         yield F, np.arange(F.shape[1]) < lens[idx, None], np.array([pairs[i][1] for i in idx])
-        del F  # before the next chunk is allocated
+        del F  # no name, row views included, holds this stack when the next is made
 
 
 def descriptor(model: Model, F: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
