@@ -251,8 +251,6 @@ def _cmd_train(args) -> int:
 
 
 def _load_model(checkpoint) -> Model:
-    if not Path(checkpoint).exists():
-        raise ConfigError(f"checkpoint not found: {checkpoint}")
     params, meta = io_files.load_checkpoint(checkpoint)
     if not isinstance(meta, dict) or "model_config" not in meta:
         raise FormatError(f"{checkpoint}: metadata has no model_config")

@@ -3,7 +3,7 @@
 All binary formats are little-endian regardless of host order. Feature
 payloads are float32 on disk and stay float32 when loaded, which halves a
 loaded set's memory; the model widens each padded chunk to float64, exactly.
-Checkpoints hold float64.
+Checkpoints hold JSON metadata and float64 blocks, then their length and CRC32.
 """
 
 import csv
@@ -14,6 +14,7 @@ import json
 import os
 import stat
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .synth import SPLITS
 
 FEATURE_MAGIC = b"FVF1"
 CHECKPOINT_MAGIC = b"CLTA"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 MANIFEST_FIELDS = ["video_id", "label", "split", "path"]
 
 
@@ -173,37 +174,56 @@ def _read_split(manifest_path, rows, split):
 # -- checkpoints ---------------------------------------------------------------
 
 def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict) -> None:
-    """Named float64 parameter blocks, at least one, plus a JSON metadata sidecar."""
+    """One file, built whole before path is opened: the JSON metadata, named float64
+    parameter blocks, at least one, then a trailer of the file's length and CRC32."""
     if not params:
         raise FormatError(f"{path}: a checkpoint needs at least one parameter block")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]))
-        for name in sorted(params):
-            arr = np.asarray(params[name], dtype=np.float64)
-            if arr.ndim not in (1, 2):
-                raise FormatError(f"parameter {name!r} has unsupported ndim {arr.ndim}")
-            rows, cols = arr.shape if arr.ndim == 2 else (arr.size, 0)
-            nb = name.encode("utf-8")
-            fh.write(struct.pack(f"<I{len(nb)}sII", len(nb), nb, rows, cols))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    meta_json = json.dumps(meta, sort_keys=True).encode("utf-8")
+    parts = [struct.pack("<4sBI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(meta_json)), meta_json]
+    for name in sorted(params):
+        arr = np.asarray(params[name], dtype=np.float64)
+        if arr.ndim not in (1, 2):
+            raise FormatError(f"parameter {name!r} has unsupported ndim {arr.ndim}")
+        rows, cols = arr.shape if arr.ndim == 2 else (arr.size, 0)
+        nb = name.encode("utf-8")
+        parts += [struct.pack(f"<I{len(nb)}sII", len(nb), nb, rows, cols),
+                  np.ascontiguousarray(arr, dtype="<f8").tobytes()]
+    body = b"".join(parts)
+    Path(path).write_bytes(body + struct.pack("<QI", len(body) + 12, zlib.crc32(body)))
 
 
 def load_checkpoint(path):
-    """Returns (params, meta): finite, uniquely named blocks and a UTF-8 JSON sidecar."""
+    """Returns (params, meta): finite, uniquely named blocks and UTF-8 JSON metadata, from a
+    version 2 file whose trailer is checked first, or a version 1 file and its sidecar."""
     raw = Path(path).read_bytes()
     if len(raw) < 5 or raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic at byte 0")
-    if raw[4] != CHECKPOINT_VERSION:
+    if raw[4] == CHECKPOINT_VERSION:
+        end = len(raw) - 12
+        if end < 9 or struct.unpack_from("<QI", raw, end) != (len(raw), zlib.crc32(raw[:end])):
+            raise FormatError(f"{path}: length or checksum mismatch at byte {max(end, 5)}")
+        meta_path, meta_at, off = path, 9, 9 + struct.unpack_from("<I", raw, 5)[0]
+        meta_raw = raw[meta_at:off]
+    elif raw[4] == 1:
+        meta_path, meta_at, end, off = Path(f"{path}.meta.json"), 0, len(raw), 5
+        if not meta_path.exists():
+            raise FormatError(f"missing checkpoint metadata {meta_path}")
+        meta_raw = meta_path.read_bytes()
+    else:
         raise FormatError(f"{path}: unsupported version {raw[4]} at byte 4")
+    try:
+        meta = json.loads(meta_raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{meta_path}: not UTF-8 at byte {meta_at + exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{meta_path}: bad JSON: {exc}") from None
     params: dict[str, np.ndarray] = {}
-    off = 5
-    while off < len(raw):
+    while off < end:
         # a block header is the name length, the name, then rows and cols
-        if off + 4 > len(raw):
+        if off + 4 > end:
             raise FormatError(f"{path}: truncated block header at byte {off}")
         (nlen,) = struct.unpack_from("<I", raw, off)
-        if off + 4 + nlen + 8 > len(raw):
+        if off + 4 + nlen + 8 > end:
             raise FormatError(f"{path}: truncated block header at byte {off}")
         try:
             name = raw[off + 4:off + 4 + nlen].decode("utf-8")
@@ -216,7 +236,7 @@ def load_checkpoint(path):
         off += 8
         count = rows * max(cols, 1)
         nbytes = 8 * count
-        if off + nbytes > len(raw):
+        if off + nbytes > end:
             raise FormatError(f"{path}: truncated payload for {name!r} at byte {off}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).astype(np.float64)
         if not np.isfinite(arr).all():
@@ -225,16 +245,7 @@ def load_checkpoint(path):
         params[name] = arr if cols == 0 else arr.reshape(rows, cols)
         off += nbytes
     if not params:
-        raise FormatError(f"{path}: no parameter block after the header at byte 5")
-    meta_path = Path(str(path) + ".meta.json")
-    if not meta_path.exists():
-        raise FormatError(f"missing checkpoint metadata {meta_path}")
-    try:
-        meta = json.loads(meta_path.read_bytes().decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{meta_path}: not UTF-8 at byte {exc.start}") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{meta_path}: bad JSON: {exc}") from None
+        raise FormatError(f"{path}: no parameter block after the header at byte {off}")
     return params, meta
 
 

@@ -59,8 +59,8 @@ class SynthConfig:
             raise ConfigError("need at least 3 classes (one per split)")
         if self.videos_per_class < 1:
             raise ConfigError(f"need at least 1 video per class, got {self.videos_per_class}")
-        if self.d < 1:
-            raise ConfigError(f"feature dimension d must be >= 1, got {self.d}")
+        if self.d < 3:  # _prototypes draws 2 distinct prototypes at d=2, none at d=1
+            raise ConfigError(f"feature dimension d must be >= 3, got {self.d}")
         if not self.noise_std >= 0:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
 

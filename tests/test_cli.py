@@ -13,6 +13,7 @@ from clta.cli import (_build_parser, _config_defaults, _load_model, cli_dispatch
                       gradcheck_batch)
 from clta.episodes import HEADS
 from clta.model import CLASSIFIERS, MODEL_KINDS, PROJECTION_STAGES, Model, ModelConfig
+from v1_checkpoint import v1_copy
 
 
 @pytest.fixture(scope="module")
@@ -205,10 +206,13 @@ def test_eval_runs_and_writes_csv(dataset_dir, checkpoint, tmp_path, capsys):
 
 
 def test_eval_missing_checkpoint_is_runtime_error(dataset_dir, tmp_path, capsys):
+    missing = tmp_path / "nope.ckpt"
     rc = cli_dispatch(["eval", "--data", str(dataset_dir / "manifest.csv"),
-                       "--checkpoint", str(tmp_path / "nope.ckpt")])
+                       "--checkpoint", str(missing)])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in out + err
 
 
 def test_gradcheck_exit_code_and_output(capsys):
@@ -445,12 +449,10 @@ def test_one_manifest_read_per_command(dataset_dir, tmp_path, monkeypatch, capsy
 
 @pytest.fixture
 def broken_checkpoint(checkpoint, tmp_path):
-    """A copy of the trained checkpoint and its sidecar, for breaking."""
+    """A v1 copy of the trained checkpoint and its sidecar, for breaking: a v1
+    file has no checksum, so its bytes and its metadata can be edited."""
     ckpt = tmp_path / "m.ckpt"
-    ckpt.write_bytes(checkpoint.read_bytes())
-    meta = tmp_path / "m.ckpt.meta.json"
-    meta.write_bytes((checkpoint.parent / "model.ckpt.meta.json").read_bytes())
-    return ckpt, meta
+    return ckpt, v1_copy(checkpoint, ckpt)
 
 
 def test_checkpoint_metadata_is_checked(dataset_dir, broken_checkpoint, capsys):
@@ -506,21 +508,26 @@ def test_batch_norm_is_no_longer_a_flag_or_config_key(dataset_dir, tmp_path, cap
 @pytest.mark.parametrize("command", ["eval", "dump-attention"])
 def test_checkpoint_with_non_finite_parameter_exits_2(dataset_dir, broken_checkpoint,
                                                       tmp_path, capsys, command):
-    ckpt, _ = broken_checkpoint
-    params, _ = io_files.load_checkpoint(ckpt)
-    raw = bytearray(ckpt.read_bytes())
-    # the last block is proj_b (blocks are in name order); NaN its last value
+    v1, _ = broken_checkpoint
+    params, meta = io_files.load_checkpoint(v1)
+    # the last block is proj_b (blocks are in name order); NaN its last value,
+    # which ends a v1 file and sits before a v2 file's 12-byte trailer
     assert sorted(params)[-1] == "proj_b"
+    raw = bytearray(v1.read_bytes())
     raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
-    ckpt.write_bytes(bytes(raw))
+    v1.write_bytes(bytes(raw))
+    params["proj_b"][-1] = np.nan
+    v2 = tmp_path / "v2.ckpt"
+    io_files.save_checkpoint(v2, params, meta)
     out = tmp_path / "out"
     episodes = ["--n-way", "2", "--episodes", "2"] if command == "eval" else []
-    rc = cli_dispatch([command, "--data", str(dataset_dir / "manifest.csv"),
-                       "--checkpoint", str(ckpt), "--out", str(out), *episodes])
-    assert rc == 2
-    assert (f"error: {ckpt}: non-finite value in parameter 'proj_b' at byte {len(raw) - 8}"
-            in capsys.readouterr().err)
-    assert not out.exists()
+    for ckpt, nan_at in ((v1, len(raw) - 8), (v2, v2.stat().st_size - 12 - 8)):
+        rc = cli_dispatch([command, "--data", str(dataset_dir / "manifest.csv"),
+                           "--checkpoint", str(ckpt), "--out", str(out), *episodes])
+        assert rc == 2
+        assert (f"error: {ckpt}: non-finite value in parameter 'proj_b' at byte {nan_at}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def _block_boundaries(raw):
@@ -540,27 +547,34 @@ def _block_boundaries(raw):
                                    ["--model", "tsf", "--classifier", "cosine",
                                     "--fusion", "soft"]], ids=["clta", "sldg", "tsf-cosine-soft"])
 def test_a_checkpoint_cut_at_a_block_boundary_exits_2(dataset_dir, tmp_path, capsys, flags):
-    # load_checkpoint reads such a file as a partial dict; the model names the
-    # first parameter it lacks. The header alone holds no block, which
-    # load_checkpoint rejects itself. cli_dispatch turns only CltaError and
-    # OSError into exit 2, so any other exception fails the test with its traceback
+    # load_checkpoint reads such a v1 file as a partial dict; the model names
+    # the first parameter it lacks. The header alone holds no block, which
+    # load_checkpoint rejects itself. A v2 file cut anywhere fails its trailer
+    # check. cli_dispatch turns only CltaError and OSError into exit 2, so any
+    # other exception fails the test with its traceback
     full = tmp_path / "full.ckpt"
     assert cli_dispatch(["train", "--data", str(dataset_dir / "manifest.csv"),
                          "--out", str(full), "--epochs", "1", *flags]) == 0
-    raw = full.read_bytes()
+    v2 = full.read_bytes()
     cut = tmp_path / "cut.ckpt"
-    Path(f"{cut}.meta.json").write_bytes(Path(f"{full}.meta.json").read_bytes())
-    cuts = _block_boundaries(raw)
+    v1_copy(full, cut)
+    v1 = cut.read_bytes()
+    cuts = _block_boundaries(v1)
     assert len(cuts) == len(_load_model(full).params)   # the header alone, then each block
+    # v2 blocks start after the metadata's length and the metadata
+    shift = 4 + struct.unpack_from("<I", v2, 5)[0]
     capsys.readouterr()
     for end in cuts:
-        cut.write_bytes(raw[:end])
-        assert _eval_exit_code(dataset_dir, cut) == 2, end
-        out, err = capsys.readouterr()
-        expected = (f"error: {cut}: no parameter block after the header at byte 5"
-                    if end == 5 else "error: checkpoint is missing parameter")
-        assert expected in err, end
-        assert "Traceback" not in out + err, end
+        for raw, at, expected in (
+                (v1, end, f"error: {cut}: no parameter block after the header at byte 5"
+                 if end == 5 else "error: checkpoint is missing parameter"),
+                (v2, end + shift, f"error: {cut}: length or checksum mismatch at byte "
+                                  f"{max(end + shift - 12, 5)}")):
+            cut.write_bytes(raw[:at])
+            assert _eval_exit_code(dataset_dir, cut) == 2, at
+            out, err = capsys.readouterr()
+            assert expected in err, at
+            assert "Traceback" not in out + err, at
 
 
 def test_checkpoint_sidecar_that_is_not_utf8_exits_2(dataset_dir, broken_checkpoint, capsys):
@@ -764,7 +778,8 @@ def test_usage_errors_exit_1(capsys):
 
 def test_gen_rejects_bad_sizes_exit_2(tmp_path, capsys):
     # a bad size is a usage error with a message, not a numpy traceback
-    for flag, value in (("--dim", "-3"), ("--noise", "-1"), ("--videos-per-class", "0")):
+    for flag, value in (("--dim", "-3"), ("--dim", "1"), ("--dim", "2"), ("--noise", "-1"),
+                        ("--videos-per-class", "0")):
         rc = cli_dispatch(["gen", "--out", str(tmp_path / "d"), flag, value])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")

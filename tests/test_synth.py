@@ -38,10 +38,13 @@ def test_config_validation():
 
 
 def test_config_rejects_bad_sizes():
-    for bad in (dict(d=0), dict(d=-3), dict(noise_std=-1.0), dict(noise_std=float("nan"))):
+    # a prototype's residual is orthogonal to the shared direction: at d=2 it is
+    # one of two vectors, so 3 classes cannot all differ; at d=1 it is zero
+    for bad in (dict(d=0), dict(d=-3), dict(d=1), dict(d=2), dict(noise_std=-1.0),
+                dict(noise_std=float("nan"))):
         with pytest.raises(ConfigError):
             SynthConfig(**bad)
-    SynthConfig(d=1, noise_std=0.0)
+    SynthConfig(d=3, noise_std=0.0)
 
 
 def test_split_counts_partition_every_class_count_from_3():
