@@ -4,10 +4,13 @@ Per video, each of the K attention heads learns a Gaussian over the
 normalized frame axis t/Z. The mean comes from soft_argmax, the one
 soft-argmax of the package, over the dot products of frames with a
 mean-learning row, the standard deviation from the sigmoid-summed dot
-products with a std-learning row. The resulting weights e pool the frames
-into K video-level summaries e @ F, which a fusion step combines into one
-descriptor. The tsf and sldg baselines weigh frames through the same
-Gaussian kernel and differ only in where mu and sigma come from.
+products with a std-learning row. That width is what "length-based" means:
+a soft frame count, sum_t sigmoid / Z, it scales with a video's length T,
+and on the synthetic data a trained model narrows it as the planted window
+widens. The resulting weights e pool the frames into K video-level
+summaries e @ F, which a fusion step combines into one descriptor. The
+tsf and sldg baselines weigh frames through the same Gaussian kernel and
+differ only in where mu and sigma come from.
 
 A kernel only weighs frames; Model.forward_video pools them. It returns its
 cache, the one record of a pass: mu and sigma (..., K), raw weights a and

@@ -184,6 +184,8 @@ def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict) -> None:
         arr = np.asarray(params[name], dtype=np.float64)
         if arr.ndim not in (1, 2):
             raise FormatError(f"parameter {name!r} has unsupported ndim {arr.ndim}")
+        if arr.ndim == 2 and arr.shape[1] == 0:  # cols 0 is how a 1-d block's header reads
+            raise FormatError(f"parameter {name!r} of shape {arr.shape} has no columns")
         rows, cols = arr.shape if arr.ndim == 2 else (arr.size, 0)
         nb = name.encode("utf-8")
         parts += [struct.pack(f"<I{len(nb)}sII", len(nb), nb, rows, cols),
@@ -194,29 +196,24 @@ def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict) -> None:
 
 def load_checkpoint(path):
     """Returns (params, meta): finite, uniquely named blocks and UTF-8 JSON metadata, from a
-    version 2 file whose trailer is checked first, or a version 1 file and its sidecar."""
+    version 2 file whose trailer is checked before anything else is parsed."""
     raw = Path(path).read_bytes()
     if len(raw) < 5 or raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic at byte 0")
-    if raw[4] == CHECKPOINT_VERSION:
-        end = len(raw) - 12
-        if end < 9 or struct.unpack_from("<QI", raw, end) != (len(raw), zlib.crc32(raw[:end])):
-            raise FormatError(f"{path}: length or checksum mismatch at byte {max(end, 5)}")
-        meta_path, meta_at, off = path, 9, 9 + struct.unpack_from("<I", raw, 5)[0]
-        meta_raw = raw[meta_at:off]
-    elif raw[4] == 1:
-        meta_path, meta_at, end, off = Path(f"{path}.meta.json"), 0, len(raw), 5
-        if not meta_path.exists():
-            raise FormatError(f"missing checkpoint metadata {meta_path}")
-        meta_raw = meta_path.read_bytes()
-    else:
+    if raw[4] != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported version {raw[4]} at byte 4")
+    end = len(raw) - 12
+    if end < 9 or struct.unpack_from("<QI", raw, end) != (len(raw), zlib.crc32(raw[:end])):
+        raise FormatError(f"{path}: length or checksum mismatch at byte {max(end, 5)}")
+    off = 9 + struct.unpack_from("<I", raw, 5)[0]
+    if off > end:
+        raise FormatError(f"{path}: metadata length {off - 9} runs past the trailer at byte 5")
     try:
-        meta = json.loads(meta_raw.decode("utf-8"))
+        meta = json.loads(raw[9:off].decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{meta_path}: not UTF-8 at byte {meta_at + exc.start}") from None
+        raise FormatError(f"{path}: not UTF-8 at byte {9 + exc.start}") from None
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{meta_path}: bad JSON: {exc}") from None
+        raise FormatError(f"{path}: bad JSON: {exc}") from None
     params: dict[str, np.ndarray] = {}
     while off < end:
         # a block header is the name length, the name, then rows and cols

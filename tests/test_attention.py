@@ -233,6 +233,21 @@ def test_sigma_floor_blocks_gradient():
     assert np.allclose(dWs, 0.0)
 
 
+def test_repeating_every_frame_k_times_multiplies_sigma_by_k():
+    # sigma is a soft frame count, sum_t sigmoid / Z: at one Z, a stack whose
+    # every frame is repeated k times has k times the width, above the floor
+    rng = np.random.default_rng(8)
+    F = rng.normal(size=(4, 6, 5))
+    Wm, Ws = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+    for k in (2, 3, 4):
+        Z = k * F.shape[-2]
+        slow = np.repeat(F, k, axis=-2)
+        base = attend_forward(F, Wm, Ws, 5.0, Z, _all_frames(F))
+        repeated = attend_forward(slow, Wm, Ws, 5.0, Z, _all_frames(slow))
+        assert not base["sigma_floored"].any() and not repeated["sigma_floored"].any()
+        np.testing.assert_allclose(repeated["sigma"], k * base["sigma"], rtol=1e-12, atol=0)
+
+
 def test_fusion_average_and_soft():
     rng = np.random.default_rng(8)
     v = rng.normal(size=(3, 4))

@@ -13,7 +13,7 @@ from clta.cli import (_build_parser, _config_defaults, _load_model, cli_dispatch
                       gradcheck_batch)
 from clta.episodes import HEADS
 from clta.model import CLASSIFIERS, MODEL_KINDS, PROJECTION_STAGES, Model, ModelConfig
-from v1_checkpoint import v1_copy
+from checkpoint_bytes import v2_bytes, v2_parts
 
 
 @pytest.fixture(scope="module")
@@ -449,45 +449,47 @@ def test_one_manifest_read_per_command(dataset_dir, tmp_path, monkeypatch, capsy
 
 @pytest.fixture
 def broken_checkpoint(checkpoint, tmp_path):
-    """A v1 copy of the trained checkpoint and its sidecar, for breaking: a v1
-    file has no checksum, so its bytes and its metadata can be edited."""
+    """A copy of the trained checkpoint for breaking, its metadata, and a function
+    that saves the trained parameters there again under the metadata it is given."""
+    params, meta = io_files.load_checkpoint(checkpoint)
     ckpt = tmp_path / "m.ckpt"
-    return ckpt, v1_copy(checkpoint, ckpt)
+
+    def rewrite(new_meta):
+        io_files.save_checkpoint(ckpt, params, new_meta)
+
+    rewrite(meta)
+    return ckpt, meta, rewrite
 
 
 def test_checkpoint_metadata_is_checked(dataset_dir, broken_checkpoint, capsys):
-    ckpt, meta = broken_checkpoint
-    good = json.loads(meta.read_text())
+    ckpt, good, rewrite = broken_checkpoint
     for broken, named in (({}, "model_config"),
                           (dict(good, model_config=dict(good["model_config"], colour="red")),
                            "colour")):
-        meta.write_text(json.dumps(broken))
+        rewrite(broken)
         assert _eval_exit_code(dataset_dir, ckpt) == 2, named
         assert named in capsys.readouterr().err
 
 
 def test_a_sidecar_with_batch_norm_stats_evaluates_as_without_them(dataset_dir,
                                                                     broken_checkpoint, capsys):
-    # sidecars written while the model had batch norm record it off, with the
+    # metadata written while the model had batch norm records it off, with the
     # untouched running stats; those keys are ignored
-    ckpt, meta = broken_checkpoint
-    good = json.loads(meta.read_text())
+    ckpt, good, rewrite = broken_checkpoint
     assert good["model_config"]["batch_norm"] is False
     argv = ["eval", "--data", str(dataset_dir / "manifest.csv"), "--checkpoint", str(ckpt),
             "--n-way", "2", "--episodes", "10", "--seed", "5"]
     assert cli_dispatch(argv) == 0
     line = capsys.readouterr().out
     hidden = good["model_config"]["hidden"]
-    meta.write_text(json.dumps(dict(good, bn_mean=[0.0] * hidden, bn_var=[1.0] * hidden)))
+    rewrite(dict(good, bn_mean=[0.0] * hidden, bn_var=[1.0] * hidden))
     assert cli_dispatch(argv) == 0
     assert capsys.readouterr().out == line
 
 
 def test_a_batch_norm_sidecar_exits_2(dataset_dir, broken_checkpoint, capsys):
-    ckpt, meta = broken_checkpoint
-    good = json.loads(meta.read_text())
-    meta.write_text(json.dumps(dict(good, model_config=dict(good["model_config"],
-                                                            batch_norm=True))))
+    ckpt, good, rewrite = broken_checkpoint
+    rewrite(dict(good, model_config=dict(good["model_config"], batch_norm=True)))
     assert _eval_exit_code(dataset_dir, ckpt) == 2
     assert "error: batch norm is no longer supported" in capsys.readouterr().err
 
@@ -508,38 +510,45 @@ def test_batch_norm_is_no_longer_a_flag_or_config_key(dataset_dir, tmp_path, cap
 @pytest.mark.parametrize("command", ["eval", "dump-attention"])
 def test_checkpoint_with_non_finite_parameter_exits_2(dataset_dir, broken_checkpoint,
                                                       tmp_path, capsys, command):
-    v1, _ = broken_checkpoint
-    params, meta = io_files.load_checkpoint(v1)
+    ckpt, meta, _ = broken_checkpoint
+    params, _ = io_files.load_checkpoint(ckpt)
     # the last block is proj_b (blocks are in name order); NaN its last value,
-    # which ends a v1 file and sits before a v2 file's 12-byte trailer
+    # which sits before the 12-byte trailer
     assert sorted(params)[-1] == "proj_b"
-    raw = bytearray(v1.read_bytes())
-    raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
-    v1.write_bytes(bytes(raw))
     params["proj_b"][-1] = np.nan
-    v2 = tmp_path / "v2.ckpt"
-    io_files.save_checkpoint(v2, params, meta)
+    io_files.save_checkpoint(ckpt, params, meta)
     out = tmp_path / "out"
     episodes = ["--n-way", "2", "--episodes", "2"] if command == "eval" else []
-    for ckpt, nan_at in ((v1, len(raw) - 8), (v2, v2.stat().st_size - 12 - 8)):
-        rc = cli_dispatch([command, "--data", str(dataset_dir / "manifest.csv"),
-                           "--checkpoint", str(ckpt), "--out", str(out), *episodes])
-        assert rc == 2
-        assert (f"error: {ckpt}: non-finite value in parameter 'proj_b' at byte {nan_at}"
-                in capsys.readouterr().err)
-        assert not out.exists()
+    rc = cli_dispatch([command, "--data", str(dataset_dir / "manifest.csv"),
+                       "--checkpoint", str(ckpt), "--out", str(out), *episodes])
+    assert rc == 2
+    assert (f"error: {ckpt}: non-finite value in parameter 'proj_b' at byte "
+            f"{ckpt.stat().st_size - 12 - 8}" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_a_version_1_checkpoint_exits_2(dataset_dir, broken_checkpoint, capsys):
+    # version 1: the same blocks after a 5-byte header, and the metadata in a
+    # sidecar beside the file; nothing writes it, and only version 2 loads
+    ckpt, meta, _ = broken_checkpoint
+    ckpt.write_bytes(b"CLTA\x01" + v2_parts(ckpt.read_bytes())[1])
+    Path(f"{ckpt}.meta.json").write_text(json.dumps(meta))
+    assert _eval_exit_code(dataset_dir, ckpt) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {ckpt}: unsupported version 1 at byte 4\n"
+    assert out == ""
 
 
 def _block_boundaries(raw):
-    """Byte offsets of a v1 checkpoint where a parameter block starts, from the
-    end of the 5-byte header to the start of the last block."""
-    cuts, off = [], 5
-    while off < len(raw):
+    """Byte offsets of a checkpoint where a parameter block starts, from the end of
+    its metadata to the start of the last block."""
+    cuts, off = [], 9 + struct.unpack_from("<I", raw, 5)[0]
+    while off < len(raw) - 12:
         cuts.append(off)
         (nlen,) = struct.unpack_from("<I", raw, off)
         rows, cols = struct.unpack_from("<II", raw, off + 4 + nlen)
         off += 4 + nlen + 8 + 8 * rows * max(cols, 1)
-    assert off == len(raw)
+    assert off == len(raw) - 12
     return cuts
 
 
@@ -547,66 +556,66 @@ def _block_boundaries(raw):
                                    ["--model", "tsf", "--classifier", "cosine",
                                     "--fusion", "soft"]], ids=["clta", "sldg", "tsf-cosine-soft"])
 def test_a_checkpoint_cut_at_a_block_boundary_exits_2(dataset_dir, tmp_path, capsys, flags):
-    # load_checkpoint reads such a v1 file as a partial dict; the model names
-    # the first parameter it lacks. The header alone holds no block, which
-    # load_checkpoint rejects itself. A v2 file cut anywhere fails its trailer
-    # check. cli_dispatch turns only CltaError and OSError into exit 2, so any
-    # other exception fails the test with its traceback
+    # a file cut anywhere fails its trailer check. A whole file holding only the
+    # blocks before the cut loads; the model names the first parameter it lacks,
+    # and load_checkpoint itself rejects a file with no block. cli_dispatch turns
+    # only CltaError and OSError into exit 2, so any other exception fails the test
+    # with its traceback
     full = tmp_path / "full.ckpt"
     assert cli_dispatch(["train", "--data", str(dataset_dir / "manifest.csv"),
                          "--out", str(full), "--epochs", "1", *flags]) == 0
-    v2 = full.read_bytes()
-    cut = tmp_path / "cut.ckpt"
-    v1_copy(full, cut)
-    v1 = cut.read_bytes()
-    cuts = _block_boundaries(v1)
+    raw = full.read_bytes()
+    meta_json, _ = v2_parts(raw)
+    header = 9 + len(meta_json)
+    cuts = _block_boundaries(raw)
+    assert cuts[0] == header
     assert len(cuts) == len(_load_model(full).params)   # the header alone, then each block
-    # v2 blocks start after the metadata's length and the metadata
-    shift = 4 + struct.unpack_from("<I", v2, 5)[0]
+    cut = tmp_path / "cut.ckpt"
     capsys.readouterr()
     for end in cuts:
-        for raw, at, expected in (
-                (v1, end, f"error: {cut}: no parameter block after the header at byte 5"
-                 if end == 5 else "error: checkpoint is missing parameter"),
-                (v2, end + shift, f"error: {cut}: length or checksum mismatch at byte "
-                                  f"{max(end + shift - 12, 5)}")):
-            cut.write_bytes(raw[:at])
-            assert _eval_exit_code(dataset_dir, cut) == 2, at
+        for data, expected in (
+                (raw[:end], f"error: {cut}: length or checksum mismatch at byte "
+                            f"{max(end - 12, 5)}"),
+                (v2_bytes(meta_json, raw[header:end]),
+                 f"error: {cut}: no parameter block after the header at byte {header}"
+                 if end == header else "error: checkpoint is missing parameter")):
+            cut.write_bytes(data)
+            assert _eval_exit_code(dataset_dir, cut) == 2, end
             out, err = capsys.readouterr()
-            assert expected in err, at
-            assert "Traceback" not in out + err, at
+            assert expected in err, end
+            assert "Traceback" not in out + err, end
 
 
 def test_checkpoint_sidecar_that_is_not_utf8_exits_2(dataset_dir, broken_checkpoint, capsys):
-    ckpt, meta = broken_checkpoint
-    meta.write_bytes(b'{"labels": ["caf\xe9"]}')
-    assert _eval_exit_code(dataset_dir, ckpt) == 2
-    assert f"error: {meta}: not UTF-8 at byte 16" in capsys.readouterr().err
+    ckpt, _, _ = broken_checkpoint
+    _, blocks = v2_parts(ckpt.read_bytes())
+    # header 5, metadata length 4, then the metadata's byte 16
+    for meta_json, error in ((b'{"labels": ["caf\xe9"]}', "not UTF-8 at byte 25"),
+                             (b'{"labels": [', "bad JSON")):
+        ckpt.write_bytes(v2_bytes(meta_json, blocks))
+        assert _eval_exit_code(dataset_dir, ckpt) == 2
+        assert f"error: {ckpt}: {error}" in capsys.readouterr().err
 
 
 def test_checkpoint_with_a_size_below_one_exits_2(dataset_dir, broken_checkpoint, capsys):
-    ckpt, meta = broken_checkpoint
-    good = json.loads(meta.read_text())
+    ckpt, good, rewrite = broken_checkpoint
     # a non-integer size is the same kind of broken config
     for name, size, error in (("hidden", -1, "hidden must be >= 1, got -1"),
                               ("hidden", 1.5, "hidden must be an integer, got 1.5"),
                               ("num_gaussians", True,
                                "num_gaussians must be an integer, got True")):
-        meta.write_text(json.dumps(dict(good, model_config=dict(good["model_config"],
-                                                                **{name: size}))))
+        rewrite(dict(good, model_config=dict(good["model_config"], **{name: size})))
         assert _eval_exit_code(dataset_dir, ckpt) == 2
         assert f"error: {error}" in capsys.readouterr().err
 
 
 def test_checkpoint_with_a_beta_whose_init_scale_overflows_exits_2(dataset_dir,
                                                                   broken_checkpoint, capsys):
-    ckpt, meta = broken_checkpoint
-    good = json.loads(meta.read_text())
+    ckpt, good, rewrite = broken_checkpoint
     # 3e-309's init scale is finite, but its product with a normal draw may not be
     for beta in ("1e-320", "3e-309"):
-        meta.write_text(json.dumps(dict(good, model_config=dict(good["model_config"],
-                                                                beta=float(beta)))))
-        assert f'"beta": {beta}' in meta.read_text()
+        rewrite(dict(good, model_config=dict(good["model_config"], beta=float(beta))))
+        assert f'"beta": {beta}'.encode() in ckpt.read_bytes()
         assert _eval_exit_code(dataset_dir, ckpt) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: beta must be a number in [1e-300, 1e300], got {beta}\n"
@@ -617,9 +626,8 @@ def test_checkpoint_with_a_beta_whose_init_scale_overflows_exits_2(dataset_dir,
                          ids=["Infinity", "NaN", "true"])
 def test_checkpoint_with_a_non_finite_or_boolean_beta_exits_2(dataset_dir, broken_checkpoint,
                                                               capsys, beta):
-    ckpt, meta = broken_checkpoint
-    good = json.loads(meta.read_text())
-    meta.write_text(json.dumps(dict(good, model_config=dict(good["model_config"], beta=beta))))
+    ckpt, good, rewrite = broken_checkpoint
+    rewrite(dict(good, model_config=dict(good["model_config"], beta=beta)))
     assert _eval_exit_code(dataset_dir, ckpt) == 2
     captured = capsys.readouterr()
     assert f"error: beta must be a number in [1e-300, 1e300], got {beta!r}" in captured.err

@@ -1,7 +1,6 @@
 """Unit checks for feature files, manifests, checkpoints, and result CSVs."""
 
 import contextlib
-import json
 import os
 import re
 import struct
@@ -14,7 +13,7 @@ from clta import io_files
 from clta.cli import cli_dispatch
 from clta.errors import CltaError, ConfigError, FormatError
 from clta.synth import SPLITS
-from v1_checkpoint import v1_copy
+from checkpoint_bytes import block, v2_bytes
 
 
 def test_feature_file_roundtrip(tmp_path):
@@ -373,7 +372,7 @@ def test_every_cut_or_flipped_manifest_or_feature_byte_loads_or_is_a_clta_error(
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     params = {"W": rng.normal(size=(4, 3)), "b": rng.normal(size=5),
-              "single": np.array([2.5])}
+              "single": np.array([2.5]), "edges": np.array([[-0.0, 1e-300], [np.pi, -2.25]])}
     # any JSON keys ride along, such as the benchmark's bn_mean and bn_var
     meta = {"model_config": {"kind": "clta"}, "labels": ["a", "b", "caf\xe9"],
             "bn_mean": [0.0, 1.5], "bn_var": [1.0, 2.0], "nested": {"z": None, "a": [True]}}
@@ -386,17 +385,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert set(loaded) == set(params)
     for k in params:
         assert loaded[k].shape == np.asarray(params[k]).shape
-        assert np.array_equal(loaded[k], params[k])  # float64 is exact
-
-
-def test_saving_over_a_v1_checkpoint_leaves_its_sidecar_unread(tmp_path):
-    path = tmp_path / "m.ckpt"
-    io_files.save_checkpoint(tmp_path / "old.ckpt", {"W": np.ones((2, 2))}, {"labels": ["old"]})
-    sidecar = v1_copy(tmp_path / "old.ckpt", path)
-    assert io_files.load_checkpoint(path)[1] == {"labels": ["old"]}
-    io_files.save_checkpoint(path, {"W": np.zeros((2, 2))}, {"labels": ["new"]})
-    assert io_files.load_checkpoint(path)[1] == {"labels": ["new"]}
-    assert json.loads(sidecar.read_text()) == {"labels": ["old"]}
+        assert loaded[k].tobytes() == params[k].tobytes()  # float64 is exact, -0.0 included
 
 
 def test_a_failed_save_leaves_the_old_checkpoint_untouched(tmp_path):
@@ -404,11 +393,13 @@ def test_a_failed_save_leaves_the_old_checkpoint_untouched(tmp_path):
     params = {"A": np.arange(4.0), "W": np.ones((2, 2))}
     io_files.save_checkpoint(path, params, {"labels": ["first"]})
     raw = path.read_bytes()
-    # blocks go in name order, so "A" is built before "B" fails
-    with pytest.raises(FormatError, match="parameter 'B' has unsupported ndim 3"):
-        io_files.save_checkpoint(path, {"A": np.zeros(3), "B": np.ones((2, 2, 2))},
-                                 {"labels": ["second"]})
-    assert path.read_bytes() == raw
+    # blocks go in name order, so "A" is built before "B" fails; a 2-d block with
+    # no columns would have a 1-d block's header and no payload, so it cannot load
+    for bad, error in ((np.ones((2, 2, 2)), "parameter 'B' has unsupported ndim 3"),
+                       (np.zeros((3, 0)), r"parameter 'B' of shape \(3, 0\) has no columns")):
+        with pytest.raises(FormatError, match=error):
+            io_files.save_checkpoint(path, {"A": np.zeros(3), "B": bad}, {"labels": ["second"]})
+        assert path.read_bytes() == raw
     loaded, meta = io_files.load_checkpoint(path)
     assert meta == {"labels": ["first"]}
     assert {k: v.tobytes() for k, v in loaded.items()} == {k: v.tobytes()
@@ -423,51 +414,35 @@ def test_checkpoint_errors(tmp_path):
     path.write_bytes(b"CLTA\x09")
     with pytest.raises(FormatError, match="unsupported version"):
         io_files.load_checkpoint(path)
-    io_files.save_checkpoint(tmp_path / "v2.ckpt", {"W": np.ones((2, 2))}, {})
-    # a cut v2 file fails its trailer check, at the 12 bytes before the cut
-    v2 = (tmp_path / "v2.ckpt").read_bytes()
-    path.write_bytes(v2[:-8])
-    with pytest.raises(FormatError, match=f"{path}: length or checksum mismatch at byte "
-                                          f"{len(v2) - 20}"):
-        io_files.load_checkpoint(path)
-    good = tmp_path / "good.ckpt"
-    sidecar = v1_copy(tmp_path / "v2.ckpt", good)
-    path.write_bytes(good.read_bytes()[:-8])
-    (tmp_path / "bad.ckpt.meta.json").write_text("{}")
-    with pytest.raises(FormatError, match="truncated payload"):
-        io_files.load_checkpoint(path)
-    path.write_bytes(b"CLTA\x01" + struct.pack("<I", 1) + b"\xff"
-                     + struct.pack("<II", 1, 0) + bytes(8))
-    with pytest.raises(FormatError, match="not UTF-8 at byte 9"):
-        io_files.load_checkpoint(path)
+    # a version 1 file, its blocks after a 5-byte header and its metadata in a
+    # sidecar, is refused; the sidecar is never read, not even after a save over it
+    sidecar = tmp_path / "bad.ckpt.meta.json"
     sidecar.write_text("{not json")
-    with pytest.raises(FormatError, match="bad JSON"):
-        io_files.load_checkpoint(good)
-    sidecar.unlink()
-    with pytest.raises(FormatError, match="missing checkpoint metadata"):
-        io_files.load_checkpoint(good)
+    path.write_bytes(b"CLTA\x01" + block("W", [1.0], 1))
+    with pytest.raises(FormatError, match=f"{path}: unsupported version 1 at byte 4"):
+        io_files.load_checkpoint(path)
+    io_files.save_checkpoint(path, {"W": np.ones((2, 2))}, {"labels": ["new"]})
+    assert io_files.load_checkpoint(path)[1] == {"labels": ["new"]}
+    assert sidecar.read_text() == "{not json"
+    # a cut file fails its trailer check, at the 12 bytes before the cut
+    good = path.read_bytes()
+    path.write_bytes(good[:-8])
+    with pytest.raises(FormatError, match=f"{path}: length or checksum mismatch at byte "
+                                          f"{len(good) - 20}"):
+        io_files.load_checkpoint(path)
+    # header 5, metadata length 4, metadata 2, then the block: name length 4, name 1
+    path.write_bytes(v2_bytes(b"{}", block("W", [1.0, 2.0], 2)[:-8]))
+    with pytest.raises(FormatError, match=f"{path}: truncated payload for 'W' at byte 24"):
+        io_files.load_checkpoint(path)
+    path.write_bytes(v2_bytes(b"{}", struct.pack("<I", 1) + b"\xff"
+                              + struct.pack("<II", 1, 0) + bytes(8)))
+    with pytest.raises(FormatError, match=f"{path}: parameter name is not UTF-8 at byte 15"):
+        io_files.load_checkpoint(path)
+    path.write_bytes(v2_bytes(b"{not json", block("W", [1.0], 1)))
+    with pytest.raises(FormatError, match=f"{path}: bad JSON"):
+        io_files.load_checkpoint(path)
     with pytest.raises(FormatError, match="unsupported ndim"):
         io_files.save_checkpoint(tmp_path / "x.ckpt", {"W": np.ones((2, 2, 2))}, {})
-
-
-def test_checkpoint_v1_bytes_load_bit_identically(tmp_path):
-    values = np.array([[1.5, -0.0], [np.pi, 1e-300]])
-    path = tmp_path / "v1.ckpt"
-    path.write_bytes(b"CLTA\x01" + struct.pack("<I", 1) + b"W" + struct.pack("<II", 2, 2)
-                     + values.astype("<f8").tobytes()
-                     + struct.pack("<I", 1) + b"b" + struct.pack("<II", 1, 0)
-                     + np.array([-2.25]).astype("<f8").tobytes())
-    (tmp_path / "v1.ckpt.meta.json").write_bytes(b'{"labels": ["a"]}')
-    params, meta = io_files.load_checkpoint(path)
-    assert params["W"].tobytes() == values.tobytes()
-    assert params["b"].tobytes() == np.array([-2.25]).tobytes()
-    assert meta == {"labels": ["a"]}
-
-
-def _v2_bytes(meta_json: bytes, blocks: bytes) -> bytes:
-    """A v2 file with a valid trailer, whatever its metadata and blocks hold."""
-    body = b"CLTA\x02" + struct.pack("<I", len(meta_json)) + meta_json + blocks
-    return body + struct.pack("<QI", len(body) + 12, zlib.crc32(body))
 
 
 def test_checkpoint_boundary_defects_name_the_block_or_byte(tmp_path):
@@ -477,59 +452,45 @@ def test_checkpoint_boundary_defects_name_the_block_or_byte(tmp_path):
     # then b's second value
     with pytest.raises(FormatError, match=f"{path}: non-finite value in parameter 'b' at byte 77"):
         io_files.load_checkpoint(path)
-    # the same blocks in v1 start 6 bytes earlier: no metadata length or metadata
-    v1 = tmp_path / "v1.ckpt"
-    sidecar = v1_copy(path, v1)
-    with pytest.raises(FormatError, match=f"{v1}: non-finite value in parameter 'b' at byte 71"):
-        io_files.load_checkpoint(v1)
-    # a repeated block name: header 5, then the first w block 4 + 1 + 8 + 16
-    block = struct.pack("<I", 1) + b"w" + struct.pack("<II", 2, 0)
-    path.write_bytes(b"CLTA\x01" + block + np.array([1.0, 2.0]).astype("<f8").tobytes()
-                     + block + np.array([7.0, 8.0]).astype("<f8").tobytes())
-    (tmp_path / "m.ckpt.meta.json").write_text("{}")
-    with pytest.raises(FormatError, match=f"{path}: repeated parameter block 'w' at byte 34"):
+    # a repeated block name: header 5 + 4 + 2, then the first w block 4 + 1 + 8 + 16
+    path.write_bytes(v2_bytes(b"{}", block("w", [1.0, 2.0], 2) + block("w", [7.0, 8.0], 2)))
+    with pytest.raises(FormatError, match=f"{path}: repeated parameter block 'w' at byte 40"):
         io_files.load_checkpoint(path)
-    sidecar.write_bytes(b'{"x": "\xff"}')
-    with pytest.raises(FormatError, match=f"{sidecar}: not UTF-8 at byte 7"):
-        io_files.load_checkpoint(v1)
-    # metadata that is not UTF-8 in a v2 file that passes its trailer check:
+    # metadata that is not UTF-8 in a file that passes its trailer check:
     # header 5, metadata length 4, then the metadata's byte 7
-    ones = struct.pack("<I", 1) + b"W" + struct.pack("<II", 1, 0) + np.ones(1).tobytes()
-    path.write_bytes(_v2_bytes(b'{"x": "\xff"}', ones))
+    ones = block("W", [1.0], 1)
+    path.write_bytes(v2_bytes(b'{"x": "\xff"}', ones))
     with pytest.raises(FormatError, match=f"{path}: not UTF-8 at byte 16"):
         io_files.load_checkpoint(path)
     # a metadata length that runs into the trailer or past the file passes the
-    # trailer check, and still leaves metadata that is not JSON, or no block
+    # trailer check, and is named before the metadata is read
     for meta_len in (len("{}") + len(ones) + 1, 2**32 - 1):
         body = b"CLTA\x02" + struct.pack("<I", meta_len) + b"{}" + ones
         path.write_bytes(body + struct.pack("<QI", len(body) + 12, zlib.crc32(body)))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=f"{path}: metadata length {meta_len} runs past "
+                                              f"the trailer at byte 5"):
             io_files.load_checkpoint(path)
 
 
 def test_checkpoint_truncated_at_every_byte(tmp_path):
-    good, v1 = tmp_path / "good.ckpt", tmp_path / "v1.ckpt"
+    good = tmp_path / "good.ckpt"
     io_files.save_checkpoint(good, {"W": np.ones((2, 3)), "bias": np.arange(3.0)}, {})
-    v1_copy(good, v1)
+    raw = good.read_bytes()
+    # the header 5, the metadata's length 4 and the metadata, then blocks in name
+    # order, W then bias, then the 12-byte trailer
+    after_W = 5 + 4 + len("{}") + 4 + len("W") + 8 + 8 * 6
+    assert len(raw) == after_W + 4 + len("bias") + 8 + 8 * 3 + 12
     cut = tmp_path / "cut.ckpt"
-    (tmp_path / "cut.ckpt.meta.json").write_text("{}")
-    # the header (v1: 5 bytes; v2: 5, then the metadata's length and the
-    # metadata), then blocks in name order, W then bias, then v2's 12-byte trailer
-    for raw, header, trailer in ((v1.read_bytes(), 5, 0),
-                                 (good.read_bytes(), 5 + 4 + len("{}"), 12)):
-        after_W = header + 4 + len("W") + 8 + 8 * 6
-        assert len(raw) == after_W + 4 + len("bias") + 8 + 8 * 3 + trailer
-        loaded_at = {}
-        for n in range(len(raw)):
-            cut.write_bytes(raw[:n])
-            try:
-                loaded_at[n] = sorted(io_files.load_checkpoint(cut)[0])
-            except FormatError:
-                pass
-        # a v1 cut between two blocks still loads, as the blocks before it: v1
-        # has no length to tell it from a complete file; a cut right after the
-        # header leaves no block, which no checkpoint has. v2's trailer rejects every cut
-        assert loaded_at == ({after_W: ["W"]} if trailer == 0 else {})
+    loaded_at = []
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        try:
+            io_files.load_checkpoint(cut)
+            loaded_at.append(n)
+        except FormatError:
+            pass
+    # the trailer rejects every cut, the one between the two blocks included
+    assert loaded_at == []
 
 
 def test_every_flipped_byte_of_a_checkpoint_is_a_format_error(tmp_path):
@@ -553,13 +514,9 @@ def test_a_checkpoint_without_parameter_blocks_is_a_format_error(tmp_path):
     path = tmp_path / "empty.ckpt"
     with pytest.raises(FormatError, match=f"{path}: a checkpoint needs at least one"):
         io_files.save_checkpoint(path, {}, {})
-    assert not path.exists() and not (tmp_path / "empty.ckpt.meta.json").exists()
-    path.write_bytes(b"CLTA\x01")
-    (tmp_path / "empty.ckpt.meta.json").write_text("{}")
-    with pytest.raises(FormatError, match=f"{path}: no parameter block after the header at byte 5"):
-        io_files.load_checkpoint(path)
-    # v2: header 5, metadata length 4, metadata 2
-    path.write_bytes(_v2_bytes(b"{}", b""))
+    assert list(tmp_path.iterdir()) == []
+    # header 5, metadata length 4, metadata 2
+    path.write_bytes(v2_bytes(b"{}", b""))
     with pytest.raises(FormatError, match=f"{path}: no parameter block after the header at byte 11"):
         io_files.load_checkpoint(path)
 
