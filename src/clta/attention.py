@@ -14,7 +14,8 @@ differ only in where mu and sigma come from.
 
 A kernel only weighs frames; Model.forward_video pools them. It returns its
 cache, the one record of a pass: mu and sigma (..., K), raw weights a and
-normalized weights e (..., K, T). Its backward is (cache, de, dF-or-None).
+normalized weights e (..., K, T). Its backward takes (cache, de) and returns
+the gradients of its parameters; the frames get none.
 
 Frame indices are 1-based inside all formulas; Z is the dataset-wide max
 sequence length, frozen from the training split. Every kernel takes only what
@@ -137,17 +138,13 @@ def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
     sigma = np.maximum(sigma_raw, floor)
 
     cache = gaussian_pool_forward(mu, sigma, Z, mask)
-    cache.update(F=F, p=p, sg=sg, sigma_floored=sigma_raw < floor, beta=beta, Z=Z,
-                 W_mean=W_mean, W_std=W_std)
+    cache.update(F=F, p=p, sg=sg, sigma_floored=sigma_raw < floor, beta=beta, Z=Z)
     return cache
 
 
-def attend_backward(cache: dict, de: np.ndarray, dF: np.ndarray | None):
-    """Backprop through attend_forward.
-
-    de: (..., K, T) upstream gradient on the weights e; dF: the pooling's
-    gradient on F, or None when F needs none.
-    Returns (dW_mean, dW_std, dF-or-None), summed over the stack.
+def attend_backward(cache: dict, de: np.ndarray):
+    """Backprop through attend_forward for the upstream gradient de (..., K, T)
+    on the weights e. Returns (dW_mean, dW_std), summed over the stack.
     """
     F, p, sg, pos = cache["F"], cache["p"], cache["sg"], cache["pos"]
     beta, Z = cache["beta"], cache["Z"]
@@ -160,10 +157,7 @@ def attend_backward(cache: dict, de: np.ndarray, dF: np.ndarray | None):
 
     # std path: sigma = sum_t sigmoid(F W_std^T) / Z; padded frames have sg = 0
     dss = (dsigma[..., None, :] / Z) * sigmoid_grad(sg)  # (..., T, K)
-
-    if dF is not None:
-        dF = dF + dsm @ cache["W_mean"] + dss @ cache["W_std"]
-    return sum_outer(dsm, F), sum_outer(dss, F), dF
+    return sum_outer(dsm, F), sum_outer(dss, F)
 
 
 def fusion_weights(soft_logits: np.ndarray | None, K: int) -> np.ndarray:

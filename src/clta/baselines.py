@@ -9,7 +9,8 @@ tsf and sldg weigh frames through the same Gaussian kernel as clta
 (T, parameters), so their forwards take no frames: two same-length videos
 always receive identical weights, regardless of contents. As for the
 attention kernels, a forward returns its cache, whose e (..., K, T) the
-model pools, and a backward takes (cache, de, dF-or-None). Plain frame
+model pools, and a backward takes (cache, de) and returns the tuple of its
+parameters' gradients, summed over the stack. Plain frame
 averaging, avg, needs no kernel: model._KINDS gives each frame weight 1/T.
 """
 
@@ -32,13 +33,12 @@ def self_attention_forward(F: np.ndarray, W: np.ndarray, mask: np.ndarray):
     width is W's (K, d), as Model.forward_video checks."""
     scores = np.where(mask[..., None, :], W @ np.swapaxes(F, -1, -2), -np.inf)
     e = softmax_stable(scores, axis=-1)       # (..., K, T)
-    return dict(F=F, W=W, e=e, a=scores)
+    return dict(F=F, e=e, a=scores)
 
 
-def self_attention_backward(cache, de, dF):
+def self_attention_backward(cache, de):
     dscores = np.swapaxes(softmax_backward(cache["e"], de, axis=-1), -1, -2)   # (..., T, K)
-    dF = None if dF is None else dF + dscores @ cache["W"]
-    return sum_outer(dscores, cache["F"]), dF
+    return (sum_outer(dscores, cache["F"]),)
 
 
 def tsf_forward(centers: np.ndarray, widths: np.ndarray, Z: int, mask: np.ndarray):
@@ -52,11 +52,11 @@ def tsf_forward(centers: np.ndarray, widths: np.ndarray, Z: int, mask: np.ndarra
     return cache
 
 
-def tsf_backward(cache, de, dF):
+def tsf_backward(cache, de):
     dmu, dsigma, _ = gaussian_pool_backward(cache, de)
     dcenters = sum_outer(cache["frac"], dmu)[0] * (1.0 - cache["th"] ** 2) / 2.0
     dwidths = sum_outer(cache["frac"], dsigma)[0] * sigmoid(cache["widths"])
-    return dcenters, dwidths, dF
+    return dcenters, dwidths
 
 
 def sldg_schedule(T, K: int, Z: int):
@@ -74,5 +74,5 @@ def sldg_forward(scales: np.ndarray, Z: int, mask: np.ndarray):
     return gaussian_pool_forward(mu, sigma, Z, mask, scales)
 
 
-def sldg_backward(cache, de, dF):
-    return gaussian_pool_backward(cache, de)[2], dF
+def sldg_backward(cache, de):
+    return gaussian_pool_backward(cache, de)[2:]   # (dscales,)

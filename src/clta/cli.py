@@ -14,8 +14,7 @@ import numpy as np
 from . import io_files, synth
 from .episodes import HEADS, EpisodeSpec, run_episodes
 from .errors import CltaError, ConfigError, FormatError
-from .model import (CLASSIFIERS, MODEL_KINDS, PROJECTION_STAGES, Model, ModelConfig,
-                    _padded_chunks, loss_and_grads)
+from .model import CLASSIFIERS, MODEL_KINDS, Model, ModelConfig, _padded_chunks, loss_and_grads
 from .numerics import finite_diff_check
 from .trainer import TrainConfig, train
 
@@ -73,7 +72,6 @@ def _build_parser():
         p.add_argument("--fusion", choices=["average", "soft"], default="average")
         p.add_argument("--k-gaussians", type=int, default=6)
         p.add_argument("--beta", type=float, default=1e3)
-        p.add_argument("--projection-stage", choices=PROJECTION_STAGES, default="post")
         p.add_argument("--hidden", type=int, default=64)
         p.add_argument("--epochs", type=int, default=60)
         p.add_argument("--lr", type=float, default=2e-3)
@@ -208,8 +206,7 @@ def _train_model(args, train_seqs, val_seqs):
         fusion="soft_weight" if args.fusion == "soft" else "average",
         num_gaussians=args.k_gaussians, beta=args.beta, Z=Z,
         feature_dim=train_seqs[0].d, hidden=args.hidden,
-        num_classes=len(labels), projection_stage=args.projection_stage,
-        dropout=args.dropout)
+        num_classes=len(labels), dropout=args.dropout)
     model = Model(mcfg, np.random.default_rng(args.seed))
     tcfg = TrainConfig(lr0=args.lr, decay_every=args.decay_every,
                        batch_size=args.batch_size, epochs=args.epochs,

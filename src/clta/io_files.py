@@ -175,7 +175,8 @@ def _read_split(manifest_path, rows, split):
 
 def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict) -> None:
     """One file, built whole before path is opened: the JSON metadata, named float64
-    parameter blocks, at least one, then a trailer of the file's length and CRC32."""
+    parameter blocks, at least one and all finite, as load_checkpoint requires, then
+    a trailer of the file's length and CRC32."""
     if not params:
         raise FormatError(f"{path}: a checkpoint needs at least one parameter block")
     meta_json = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -186,6 +187,8 @@ def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict) -> None:
             raise FormatError(f"parameter {name!r} has unsupported ndim {arr.ndim}")
         if arr.ndim == 2 and arr.shape[1] == 0:  # cols 0 is how a 1-d block's header reads
             raise FormatError(f"parameter {name!r} of shape {arr.shape} has no columns")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"parameter {name!r} has a non-finite value")
         rows, cols = arr.shape if arr.ndim == 2 else (arr.size, 0)
         nb = name.encode("utf-8")
         parts += [struct.pack(f"<I{len(nb)}sII", len(nb), nb, rows, cols),

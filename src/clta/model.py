@@ -14,45 +14,46 @@ from . import attention as att
 from . import baselines as bl
 from . import classifiers as cls
 from .errors import ConfigError, ShapeError, TrainingError
-from .numerics import cross_entropy, relu, sum_outer
+from .numerics import cross_entropy, relu
 
 
-def _clta_init(rng, K, attn_dim, cfg):
+def _clta_init(rng, K, cfg):
     # keep beta * scores in the soft regime at init, otherwise the soft-argmax
     # saturates to an exact one-hot and W_mean gets no gradient; norms grow
     # during training, annealing it toward argmax
-    return {"W_mean": rng.standard_normal((K, attn_dim)) / (cfg.beta * np.sqrt(attn_dim)),
-            "W_std": rng.standard_normal((K, attn_dim)) / np.sqrt(attn_dim)}
+    d = cfg.feature_dim
+    return {"W_mean": rng.standard_normal((K, d)) / (cfg.beta * np.sqrt(d)),
+            "W_std": rng.standard_normal((K, d)) / np.sqrt(d)}
 
 
-# kind -> (init(rng, K, attn_dim, cfg) -> params, forward(G, params, cfg, mask) -> cache,
-# backward(cache, de, dG-or-None) -> (*dparams, dG-or-None), the names of dparams).
+# kind -> (init(rng, K, cfg) -> params, forward(F, params, cfg, mask) -> cache,
+# backward(cache, de) -> dparams, the names of dparams).
 # A kind only weighs frames: its cache's e (..., K, T) is the one record of the pass,
-# which forward_video pools once as v = e @ G. Its backward gets de, the gradient on e,
-# and adds its score path to the pooling's dG; avg has no parameters and no backward.
+# which forward_video pools once as v = e @ F. Its backward gets de, the gradient on e;
+# avg has no parameters and no backward.
 # Kernels are looked up on their module per call, so wrappers installed there see them.
 _KINDS = {
     "clta": (_clta_init,
-             lambda G, p, cfg, mask: att.attend_forward(G, p["W_mean"], p["W_std"],
+             lambda F, p, cfg, mask: att.attend_forward(F, p["W_mean"], p["W_std"],
                                                         cfg.beta, cfg.Z, mask),
              lambda *a: att.attend_backward(*a), ("W_mean", "W_std")),
     # every frame of a video weighted 1/T; fusing its one summary is exact
-    "avg": (lambda rng, K, attn_dim, cfg: {},
-            lambda G, p, cfg, mask: {"e": mask[..., None, :] / mask.sum(axis=-1)[..., None, None]},
+    "avg": (lambda rng, K, cfg: {},
+            lambda F, p, cfg, mask: {"e": mask[..., None, :] / mask.sum(axis=-1)[..., None, None]},
             None, ()),
-    "selfattn": (lambda rng, K, attn_dim, cfg:
-                 {"W_attn": rng.standard_normal((K, attn_dim)) / np.sqrt(attn_dim)},
-                 lambda G, p, cfg, mask: bl.self_attention_forward(G, p["W_attn"], mask),
+    "selfattn": (lambda rng, K, cfg:
+                 {"W_attn": rng.standard_normal((K, cfg.feature_dim)) / np.sqrt(cfg.feature_dim)},
+                 lambda F, p, cfg, mask: bl.self_attention_forward(F, p["W_attn"], mask),
                  lambda *a: bl.self_attention_backward(*a), ("W_attn",)),
-    "tsf": (lambda rng, K, attn_dim, cfg: bl.tsf_init(K),
-            lambda G, p, cfg, mask: bl.tsf_forward(p["centers"], p["widths"], cfg.Z, mask),
+    "tsf": (lambda rng, K, cfg: bl.tsf_init(K),
+            lambda F, p, cfg, mask: bl.tsf_forward(p["centers"], p["widths"], cfg.Z, mask),
             lambda *a: bl.tsf_backward(*a), ("centers", "widths")),
-    "sldg": (lambda rng, K, attn_dim, cfg: {"scales": np.ones(K)},
-             lambda G, p, cfg, mask: bl.sldg_forward(p["scales"], cfg.Z, mask),
+    "sldg": (lambda rng, K, cfg: {"scales": np.ones(K)},
+             lambda F, p, cfg, mask: bl.sldg_forward(p["scales"], cfg.Z, mask),
              lambda *a: bl.sldg_backward(*a), ("scales",)),
 }
 MODEL_KINDS = tuple(_KINDS)
-CLASSIFIERS, PROJECTION_STAGES = ("softmax", "cosine"), ("pre", "post")
+CLASSIFIERS = ("softmax", "cosine")
 
 
 @dataclass
@@ -66,7 +67,7 @@ class ModelConfig:
     feature_dim: int = 16
     hidden: int = 64
     num_classes: int = 5
-    projection_stage: str = "post"     # post | pre
+    projection_stage: str = "post"     # removed: "post" is the one legal value
     dropout: float = 0.0
     batch_norm: bool = False           # removed: False is the one legal value
 
@@ -74,17 +75,21 @@ class ModelConfig:
         for label, value, allowed in (
                 ("model kind", self.kind, MODEL_KINDS),
                 ("classifier", self.classifier, CLASSIFIERS),
-                ("fusion", self.fusion, ("average", "soft_weight")),
-                ("projection stage", self.projection_stage, PROJECTION_STAGES)):
+                ("fusion", self.fusion, ("average", "soft_weight"))):
             if value not in allowed:
                 raise ConfigError(f"unknown {label} {value!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.batch_norm is not False:
-            raise ConfigError(f"batch norm is no longer supported (batch_norm={self.batch_norm!r})")
+        # removed settings stay as fields for old callers and checkpoints; each
+        # takes only the value the model runs (0 is not False)
+        for name, legal in (("batch_norm", False), ("projection_stage", "post")):
+            value = getattr(self, name)
+            if type(value) is not type(legal) or value != legal:
+                raise ConfigError(f"{name.replace('_', ' ')} is no longer supported "
+                                  f"({name}={value!r})")
         # one range for beta, a factor 1e8 inside the float64 limits: the init's
-        # W_mean, standard-normal draws times 1 / (beta * sqrt(attn_dim)), and that
-        # divisor stay finite for any array-sized attn_dim. JSON gives NaN and
+        # W_mean, standard-normal draws times 1 / (beta * sqrt(feature_dim)), and that
+        # divisor stay finite for any array-sized feature_dim. JSON gives NaN and
         # Infinity as floats (outside every range), true as a bool, a string, and
         # a long run of digits as an int, which compares with a float exactly
         beta = self.beta
@@ -108,11 +113,10 @@ class Model:
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
         K, d, h, c = cfg.num_gaussians, cfg.feature_dim, cfg.hidden, cfg.num_classes
-        attn_dim = h if cfg.projection_stage == "pre" else d
         p: dict[str, np.ndarray] = {}
         p["proj_W"] = rng.standard_normal((h, d)) / np.sqrt(d)
         p["proj_b"] = np.zeros(h)
-        p.update(_KINDS[cfg.kind][0](rng, K, attn_dim, cfg))
+        p.update(_KINDS[cfg.kind][0](rng, K, cfg))
         if cfg.fusion == "soft_weight":
             p["soft_logits"] = np.zeros(K)
         if cfg.classifier == "softmax":
@@ -172,28 +176,13 @@ class Model:
                              f"feature_dim {cfg.feature_dim}")
         if F.shape[-2] > cfg.Z:
             raise ConfigError(f"sequence length {F.shape[-2]} exceeds Z={cfg.Z}")
-        cache: dict = {"F": F}
-
-        if cfg.projection_stage == "pre":
-            x0 = F @ p["proj_W"].T + p["proj_b"]      # (B, T, h)
-            G = relu(x0)
-            cache["pre_x0"] = x0
-        else:
-            G = F
-
-        cache["attn"] = _KINDS[cfg.kind][1](G, p, cfg, mask)
-        v = cache["attn"]["e"] @ G                    # (B, K, d)
+        attn = _KINDS[cfg.kind][1](F, p, cfg, mask)
+        v = attn["e"] @ F                             # (B, K, d)
         # soft_logits is a parameter exactly when the config fuses with soft weights
         V = att.fusion_weights(p.get("soft_logits"), v.shape[-2]) @ v
-        cache["G"], cache["v"] = G, v
-
-        if cfg.projection_stage == "post":
-            x0 = V @ p["proj_W"].T + p["proj_b"]      # (B, h)
-            y = relu(x0)
-            cache["post_x0"] = x0
-            cache["V_in"] = V
-        else:
-            y = V
+        x0 = V @ p["proj_W"].T + p["proj_b"]          # (B, h)
+        y = relu(x0)
+        cache: dict = {"F": F, "attn": attn, "v": v, "V": V, "x0": x0}
 
         if rng is not None and cfg.dropout > 0.0:
             cache["drop_mask"] = (rng.random(y.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
@@ -213,31 +202,19 @@ class Model:
         for name, d in zip(names, dhead):
             grads[name] += d
 
-        dr = dy * cache.get("drop_mask", 1.0)
-        if cfg.projection_stage == "post":
-            dx0 = dr * (cache["post_x0"] > 0)
-            grads["proj_W"] += dx0.T @ cache["V_in"]
-            grads["proj_b"] += dx0.sum(axis=0)
-            dV = dx0 @ p["proj_W"]
-        else:
-            dV = dr
+        dx0 = dy * cache.get("drop_mask", 1.0) * (cache["x0"] > 0)
+        grads["proj_W"] += dx0.T @ cache["V"]
+        grads["proj_b"] += dx0.sum(axis=0)
 
-        dv, dsl = att.fuse_backward(cache["v"], p.get("soft_logits"), dV)
+        dv, dsl = att.fuse_backward(cache["v"], p.get("soft_logits"), dx0 @ p["proj_W"])
         if dsl is not None:
             grads["soft_logits"] += dsl
-        # the pooling v = e @ G, once for every kind: dG in the pre stage, de for parameters
+        # the pooling v = e @ F, once for every kind: de = dv @ F^T feeds the parameters
         _, _, backward, names = _KINDS[cfg.kind]
-        e, G = cache["attn"]["e"], cache["G"]
-        dG = np.swapaxes(e, -1, -2) @ dv if cfg.projection_stage == "pre" else None
         if names:
-            *dparams, dG = backward(cache["attn"], dv @ np.swapaxes(G, -1, -2), dG)
+            dparams = backward(cache["attn"], dv @ np.swapaxes(cache["F"], -1, -2))
             for name, d in zip(names, dparams):
                 grads[name] += d
-
-        if dG is not None:
-            dx0 = dG * (cache["pre_x0"] > 0)        # (B, T, h)
-            grads["proj_W"] += sum_outer(dx0, cache["F"])
-            grads["proj_b"] += dx0.sum(axis=(0, 1))
 
 
 # Videos padded into one forward pass, in length order so a chunk holds little

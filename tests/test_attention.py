@@ -188,8 +188,7 @@ def test_attend_backward_finite_difference():
             return float((e @ F * dv).sum())
 
         cache = attend_forward(F, Wm, Ws, beta, Z, _all_frames(F))
-        dWm, dWs, dF = attend_backward(cache, dv @ F.T, None)
-        assert dF is None
+        dWm, dWs = attend_backward(cache, dv @ F.T)
         eps = 1e-6
         for W, dW in ((Wm, dWm), (Ws, dWs)):
             for idx in np.ndindex(W.shape):
@@ -203,25 +202,6 @@ def test_attend_backward_finite_difference():
                 assert abs(dW[idx] - num) < 1e-6
 
 
-def test_attend_backward_dF_finite_difference():
-    rng = np.random.default_rng(6)
-    F, Wm, Ws, Z = _random_setup(rng, T=4, d=3, K=2)
-    dv = rng.normal(size=(2, 3))
-    # F's gradient is the pooling's, e^T @ dv, plus the kernel's through the scores
-    cache = attend_forward(F, Wm, Ws, 5.0, Z, _all_frames(F))
-    _, _, dF = attend_backward(cache, dv @ F.T, cache["e"].T @ dv)
-    eps = 1e-6
-    for idx in np.ndindex(F.shape):
-        orig = F[idx]
-        F[idx] = orig + eps
-        tp = attend_forward(F, Wm, Ws, 5.0, Z, _all_frames(F))["e"] @ F
-        F[idx] = orig - eps
-        tm = attend_forward(F, Wm, Ws, 5.0, Z, _all_frames(F))["e"] @ F
-        F[idx] = orig
-        num = ((tp - tm) * dv).sum() / (2 * eps)
-        assert abs(dF[idx] - num) < 1e-6
-
-
 def test_sigma_floor_blocks_gradient():
     rng = np.random.default_rng(7)
     F = np.abs(rng.normal(1.0, 0.2, size=(6, 3))) + 1.0
@@ -229,7 +209,7 @@ def test_sigma_floor_blocks_gradient():
     Ws = np.full((2, 3), -500.0)  # sigma pinned at the floor
     cache = attend_forward(F, Wm, Ws, 5.0, 8, _all_frames(F))
     assert np.all(cache["sigma_floored"])
-    _, dWs, _ = attend_backward(cache, rng.normal(size=(2, 3)) @ F.T, None)
+    _, dWs = attend_backward(cache, rng.normal(size=(2, 3)) @ F.T)
     assert np.allclose(dWs, 0.0)
 
 

@@ -25,18 +25,16 @@ def test_self_attention_rows_normalize_and_depend_on_content():
 
 def test_tsf_and_sldg_weights_are_content_blind():
     # their forwards take no frames; through the model, two same-length videos
-    # with different contents get identical weights in either projection stage
+    # with different contents get identical weights
     rng = np.random.default_rng(2)
     F = np.stack([rng.normal(size=(9, 4)), rng.normal(size=(9, 4)) * 3.0 + 1.0])
     for kind in ("tsf", "sldg"):
-        for stage in ("post", "pre"):
-            model = Model(ModelConfig(kind=kind, num_gaussians=4, Z=12, feature_dim=4,
-                                      hidden=5, num_classes=2, projection_stage=stage),
-                          rng)
-            if kind == "sldg":
-                model.params["scales"] = rng.normal(size=4)
-            e = model.forward_video(F, np.ones((2, 9), dtype=bool))[1]["attn"]["e"]
-            assert np.allclose(e[0], e[1], atol=1e-15), (kind, stage)
+        model = Model(ModelConfig(kind=kind, num_gaussians=4, Z=12, feature_dim=4,
+                                  hidden=5, num_classes=2), rng)
+        if kind == "sldg":
+            model.params["scales"] = rng.normal(size=4)
+        e = model.forward_video(F, np.ones((2, 9), dtype=bool))[1]["attn"]["e"]
+        assert np.allclose(e[0], e[1], atol=1e-15), kind
 
 
 def test_tsf_length_rescaling():
@@ -55,7 +53,7 @@ def test_sldg_schedule_spacing():
     assert mu[0] > 0 and mu[-1] < 8 / 10
 
 
-def _fd_weight_grad(forward, backward, params, dv, eps=1e-6):
+def _fd_weight_grad(forward, params, dv, eps=1e-6):
     """Finite-difference a list of (array, analytic-grad) pairs through the
     summaries forward() returns."""
     for W, dW in params:
@@ -75,11 +73,10 @@ def test_self_attention_backward_fd():
     F = rng.normal(size=(5, 3))
     W = rng.normal(size=(2, 3))
     dv = rng.normal(size=(2, 3))
-    # F's gradient is the pooling's, e^T @ dv, plus the kernel's through the scores
     cache = bl.self_attention_forward(F, W, _all_frames(F))
-    dW, dF = bl.self_attention_backward(cache, dv @ F.T, cache["e"].T @ dv)
+    (dW,) = bl.self_attention_backward(cache, dv @ F.T)
     _fd_weight_grad(lambda: bl.self_attention_forward(F, W, _all_frames(F))["e"] @ F,
-                    None, [(W, dW), (F, dF)], dv)
+                    [(W, dW)], dv)
 
 
 def test_tsf_backward_fd():
@@ -89,9 +86,9 @@ def test_tsf_backward_fd():
     centers, widths = init["centers"], init["widths"]
     dv = rng.normal(size=(3, 3))
     cache = bl.tsf_forward(centers, widths, 9, _all_frames(F))
-    dc, dw, _ = bl.tsf_backward(cache, dv @ F.T, None)
+    dc, dw = bl.tsf_backward(cache, dv @ F.T)
     _fd_weight_grad(lambda: bl.tsf_forward(centers, widths, 9, _all_frames(F))["e"] @ F,
-                    None, [(centers, dc), (widths, dw)], dv)
+                    [(centers, dc), (widths, dw)], dv)
 
 
 def test_sldg_backward_fd():
@@ -100,7 +97,7 @@ def test_sldg_backward_fd():
     scales = rng.normal(size=3)
     dv = rng.normal(size=(3, 3))
     cache = bl.sldg_forward(scales, 10, _all_frames(F))
-    ds, _ = bl.sldg_backward(cache, dv @ F.T, None)
+    (ds,) = bl.sldg_backward(cache, dv @ F.T)
     _fd_weight_grad(lambda: bl.sldg_forward(scales, 10, _all_frames(F))["e"] @ F,
-                    None, [(scales, ds)], dv)
+                    [(scales, ds)], dv)
 

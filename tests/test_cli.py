@@ -12,7 +12,7 @@ from clta import cli, io_files, synth
 from clta.cli import (_build_parser, _config_defaults, _load_model, cli_dispatch,
                       gradcheck_batch)
 from clta.episodes import HEADS
-from clta.model import CLASSIFIERS, MODEL_KINDS, PROJECTION_STAGES, Model, ModelConfig
+from clta.model import CLASSIFIERS, MODEL_KINDS, Model, ModelConfig
 from checkpoint_bytes import v2_bytes, v2_parts
 
 
@@ -165,7 +165,7 @@ def test_train_with_a_huge_finite_beta_exits_2(dataset_dir, tmp_path, capsys, be
 
 @pytest.mark.parametrize("command", ["train", "gradcheck"])
 def test_a_beta_whose_init_scale_overflows_exits_2(dataset_dir, tmp_path, capsys, command):
-    # beta * sqrt(attn_dim) is finite, but the init's W_mean scale, its reciprocal,
+    # beta * sqrt(feature_dim) is finite, but the init's W_mean scale, its reciprocal,
     # is not; the suite turns the RuntimeWarning of that overflow into a failure
     ckpt = tmp_path / "m.ckpt"
     argv = {"train": ["--data", str(dataset_dir / "manifest.csv"),
@@ -358,7 +358,7 @@ def test_eval_names_a_video_longer_than_Z(dataset_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["eval", "dump-attention"])
-@pytest.mark.parametrize("stage", ["post", "pre"])
+@pytest.mark.parametrize("stage", ["post"])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_checkpoint_of_another_feature_dim_exits_2(dataset_dir, tmp_path, capsys, kind, stage,
                                                    command):
@@ -508,15 +508,47 @@ def test_batch_norm_is_no_longer_a_flag_or_config_key(dataset_dir, tmp_path, cap
 
 
 @pytest.mark.parametrize("command", ["eval", "dump-attention"])
+def test_a_checkpoint_of_the_pre_projection_stage_exits_2(dataset_dir, broken_checkpoint,
+                                                          tmp_path, capsys, command):
+    # checkpoints record the projection stage; the model now attends over the
+    # frames as given, so one that projected them first is refused
+    ckpt, good, rewrite = broken_checkpoint
+    assert good["model_config"]["projection_stage"] == "post"
+    rewrite(dict(good, model_config=dict(good["model_config"], projection_stage="pre")))
+    out = tmp_path / "out"
+    episodes = ["--n-way", "2", "--episodes", "2"] if command == "eval" else []
+    rc = cli_dispatch([command, "--data", str(dataset_dir / "manifest.csv"),
+                       "--checkpoint", str(ckpt), "--out", str(out), *episodes])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: projection stage is no longer supported "
+                            "(projection_stage='pre')\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_projection_stage_is_no_longer_a_flag_or_config_key(dataset_dir, tmp_path, capsys):
+    train = ["train", "--data", str(dataset_dir / "manifest.csv"), "--out", str(tmp_path / "m")]
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs=1\nprojection-stage=post\n")
+    assert cli_dispatch([*train, "--config", str(cfg)]) == 2
+    assert f"{cfg}:2: unknown key 'projection-stage'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli_dispatch([*train, "--projection-stage", "post"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --projection-stage post" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-attention"])
 def test_checkpoint_with_non_finite_parameter_exits_2(dataset_dir, broken_checkpoint,
                                                       tmp_path, capsys, command):
-    ckpt, meta, _ = broken_checkpoint
-    params, _ = io_files.load_checkpoint(ckpt)
-    # the last block is proj_b (blocks are in name order); NaN its last value,
-    # which sits before the 12-byte trailer
-    assert sorted(params)[-1] == "proj_b"
-    params["proj_b"][-1] = np.nan
-    io_files.save_checkpoint(ckpt, params, meta)
+    ckpt, _, _ = broken_checkpoint
+    # save_checkpoint refuses a NaN, so write it by hand: the last block is proj_b
+    # (blocks are in name order), and its last value sits before the 12-byte trailer
+    assert sorted(io_files.load_checkpoint(ckpt)[0])[-1] == "proj_b"
+    meta_json, blocks = v2_parts(ckpt.read_bytes())
+    ckpt.write_bytes(v2_bytes(meta_json, blocks[:-8] + struct.pack("<d", np.nan)))
     out = tmp_path / "out"
     episodes = ["--n-way", "2", "--episodes", "2"] if command == "eval" else []
     rc = cli_dispatch([command, "--data", str(dataset_dir / "manifest.csv"),
@@ -766,13 +798,11 @@ def test_enumerated_flags_take_their_choices_from_the_configs():
     for command, dest, allowed in (("gen", "mode", synth.MODES),
                                    ("train", "model", MODEL_KINDS),
                                    ("train", "classifier", CLASSIFIERS),
-                                   ("train", "projection_stage", PROJECTION_STAGES),
                                    ("eval", "head", HEADS),
                                    ("ablate", "sweep", tuple(cli._SWEEPS)),
                                    ("dump-attention", "split", synth.SPLITS)):
         assert commands[command].flags[dest].choices == allowed, dest
     assert cli._SWEEPS["classifier"] == ("classifier", CLASSIFIERS)
-    assert "--projection-stage {pre,post}" in commands["train"].format_usage()
 
 
 def test_usage_errors_exit_1(capsys):

@@ -394,9 +394,12 @@ def test_a_failed_save_leaves_the_old_checkpoint_untouched(tmp_path):
     io_files.save_checkpoint(path, params, {"labels": ["first"]})
     raw = path.read_bytes()
     # blocks go in name order, so "A" is built before "B" fails; a 2-d block with
-    # no columns would have a 1-d block's header and no payload, so it cannot load
+    # no columns would have a 1-d block's header and no payload, and a non-finite
+    # value would be refused by load_checkpoint, so neither could load
     for bad, error in ((np.ones((2, 2, 2)), "parameter 'B' has unsupported ndim 3"),
-                       (np.zeros((3, 0)), r"parameter 'B' of shape \(3, 0\) has no columns")):
+                       (np.zeros((3, 0)), r"parameter 'B' of shape \(3, 0\) has no columns"),
+                       (np.array([1.0, np.nan]), "parameter 'B' has a non-finite value"),
+                       (np.array([[0.0, -np.inf]]), "parameter 'B' has a non-finite value")):
         with pytest.raises(FormatError, match=error):
             io_files.save_checkpoint(path, {"A": np.zeros(3), "B": bad}, {"labels": ["second"]})
         assert path.read_bytes() == raw
@@ -447,7 +450,7 @@ def test_checkpoint_errors(tmp_path):
 
 def test_checkpoint_boundary_defects_name_the_block_or_byte(tmp_path):
     path = tmp_path / "m.ckpt"
-    io_files.save_checkpoint(path, {"W": np.ones((2, 2)), "b": np.array([1.0, np.inf])}, {})
+    path.write_bytes(v2_bytes(b"{}", block("W", [1.0] * 4, 2, 2) + block("b", [1.0, np.inf], 2)))
     # header 5, metadata 4 + len("{}"), block W 4 + 1 + 8 + 32, block b 4 + 1 + 8,
     # then b's second value
     with pytest.raises(FormatError, match=f"{path}: non-finite value in parameter 'b' at byte 77"):

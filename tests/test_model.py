@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import re
 import weakref
 import zlib
 
@@ -39,11 +40,12 @@ def _randomize_head(model, rng):
             model.params["soft_logits"].shape) * 0.3
 
 
-# every model kind, both classifiers, both fusions, both projection stages
-GRID = [(k, clf, fus, st)
+# every model kind, both classifiers, both fusions; the stage is the one
+# projection stage there is
+GRID = [(k, clf, fus, "post")
         for k in MODEL_KINDS
         for clf in ("softmax", "cosine")
-        for fus, st in (("average", "post"), ("soft_weight", "pre"))]
+        for fus in ("average", "soft_weight")]
 
 
 @pytest.mark.parametrize("kind,classifier,fusion,stage", GRID)
@@ -132,28 +134,25 @@ def test_loss_and_grads_match_one_video_at_a_time(kind, classifier, fusion, stag
         assert np.allclose(grads[k], want, rtol=0, atol=1e-12), k
 
 
-@pytest.mark.parametrize("stage", ["post", "pre"])
+@pytest.mark.parametrize("stage", ["post"])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_summaries_are_the_recorded_weights_times_the_frames(kind, stage):
-    # every kind pools the frames G it attends over through the weights e it
-    # records, which are what clta dump-attention writes: v = e @ G
+    # every kind pools the frames F it is given through the weights e it
+    # records, which are what clta dump-attention writes: v = e @ F
     rng = np.random.default_rng(zlib.crc32(f"{kind}/{stage}".encode()))
     model = Model(ModelConfig(kind=kind, num_gaussians=3, beta=10.0, Z=40, feature_dim=8,
                               hidden=6, num_classes=3, projection_stage=stage, dropout=0.0),
                   rng)
-    # a nonzero bias makes the padded frames of G nonzero in the pre stage
-    model.params["proj_b"] = rng.standard_normal(6)
     lens = np.array([40, 23, 7, 1, 13, 31])
     mask = np.arange(40) < lens[:, None]
     F = np.where(mask[..., None], rng.standard_normal((6, 40, 8)), 0.0)
     cache = model.forward_video(F, mask)[1]
-    G = np.maximum(cache["pre_x0"], 0.0) if stage == "pre" else F
     e, v = cache["attn"]["e"], cache["v"]
-    assert np.array_equal(v, e @ G)
+    assert np.array_equal(v, e @ F)
     assert np.all(np.where(mask[:, None, :], True, e == 0.0))
     assert np.allclose(e.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
     if kind == "avg":
-        means = np.array([g[:t].mean(axis=0) for g, t in zip(G, lens)])
+        means = np.array([f[:t].mean(axis=0) for f, t in zip(F, lens)])
         assert np.allclose(v[:, 0], means, rtol=0, atol=1e-15)
 
 
@@ -192,7 +191,7 @@ class _ZerosSpy:
         return out
 
 
-@pytest.mark.parametrize("kind,stage", [("clta", "post"), ("selfattn", "pre")])
+@pytest.mark.parametrize("kind,stage", [("clta", "post"), ("selfattn", "post")])
 def test_a_batch_holds_one_padded_chunk_at_a_time(monkeypatch, kind, stage):
     # the previous chunk's stack and forward cache are gone when the next is padded
     rng = np.random.default_rng(21)
@@ -390,20 +389,17 @@ def test_config_validation():
         ModelConfig(classifier="nope")
     with pytest.raises(ConfigError):
         ModelConfig(fusion="nope")
-    with pytest.raises(ConfigError):
-        ModelConfig(projection_stage="nope")
     # JSON gives NaN and Infinity as floats, true as a bool and 400 digits as an int
     for bad in (0.0, -1.0, float("nan"), float("inf"), -float("inf"), True, False, 10 ** 400,
                 "1e3", None):
         with pytest.raises(ConfigError, match=_BETA_RANGE):
             ModelConfig(beta=bad)
     ModelConfig(beta=np.float64(1e3))
-    # the init divides W_mean by beta * sqrt(attn_dim); the range keeps that finite
-    for stage, dims in (("post", {"feature_dim": 4}), ("pre", {"hidden": 9})):
-        for bad in (1e308, 1.0000001e300):
-            with pytest.raises(ConfigError, match=_BETA_RANGE):
-                ModelConfig(beta=bad, projection_stage=stage, **dims)
-        Model(ModelConfig(beta=1e300, projection_stage=stage, **dims), np.random.default_rng(0))
+    # the init divides W_mean by beta * sqrt(feature_dim); the range keeps that finite
+    for bad in (1e308, 1.0000001e300):
+        with pytest.raises(ConfigError, match=_BETA_RANGE):
+            ModelConfig(beta=bad, feature_dim=4)
+    Model(ModelConfig(beta=1e300, feature_dim=4), np.random.default_rng(0))
     for name in ("num_gaussians", "Z", "feature_dim", "hidden", "num_classes"):
         for bad in (0, -1):
             with pytest.raises(ConfigError, match=f"{name} must be >= 1, got {bad}"):
@@ -414,21 +410,25 @@ def test_config_validation():
         ModelConfig(**{name: np.int32(2)})
     with pytest.raises(ConfigError):
         ModelConfig(dropout=1.0)
-    # batch norm is gone; the field stays for old callers, and takes only False
-    for bad in (True, 1, None):
-        with pytest.raises(ConfigError, match="batch norm is no longer supported"):
-            ModelConfig(batch_norm=bad)
+    # batch norm and the pre-attention projection are gone; each field stays for
+    # old callers and checkpoints, and takes only the value the model runs
+    for name, bads in (("batch_norm", (True, 1, 0, None)),
+                       ("projection_stage", ("pre", "nope", None))):
+        for bad in bads:
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"{name.replace('_', ' ')} is no longer supported ({name}={bad!r})")):
+                ModelConfig(**{name: bad})
+    ModelConfig(batch_norm=False, projection_stage="post")
 
 
 def test_config_rejects_a_beta_whose_init_scale_overflows():
-    # the init scales W_mean by 1 / (beta * sqrt(attn_dim)), which a tiny beta
-    # overflows; at attn_dim 4, 3e-309's scale is finite but not its product with
+    # the init scales W_mean by 1 / (beta * sqrt(feature_dim)), which a tiny beta
+    # overflows; at feature_dim 4, 3e-309's scale is finite but not its product with
     # a draw above about 1.1, and 1e-308's with a draw above about 3.6
-    for stage, dims in (("post", {"feature_dim": 4}), ("pre", {"hidden": 9})):
-        for bad in (1e-320, 5e-310, 5e-324, 3e-309, 1e-308, 0.9999999e-300):
-            with pytest.raises(ConfigError, match=_BETA_RANGE):
-                ModelConfig(beta=bad, projection_stage=stage, **dims)
-        Model(ModelConfig(beta=1e-300, projection_stage=stage, **dims), np.random.default_rng(0))
+    for bad in (1e-320, 5e-310, 5e-324, 3e-309, 1e-308, 0.9999999e-300):
+        with pytest.raises(ConfigError, match=_BETA_RANGE):
+            ModelConfig(beta=bad, feature_dim=4)
+    Model(ModelConfig(beta=1e-300, feature_dim=4), np.random.default_rng(0))
 
 
 def test_average_fusion_checkpoint_drops_a_soft_logits_block():
