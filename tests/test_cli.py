@@ -358,15 +358,18 @@ def test_eval_names_a_video_longer_than_Z(dataset_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["eval", "dump-attention"])
-@pytest.mark.parametrize("stage", ["post"])
+@pytest.mark.parametrize("stage", ["post", "pre"])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_checkpoint_of_another_feature_dim_exits_2(dataset_dir, tmp_path, capsys, kind, stage,
                                                    command):
-    # the data has 24-dim features; the model was made for 16
-    model = Model(ModelConfig(kind=kind, Z=40, feature_dim=16, hidden=16, num_classes=8,
-                              projection_stage=stage), np.random.default_rng(0))
+    # the data has 24-dim features; the model was made for 16. A checkpoint may
+    # record either projection stage; one of the removed "pre" stage is refused
+    # for that before its feature dim is read
+    model = Model(ModelConfig(kind=kind, Z=40, feature_dim=16, hidden=16, num_classes=8),
+                  np.random.default_rng(0))
     ckpt = tmp_path / "m.ckpt"
-    io_files.save_checkpoint(ckpt, model.params, dict(model_config=model.config_dict(),
+    config = dict(model.config_dict(), projection_stage=stage)
+    io_files.save_checkpoint(ckpt, model.params, dict(model_config=config,
                                                       labels=[f"c{i}" for i in range(8)]))
     out = tmp_path / "out"
     episodes = ["--n-way", "2", "--episodes", "2"] if command == "eval" else []
@@ -375,7 +378,11 @@ def test_checkpoint_of_another_feature_dim_exits_2(dataset_dir, tmp_path, capsys
                        "--checkpoint", str(ckpt), "--out", str(out), *episodes])
     assert rc == 2
     captured = capsys.readouterr()
-    assert "error: feature dim 24 does not match the model's feature_dim 16" in captured.err
+    if stage == "post":
+        assert "error: feature dim 24 does not match the model's feature_dim 16" in captured.err
+    else:
+        assert captured.err == ("error: projection stage is no longer supported "
+                                "(projection_stage='pre')\n")
     assert captured.out == ""
 
 

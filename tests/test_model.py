@@ -15,14 +15,26 @@ from clta.model import MODEL_KINDS, Model, ModelConfig, descriptor, loss_and_gra
 from clta.numerics import finite_diff_check
 
 
-def _small_cfg(kind, classifier="softmax", fusion="average", stage="post", Z=7):
+def _small_cfg(kind, classifier="softmax", fusion="average", Z=7):
     return ModelConfig(kind=kind, classifier=classifier, fusion=fusion,
                        num_gaussians=2, beta=10.0, Z=Z, feature_dim=3, hidden=5,
-                       num_classes=3, projection_stage=stage, dropout=0.0)
+                       num_classes=3, dropout=0.0)
 
 
-def _small_batch(rng, d=3):
-    return [(rng.standard_normal((t, d)), int(rng.integers(0, 3))) for t in (3, 5)]
+def _small_batch(rng, d=3, stage="post"):
+    return [(_frames(rng.standard_normal((t, d)), stage), int(rng.integers(0, 3)))
+            for t in (3, 5)]
+
+
+# The model attends over the frames it is given. The stage says which frames
+# those are: "post" as drawn, or "pre" through a fixed ReLU layer first, the
+# nonnegative, partly zero frames that the model's own pre-attention projection
+# fed its attention before that stage was removed.
+def _frames(F, stage):
+    if stage == "post":
+        return F
+    d = F.shape[-1]
+    return np.maximum(F @ np.random.default_rng(d).standard_normal((d, d)) + 0.3, 0.0)
 
 
 def _alone(F):
@@ -40,21 +52,25 @@ def _randomize_head(model, rng):
             model.params["soft_logits"].shape) * 0.3
 
 
-# every model kind, both classifiers, both fusions; the stage is the one
-# projection stage there is
-GRID = [(k, clf, fus, "post")
+# every model kind, both classifiers, both fusions, and soft fusion over the
+# frames of both stages too
+GRID = [(k, clf, fus, st)
         for k in MODEL_KINDS
         for clf in ("softmax", "cosine")
-        for fus in ("average", "soft_weight")]
+        for fus, st in (("average", "post"), ("soft_weight", "post"), ("soft_weight", "pre"))]
 
 
 @pytest.mark.parametrize("kind,classifier,fusion,stage", GRID)
 def test_gradients_match_finite_differences(kind, classifier, fusion, stage):
     rng = np.random.default_rng(
         zlib.crc32("/".join((kind, classifier, fusion, stage)).encode()))
-    model = Model(_small_cfg(kind, classifier, fusion, stage), rng)
+    # hidden 16, as in training mode below: a cosine head reads a descriptor row
+    # with one live unit as rounding noise, and nonnegative frames kill units
+    model = Model(dataclasses.replace(_small_cfg(kind, classifier, fusion), hidden=16), rng)
     _randomize_head(model, rng)
-    batch = _small_batch(rng)
+    batch = _small_batch(rng, stage=stage)
+    (F, mask, _), = model_mod._padded_chunks(batch)
+    assert ((model.forward_video(F, mask)[1]["y"] != 0).sum(axis=1) >= 2).all()
 
     def loss_fn(params):
         model.params = params
@@ -70,10 +86,10 @@ def test_training_mode_gradients_match_finite_differences(kind, classifier, fusi
     # draws the same masks from a freshly seeded generator
     rng = np.random.default_rng(
         zlib.crc32("/".join((kind, classifier, fusion, stage)).encode()))
-    cfg = dataclasses.replace(_small_cfg(kind, classifier, fusion, stage), hidden=16, dropout=0.3)
+    cfg = dataclasses.replace(_small_cfg(kind, classifier, fusion), hidden=16, dropout=0.3)
     model = Model(cfg, rng)
     _randomize_head(model, rng)
-    batch = _small_batch(rng)
+    batch = _small_batch(rng, stage=stage)
     # a cosine head is scale invariant, so a descriptor row with one live unit
     # gives that unit an exactly zero gradient, which the difference reads as
     # rounding noise; hidden 16 leaves every row here at least two
@@ -95,9 +111,9 @@ def test_training_mode_gradients_match_finite_differences(kind, classifier, fusi
 @pytest.mark.parametrize("kind,classifier,fusion,stage", GRID)
 def test_padded_row_equals_the_video_run_alone(kind, classifier, fusion, stage, T, Z):
     rng = np.random.default_rng(zlib.crc32(f"{kind}/{classifier}/{stage}/{T}".encode()))
-    model = Model(_small_cfg(kind, classifier, fusion, stage, Z=Z), rng)
+    model = Model(_small_cfg(kind, classifier, fusion, Z=Z), rng)
     _randomize_head(model, rng)
-    short, longer = rng.standard_normal((T, 3)), rng.standard_normal((6, 3))
+    short, longer = (_frames(rng.standard_normal((t, 3)), stage) for t in (T, 6))
     (F, mask, _), = model_mod._padded_chunks([(short, 0), (longer, 1)])
     assert F.shape == (2, 6, 3) and mask.sum(axis=1).tolist() == [T, 6]
     logits, cache = model.forward_video(F, mask)
@@ -122,9 +138,10 @@ def test_loss_and_grads_match_one_video_at_a_time(kind, classifier, fusion, stag
     # more videos than one padded chunk holds; the reference is the
     # one-video-per-call loop that loss_and_grads used to run
     rng = np.random.default_rng(zlib.crc32(f"chunks/{kind}/{classifier}/{stage}".encode()))
-    model = Model(_small_cfg(kind, classifier, fusion, stage), rng)
+    model = Model(_small_cfg(kind, classifier, fusion), rng)
     _randomize_head(model, rng)
-    batch = [(rng.standard_normal((int(rng.integers(1, 8)), 3)), int(rng.integers(0, 3)))
+    batch = [(_frames(rng.standard_normal((int(rng.integers(1, 8)), 3)), stage),
+              int(rng.integers(0, 3)))
              for _ in range(model_mod._CHUNK + 1)]
     loss, grads, _ = loss_and_grads(model, batch)
     singles = [loss_and_grads(model, [pair]) for pair in batch]
@@ -134,18 +151,19 @@ def test_loss_and_grads_match_one_video_at_a_time(kind, classifier, fusion, stag
         assert np.allclose(grads[k], want, rtol=0, atol=1e-12), k
 
 
-@pytest.mark.parametrize("stage", ["post"])
+@pytest.mark.parametrize("stage", ["post", "pre"])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_summaries_are_the_recorded_weights_times_the_frames(kind, stage):
     # every kind pools the frames F it is given through the weights e it
     # records, which are what clta dump-attention writes: v = e @ F
     rng = np.random.default_rng(zlib.crc32(f"{kind}/{stage}".encode()))
     model = Model(ModelConfig(kind=kind, num_gaussians=3, beta=10.0, Z=40, feature_dim=8,
-                              hidden=6, num_classes=3, projection_stage=stage, dropout=0.0),
+                              hidden=6, num_classes=3, dropout=0.0),
                   rng)
     lens = np.array([40, 23, 7, 1, 13, 31])
     mask = np.arange(40) < lens[:, None]
-    F = np.where(mask[..., None], rng.standard_normal((6, 40, 8)), 0.0)
+    # the "pre" layer's bias makes the padded frames nonzero, which e must not read
+    F = _frames(np.where(mask[..., None], rng.standard_normal((6, 40, 8)), 0.0), stage)
     cache = model.forward_video(F, mask)[1]
     e, v = cache["attn"]["e"], cache["v"]
     assert np.array_equal(v, e @ F)
@@ -191,13 +209,13 @@ class _ZerosSpy:
         return out
 
 
-@pytest.mark.parametrize("kind,stage", [("clta", "post"), ("selfattn", "post")])
+@pytest.mark.parametrize("kind,stage", [("clta", "post"), ("selfattn", "pre")])
 def test_a_batch_holds_one_padded_chunk_at_a_time(monkeypatch, kind, stage):
     # the previous chunk's stack and forward cache are gone when the next is padded
     rng = np.random.default_rng(21)
-    cfg = dataclasses.replace(_small_cfg(kind, stage=stage), Z=9)
+    cfg = dataclasses.replace(_small_cfg(kind), Z=9)
     model = Model(cfg, rng)
-    batch = [(rng.standard_normal((int(t), 3)), int(rng.integers(0, 3)))
+    batch = [(_frames(rng.standard_normal((int(t), 3)), stage), int(rng.integers(0, 3)))
              for t in rng.integers(1, 10, 2 * model_mod._CHUNK + 3)]
     expected = loss_and_grads(model, batch)
     spy = _ZerosSpy()
