@@ -15,7 +15,8 @@ differ only in where mu and sigma come from.
 A kernel only weighs frames; Model.forward_video pools them. It returns its
 cache, the one record of a pass: mu and sigma (..., K), raw weights a and
 normalized weights e (..., K, T). Its backward takes (cache, de) and returns
-the gradients of its parameters; the frames get none.
+the gradients of its parameters; the frames get none. A kernel writes only
+arrays it allocated, and leaves its inputs and the cache it is given untouched.
 
 Frame indices are 1-based inside all formulas; Z is the dataset-wide max
 sequence length, frozen from the training split. Every kernel takes only what
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .numerics import sigmoid, sigmoid_grad, softmax_backward, softmax_stable, sum_outer
+from .numerics import (_sum_frames, sigmoid, sigmoid_grad, softmax_backward, softmax_stable,
+                       sum_outer)
 
 # Below this log-weight the Gaussian is clamped to keep weights strictly
 # positive; the gradient is treated as zero in the clamped region.
@@ -81,7 +83,8 @@ def soft_argmax(scores: np.ndarray, beta: float, mask: np.ndarray):
     # padded frames are almost always finite too, which spares the masked gather
     if not np.isfinite(z).all() and not np.isfinite(z[mask]).all():
         raise NumericError(f"beta={beta} times the frame scores is not finite; lower beta")
-    p = softmax_stable(np.where(mask[..., None], z, -np.inf), axis=-2)
+    np.copyto(z, -np.inf, where=~mask[..., None])
+    p = softmax_stable(z, axis=-2, out=z)
     return np.arange(1, scores.shape[-2] + 1, dtype=np.float64) @ p, p
 
 
@@ -94,13 +97,16 @@ def gaussian_pool_forward(mu: np.ndarray, sigma: np.ndarray, Z: int, mask: np.nd
     are (..., K). Returns the cache, with a and e (..., K, T).
     """
     pos = np.arange(1, mask.shape[-1] + 1, dtype=np.float64) / Z      # (T,)
-    u = (pos - mu[..., None]) / sigma[..., None]                       # (..., K, T)
-    g = -0.5 * u * u
-    a = np.exp(np.maximum(g, _LOG_FLOOR))
-    q = a if scale is None else scale[:, None] * a
-    e = softmax_stable(np.where(mask[..., None, :], q, -np.inf), axis=-1)
-    return dict(pos=pos, u=u, a=a, e=e, clamped=g < _LOG_FLOOR, mu=mu, sigma=sigma,
-                scale=scale)
+    u = np.subtract(pos, mu[..., None])                                # (..., K, T)
+    u /= sigma[..., None]
+    g = -0.5 * u
+    g *= u
+    clamped = g < _LOG_FLOOR
+    a = np.exp(np.maximum(g, _LOG_FLOOR, out=g), out=g)
+    e = a.copy() if scale is None else scale[:, None] * a
+    np.copyto(e, -np.inf, where=~mask[..., None, :])
+    softmax_stable(e, axis=-1, out=e)
+    return dict(pos=pos, u=u, a=a, e=e, clamped=clamped, mu=mu, sigma=sigma, scale=scale)
 
 
 def gaussian_pool_backward(cache: dict, de: np.ndarray):
@@ -112,12 +118,18 @@ def gaussian_pool_backward(cache: dict, de: np.ndarray):
     sigma, scale = cache["sigma"], cache["scale"]
     dq = softmax_backward(e, de, axis=-1)
     dscale = None if scale is None else (dq * a).sum(axis=-1).reshape(-1, len(scale)).sum(axis=0)
-    dg = (dq if scale is None else dq * scale[:, None]) * a
-    dg[cache["clamped"]] = 0.0
-    du = dg * (-u)
-    dmu = (du * (-1.0 / sigma[..., None])).sum(axis=-1)        # (..., K)
-    dsigma = (du * (-u / sigma[..., None])).sum(axis=-1)       # (..., K)
-    return dmu, dsigma, dscale
+    # dq becomes dg, then du, then du * -1/sigma; nu is -u, then -u/sigma times du
+    if scale is not None:
+        dq *= scale[:, None]
+    dq *= a
+    np.copyto(dq, 0.0, where=cache["clamped"])
+    nu = np.negative(u)
+    dq *= nu
+    nu /= sigma[..., None]
+    nu *= dq
+    dsigma = nu.sum(axis=-1)                                   # (..., K)
+    dq *= -1.0 / sigma[..., None]
+    return dq.sum(axis=-1), dsigma, dscale
 
 
 def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
@@ -131,9 +143,9 @@ def attend_forward(F: np.ndarray, W_mean: np.ndarray, W_std: np.ndarray,
     index, p = soft_argmax(F @ W_mean.T, beta, mask)          # (..., K), (..., T, K)
     mu = index / Z
 
-    scores_s = F @ W_std.T                                    # (..., T, K)
-    sg = np.where(mask[..., None], sigmoid(scores_s), 0.0)
-    sigma_raw = sg.sum(axis=-2) / Z                           # (..., K)
+    sg = sigmoid(F @ W_std.T)                                 # (..., T, K)
+    np.copyto(sg, 0.0, where=~mask[..., None])
+    sigma_raw = _sum_frames(sg) / Z                           # (..., K)
     floor = np.minimum(_SIGMA_FLOOR, 0.5 * mask.sum(axis=-1) / Z)[..., None]
     sigma = np.maximum(sigma_raw, floor)
 
@@ -152,11 +164,12 @@ def attend_backward(cache: dict, de: np.ndarray):
     dsigma[cache["sigma_floored"]] = 0.0
 
     # mean path: mu = (idx @ p) / Z, p = softmax(beta * F W_mean^T) over frames
-    dp = dmu[..., None, :] * pos[:, None]                # idx/Z == pos
-    dsm = beta * softmax_backward(p, dp, axis=-2)        # (..., T, K)
+    dsm = softmax_backward(p, dmu[..., None, :] * pos[:, None], axis=-2)   # idx/Z == pos
+    dsm *= beta                                          # (..., T, K)
 
     # std path: sigma = sum_t sigmoid(F W_std^T) / Z; padded frames have sg = 0
-    dss = (dsigma[..., None, :] / Z) * sigmoid_grad(sg)  # (..., T, K)
+    dss = sigmoid_grad(sg)
+    dss *= dsigma[..., None, :] / Z                      # (..., T, K)
     return sum_outer(dsm, F), sum_outer(dss, F)
 
 

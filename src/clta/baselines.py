@@ -31,7 +31,8 @@ def tsf_init(K: int) -> dict[str, np.ndarray]:
 def self_attention_forward(F: np.ndarray, W: np.ndarray, mask: np.ndarray):
     """Per-head softmax over frame scores f_t . w_k. Returns the cache. F's
     width is W's (K, d), as Model.forward_video checks."""
-    scores = np.where(mask[..., None, :], W @ np.swapaxes(F, -1, -2), -np.inf)
+    scores = W @ np.swapaxes(F, -1, -2)
+    np.copyto(scores, -np.inf, where=~mask[..., None, :])
     e = softmax_stable(scores, axis=-1)       # (..., K, T)
     return dict(F=F, e=e, a=scores)
 

@@ -231,7 +231,12 @@ def _train_model(args, train_seqs, val_seqs):
 def _cmd_train(args) -> int:
     train_seqs, val_seqs, _ = _load_splits(args.data)
     model, labels, log = _train_model(args, train_seqs, val_seqs)
-    meta = dict(model_config=model.config_dict(), labels=labels)
+    final = log[-1] if log else None
+    # train() keeps the parameters of the first epoch with the best val probe, else the last
+    probed = [r for r in log if r.val_acc is not None]
+    kept = max(probed, key=lambda r: r.val_acc) if probed else final
+    meta = dict(model_config=model.config_dict(), labels=labels,
+                kept_epoch=None if kept is None else kept.epoch)
     io_files.save_checkpoint(args.out, model.params, meta)
     if args.log:
         io_files.write_csv(
@@ -239,10 +244,11 @@ def _cmd_train(args) -> int:
             [[r.epoch, f"{r.lr:.10g}", f"{r.train_loss:.10g}", f"{r.train_acc:.6f}",
               "" if r.val_acc is None else f"{r.val_acc:.6f}"] for r in log],
             deterministic=args.deterministic_output)
-    final = log[-1] if log else None
     if final:
         print(f"final epoch {final.epoch}: loss {final.train_loss:.4f}, "
               f"train acc {final.train_acc:.3f}")
+        print(f"kept epoch {kept.epoch}: " + ("the last, no val probe" if kept.val_acc is None
+                                              else f"val acc {kept.val_acc:.3f}"))
     print(f"checkpoint written to {args.out}")
     return 0
 

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from clta.attention import (FrameSequence, attend_backward, attend_forward, fuse_backward,
-                            fusion_weights, gaussian_pool_backward,
-                            gaussian_pool_forward, soft_argmax)
+from clta.attention import (_LOG_FLOOR, _SIGMA_FLOOR, FrameSequence, attend_backward,
+                            attend_forward, fuse_backward, fusion_weights,
+                            gaussian_pool_backward, gaussian_pool_forward, soft_argmax)
+from clta.baselines import self_attention_backward, self_attention_forward
 from clta.errors import NumericError, ShapeError
+from clta.model import _KINDS, ModelConfig
+from clta.numerics import cross_entropy
 
 from oracle_reference import ref_attend
+from test_numerics import _plain_softmax
 
 
 def _all_frames(x):
@@ -294,3 +298,204 @@ def test_frame_sequence_keeps_float32_and_float64_and_widens_the_rest():
         assert np.array_equal(seq.features, np.asarray(features, dtype=np.float64))
     with pytest.raises(NumericError):
         FrameSequence(features=np.array([[0.0, np.inf]], dtype=np.float32))
+
+
+# The kernels in plain numpy expressions, one new array per operation: the
+# in-place kernels must give these bits exactly. The softmax is
+# test_numerics.py's plain max formula, which softmax_stable matches bit for bit.
+
+def _plain_softmax_backward(p, dp, axis):
+    return p * (dp - (p * dp).sum(axis=axis, keepdims=True))
+
+
+def _plain_sigmoid(x):
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _plain_pool_forward(mu, sigma, Z, mask, scale=None):
+    pos = np.arange(1, mask.shape[-1] + 1, dtype=np.float64) / Z
+    u = (pos - mu[..., None]) / sigma[..., None]
+    g = -0.5 * u * u
+    a = np.exp(np.maximum(g, _LOG_FLOOR))
+    q = a if scale is None else scale[:, None] * a
+    e = _plain_softmax(np.where(mask[..., None, :], q, -np.inf), -1)
+    return dict(pos=pos, u=u, a=a, e=e, clamped=g < _LOG_FLOOR, mu=mu, sigma=sigma)
+
+
+def _plain_pool_backward(cache, de, scale=None):
+    e, a, u, sigma = cache["e"], cache["a"], cache["u"], cache["sigma"]
+    dq = _plain_softmax_backward(e, de, -1)
+    dscale = None if scale is None else (dq * a).sum(axis=-1).reshape(-1, len(scale)).sum(axis=0)
+    dg = (dq if scale is None else dq * scale[:, None]) * a
+    dg[cache["clamped"]] = 0.0
+    du = dg * (-u)
+    return ((du * (-1.0 / sigma[..., None])).sum(axis=-1),
+            (du * (-u / sigma[..., None])).sum(axis=-1), dscale)
+
+
+def _plain_attend_forward(F, Wm, Ws, beta, Z, mask):
+    p = _plain_softmax(np.where(mask[..., None], beta * (F @ Wm.T), -np.inf), -2)
+    mu = np.arange(1, F.shape[-2] + 1, dtype=np.float64) @ p / Z
+    sg = np.where(mask[..., None], _plain_sigmoid(F @ Ws.T), 0.0)
+    sigma_raw = sg.sum(axis=-2) / Z
+    floor = np.minimum(_SIGMA_FLOOR, 0.5 * mask.sum(axis=-1) / Z)[..., None]
+    cache = _plain_pool_forward(mu, np.maximum(sigma_raw, floor), Z, mask)
+    cache.update(p=p, sg=sg, sigma_floored=sigma_raw < floor)
+    return cache
+
+
+def _plain_attend_backward(cache, F, beta, Z, de):
+    dmu, dsigma, _ = _plain_pool_backward(cache, de)
+    dsigma[cache["sigma_floored"]] = 0.0
+    p, sg = cache["p"], cache["sg"]
+    dsm = beta * _plain_softmax_backward(p, dmu[..., None, :] * cache["pos"][:, None], -2)
+    dss = (dsigma[..., None, :] / Z) * (sg * (1.0 - sg))
+    return (dsm.reshape(-1, dsm.shape[-1]).T @ F.reshape(-1, F.shape[-1]),
+            dss.reshape(-1, dss.shape[-1]).T @ F.reshape(-1, F.shape[-1]))
+
+
+def _plain_cross_entropy(logits, t):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    ez = np.exp(z)
+    total = ez.sum(axis=-1, keepdims=True)
+    loss = -(np.take_along_axis(z, t[..., None], axis=-1) - np.log(total))[..., 0]
+    return loss, ez / total - np.eye(logits.shape[-1])[t]
+
+
+def _assert_same_bits(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    if got.dtype == np.float64:
+        got, want = got.view(np.uint64), want.view(np.uint64)
+    assert np.array_equal(got, want), what
+
+
+def _padded_stack(rng, lens, d):
+    """(F (B, T, d) zero-padded to the longest of lens, mask (B, T))."""
+    mask = np.arange(max(lens)) < np.array(lens)[:, None]
+    return np.where(mask[..., None], rng.normal(size=mask.shape + (d,)), 0.0), mask
+
+
+@pytest.mark.parametrize("lens", [(1, 3, 5, 2), (13, 4, 9, 1, 13)], ids=["T5", "T13"])
+@pytest.mark.parametrize("K", [1, 6])
+def test_attention_kernels_keep_the_plain_expressions_bits(lens, K):
+    rng = np.random.default_rng(sum(lens) + K)
+    d, Z, beta = 5, 16, 20.0
+    F, mask = _padded_stack(rng, lens, d)
+    Wm, Ws = rng.normal(size=(K, d)), rng.normal(size=(K, d))
+    de = rng.normal(size=(len(lens), K, F.shape[1]))
+    cache = attend_forward(F, Wm, Ws, beta, Z, mask)
+    want = _plain_attend_forward(F, Wm, Ws, beta, Z, mask)
+    for key in want:
+        _assert_same_bits(cache[key], want[key], key)
+    for name, got, plain in zip(("dW_mean", "dW_std"), attend_backward(cache, de),
+                                _plain_attend_backward(want, F, beta, Z, de)):
+        _assert_same_bits(got, plain, name)
+    # self-attention: softmaxed frame scores, masked to -inf, and their gradient
+    attn = self_attention_forward(F, Wm, mask)
+    scores = np.where(mask[..., None, :], Wm @ np.swapaxes(F, -1, -2), -np.inf)
+    _assert_same_bits(attn["a"], scores, "scores")
+    _assert_same_bits(attn["e"], _plain_softmax(scores, -1), "self-attention e")
+    dscores = np.swapaxes(_plain_softmax_backward(attn["e"], de, -1), -1, -2)
+    _assert_same_bits(self_attention_backward(attn, de)[0],
+                      dscores.reshape(-1, K).T @ F.reshape(-1, d), "dW_attn")
+
+
+@pytest.mark.parametrize("with_scale", [False, True])
+def test_gaussian_pool_keeps_the_plain_expressions_bits(with_scale):
+    # narrow heads far from most frames clamp at _LOG_FLOOR, on both sides of T = 8
+    rng = np.random.default_rng(21)
+    for lens in ((2, 6, 4), (12, 3, 9)):
+        B, K, T = len(lens), 4, max(lens)
+        mask = np.arange(T) < np.array(lens)[:, None]
+        mu = rng.uniform(0.0, 1.0, size=(B, K))
+        sigma = np.concatenate([rng.uniform(0.05, 0.5, size=(B, K - 1)), np.full((B, 1), 1e-3)],
+                               axis=1)
+        scale = rng.normal(size=K) * 2.0 if with_scale else None
+        cache = gaussian_pool_forward(mu, sigma, 12, mask, scale)
+        want = _plain_pool_forward(mu, sigma, 12, mask, scale)
+        assert want["clamped"].any() and not want["clamped"].all()
+        for key in want:
+            _assert_same_bits(cache[key], want[key], key)
+        de = rng.normal(size=(B, K, T))
+        got = gaussian_pool_backward(cache, de)
+        for name, g, w in zip(("dmu", "dsigma", "dscale"), got, _plain_pool_backward(want, de, scale)):
+            assert (g is None) == (w is None) == (name == "dscale" and not with_scale)
+            if w is not None:
+                _assert_same_bits(g, w, name)
+
+
+def test_a_floored_sigma_keeps_the_plain_expressions_bits():
+    # nonnegative frames and a strongly negative std row drive every sigmoid of
+    # the first head to 0, so its sigma sits at the floor and gets no gradient
+    rng = np.random.default_rng(22)
+    F, mask = _padded_stack(rng, (7, 3, 10), 4)
+    F = np.abs(F) + mask[..., None]
+    Wm, Ws = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    Ws[0] = -500.0
+    cache = attend_forward(F, Wm, Ws, 5.0, 12, mask)
+    want = _plain_attend_forward(F, Wm, Ws, 5.0, 12, mask)
+    assert want["sigma_floored"][:, 0].all() and not want["sigma_floored"][:, 1:].any()
+    for key in want:
+        _assert_same_bits(cache[key], want[key], key)
+    de = rng.normal(size=(3, 3, 10))
+    for got, plain in zip(attend_backward(cache, de), _plain_attend_backward(want, F, 5.0, 12, de)):
+        _assert_same_bits(got, plain, "gradient")
+
+
+def test_cross_entropy_keeps_the_plain_expressions_bits():
+    # a model batch (B, c) and stacked episode rows (E, n, c)
+    rng = np.random.default_rng(23)
+    for shape in ((64, 20), (7, 5, 3), (4, 9)):
+        logits = rng.normal(0, 4, size=shape)
+        t = rng.integers(0, shape[-1], size=shape[:-1])
+        for got, want, what in zip(cross_entropy(logits, t), _plain_cross_entropy(logits, t),
+                                   ("loss", "dlogits")):
+            _assert_same_bits(got, want, what)
+
+
+def _snapshot(*values):
+    """The bytes of every array in values, dicts' values included."""
+    out = []
+    for v in values:
+        for a in (v.values() if isinstance(v, dict) else [v]):
+            out.append(np.asarray(a).tobytes() if a is not None else None)
+    return out
+
+
+@pytest.mark.parametrize("kind", [k for k, row in _KINDS.items() if row[2] is not None])
+def test_every_kernel_leaves_its_inputs_and_the_cache_it_is_given_untouched(kind):
+    # the finite-difference tests reuse a cache for every backward, which holds
+    # only while no kernel writes into what it was handed
+    rng = np.random.default_rng(24)
+    F, mask = _padded_stack(rng, (9, 2, 6), 4)
+    cfg = ModelConfig(kind=kind, num_gaussians=3, feature_dim=4, beta=20.0, Z=12)
+    init, forward, backward, _ = _KINDS[kind]
+    params = init(rng, 3, cfg)
+    before = _snapshot(F, mask, params)
+    cache = forward(F, params, cfg, mask)
+    assert _snapshot(F, mask, params) == before
+    de = rng.normal(size=cache["e"].shape)
+    kept = _snapshot(cache, de)
+    first = backward(cache, de)
+    assert _snapshot(cache, de) == kept and _snapshot(F, mask, params) == before
+    assert _snapshot(*backward(cache, de)) == _snapshot(*first)
+
+
+def test_the_shared_kernels_leave_their_inputs_untouched():
+    rng = np.random.default_rng(25)
+    _, mask = _padded_stack(rng, (3, 9), 1)
+    scores = rng.normal(size=(2, 9, 3))
+    before = _snapshot(scores, mask)
+    soft_argmax(scores, 30.0, mask)
+    assert _snapshot(scores, mask) == before
+    mu, sigma, scale = rng.uniform(size=(2, 3)), rng.uniform(0.1, 0.4, size=(2, 3)), rng.normal(size=3)
+    for s in (None, scale):
+        before = _snapshot(mu, sigma, mask, s)
+        cache = gaussian_pool_forward(mu, sigma, 9, mask, s)
+        assert _snapshot(mu, sigma, mask, s) == before
+        de = rng.normal(size=(2, 3, 9))
+        kept = _snapshot(cache, de)
+        gaussian_pool_backward(cache, de)
+        assert _snapshot(cache, de) == kept

@@ -110,6 +110,29 @@ def test_train_writes_checkpoint_and_log(checkpoint):
     assert rows[1][4] != ""  # episodic probe recorded as the val metric
 
 
+def test_train_names_the_epoch_it_kept_and_records_it(dataset_dir, tmp_path, capsys):
+    # the kept epoch is the first with the best val probe, and the checkpoint
+    # holds its parameters: a run stopped right after it keeps the same ones
+    def train(epochs, name):
+        rc = cli_dispatch(["train", "--data", str(dataset_dir / "manifest.csv"),
+                           "--out", str(tmp_path / name), "--log", str(tmp_path / f"{name}.csv"),
+                           "--epochs", str(epochs), "--seed", "4", "--lr", "0.03"])
+        assert rc == 0
+        return io_files.load_checkpoint(tmp_path / name), capsys.readouterr().out
+
+    (params, meta), out = train(6, "long.ckpt")
+    with open(tmp_path / "long.ckpt.csv") as fh:
+        rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+    val = [float(r[4]) for r in rows[1:]]
+    kept = val.index(max(val))
+    assert 0 < kept < 5 and val.count(val[kept]) > 1   # a later epoch ties it
+    assert meta["kept_epoch"] == kept
+    assert f"kept epoch {kept}: val acc {val[kept]:.3f}\n" in out
+    (short, short_meta), _ = train(kept + 1, "short.ckpt")
+    assert short_meta["kept_epoch"] == kept
+    assert all(np.array_equal(short[k], params[k]) for k in params)
+
+
 def test_train_with_a_one_class_val_split_has_no_val_signal(tmp_path, capsys, caplog):
     # 6 classes give a val split of one class, on which no episode can be drawn;
     # 12 classes of one video give two val classes, neither with a query to spare
@@ -126,6 +149,8 @@ def test_train_with_a_one_class_val_split_has_no_val_signal(tmp_path, capsys, ca
                            "--epochs", "2"])
         assert rc == 0
         assert "no validation signal" in caplog.text
+        assert "kept epoch 1: the last, no val probe\n" in capsys.readouterr().out
+        assert io_files.load_checkpoint(out / "m.ckpt")[1]["kept_epoch"] == 1
         with open(out / "log.csv") as fh:
             rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
         assert [r[4] for r in rows[1:]] == ["", ""]

@@ -43,6 +43,7 @@ def test_cross_entropy_loss_is_minus_log_softmax():
 def test_sigmoid_extremes_and_symmetry():
     assert sigmoid(np.array([800.0]))[0] == 1.0
     assert sigmoid(np.array([-800.0]))[0] == 0.0
+    assert sigmoid(np.float64(800.0)) == 1.0 and sigmoid_grad(0.5) == 0.25   # 0-d and scalar
     rng = np.random.default_rng(2)
     x = rng.normal(0, 4, size=100)
     assert np.allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
@@ -155,6 +156,36 @@ def test_softmax_backward_matches_finite_difference():
         xm[i] -= eps
         num = (softmax_stable(xp) @ dp - softmax_stable(xm) @ dp) / (2 * eps)
         assert abs(dx[i] - num) < 1e-8
+
+
+def test_softmax_backward_and_sigmoid_grad_equal_the_plain_formulas_bit_for_bit():
+    # over frames (B, T, K) on the middle axis, K = 1 included, and over the
+    # last axis, on both sides of the pairwise switch at 8; and the fusion's
+    # (K,) weights against a stack of upstream gradients
+    rng = np.random.default_rng(10)
+    cases = [(softmax_stable(rng.normal(0, 3, size=(6, T, K)), axis=axis), axis)
+             for T in (5, 13) for K in (1, 6) for axis in (-2, -1)]
+    cases.append((softmax_stable(rng.normal(size=6)), -1))
+    for p, axis in cases:
+        dp = rng.normal(size=(4,) * (p.ndim == 1) + p.shape)
+        want = p * (dp - (p * dp).sum(axis=axis, keepdims=True))
+        assert np.array_equal(softmax_backward(p, dp, axis=axis).view(np.uint64),
+                              want.view(np.uint64))
+        assert np.array_equal(sigmoid_grad(p).view(np.uint64), (p * (1.0 - p)).view(np.uint64))
+
+
+def test_helpers_leave_their_inputs_untouched():
+    rng = np.random.default_rng(11)
+    x = rng.normal(0, 3, size=(5, 9, 3))
+    dp = rng.normal(size=x.shape)
+    t = rng.integers(0, 3, size=(5, 9))
+    calls = [(softmax_stable, (x, axis)) for axis in range(-3, 3)]
+    calls += [(softmax_backward, (softmax_stable(x, axis=axis), dp, axis)) for axis in (-2, -1)]
+    calls += [(sigmoid, (x,)), (sigmoid_grad, (sigmoid(x),)), (cross_entropy, (x, t))]
+    for fn, args in calls:
+        before = [np.asarray(a).tobytes() for a in args]
+        fn(*args)
+        assert [np.asarray(a).tobytes() for a in args] == before, fn.__name__
 
 
 def test_cross_entropy_value_and_grad():
